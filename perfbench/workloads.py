@@ -45,13 +45,8 @@ from repro.graph.executor import CompiledDecodeStep, CompiledModel, CompiledTrai
 from repro.nn.approx import PWLSuite
 from repro.nn.models import MiniEfficientViT, MiniSegformer, ModelConfig
 from repro.nn.training import Trainer, TrainingConfig, prepare_quantized_model
-from repro.nn.transformer import (
-    DecoderConfig,
-    MiniDecoder,
-    bucket_capacity,
-    encode_tokens,
-    greedy_generate,
-)
+from repro.nn import transformer
+from repro.nn.transformer import DecoderConfig, MiniDecoder, bucket_capacity, encode_tokens
 from repro.nn.tensor import Tensor, no_grad
 from repro.serve import BatchingServer
 
@@ -322,9 +317,13 @@ def lut_layers(tracer: Tracer, start: float, end: float, cells: int) -> Dict[str
     sweep_self = sum(s[3] - s[2] for s in sweeps) - _children_seconds(tracer, sweep_ids)
     journal = tracer.durations("experiments.journal", start, end)
     searches = max(counters["searches"], 1)
+
+    def per_cell(name: str) -> float:
+        return sum(tracer.durations(name, start, end)) / cells
+
     return {
-        "core.search_s": sum(tracer.durations("core.search", start, end)) / cells,
-        "core.fitness_s": sum(tracer.durations("core.fitness", start, end)) / cells,
+        "core.search_s": per_cell("core.search"),
+        "core.fitness_s": per_cell("core.fitness"),
         "core.fitness_calls": counters["fitness_calls"] / searches,
         "core.evaluations": counters["evaluations"] / searches,
         "core.fitness_cache_hit_ratio": (
@@ -333,8 +332,8 @@ def lut_layers(tracer: Tracer, start: float, end: float, cells: int) -> Dict[str
         "experiments.sweep_self_s": sweep_self / cells,
         "experiments.journal_ops": len(journal) / cells,
         "experiments.journal_s": sum(journal) / cells,
-        "experiments.store_save_s": sum(tracer.durations("experiments.store_save", start, end)) / cells,
-        "experiments.protocol_mse_s": sum(tracer.durations("experiments.protocol_mse", start, end)) / cells,
+        "experiments.store_save_s": per_cell("experiments.store_save"),
+        "experiments.protocol_mse_s": per_cell("experiments.protocol_mse"),
     }
 
 
@@ -513,7 +512,7 @@ def decode(seed: int, seconds: float, size: Dict[str, Any],
         model.calibrate(prompts[0])
         # Direct path: one decode long enough to trace every cache bucket.
         warm_prompt = [0] * high
-        greedy_generate(model, warm_prompt, num_new, cache=True, engine="compiled")
+        transformer.greedy_generate(model, warm_prompt, num_new, cache=True, engine="compiled")
         server = BatchingServer(model, max_batch=max(DECODE_GROUPS),
                                 decode_engine="compiled")
         # Served path: every (group size, cache bucket) the timed phase can
@@ -615,10 +614,9 @@ def decode(seed: int, seconds: float, size: Dict[str, Any],
                or (last and next_prompt < size["dec_min_direct"])):
             prompt = prompts[next_prompt % len(prompts)]
             began = time.perf_counter()
-            stream = greedy_generate(model, prompt, num_new, cache=True, engine="compiled")
+            stream = transformer.greedy_generate(model, prompt, num_new, cache=True,
+                                                 engine="compiled")
             finished = time.perf_counter()
-            if tracer is not None:
-                tracer.add("nn.generate", began, finished, rid=next_prompt)
             per_token.append((finished - began) / (len(prompt) + num_new - 1))
             direct_runs.append((next_prompt % len(prompts), stream))
             next_prompt += 1
@@ -677,9 +675,12 @@ def decode(seed: int, seconds: float, size: Dict[str, Any],
         attempted += 1
         prompt = prompts[int(prompt_index)]
         stream = direct_streams[int(prompt_index)]
-        if greedy_generate(model, prompt, num_new, cache=False, engine="eager") != stream:
+        uncached = transformer.greedy_generate(model, prompt, num_new, cache=False,
+                                               engine="eager")
+        if uncached != stream:
             tie_divergences += 1
-        if greedy_generate(model, prompt, num_new, cache=True, engine="eager") != stream:
+        cached = transformer.greedy_generate(model, prompt, num_new, cache=True, engine="eager")
+        if cached != stream:
             failures["cached_eager_mismatch"] += 1
         elif not is_greedy_path(model, prompt, stream):
             failures["uncached_mismatch"] += 1
@@ -848,6 +849,7 @@ def install_model_tracing(tracer: Tracer) -> None:
     tracer.wrap(CompiledDecodeStep, "step", "graph.decode_step",
                 rid=lambda self, token, *rest: int(np.shape(token)[0]))
     tracer.wrap(CompiledTrainStep, "step", "graph.train_step")
+    tracer.wrap(transformer, "greedy_generate", "nn.generate")
     tracer.wrap(Trainer, "fit", "nn.fit")
     tracer.wrap(Trainer, "evaluate", "nn.evaluate")
     tracer.notes.update(predict_models=[], decode_steps=[], train_traces=[],
