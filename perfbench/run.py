@@ -11,12 +11,14 @@ Usage (from the repository root)::
 Standard output ends with two JSON lines:
 
 * the workload report: every named end-to-end metric of the workload with
-  its unit and sample count, plus the set-up times;
+  its unit and sample count, plus the set-up times, all wall-clock, and the
+  host-speed entries (``host_factor``, ``host_parts``, ``host_normalized``);
 * the result: ``{"correct", "attempted", "failed", "metrics"}``.  With
   ``--trace 0`` ``metrics`` holds the end-to-end metrics listed in
-  ``BENCHMARK.json``; with ``--trace 1`` it holds the per-layer metrics,
-  measured by wrapping each layer's public entry points, and the spans are
-  written to ``perfbench/out/``.
+  ``BENCHMARK.json``, the timings among them host-normalized where
+  ``host_normalized`` says so (see ``hostspeed.py``); with ``--trace 1`` it
+  holds the per-layer metrics, measured by wrapping each layer's public
+  entry points, and the spans are written to ``perfbench/out/``.
 
 Any failed operation or reference mismatch makes ``correct`` false and the
 exit code 1.
@@ -75,6 +77,7 @@ def main(argv=None) -> int:
     pin_environment()
     sys.path.insert(0, str(ROOT / "src"))
     import workloads  # needs the pinned environment and the source tree
+    from hostspeed import HostProbe
     from tracing import LAYER_ORDER, Tracer
 
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -88,6 +91,7 @@ def main(argv=None) -> int:
 
     workdir = HERE / "out"
     workdir.mkdir(exist_ok=True)
+    probe = HostProbe(workloads.REFERENCE_PARTS[args.workload])
     tracer = None
     if args.trace:
         tracer = Tracer()
@@ -95,21 +99,28 @@ def main(argv=None) -> int:
         workloads.install_model_tracing(tracer)
     try:
         outcome = workloads.WORKLOADS[args.workload](
-            args.seed, args.seconds, workloads.SIZES[args.size], tracer, workdir)
+            args.seed, args.seconds, workloads.SIZES[args.size], probe, tracer, workdir)
     finally:
         if tracer is not None:
             tracer.restore()
 
-    setup_s = statistics.median(outcome.setup_seconds)
+    # ``setup_s`` and the compute-bound gated timings are host-normalized
+    # (see ``hostspeed``); the report line keeps their wall-clock values.
     end_to_end = {
-        "setup_s": setup_s,
+        "setup_s": statistics.median(outcome.setup_normalized),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "success_rate": 1.0 - outcome.failed / outcome.attempted,
         "throughput_per_s": outcome.throughput_per_s,
         "unit_p50_ms": outcome.unit_p50_ms,
     }
     report = dict(outcome.report)
-    report["setup_s"] = workloads.entry(setup_s, "s", len(outcome.setup_seconds))
+    report["setup_s"] = workloads.entry(
+        statistics.median(outcome.setup_seconds), "s", len(outcome.setup_seconds))
+    report["wall_throughput_per_s"] = workloads.entry(outcome.wall_throughput_per_s, "1/s", 1)
+    report["wall_unit_p50_ms"] = workloads.entry(outcome.wall_unit_p50_ms, "ms", 1)
+    report["host_factor"] = workloads.entry(probe.factor(), "ratio", len(probe.slowdowns))
+    report["host_parts"] = list(probe.parts)
+    report["host_normalized"] = ["setup_s"] + list(outcome.normalized)
     report["peak_rss_mb"] = workloads.entry(end_to_end["peak_rss_mb"], "MB", 1)
     report["error_rate"] = workloads.entry(
         outcome.failed / outcome.attempted, "ratio", outcome.attempted)
@@ -124,8 +135,8 @@ def main(argv=None) -> int:
         values.update(outcome.layers)
         for layer, seconds in tracer.self_times(start, end).items():
             values["%s.self_share" % layer] = seconds / (end - start)
-        values["traced.throughput_per_s"] = outcome.throughput_per_s
-        values["traced.unit_p50_ms"] = outcome.unit_p50_ms
+        values["traced.throughput_per_s"] = end_to_end["throughput_per_s"]
+        values["traced.unit_p50_ms"] = end_to_end["unit_p50_ms"]
         unknown = set(values) - set(units)
         if unknown:
             raise RuntimeError("undeclared per-layer metrics: %s" % sorted(unknown))

@@ -113,6 +113,25 @@ def test_traced_run_reports_its_layers(workload):
     assert spans and all(len(span) == 6 for span in spans)
 
 
+def test_host_normalization_uses_the_samples_around_a_span():
+    sys.path.insert(0, str(HERE))
+    from hostspeed import ARRAY_PARTS, HostProbe
+
+    probe = HostProbe(ARRAY_PARTS)
+    for began, ended, slowdown in ((0.0, 1.0, 1.0), (5.0, 6.0, 2.0), (9.0, 10.0, 4.0)):
+        probe.began.append(began)
+        probe.ended.append(ended)
+        probe.slowdowns.append(slowdown)
+    # The sample that ended last before the span and the one that began
+    # first after it: median(1, 2).
+    assert probe.normalized(2.0, 4.0) == pytest.approx(2.0 / 1.5)
+    assert probe.normalized(6.5, 8.0) == pytest.approx(1.5 / 3.0)
+    assert probe.normalized(6.5, 8.0, count=2) == pytest.approx(1.5 / 2.0)
+    # Past the last sample only the samples before the span count.
+    assert probe.normalized(10.5, 11.0) == pytest.approx(0.5 / 4.0)
+    assert probe.factor() == pytest.approx(0.5)
+
+
 def test_fails_without_the_source_tree(tmp_path):
     shutil.copy(ROOT / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
     shutil.copytree(HERE, tmp_path / "perfbench",

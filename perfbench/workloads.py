@@ -50,13 +50,20 @@ from repro.nn.transformer import DecoderConfig, MiniDecoder, bucket_capacity, en
 from repro.nn.tensor import Tensor, no_grad
 from repro.serve import BatchingServer
 
+from hostspeed import ARRAY_PARTS, DISPATCH_PARTS, HostProbe, slowdown
 from tracing import Tracer, union_seconds
 
 # Set-up is repeated this many times per run; ``setup_s`` is the median.
 SETUP_REPEATS = 3
+# Host-speed samples taken before and after each set-up, and at each
+# boundary of a phase slice that is normalized as a whole.
+SETUP_PROBES = SLICE_PROBES = 3
+# A closed loop with many clients never idles, so it runs in bursts of this
+# length with a host-speed sample between them.
+BURST_SECONDS = 0.25
 # Workloads with two timed phases alternate them in this many slices each,
 # so both phases sample the whole run and not one half of it.
-PHASE_SLICES = 4
+PHASE_SLICES = 8
 
 SIZES: Dict[str, Dict[str, Any]] = {
     "full": {
@@ -109,8 +116,15 @@ class Outcome:
     setup_seconds: List[float]
     attempted: int
     failures: Dict[str, int]
+    # The gated timings.  ``setup_s`` and the compute-bound ones are
+    # host-normalized (see ``hostspeed``) and named in ``normalized``; the
+    # ``wall_`` fields keep the wall-clock values.
+    setup_normalized: List[float]
     throughput_per_s: float
     unit_p50_ms: float
+    normalized: tuple
+    wall_throughput_per_s: float
+    wall_unit_p50_ms: float
     report: Dict[str, Dict[str, Any]]
     window: tuple  # (start, end) of the measured region
     layers: Dict[str, float] = dataclasses.field(default_factory=dict)
@@ -150,14 +164,20 @@ def geometric_mean(values: Sequence[float]) -> float:
     return float(math.exp(sum(math.log(v) for v in values) / len(values)))
 
 
-def timed_setups(build: Callable[[], Any]) -> tuple:
-    """Run ``build`` SETUP_REPEATS times; returns (durations, results)."""
-    durations, results = [], []
+def timed_setups(build: Callable[[], Any], probe: HostProbe) -> tuple:
+    """Run ``build`` SETUP_REPEATS times, sampling the host's speed before
+    and after each; returns (wall durations, normalized durations, results)."""
+    spans, results = [], []
+    slowdown(probe.parts)  # warms the probe's own code paths
+    probe.sample(SETUP_PROBES)
     for _ in range(SETUP_REPEATS):
         start = time.perf_counter()
         results.append(build())
-        durations.append(time.perf_counter() - start)
-    return durations, results
+        spans.append((start, time.perf_counter()))
+        probe.sample(SETUP_PROBES)
+    return ([end - start for start, end in spans],
+            [probe.normalized(start, end, SETUP_PROBES) for start, end in spans],
+            results)
 
 
 def uniform_fxp(operator: str, entries: int = 8, frac_bits: int = 5):
@@ -182,7 +202,7 @@ def pwl_suite(operators: Sequence[str]) -> PWLSuite:
 # -- lut_search -----------------------------------------------------------------
 
 
-def lut_search(seed: int, seconds: float, size: Dict[str, Any],
+def lut_search(seed: int, seconds: float, size: Dict[str, Any], probe: HostProbe,
                tracer: Optional[Tracer], workdir: Path) -> Outcome:
     """The Table 3 grid through ``SweepEngine.run_manifest``, one cell at a
     time into a fresh durable run directory and artifact store per round,
@@ -220,12 +240,11 @@ def lut_search(seed: int, seconds: float, size: Dict[str, Any],
         engine.close()
         shutil.rmtree(run_dir)
 
-    setup_seconds, _ = timed_setups(setup)
+    setup_seconds, setup_normalized, _ = timed_setups(setup, probe)
 
     if tracer is not None:
         tracer.notes["lut_counters"].update(dict.fromkeys(tracer.notes["lut_counters"], 0))
-    cell_seconds: List[float] = []
-    round_ms_per_cell: List[float] = []
+    cell_spans: List[tuple] = []
     round_mse: List[List[float]] = []
     failures: Counter = Counter()
     attempted = 0
@@ -237,20 +256,21 @@ def lut_search(seed: int, seconds: float, size: Dict[str, Any],
         run_dir, engine = fresh_engine()
         mses = []
         for job in jobs:
+            probe.sample()
             attempted += 1
             began = time.perf_counter()
             manifest = engine.run_manifest([job])
             pwl = manifest.results.get(job.key)
             mse = protocol.average_mse(job.operator, pwl, bits=8) if pwl is not None else None
-            cell_seconds.append(time.perf_counter() - began)
+            cell_spans.append((began, time.perf_counter()))
             if pwl is None or manifest.failures or job.key in engine.quarantine:
                 failures["cell_failed"] += 1
             mses.append(mse)
         engine.close()
         shutil.rmtree(run_dir)
         round_mse.append(mses)
-        round_ms_per_cell.append(1e3 * sum(cell_seconds[-len(jobs):]) / len(jobs))
         round_seconds = time.perf_counter() - round_start
+    probe.sample()
     end = time.perf_counter()
 
     # Reference checks: every cell present, none quarantined (counted
@@ -263,19 +283,32 @@ def lut_search(seed: int, seconds: float, size: Dict[str, Any],
     if len(finite) != len(reference):
         failures["mse_not_finite"] += len(reference) - len(finite)
 
+    cell_seconds = [e - b for b, e in cell_spans]
+    cell_normalized = [probe.normalized(b, e) for b, e in cell_spans]
+
+    def round_ms_per_cell(seconds: List[float]) -> float:
+        """Median over rounds of the mean ms per cell."""
+        return median([1e3 * sum(seconds[i:i + len(jobs)]) / len(jobs)
+                       for i in range(0, len(seconds), len(jobs))])
+
     cells_per_s = len(cell_seconds) / sum(cell_seconds)
     report = {
         "cells_per_s": entry(cells_per_s, "1/s", len(cell_seconds)),
         "lut_mse": entry(geometric_mean(finite) if finite else float("nan"),
                          "mse", len(finite)),
         "cell_p50_ms": entry(1e3 * median(cell_seconds), "ms", len(cell_seconds)),
-        "round_ms_per_cell_p50": entry(median(round_ms_per_cell), "ms", len(round_mse)),
+        "round_ms_per_cell_p50": entry(round_ms_per_cell(cell_seconds), "ms", len(round_mse)),
     }
     pct, value = tail(cell_seconds)
     report["cell_p%g_ms" % pct] = entry(1e3 * value, "ms", len(cell_seconds))
     outcome = Outcome(
         setup_seconds=setup_seconds, attempted=attempted, failures=+failures,
-        throughput_per_s=cells_per_s, unit_p50_ms=median(round_ms_per_cell),
+        setup_normalized=setup_normalized,
+        throughput_per_s=len(cell_normalized) / sum(cell_normalized),
+        unit_p50_ms=round_ms_per_cell(cell_normalized),
+        normalized=("throughput_per_s", "unit_p50_ms"),
+        wall_throughput_per_s=cells_per_s,
+        wall_unit_p50_ms=round_ms_per_cell(cell_seconds),
         report=report, window=(start, end),
     )
     if tracer is not None:
@@ -340,7 +373,7 @@ def lut_layers(tracer: Tracer, start: float, end: float, cells: int) -> Dict[str
 # -- segment_serve --------------------------------------------------------------
 
 
-def segment_serve(seed: int, seconds: float, size: Dict[str, Any],
+def segment_serve(seed: int, seconds: float, size: Dict[str, Any], probe: HostProbe,
                   tracer: Optional[Tracer], workdir: Path) -> Outcome:
     """An INT8 MiniSegformer served through ``BatchingServer`` (compiled,
     ``max_batch=16``): a 1-client and a 16-client closed loop, alternating."""
@@ -363,7 +396,7 @@ def segment_serve(seed: int, seconds: float, size: Dict[str, Any],
                     break
         return model, server
 
-    setup_seconds, servers = timed_setups(setup)
+    setup_seconds, setup_normalized, servers = timed_setups(setup, probe)
     for _, stale in servers[:-1]:
         stale.close()
     model, server = servers[-1]
@@ -393,11 +426,11 @@ def segment_serve(seed: int, seconds: float, size: Dict[str, Any],
         )
 
     def check(future, began: float, finished: float, image_index: int,
-              request_id: int, samples: List[float]) -> None:
+              request_id: int, samples: List[tuple]) -> None:
         if future.exception() is not None:
             failures["request_failed"] += 1
             return
-        samples.append(finished - began)
+        samples.append((began, finished))
         if tracer is not None:
             tracer.add("serve.request", began, finished, rid=request_id)
         if not np.array_equal(future.result(), references[image_index]):
@@ -412,21 +445,26 @@ def segment_serve(seed: int, seconds: float, size: Dict[str, Any],
             check(*done.get(), solo)
         solo_windows.append((slice_start, time.perf_counter()))
 
-        # ``seg_clients`` clients, all driven by this one thread.
+        # ``seg_clients`` clients, all driven by this one thread, in bursts
+        # of BURST_SECONDS with a host-speed sample between bursts.
         stats_before = server.stats()
-        slice_start = slice_end = time.perf_counter()
-        for _ in range(size["seg_clients"]):
-            launch()
-        in_flight = size["seg_clients"]
-        while in_flight:
-            result = done.get()
-            in_flight -= 1
-            slice_end = result[2]
-            check(*result, loaded)
-            if time.perf_counter() - slice_start < slice_seconds:
+        slice_start = time.perf_counter()
+        while time.perf_counter() - slice_start < slice_seconds:
+            probe.sample()
+            burst_start = burst_end = time.perf_counter()
+            for _ in range(size["seg_clients"]):
                 launch()
-                in_flight += 1
-        loaded_windows.append((slice_start, slice_end))
+            in_flight = size["seg_clients"]
+            while in_flight:
+                result = done.get()
+                in_flight -= 1
+                burst_end = result[2]
+                check(*result, loaded)
+                if time.perf_counter() - burst_start < BURST_SECONDS:
+                    launch()
+                    in_flight += 1
+            loaded_windows.append((burst_start, burst_end))
+        probe.sample()
         stats_after = server.stats()
         for field in ("batches", "completed", "padded_rows"):
             loaded_stats[field] += getattr(stats_after, field) - getattr(stats_before, field)
@@ -438,17 +476,27 @@ def segment_serve(seed: int, seconds: float, size: Dict[str, Any],
     failures["expired"] += after.expired
 
     images_per_s = len(loaded) / sum(e - b for b, e in loaded_windows)
-    image_p50 = 1e3 * median(solo)
+    image_p50 = 1e3 * median([e - b for b, e in solo])
+    loaded_latency = [e - b for b, e in loaded]
     report = {
         "image_p50_ms": entry(image_p50, "ms", len(solo)),
         "images_per_s": entry(images_per_s, "1/s", len(loaded)),
-        "image_p99_ms": entry(1e3 * float(np.percentile(loaded, 99.0)), "ms", len(loaded)),
+        "image_p99_ms": entry(1e3 * float(np.percentile(loaded_latency, 99.0)), "ms",
+                              len(loaded)),
         "loaded_batch_size": entry(loaded_stats["completed"] / max(1, loaded_stats["batches"]),
                                    "count", loaded_stats["batches"]),
     }
     outcome = Outcome(
         setup_seconds=setup_seconds, attempted=attempted, failures=+failures,
-        throughput_per_s=images_per_s, unit_p50_ms=image_p50,
+        setup_normalized=setup_normalized,
+        # The 16-client phase computes full batches back to back.  A
+        # 1-client request is mostly the server's fixed batching wait
+        # (``max_wait_ms``) and thread hand-offs, which do not follow the
+        # host's compute speed, so its latency stays wall-clock.
+        throughput_per_s=len(loaded) / sum(probe.normalized(b, e) for b, e in loaded_windows),
+        unit_p50_ms=image_p50,
+        normalized=("throughput_per_s",),
+        wall_throughput_per_s=images_per_s, wall_unit_p50_ms=image_p50,
         report=report, window=(solo_windows[0][0], loaded_windows[-1][1]),
     )
     if tracer is not None:
@@ -468,7 +516,8 @@ def segment_serve(seed: int, seconds: float, size: Dict[str, Any],
                 for compiled in tracer.notes["predict_models"][-1:] for padded in padded_sizes
             ]),
             "graph.timed_retraces": float(len(retraced)),
-            "serve.solo_overhead_ms": 1e3 * (median(solo) - median(solo_predict)),
+            "serve.solo_overhead_ms": 1e3 * (median([e - b for b, e in solo])
+                                             - median(solo_predict)),
             "serve.replay_share": union_seconds([(s[2], s[3]) for s in loaded_predict])
             / sum(e - b for b, e in loaded_windows),
             "serve.mean_batch_size": completed / batches if batches else 0.0,
@@ -489,7 +538,7 @@ DECODE_CONFIG = DecoderConfig(vocab_size=32, max_seq=128, embed_dim=64,
 DECODE_GROUPS = (1, 2, 4, 8)
 
 
-def decode(seed: int, seconds: float, size: Dict[str, Any],
+def decode(seed: int, seconds: float, size: Dict[str, Any], probe: HostProbe,
            tracer: Optional[Tracer], workdir: Path) -> Outcome:
     """An INT8 MiniDecoder: direct cached-compiled greedy decode, one prompt
     after another, alternating with the same prompts as served sessions (8
@@ -530,7 +579,7 @@ def decode(seed: int, seconds: float, size: Dict[str, Any],
                     break
         return model, server
 
-    setup_seconds, built = timed_setups(setup)
+    setup_seconds, setup_normalized, built = timed_setups(setup, probe)
     for _, stale in built[:-1]:
         stale.close()
     model, server = built[-1]
@@ -542,7 +591,7 @@ def decode(seed: int, seconds: float, size: Dict[str, Any],
     slice_seconds = seconds / (2 * PHASE_SLICES)
     before = server.stats()
     direct_runs: List[tuple] = []
-    per_token: List[float] = []
+    direct_spans: List[tuple] = []  # (start, end, steps)
     direct_windows: List[tuple] = []
     served_windows: List[tuple] = []
     done: "queue.SimpleQueue" = queue.SimpleQueue()
@@ -609,19 +658,21 @@ def decode(seed: int, seconds: float, size: Dict[str, Any],
     # served slice runs every live session to completion.
     for index in range(PHASE_SLICES):
         last = index == PHASE_SLICES - 1
+        probe.sample(SLICE_PROBES)
         slice_start = time.perf_counter()
         while (time.perf_counter() - slice_start < slice_seconds
                or (last and next_prompt < size["dec_min_direct"])):
+            probe.maybe()
             prompt = prompts[next_prompt % len(prompts)]
             began = time.perf_counter()
             stream = transformer.greedy_generate(model, prompt, num_new, cache=True,
                                                  engine="compiled")
-            finished = time.perf_counter()
-            per_token.append((finished - began) / (len(prompt) + num_new - 1))
+            direct_spans.append((began, time.perf_counter(), len(prompt) + num_new - 1))
             direct_runs.append((next_prompt % len(prompts), stream))
             next_prompt += 1
         direct_windows.append((slice_start, time.perf_counter()))
 
+        probe.sample(SLICE_PROBES)
         slice_start = slice_end = time.perf_counter()
         for state in list(live.values()):
             state["last"] = None
@@ -643,6 +694,7 @@ def decode(seed: int, seconds: float, size: Dict[str, Any],
                 open_next()
                 in_flight += 1
         served_windows.append((slice_start, slice_end))
+    probe.sample(SLICE_PROBES)
     after = server.stats()
     served_buckets = set(server.health()["bucket_latency_ms"])
     server.close()
@@ -685,8 +737,9 @@ def decode(seed: int, seconds: float, size: Dict[str, Any],
         elif not is_greedy_path(model, prompt, stream):
             failures["uncached_mismatch"] += 1
 
-    direct_seconds = sum(e - b for b, e in direct_windows)
     served_seconds = sum(e - b for b, e in served_windows)
+    direct_seconds = sum(e - b for b, e, _ in direct_spans)
+    per_token = [(e - b) / steps for b, e, steps in direct_spans]
     direct_tokens_per_s = num_new * next_prompt / direct_seconds
     tokens_per_s = served_tokens / served_seconds
     report = {
@@ -705,7 +758,14 @@ def decode(seed: int, seconds: float, size: Dict[str, Any],
     }
     outcome = Outcome(
         setup_seconds=setup_seconds, attempted=attempted, failures=+failures,
-        throughput_per_s=tokens_per_s, unit_p50_ms=1e3 * median(per_token),
+        setup_normalized=setup_normalized,
+        # Live sessions cannot pause between steps without changing the
+        # latencies measured, so a served slice is normalized as a whole.
+        throughput_per_s=served_tokens / sum(probe.normalized(b, e, SLICE_PROBES)
+                                             for b, e in served_windows),
+        unit_p50_ms=1e3 * median([probe.normalized(b, e) / steps for b, e, steps in direct_spans]),
+        normalized=("throughput_per_s", "unit_p50_ms"),
+        wall_throughput_per_s=tokens_per_s, wall_unit_p50_ms=1e3 * median(per_token),
         report=report, window=(direct_windows[0][0], served_windows[-1][1]),
     )
     if tracer is not None:
@@ -754,7 +814,7 @@ def is_greedy_path(model: MiniDecoder, prompt: List[int], stream: List[int]) -> 
 # -- finetune -------------------------------------------------------------------
 
 
-def finetune(seed: int, seconds: float, size: Dict[str, Any],
+def finetune(seed: int, seconds: float, size: Dict[str, Any], probe: HostProbe,
              tracer: Optional[Tracer], workdir: Path) -> Outcome:
     """QAT fine-tuning of an INT8 MiniEfficientViT (hswish + div on pwl
     tables) through ``Trainer.fit(train_engine="compiled")``."""
@@ -763,7 +823,8 @@ def finetune(seed: int, seconds: float, size: Dict[str, Any],
                               learning_rate=2e-3, seed=seed)
 
     def fit(data: SyntheticSegmentationDataset, suite: PWLSuite, engine: str) -> tuple:
-        """One fit from fresh weights; returns ``(result, Trainer.fit seconds)``."""
+        """One fit from fresh weights; returns ``(result, (start, end))`` of
+        ``Trainer.fit``."""
         # Every fit of a run shares one suite, so the process-wide dense-table
         # cache holds one set of tables however many fits the run makes.
         model = MiniEfficientViT(config, suite=suite)
@@ -773,7 +834,7 @@ def finetune(seed: int, seconds: float, size: Dict[str, Any],
             data.train_images, data.train_labels, data.val_images, data.val_labels,
             num_classes=data.num_classes, train_engine=engine,
         )
-        return result, time.perf_counter() - began
+        return result, (began, time.perf_counter())
 
     def setup() -> tuple:
         data = SyntheticSegmentationDataset(SyntheticSegmentationConfig(
@@ -784,22 +845,24 @@ def finetune(seed: int, seconds: float, size: Dict[str, Any],
         # Warm-up fit: the trace and evaluation code paths.
         return data, suite, fit(data, suite, "compiled")[0]
 
-    setup_seconds, built = timed_setups(setup)
+    setup_seconds, setup_normalized, built = timed_setups(setup, probe)
     data, suite, warm = built[-1]
     if tracer is not None:
         warm_traces = list(tracer.notes["train_traces"])
 
     steps_per_fit = len(warm.losses)
-    fit_seconds: List[float] = []
+    fit_spans: List[tuple] = []
     results = []
     failures: Counter = Counter()
     attempted = 0
     start = time.perf_counter()
-    while not fit_seconds or time.perf_counter() - start < seconds:
+    while not fit_spans or time.perf_counter() - start < seconds:
+        probe.sample()
         attempted += 1
-        result, fit_time = fit(data, suite, "compiled")
-        fit_seconds.append(fit_time)
+        result, span = fit(data, suite, "compiled")
+        fit_spans.append(span)
         results.append(result)
+    probe.sample()
     end = time.perf_counter()
 
     # Reference checks (untimed): every timed fit repeats the warm-up fit
@@ -810,6 +873,8 @@ def finetune(seed: int, seconds: float, size: Dict[str, Any],
         if result.losses != warm.losses or result.val_miou != warm.val_miou:
             failures["fit_mismatch"] += 1
 
+    fit_seconds = [e - b for b, e in fit_spans]
+    fit_normalized = [probe.normalized(b, e) for b, e in fit_spans]
     total_steps = steps_per_fit * len(fit_seconds)
     steps_per_s = total_steps / sum(fit_seconds)
     ms_per_step = [1e3 * s / steps_per_fit for s in fit_seconds]
@@ -820,7 +885,11 @@ def finetune(seed: int, seconds: float, size: Dict[str, Any],
     }
     outcome = Outcome(
         setup_seconds=setup_seconds, attempted=attempted, failures=+failures,
-        throughput_per_s=steps_per_s, unit_p50_ms=median(ms_per_step),
+        setup_normalized=setup_normalized,
+        throughput_per_s=total_steps / sum(fit_normalized),
+        unit_p50_ms=median([1e3 * s / steps_per_fit for s in fit_normalized]),
+        normalized=("throughput_per_s", "unit_p50_ms"),
+        wall_throughput_per_s=steps_per_s, wall_unit_p50_ms=median(ms_per_step),
         report=report, window=(start, end),
     )
     if tracer is not None:
@@ -878,6 +947,17 @@ def install_model_tracing(tracer: Tracer) -> None:
     tracer.observers["graph.decode_step"].append(note(tracer.notes["decode_steps"]))
     tracer.observers["graph.train_step"].append(note_train)
 
+
+# The host-speed reference parts (see ``hostspeed``) that match each
+# workload's own work.  GA population scoring and the image models are
+# batched array work; single-token decoding is dispatch-bound (batches of
+# at most 8 tokens of width 64).
+REFERENCE_PARTS = {
+    "lut_search": ARRAY_PARTS,
+    "segment_serve": ARRAY_PARTS,
+    "decode": DISPATCH_PARTS,
+    "finetune": ARRAY_PARTS,
+}
 
 WORKLOADS = {
     "lut_search": lut_search,
