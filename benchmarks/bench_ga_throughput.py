@@ -9,20 +9,29 @@ Measures two things for the genetic breakpoint search:
 2. **End-to-end search time** — a full seeded ``GQALUT.search`` under
    ``engine="batch"`` (dedup + cross-generation score cache + batched
    fitness) versus ``engine="legacy"`` (one fitness call per individual).
-   Both engines share the same vectorized GA operators and random stream,
+   Both engines share the same generation loop (rows held as Python float
+   lists, vectorized random draws, list slice swaps) and random stream,
    so the searched breakpoints are asserted to be bit-identical; the timing
-   difference is purely the scoring path.
+   difference is purely the scoring path.  The seeded work counters
+   (``evaluations``, ``fitness_calls``, ``cache_hits``) and ``best_fitness``
+   are exact; ``check_bench_parity.py`` holds them against the recorded
+   ``BENCH_ga_throughput.json``.
 
 Defaults follow Table 1 (GELU, 8-entry LUT, population 50, 500
 generations).  Results are written to ``BENCH_ga_throughput.json`` at the
 repository root so the performance trajectory is tracked across PRs; CI
-runs a reduced-budget smoke pass (see ``--generations``/``--repeats``).
+runs a reduced-budget smoke pass (see ``--generations``/``--repeats``),
+then a full-budget ``--repeats 1`` pass checked against the recorded file.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_ga_throughput.py
     PYTHONPATH=src python benchmarks/bench_ga_throughput.py \
         --generations 25 --repeats 2 --output /tmp/smoke.json
+    PYTHONPATH=src python benchmarks/bench_ga_throughput.py \
+        --repeats 1 --output /tmp/full.json
+    python benchmarks/check_bench_parity.py \
+        --baseline BENCH_ga_throughput.json --fresh /tmp/full.json --tolerance 8.0
 """
 
 from __future__ import annotations

@@ -67,6 +67,9 @@ class GridMSEFitness(FitnessFunction):
     def __post_init__(self) -> None:
         self._grid = self.function.sample_grid(self.grid_step)
         self._reference = np.asarray(self.function(self._grid), dtype=np.float64)
+        self._grid_ascending = bool(
+            self._grid.size and np.all(self._grid[1:] >= self._grid[:-1])
+        )
 
     @property
     def grid(self) -> np.ndarray:
@@ -102,10 +105,20 @@ class GridMSEFitness(FitnessFunction):
         return pwls
 
     def batch_call(self, population: np.ndarray) -> np.ndarray:
-        """Grid MSE of every individual as one ``(P, G)`` array op."""
-        pwls = self.build_batch(np.asarray(population, dtype=np.float64))
-        approx = pwls(self._grid)
-        return np.mean((approx - self._reference[None, :]) ** 2, axis=1)
+        """Grid MSE of every individual as one ``(P, G)`` array op.
+
+        Per element this is the scalar path's ``k * x + b - ref``, squared
+        and averaged along the grid, so entry ``i`` equals
+        ``self(population[i])`` bit for bit.
+        """
+        pwls = self.build_batch(population)
+        if self._grid_ascending and pwls.breakpoints.shape[1]:
+            error = pwls.on_sorted_grid(self._grid)
+        else:
+            error = pwls(self._grid)
+        error -= self._reference
+        error *= error
+        return np.mean(error, axis=1)
 
 
 @dataclasses.dataclass

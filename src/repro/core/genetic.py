@@ -18,12 +18,21 @@ final population is what makes the deployed breakpoints robust to
 quantization.  Optional elitism (off by default, as in the paper) can be
 enabled to stabilise the plain-Gaussian variant.
 
-The population lives in a single ``(P, N_b)`` float64 matrix.  Two scoring
-engines are available (see DESIGN.md for the full contract):
+Between two scorings the population is held as ``P`` Python float lists,
+one per individual.  A generation works on rows of 7 or 15 breakpoints,
+where a numpy call costs more than its arithmetic, so only the random
+draws, the tournament argmin, the mutation of the gated rows and the
+fitness itself run as array operations; crossover swaps are list slice
+exchanges followed by a sort.  Every row stays byte-identical to what the
+same steps produce on a ``(P, N_b)`` float64 matrix; the one place the two
+sorts can disagree, mixed ``0.0``/``-0.0``, is handled in
+:func:`swap_segment`.  Two scoring engines are available (see DESIGN.md for
+the full contract):
 
 * ``engine="batch"`` (default) — the population is de-duplicated, filtered
-  through a cross-generation score cache, and the remaining rows are scored
-  by one :meth:`FitnessFunction.batch_call`;
+  through a cross-generation score cache keyed by each row's raw float64
+  bytes, and only the misses are stacked and scored by one
+  :meth:`FitnessFunction.batch_call`;
 * ``engine="legacy"`` — one scalar fitness call per individual, kept as the
   reference path for equivalence tests and throughput benchmarks.
 
@@ -35,6 +44,9 @@ run returns the same :class:`GAResult` under either engine.
 from __future__ import annotations
 
 import dataclasses
+import itertools
+import math
+import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.backend import xp as np
@@ -48,6 +60,28 @@ from repro.core.mutation import MutationFunction, NormalMutation
 # evicted first.  At the Table 1 budget a full run touches well under 2^15
 # distinct individuals, so the default never evicts in practice.
 DEFAULT_CACHE_SIZE = 1 << 16
+
+
+def swap_segment(a: List[float], b: List[float], start: int, stop: int) -> None:
+    """Exchange ``[start, stop)`` between two rows in place, then re-sort both.
+
+    The rows must end up byte-identical to sorting them as float64 arrays.
+    ``list.sort`` and ``ndarray.sort`` both treat ``0.0 == -0.0`` but may
+    leave mixed signed zeros in different orders, so a row holding two or
+    more zeros is sorted by ``ndarray.sort``.  Elsewhere, equal floats are
+    bitwise equal, so any sort gives the same bytes (rows never hold NaN;
+    see :meth:`GeneticSearch._mutate`).
+    """
+    segment = a[start:stop]
+    a[start:stop] = b[start:stop]
+    b[start:stop] = segment
+    for row in (a, b):
+        if row.count(0.0) > 1:
+            values = np.array(row)
+            values.sort()
+            row[:] = values.tolist()
+        else:
+            row.sort()
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,8 +124,12 @@ class GAResult:
     ``best_breakpoints`` / ``best_fitness`` describe the fittest individual
     of the final generation (the paper's selection rule);
     ``best_ever_breakpoints`` / ``best_ever_fitness`` track the fittest
-    individual seen at any point of the run, which is useful for diagnosing
-    how much the mutation pressure trades raw FP fitness for robustness.
+    individual of the generations scored inside the loop (the ones
+    ``history`` records, so ``best_ever_fitness == history[-1]``), which is
+    useful for diagnosing how much the mutation pressure trades raw FP
+    fitness for robustness.  The final generation re-scored after the loop
+    is not folded in, so ``best_fitness`` may be lower than
+    ``best_ever_fitness``.
 
     ``evaluations`` counts logical fitness evaluations (population size per
     scored generation, as Algorithm 1 accounts them); ``fitness_calls`` is
@@ -99,6 +137,9 @@ class GAResult:
     after de-duplication and score caching, and ``cache_hits`` is the number
     of logical evaluations answered without any fitness work.  Under the
     legacy engine ``fitness_calls == evaluations`` and ``cache_hits == 0``.
+
+    ``converged_early`` is true when the ``patience`` rule of
+    :meth:`GeneticSearch.run` stopped the loop.
     """
 
     best_breakpoints: np.ndarray
@@ -110,10 +151,7 @@ class GAResult:
     evaluations: int
     fitness_calls: int = 0
     cache_hits: int = 0
-
-    @property
-    def converged_early(self) -> bool:
-        return self.generations_run < len(self.history)
+    converged_early: bool = False
 
 
 class GeneticSearch:
@@ -145,7 +183,7 @@ class GeneticSearch:
         cache_size: int = DEFAULT_CACHE_SIZE,
     ) -> None:
         lo, hi = search_range
-        if not lo < hi:
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("invalid search range [%r, %r]" % (lo, hi))
         engine = resolve_ga_engine(engine)
         self.fitness = fitness
@@ -154,6 +192,9 @@ class GeneticSearch:
         self.mutation = mutation or NormalMutation(search_range=self.search_range)
         self.engine = engine
         self._rng = np.random.default_rng(settings.seed)
+        # ``struct`` packs a row of Python floats into the same native
+        # float64 bytes as ``ndarray.tobytes()``: the score-cache key.
+        self._pack_row = struct.Struct("%dd" % settings.num_breakpoints).pack
         self._cache: Dict[bytes, float] = {}
         self._cache_size = int(cache_size)
         self._fitness_calls = 0
@@ -161,62 +202,40 @@ class GeneticSearch:
 
     # -- population handling -------------------------------------------------
 
-    def _initial_population(self) -> np.ndarray:
-        """Random sorted individuals as a single ``(P, N_b)`` matrix."""
+    def _initial_population(self) -> List[List[float]]:
+        """Random sorted individuals, one float list per row."""
         lo, hi = self.search_range
         population = self._rng.uniform(
             lo, hi, size=(self.settings.population_size, self.settings.num_breakpoints)
         )
-        return np.sort(population, axis=1)
+        return np.sort(population, axis=1).tolist()
 
-    @staticmethod
-    def _apply_swap(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> None:
-        """Exchange ``[start, stop)`` between two rows in place, then re-sort."""
-        segment = a[start:stop].copy()
-        a[start:stop] = b[start:stop]
-        b[start:stop] = segment
-        a.sort()
-        b.sort()
-
-    def _crossover(self, a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Swap a random contiguous segment between two individuals.
-
-        The swap window is ``[start, stop)`` with ``start`` drawn uniformly
-        over *all* indices — including the last one, so the top breakpoint
-        participates in exchange as often as any other.
-        """
-        n = a.size
-        if n < 2:
-            return a.copy(), b.copy()
-        start = int(self._rng.integers(0, n))
-        stop = int(self._rng.integers(start + 1, n + 1))
-        child_a, child_b = a.copy(), b.copy()
-        self._apply_swap(child_a, child_b, start, stop)
-        return child_a, child_b
-
-    def _tournament(self, population: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    def _tournament(self, population: List[List[float]], scores: np.ndarray) -> List[List[float]]:
         """3-way tournament selection (lower score wins), fully vectorized.
 
         One ``(P, T)`` contender draw replaces the per-individual loop; the
         draw consumes the random stream exactly like ``P`` separate size-``T``
-        draws, so seeded trajectories are unchanged.
+        draws, so seeded trajectories are unchanged.  Winners are copied,
+        because crossover swaps segments in place.
         """
-        count = population.shape[0]
+        count = len(population)
         contenders = self._rng.integers(
             0, count, size=(count, self.settings.tournament_size)
         )
         winners = contenders[np.arange(count), np.argmin(scores[contenders], axis=1)]
-        return population[winners]
+        return [population[w][:] for w in winners.tolist()]
 
-    def _crossover_population(self, population: np.ndarray) -> None:
-        """Apply probabilistic segment-swap crossover to the matrix in place.
+    def _crossover(self, population: List[List[float]]) -> None:
+        """Apply probabilistic segment-swap crossover to the rows in place.
 
         All randomness is drawn up front in four vectorized calls (gate
         mask, partners, window starts, window stops — the documented draw
         order); only the swaps themselves run sequentially, because an
         individual touched by one exchange may be a partner in the next.
+        The window ``[start, stop)`` draws ``start`` over *all* indices, so
+        the top breakpoint is exchanged as often as any other.
         """
-        count, n = population.shape
+        count, n = len(population), self.settings.num_breakpoints
         gates = self._rng.random(count) < self.settings.crossover_prob
         (triggered,) = np.nonzero(gates)
         if triggered.size == 0:
@@ -226,74 +245,78 @@ class GeneticSearch:
             return
         starts = self._rng.integers(0, n, size=triggered.size)
         stops = self._rng.integers(starts + 1, n + 1)
-        for k in range(triggered.size):
-            i = int(triggered[k])
-            j = int(partners[k])
+        for i, j, start, stop in zip(
+            triggered.tolist(), partners.tolist(), starts.tolist(), stops.tolist()
+        ):
             if j == i:
                 j = (j + 1) % count
-            self._apply_swap(population[i], population[j], int(starts[k]), int(stops[k]))
+            swap_segment(population[i], population[j], start, stop)
 
-    def _mutate_population(self, population: np.ndarray) -> None:
+    def _mutate(self, population: List[List[float]]) -> None:
         """Mutate gated rows through one batched operator application."""
-        gates = self._rng.random(population.shape[0]) < self.settings.mutation_prob
+        gates = self._rng.random(len(population)) < self.settings.mutation_prob
         (triggered,) = np.nonzero(gates)
         if triggered.size == 0:
             return
-        population[triggered] = self.mutation.mutate_batch(
-            population[triggered], self._rng
+        rows = triggered.tolist()
+        mutated = np.asarray(
+            self.mutation.mutate_batch(np.array([population[i] for i in rows]), self._rng),
+            dtype=np.float64,
         )
+        if mutated.shape != (len(rows), self.settings.num_breakpoints):
+            raise ValueError(
+                "mutate_batch returned shape %r for %d individuals"
+                % (mutated.shape, len(rows))
+            )
+        # Rows are sorted as lists by swap_segment, which orders NaN unlike
+        # ndarray.sort; the initial population and the built-in operators
+        # never produce one.
+        if np.isnan(mutated).any():
+            raise ValueError("mutate_batch returned NaN breakpoints")
+        for i, row in zip(rows, mutated.tolist()):
+            population[i] = row
 
     # -- scoring -------------------------------------------------------------
 
-    def _score_population(self, population: np.ndarray) -> np.ndarray:
-        if self.engine == "legacy":
-            self._fitness_calls += population.shape[0]
-            return np.array(
-                [float(self.fitness(row)) for row in population], dtype=np.float64
-            )
-        return self._score_batch(population)
-
-    def _score_batch(self, population: np.ndarray) -> np.ndarray:
-        """Dedup + cache-filter the population, then one batched fitness call.
+    def _score(self, population: List[List[float]]) -> np.ndarray:
+        """Score every row; the batch engine dedups and caches first.
 
         Tournament selection copies winners, crossover/mutation fire
         probabilistically and RM rounds breakpoints onto coarse grids, so a
         generation routinely repeats rows — within itself and across
-        generations.  Each distinct row is scored once; everything else is
-        answered from the cache.
+        generations.  Under the batch engine each distinct row (keyed by
+        its raw float64 bytes) is scored once, all cache misses in one
+        :meth:`FitnessFunction.batch_call`; everything else is answered
+        from the cache.
         """
-        scores = np.empty(population.shape[0], dtype=np.float64)
-        pending: Dict[bytes, List[int]] = {}
-        pending_order: List[bytes] = []
-        for i in range(population.shape[0]):
-            key = population[i].tobytes()
-            cached = self._cache.get(key)
-            if cached is not None:
-                scores[i] = cached
-                self._cache_hits += 1
-            elif key in pending:
-                pending[key].append(i)
-                self._cache_hits += 1
-            else:
-                pending[key] = [i]
-                pending_order.append(key)
-        if pending_order:
-            rows = np.stack([population[pending[key][0]] for key in pending_order])
-            values = np.asarray(self.fitness.batch_call(rows), dtype=np.float64)
-            if values.shape != (len(pending_order),):
+        if self.engine == "legacy":
+            self._fitness_calls += len(population)
+            return np.array(
+                [float(self.fitness(np.array(row))) for row in population], dtype=np.float64
+            )
+        cache = self._cache
+        keys = list(itertools.starmap(self._pack_row, population))
+        scores = list(map(cache.get, keys))
+        misses: Dict[bytes, List[float]] = {}
+        for key, row, score in zip(keys, population, scores):
+            if score is None:
+                misses.setdefault(key, row)
+        self._cache_hits += len(population) - len(misses)
+        if misses:
+            values = np.asarray(
+                self.fitness.batch_call(np.array(list(misses.values()))), dtype=np.float64
+            )
+            if values.shape != (len(misses),):
                 raise ValueError(
                     "batch_call returned shape %r for %d individuals"
-                    % (values.shape, len(pending_order))
+                    % (values.shape, len(misses))
                 )
-            self._fitness_calls += len(pending_order)
-            for key, value in zip(pending_order, values):
-                value = float(value)
-                for position in pending[key]:
-                    scores[position] = value
-                self._cache[key] = value
-            while len(self._cache) > self._cache_size:
-                self._cache.pop(next(iter(self._cache)))
-        return scores
+            self._fitness_calls += len(misses)
+            cache.update(zip(misses, values.tolist()))
+            scores = list(map(cache.__getitem__, keys))
+            while len(cache) > self._cache_size:
+                cache.pop(next(iter(cache)))
+        return np.array(scores, dtype=np.float64)
 
     # -- main loop -----------------------------------------------------------
 
@@ -326,33 +349,35 @@ class GeneticSearch:
         evaluations = 0
         stale = 0
         generations_run = 0
+        converged_early = False
 
         for generation in range(settings.generations):
             generations_run = generation + 1
-            scores = self._score_population(population)
-            evaluations += population.shape[0]
+            scores = self._score(population)
+            evaluations += len(population)
 
             gen_best_idx = int(np.argmin(scores))
             improved = scores[gen_best_idx] < best_ever_fit - tol
             if scores[gen_best_idx] < best_ever_fit:
                 best_ever_fit = float(scores[gen_best_idx])
-                best_ever_bp = population[gen_best_idx].copy()
+                best_ever_bp = np.array(population[gen_best_idx])
             history.append(best_ever_fit)
             if callback is not None:
                 callback(generation, best_ever_fit, best_ever_bp)
 
             stale = 0 if improved else stale + 1
             if patience is not None and stale >= patience:
+                converged_early = True
                 break
 
-            # Selection, then in-place crossover and mutation on the matrix.
+            # Selection, then in-place crossover and mutation on the rows.
             next_population = self._tournament(population, scores)
-            self._crossover_population(next_population)
-            self._mutate_population(next_population)
+            self._crossover(next_population)
+            self._mutate(next_population)
 
             # Optional elitism: keep the best-so-far individual alive.
             if settings.elitism and best_ever_bp is not None:
-                next_population[0] = best_ever_bp
+                next_population[0] = best_ever_bp.tolist()
 
             population = next_population
 
@@ -362,12 +387,12 @@ class GeneticSearch:
         # Algorithm 1 line 20: the answer is the fittest individual of the
         # final generation (which, under RM, carries the quantization-robust
         # grid-aligned breakpoints).
-        final_scores = self._score_population(population)
-        evaluations += population.shape[0]
+        final_scores = self._score(population)
+        evaluations += len(population)
         final_best_idx = int(np.argmin(final_scores))
 
         return GAResult(
-            best_breakpoints=population[final_best_idx].copy(),
+            best_breakpoints=np.array(population[final_best_idx]),
             best_fitness=float(final_scores[final_best_idx]),
             best_ever_breakpoints=best_ever_bp,
             best_ever_fitness=best_ever_fit,
@@ -376,4 +401,5 @@ class GeneticSearch:
             evaluations=evaluations,
             fitness_calls=self._fitness_calls,
             cache_hits=self._cache_hits,
+            converged_early=converged_early,
         )

@@ -111,22 +111,24 @@ class RoundingMutation(MutationFunction):
         return p
 
     def _apply_rands(self, bp: np.ndarray, rands: np.ndarray) -> np.ndarray:
-        """Vectorized Algorithm 2 inner loop: one slot test per exponent.
+        """Vectorized Algorithm 2 inner loop: one slot lookup per breakpoint.
 
-        The probability slots are disjoint (adjacent conditions share the
-        same ``(i + 1) * theta_r`` float), so at most one exponent fires per
-        breakpoint — exactly the scalar :meth:`mutate_scalar` semantics.
+        The slot bounds ``i * theta_r`` for ``i = m_a .. m_b + 1`` are the
+        same float products :meth:`mutate_scalar` compares against (slot
+        ``i``'s upper bound is slot ``i + 1``'s lower bound), so one
+        ``searchsorted`` finds the single exponent whose slot holds each
+        ``rand_p``, and each hit is rounded with that slot's ``2.0 ** i``.
         """
         if self.theta_r <= 0:
             return bp
         ma, mb = self.mutate_range
-        out = bp.copy()
-        for i in range(ma, mb + 1):
-            hit = (i * self.theta_r <= rands) & (rands < (i + 1) * self.theta_r)
-            if np.any(hit):
-                factor = 2.0 ** i
-                out = np.where(hit, np.round(bp * factor) / factor, out)
-        return out
+        bounds = [i * self.theta_r for i in range(ma, mb + 2)]
+        # searchsorted(side="right") counts the bounds <= rand_p: 0 is below
+        # slot m_a, len(bounds) is at or above the top bound, k hits m_a+k-1.
+        slot = np.searchsorted(bounds, rands, side="right")
+        hit = (slot > 0) & (slot < len(bounds))
+        factor = np.asarray([1.0] + [2.0 ** i for i in range(ma, mb + 1)] + [1.0])[slot]
+        return np.where(hit, np.round(bp * factor) / factor, bp)
 
     def __call__(self, breakpoints: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         # One-row batch; stream-identical to a scalar implementation (see
@@ -135,7 +137,7 @@ class RoundingMutation(MutationFunction):
 
     def mutate_batch(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Round all ``K`` individuals with a single ``(K, N_b)`` draw."""
-        bp = np.asarray(rows, dtype=np.float64).copy()
+        bp = np.asarray(rows, dtype=np.float64)
         mutated = self._apply_rands(bp, rng.random(bp.shape))
         if self.search_range is not None:
             mutated = np.clip(mutated, self.search_range[0], self.search_range[1])

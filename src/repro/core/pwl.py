@@ -129,7 +129,8 @@ def _clean_breakpoints(breakpoints: np.ndarray, lo: float, hi: float, min_gap: f
     ``b_i - i g`` (``c_i = i g + max_{j <= i}(b_j - j g)``); breakpoints that
     already satisfy the spacing pass through bitwise untouched.
     """
-    bp = np.sort(np.clip(np.asarray(breakpoints, dtype=np.float64), lo, hi), axis=-1)
+    bp = np.clip(np.asarray(breakpoints, dtype=np.float64), lo, hi)
+    bp.sort(axis=-1)
     if bp.shape[-1] == 0:
         return bp
     offset = min_gap * np.arange(bp.shape[-1], dtype=np.float64)
@@ -249,6 +250,22 @@ class PiecewiseLinearBatch:
         object.__setattr__(self, "slopes", k)
         object.__setattr__(self, "intercepts", b)
 
+    @classmethod
+    def _trusted(
+        cls, breakpoints: np.ndarray, slopes: np.ndarray, intercepts: np.ndarray
+    ) -> "PiecewiseLinearBatch":
+        """Wrap float64 matrices this module built, skipping re-validation.
+
+        Only for arrays that already satisfy the class invariants (2-D,
+        matching shapes, rows sorted), such as the output of
+        :func:`fit_pwl_batch`; everything else goes through the constructor.
+        """
+        batch = object.__new__(cls)
+        object.__setattr__(batch, "breakpoints", breakpoints)
+        object.__setattr__(batch, "slopes", slopes)
+        object.__setattr__(batch, "intercepts", intercepts)
+        return batch
+
     @property
     def population_size(self) -> int:
         return int(self.slopes.shape[0])
@@ -301,11 +318,9 @@ class PiecewiseLinearBatch:
     def __call__(self, x) -> np.ndarray:
         """Evaluate all ``P`` pwls; returns a ``(P, G)`` matrix.
 
-        A shared ascending grid (the GA fitness case) takes a fast path:
-        each row's breakpoints are located in the grid with one
-        ``searchsorted`` and the per-segment coefficients are expanded with
-        ``np.repeat`` — the selected ``k``/``b`` per point are the same as
-        the comparer's, so the outputs are bit-identical to the scalar pwl.
+        A shared ascending grid (the GA fitness case) takes the
+        :meth:`on_sorted_grid` fast path; the outputs are bit-identical to
+        the scalar pwl either way.
         """
         arr = np.asarray(x, dtype=np.float64)
         if (
@@ -314,22 +329,34 @@ class PiecewiseLinearBatch:
             and self.breakpoints.shape[1]
             and np.all(arr[1:] >= arr[:-1])
         ):
-            counts = segment_counts(self.breakpoints, arr)
-            k = np.repeat(self.slopes.ravel(), counts.ravel()).reshape(-1, arr.size)
-            b = np.repeat(self.intercepts.ravel(), counts.ravel()).reshape(-1, arr.size)
-            return k * arr[None, :] + b
+            return self.on_sorted_grid(arr)
         arr = self._broadcast_input(arr)
         idx = self.segment_index(arr)
         k = np.take_along_axis(self.slopes, idx, axis=1)
         b = np.take_along_axis(self.intercepts, idx, axis=1)
         return k * arr + b
 
+    def on_sorted_grid(self, grid: np.ndarray) -> np.ndarray:
+        """Evaluate all ``P`` pwls on a shared ascending 1-D float64 grid.
+
+        Each row's breakpoints are located in the grid with one
+        ``searchsorted`` and the per-segment coefficients are expanded with
+        ``np.repeat``; the selected ``k``/``b`` per point are the same as
+        the comparer's.  The caller guarantees the grid is ascending and
+        non-empty and the pwls have at least one breakpoint.
+        """
+        counts = segment_counts(self.breakpoints, grid).ravel()
+        out = np.repeat(self.slopes.ravel(), counts).reshape(-1, grid.size)
+        out *= grid
+        out += np.repeat(self.intercepts.ravel(), counts).reshape(-1, grid.size)
+        return out
+
     def to_fixed_point(self, frac_bits: int) -> "PiecewiseLinearBatch":
         """FXP-round every individual's slopes/intercepts (Algorithm 1)."""
-        return PiecewiseLinearBatch(
-            breakpoints=self.breakpoints.copy(),
-            slopes=fxp_round(self.slopes, frac_bits),
-            intercepts=fxp_round(self.intercepts, frac_bits),
+        return PiecewiseLinearBatch._trusted(
+            self.breakpoints.copy(),
+            fxp_round(self.slopes, frac_bits),
+            fxp_round(self.intercepts, frac_bits),
         )
 
 
@@ -348,7 +375,7 @@ def segment_counts(breakpoints: np.ndarray, sorted_grid: np.ndarray) -> np.ndarr
     edges[:, 0] = 0
     edges[:, -1] = sorted_grid.size
     edges[:, 1:-1] = pos
-    return np.diff(edges, axis=1)
+    return edges[:, 1:] - edges[:, :-1]
 
 
 def fit_pwl_batch(
@@ -372,9 +399,9 @@ def fit_pwl_batch(
         raise ValueError("invalid search range [%r, %r]" % (lo, hi))
     min_gap = (hi - lo) * 1e-6
     bp = _clean_breakpoints(pop, lo, hi, min_gap)
-    count = pop.shape[0]
-    edges = np.concatenate(
-        [np.full((count, 1), lo), bp, np.full((count, 1), hi)], axis=1
-    )
+    edges = np.empty((pop.shape[0], pop.shape[1] + 2), dtype=np.float64)
+    edges[:, 0] = lo
+    edges[:, 1:-1] = bp
+    edges[:, -1] = hi
     slopes, intercepts = _fit_segments(fn, edges, min_gap, method, samples_per_segment)
-    return PiecewiseLinearBatch(breakpoints=bp, slopes=slopes, intercepts=intercepts)
+    return PiecewiseLinearBatch._trusted(bp, slopes, intercepts)

@@ -85,6 +85,23 @@ class TestMutations:
         with pytest.raises(ValueError):
             RoundingMutation(theta_r=-0.1)
 
+    @given(
+        st.lists(st.floats(-8, 8), min_size=1, max_size=12),
+        st.lists(st.one_of(st.floats(0, 1), st.integers(0, 8).map(lambda i: i * 0.05)),
+                 min_size=12, max_size=12),
+        st.integers(0, 6).flatmap(lambda ma: st.tuples(st.just(ma), st.integers(ma, 6))),
+        st.sampled_from([0.05, 0.1, 0.125, 0.3]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_one_pass_rounding_matches_scalar_slots(self, points, rands, mutate_range, theta_r):
+        """The searchsorted slot lookup rounds exactly like Algorithm 2's
+        per-exponent scan, including draws that sit on a slot bound."""
+        mutation = RoundingMutation(mutate_range=mutate_range, theta_r=theta_r)
+        bp = np.array(points)
+        r = np.array(rands[: bp.size])
+        expected = np.array([mutation.mutate_scalar(p, q) for p, q in zip(points, r.tolist())])
+        assert mutation._apply_rands(bp, r).tobytes() == expected.tobytes()
+
     @given(st.floats(-8, 8), st.floats(0, 1), st.integers(0, 6))
     @settings(max_examples=200, deadline=None)
     def test_rounded_breakpoint_lands_on_some_grid(self, p, rand_p, i):
@@ -143,7 +160,7 @@ class TestGeneticSearch:
         assert isinstance(result, GAResult)
         assert result.best_breakpoints.size == 7
         assert result.best_fitness > 0
-        assert result.best_ever_fitness <= result.best_fitness + 1e-12 or True
+        assert result.best_ever_fitness == result.history[-1] == min(result.history)
         assert len(result.history) == result.generations_run
         assert result.evaluations >= 12 * result.generations_run
 
@@ -176,6 +193,35 @@ class TestGeneticSearch:
     def test_patience_stops_early(self):
         result = self._search(use_patience=True)
         assert result.generations_run <= 20
+
+    def test_converged_early_reports_a_patience_stop(self):
+        fn = get_function("gelu")
+        fitness = GridMSEFitness(fn, grid_step=0.05)
+        settings = GASettings(num_breakpoints=7, population_size=8, generations=200, seed=0)
+        stopped = GeneticSearch(fitness, fn.search_range, settings).run(patience=3)
+        assert stopped.converged_early
+        assert stopped.generations_run < settings.generations
+        full = GeneticSearch(fitness, fn.search_range, settings).run()
+        assert not full.converged_early
+        assert full.generations_run == settings.generations
+
+    def test_non_finite_search_range_rejected(self):
+        fitness = GridMSEFitness(get_function("gelu"), grid_step=0.1)
+        with pytest.raises(ValueError):
+            GeneticSearch(fitness, (-np.inf, 4.0))
+
+    def test_nan_from_mutation_rejected(self):
+        class NaNMutation(NormalMutation):
+            def mutate_batch(self, rows, rng):
+                return np.full(np.shape(rows), np.nan)
+
+        fn = get_function("gelu")
+        settings = GASettings(num_breakpoints=3, population_size=6, generations=5,
+                              mutation_prob=1.0, seed=0)
+        ga = GeneticSearch(GridMSEFitness(fn, grid_step=0.1), fn.search_range, settings,
+                           mutation=NaNMutation(search_range=fn.search_range))
+        with pytest.raises(ValueError):
+            ga.run()
 
     def test_invalid_range_rejected(self):
         fn = get_function("gelu")

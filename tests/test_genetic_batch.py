@@ -8,15 +8,20 @@ Pins the three contracts DESIGN.md documents:
   batched and per-individual (legacy) engines, for both mutation operators;
 * the dedup + score cache only removes redundant fitness work — it never
   changes the trajectory — and the crossover window can start at the last
-  breakpoint index.
+  breakpoint index;
+* the list-row crossover swap gives the same bytes as the float64 matrix
+  swap it replaced, signed zeros included.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.evaluation import QuantizedPWLEvaluator
 from repro.core.fitness import FitnessFunction, GridMSEFitness, QuantizedMSEFitness
-from repro.core.genetic import GASettings, GeneticSearch
+from repro.core import genetic
+from repro.core.genetic import GASettings, GeneticSearch, swap_segment
 from repro.core.mutation import NormalMutation, RoundingMutation
 from repro.core.pwl import fit_pwl_batch
 from repro.core.search import GQALUT
@@ -176,38 +181,111 @@ class TestDedupCache:
         assert a.fitness_calls >= b.fitness_calls  # eviction re-scores, never corrupts
 
 
+def matrix_swap(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> None:
+    """Reference crossover swap on float64 rows: exchange ``[start, stop)``
+    in place, then ``ndarray.sort`` both rows (the matrix operator the
+    list-row :func:`swap_segment` replaced)."""
+    segment = a[start:stop].copy()
+    a[start:stop] = b[start:stop]
+    b[start:stop] = segment
+    a.sort()
+    b.sort()
+
+
+def recorded_windows(ga, population, calls, monkeypatch):
+    """Run ``ga._crossover`` ``calls`` times; return every swap window."""
+    windows = []
+    swap = genetic.swap_segment
+
+    def spy(a, b, start, stop):
+        windows.append((start, stop))
+        swap(a, b, start, stop)
+
+    monkeypatch.setattr(genetic, "swap_segment", spy)
+    for _ in range(calls):
+        ga._crossover(population)
+    return windows
+
+
+# Breakpoint values with repeats and both signed zeros, where list.sort and
+# ndarray.sort can order equal elements differently.
+SWAP_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0]),
+    st.floats(-4.0, 4.0, allow_nan=False),
+)
+
+
+@st.composite
+def swap_cases(draw):
+    n = draw(st.integers(1, 31))
+    rows = draw(st.integers(2, 5))
+    matrix = np.sort(
+        np.array(draw(st.lists(
+            st.lists(SWAP_VALUES, min_size=n, max_size=n), min_size=rows, max_size=rows
+        ))),
+        axis=1,
+    )
+    swaps = draw(st.lists(
+        st.tuples(
+            st.integers(0, rows - 1), st.integers(0, rows - 1), st.integers(0, n - 1)
+        ).flatmap(lambda t: st.tuples(
+            st.just(t[0]), st.just(t[1]), st.just(t[2]), st.integers(t[2] + 1, n)
+        )),
+        min_size=1, max_size=8,
+    ))
+    return matrix, swaps
+
+
 class TestCrossoverWindow:
-    def test_swap_can_start_at_last_index(self):
+    def test_swap_can_start_at_last_index(self, monkeypatch):
         """Regression for the `integers(0, n - 1)` bias: the swap window must
         be able to cover exactly the top breakpoint."""
         fitness = GridMSEFitness(get_function("gelu"), grid_step=0.1)
         ga = GeneticSearch(
             fitness, (-4.0, 4.0), GASettings(num_breakpoints=7, seed=123)
         )
-        a = np.arange(7, dtype=np.float64)
-        b = a + 100.0  # swapped-in values are unambiguous after sorting
-        top_only = False
-        for _ in range(500):
-            child_a, _ = ga._crossover(a, b)
-            swapped_in = child_a[child_a >= 100.0] - 100.0
-            if swapped_in.size == 1 and swapped_in[0] == 6.0:
-                top_only = True
-                break
-        assert top_only, "window never covered only the last breakpoint"
+        population = ga._initial_population()
+        windows = recorded_windows(ga, population, 20, monkeypatch)
+        assert (6, 7) in windows, "window never covered only the last breakpoint"
+        a = [float(v) for v in range(7)]
+        b = [v + 100.0 for v in a]  # swapped-in values are unambiguous after sorting
+        swap_segment(a, b, 6, 7)
+        assert a == [0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 106.0]
+        assert b == [6.0, 100.0, 101.0, 102.0, 103.0, 104.0, 105.0]
 
     def test_crossover_preserves_multiset_and_sortedness(self):
         fitness = GridMSEFitness(get_function("gelu"), grid_step=0.1)
         ga = GeneticSearch(fitness, (-4.0, 4.0), GASettings(num_breakpoints=7, seed=5))
+        population = ga._initial_population()
+        before = sorted(v for row in population for v in row)
+        for _ in range(50):
+            ga._crossover(population)
+            assert all(np.all(np.diff(row) >= 0) for row in population)
+        assert sorted(v for row in population for v in row) == before
         rng = np.random.default_rng(0)
         for _ in range(50):
             a = np.sort(rng.uniform(-4, 4, 7))
             b = np.sort(rng.uniform(-4, 4, 7))
-            child_a, child_b = ga._crossover(a, b)
+            child_a, child_b = a.tolist(), b.tolist()
+            start = int(rng.integers(0, 7))
+            swap_segment(child_a, child_b, start, int(rng.integers(start + 1, 8)))
             assert np.all(np.diff(child_a) >= 0) and np.all(np.diff(child_b) >= 0)
-            np.testing.assert_allclose(
+            np.testing.assert_array_equal(
                 np.sort(np.concatenate([child_a, child_b])),
                 np.sort(np.concatenate([a, b])),
             )
+
+    @given(swap_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_list_swap_matches_matrix_swap_bytes(self, case):
+        matrix, swaps = case
+        rows = matrix.tolist()
+        for i, j, start, stop in swaps:
+            if i == j:
+                continue
+            matrix_swap(matrix[i], matrix[j], start, stop)
+            swap_segment(rows[i], rows[j], start, stop)
+        assert np.array(rows, dtype=np.float64).tobytes() == matrix.tobytes()
 
 
 class TestBatchedEvaluator:
