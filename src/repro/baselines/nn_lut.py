@@ -25,7 +25,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from repro.core.engine_config import resolve_infer_engine, resolve_pwl_engine
+from repro.core import engine_config
 from repro.core.lut import DenseLUT, QuantizedLUT
 from repro.core.pwl import PiecewiseLinear
 from repro.functions.nonlinear import NonLinearFunction
@@ -221,9 +221,11 @@ class NNLUT:
         under a compiled deployment.  Trains first if the network has not
         been trained yet.
         """
-        if engine is None and resolve_infer_engine(infer_engine) == "compiled":
+        if engine is None and (
+            engine_config.resolve("infer_engine", infer_engine) == "compiled"
+        ):
             engine = "dense"
-        engine = resolve_pwl_engine(engine)
+        engine = engine_config.resolve("pwl_engine", engine)
         if not self._trained:
             self.train()
         pwl = self.extract_fxp_pwl(frac_bits=frac_bits)

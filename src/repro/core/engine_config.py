@@ -1,273 +1,194 @@
-"""One registry for every engine knob, with layered resolution.
+"""One table for every engine knob, resolved kwarg > context > env > default.
 
-Three engine families grew over the previous PRs, each with its own switch
-threaded by hand through constructors and budget dataclasses:
+Each knob is one row of :data:`KNOBS`: field name, type, default,
+environment variable, validator and a short description.
+:class:`EngineConfig`, the frozen snapshot of all knobs, is generated from
+the table, and :func:`resolve` reads one knob with the precedence
+**kwarg > context > env > default**:
 
-* the genetic search scoring path (``"batch"`` | ``"legacy"``),
-* the pwl operator inference engine (``"dense"`` | ``"legacy"``),
-* the experiment sweep's worker count and on-disk artifact directory,
-* the whole-model inference engine (``"compiled"`` | ``"eager"``): whether
-  ``predict`` / no-grad evaluation replays a traced, optimised
-  :mod:`repro.graph` plan or rebuilds the dynamic autograd graph per call.
-
-This module collapses them into a single :class:`EngineConfig` resolved per
-knob with the precedence **kwarg > context > env > default**:
-
-1. an explicit keyword argument at a call site always wins,
-2. otherwise the innermost :func:`use` context-manager override applies,
-3. otherwise the environment (``REPRO_GA_ENGINE``, ``REPRO_PWL_ENGINE``,
-   ``REPRO_SWEEP_WORKERS``, ``REPRO_ARTIFACT_DIR``,
-   ``REPRO_INFER_ENGINE``, ``REPRO_TRAIN_ENGINE``),
-4. otherwise the defaults (``batch`` / ``dense`` / ``0`` / no store /
-   ``eager``).
+1. an explicit ``override`` (a call site's keyword argument) always wins,
+2. otherwise the innermost :func:`use` block that sets the field applies,
+3. otherwise the knob's environment variable, when set and non-empty,
+4. otherwise the table's default.
 
 Consumers (:class:`~repro.core.genetic.GeneticSearch`,
 :class:`~repro.nn.approx.PWLActivation` and friends,
 :meth:`~repro.baselines.nn_lut.NNLUT.deploy`,
-:class:`~repro.experiments.jobs.SweepEngine`) accept ``engine=None`` /
-``workers=None`` and call the ``resolve_*`` helpers here, so experiment
-code selects engines once::
+:class:`~repro.experiments.jobs.SweepEngine`, the serving tier) accept
+``engine=None`` / ``workers=None`` and call
+``engine_config.resolve("pwl_engine", engine)``, so experiment code selects
+engines once::
 
     from repro.core import engine_config
 
     with engine_config.use(ga_engine="legacy", pwl_engine="legacy"):
         run_table3(...)          # every nested search + pwl module follows
 
-Seeded results are bit-identical across every engine choice (the PR 1/2
-contracts), so the resolution layer can never change numbers — only speed.
+Seeded results are bit-identical across every engine choice, so the
+resolution layer can never change numbers — only speed.
 
-The override stack is process-local (a ``ProcessPoolExecutor`` worker sees
-the environment and defaults, not the parent's ``use`` block) and not
-thread-safe; scope ``use`` blocks to one thread.
+The ``use`` layers live in a :class:`contextvars.ContextVar`, so a block
+scopes its overrides to the thread (or asyncio task) that entered it.  A
+thread started inside a block — a server's drain thread, say — begins with
+an empty context and resolves the environment and defaults, as does a
+``ProcessPoolExecutor`` worker.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import dataclasses
 import os
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
-# Canonical engine inventories.  ``repro.core.genetic`` and
-# ``repro.core.lut`` alias these, so the validators can never drift.
-GA_ENGINES: Tuple[str, ...] = ("batch", "legacy")
-PWL_ENGINES: Tuple[str, ...] = ("dense", "legacy")
-INFER_ENGINES: Tuple[str, ...] = ("eager", "compiled")
-TRAIN_ENGINES: Tuple[str, ...] = ("eager", "compiled")
-DECODE_ENGINES: Tuple[str, ...] = ("eager", "compiled")
 
-# Environment knobs (the env layer of the resolution order).
-GA_ENGINE_ENV = "REPRO_GA_ENGINE"
-PWL_ENGINE_ENV = "REPRO_PWL_ENGINE"
-SWEEP_WORKERS_ENV = "REPRO_SWEEP_WORKERS"
-SWEEP_RUN_DIR_ENV = "REPRO_SWEEP_RUN_DIR"
-SWEEP_LEASE_S_ENV = "REPRO_SWEEP_LEASE_S"
-ARTIFACT_DIR_ENV = "REPRO_ARTIFACT_DIR"
-INFER_ENGINE_ENV = "REPRO_INFER_ENGINE"
-TRAIN_ENGINE_ENV = "REPRO_TRAIN_ENGINE"
-DECODE_ENGINE_ENV = "REPRO_DECODE_ENGINE"
-RETRY_ATTEMPTS_ENV = "REPRO_RETRY_ATTEMPTS"
-RETRY_BASE_DELAY_ENV = "REPRO_RETRY_BASE_DELAY"
-SERVE_QUEUE_LIMIT_ENV = "REPRO_SERVE_QUEUE_LIMIT"
-SERVE_DEADLINE_MS_ENV = "REPRO_SERVE_DEADLINE_MS"
-SERVE_REPLICAS_ENV = "REPRO_SERVE_REPLICAS"
-SERVE_HEARTBEAT_MS_ENV = "REPRO_SERVE_HEARTBEAT_MS"
-SERVE_CRASH_LOOP_THRESHOLD_ENV = "REPRO_SERVE_CRASH_LOOP_THRESHOLD"
+def _one_of(*choices: str) -> Callable[[str, Any], None]:
+    def check(name: str, value: Any) -> None:
+        if value not in choices:
+            raise ValueError(
+                "unknown engine %r for %s; expected one of %s" % (value, name, choices)
+            )
+    return check
+
+
+def _at_least(limit: float) -> Callable[[str, Any], None]:
+    def check(name: str, value: Any) -> None:
+        if value < limit:
+            raise ValueError("%s must be >= %r, got %r" % (name, limit, value))
+    return check
+
+
+def _positive(name: str, value: Any) -> None:
+    if value <= 0:
+        raise ValueError("%s must be > 0, got %r" % (name, value))
 
 
 @dataclasses.dataclass(frozen=True)
-class EngineConfig:
-    """A fully resolved snapshot of every engine knob."""
+class Knob:
+    """One engine knob: how it is named, parsed, defaulted and validated."""
 
-    ga_engine: str = "batch"
-    pwl_engine: str = "dense"
-    sweep_workers: int = 0
-    artifact_dir: Optional[str] = None
-    infer_engine: str = "eager"
-    # Compiled-training knob (PR 9): whether ``Trainer.fit`` runs the
-    # eager autograd step or traces the whole step (forward + backward +
-    # optimizer update) once and replays the optimised plan.  Both engines
-    # are bit-identical per the PR 9 contract — losses, weights, optimizer
-    # buffers and the RNG stream match exactly.
-    train_engine: str = "eager"
-    # Autoregressive-decode knob (PR 10): whether ``MiniDecoder`` token
-    # steps (and the serving tier's ``submit_decode`` drains) replay the
-    # per-(batch, cache-bucket) compiled single-token plan or run the
-    # eager step.  Greedy token streams are identical either way; the
-    # eager-cached and compiled-cached *logits* are bit-identical.
-    decode_engine: str = "eager"
-    # Durable-sweep knobs (PR 8): ``sweep_run_dir`` makes every
-    # ``SweepEngine.run_manifest`` journal its cell state under that
-    # directory (crash-safe resume via ``SweepEngine.resume``);
-    # ``sweep_lease_s`` is the work-queue lease / visibility timeout — a
-    # leased cell whose coordinator dies becomes re-leasable this many
-    # seconds after its last heartbeat renewal.
-    sweep_run_dir: Optional[str] = None
-    sweep_lease_s: float = 30.0
-    # Reliability knobs (PR 6): sweep/store retry defaults and the serving
-    # tier's admission-control defaults.  ``retry_attempts`` counts total
-    # attempts (1 = no retry); ``serve_queue_limit`` 0 means unbounded;
-    # ``serve_deadline_ms`` 0 means no default per-request deadline.
-    retry_attempts: int = 3
-    retry_base_delay: float = 0.05
-    serve_queue_limit: int = 0
-    serve_deadline_ms: float = 0.0
-    # Replicated-serving knobs (PR 7): the supervisor's fleet size, how
-    # often each worker heartbeats (staleness past 5x the interval is a
-    # hang and the replica is killed), and how many deaths inside the
-    # crash-loop window trip the circuit breaker into FAILED.
-    serve_replicas: int = 2
-    serve_heartbeat_ms: float = 100.0
-    serve_crash_loop_threshold: int = 3
-
-    def __post_init__(self) -> None:
-        check_ga_engine(self.ga_engine)
-        check_pwl_engine(self.pwl_engine)
-        check_infer_engine(self.infer_engine)
-        check_train_engine(self.train_engine)
-        check_decode_engine(self.decode_engine)
-        if self.sweep_workers < 0:
-            raise ValueError("sweep_workers must be >= 0, got %r" % (self.sweep_workers,))
-        if self.sweep_lease_s <= 0:
-            raise ValueError(
-                "sweep_lease_s must be > 0, got %r" % (self.sweep_lease_s,)
-            )
-        if self.retry_attempts < 1:
-            raise ValueError("retry_attempts must be >= 1, got %r" % (self.retry_attempts,))
-        if self.retry_base_delay < 0:
-            raise ValueError(
-                "retry_base_delay must be >= 0, got %r" % (self.retry_base_delay,)
-            )
-        if self.serve_queue_limit < 0:
-            raise ValueError(
-                "serve_queue_limit must be >= 0, got %r" % (self.serve_queue_limit,)
-            )
-        if self.serve_deadline_ms < 0:
-            raise ValueError(
-                "serve_deadline_ms must be >= 0, got %r" % (self.serve_deadline_ms,)
-            )
-        if self.serve_replicas < 1:
-            raise ValueError(
-                "serve_replicas must be >= 1, got %r" % (self.serve_replicas,)
-            )
-        if self.serve_heartbeat_ms <= 0:
-            raise ValueError(
-                "serve_heartbeat_ms must be > 0, got %r" % (self.serve_heartbeat_ms,)
-            )
-        if self.serve_crash_loop_threshold < 1:
-            raise ValueError(
-                "serve_crash_loop_threshold must be >= 1, got %r"
-                % (self.serve_crash_loop_threshold,)
-            )
+    name: str
+    type: type  # parses the env var; coerces int/float overrides
+    default: Any
+    env: str
+    check: Optional[Callable[[str, Any], None]]
+    doc: str
 
 
-def check_ga_engine(engine: str) -> str:
-    """Validate a genetic-search scoring engine name."""
-    if engine not in GA_ENGINES:
-        raise ValueError(
-            "unknown engine %r (expected one of %s)" % (engine, GA_ENGINES)
-        )
-    return engine
+_ENGINE = _one_of("eager", "compiled")
+
+#: The table.  Row order is :class:`EngineConfig`'s field order.
+KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
+    Knob("ga_engine", str, "batch", "REPRO_GA_ENGINE", _one_of("batch", "legacy"),
+         "genetic-search scoring engine"),
+    Knob("pwl_engine", str, "dense", "REPRO_PWL_ENGINE", _one_of("dense", "legacy"),
+         "pwl operator inference engine"),
+    Knob("sweep_workers", int, 0, "REPRO_SWEEP_WORKERS", _at_least(0),
+         "worker count (0 runs the sweep serially)"),
+    Knob("artifact_dir", str, None, "REPRO_ARTIFACT_DIR", None,
+         "on-disk artifact store directory (none: in-process cache only)"),
+    # ``compiled`` replays a traced, optimised repro.graph plan per input
+    # signature; ``eager`` rebuilds the autograd graph per call.  The two
+    # are bit-identical for predict/evaluate, whole training steps and the
+    # KV-cached decode step alike.
+    Knob("infer_engine", str, "eager", "REPRO_INFER_ENGINE", _ENGINE,
+         "whole-model inference engine"),
+    Knob("train_engine", str, "eager", "REPRO_TRAIN_ENGINE", _ENGINE,
+         "Trainer.fit step engine"),
+    Knob("decode_engine", str, "eager", "REPRO_DECODE_ENGINE", _ENGINE,
+         "autoregressive-decode step engine"),
+    Knob("sweep_run_dir", str, None, "REPRO_SWEEP_RUN_DIR", None,
+         "durable sweep journal directory (none: no journal)"),
+    Knob("sweep_lease_s", float, 30.0, "REPRO_SWEEP_LEASE_S", _positive,
+         "work-queue lease timeout in seconds"),
+    Knob("retry_attempts", int, 3, "REPRO_RETRY_ATTEMPTS", _at_least(1),
+         "total attempt count (1 means no retry)"),
+    Knob("retry_base_delay", float, 0.05, "REPRO_RETRY_BASE_DELAY", _at_least(0),
+         "retry backoff base in seconds"),
+    Knob("serve_queue_limit", int, 0, "REPRO_SERVE_QUEUE_LIMIT", _at_least(0),
+         "admission-queue bound (0 means unbounded)"),
+    Knob("serve_deadline_ms", float, 0.0, "REPRO_SERVE_DEADLINE_MS", _at_least(0),
+         "default request deadline in ms (0 means none)"),
+    Knob("serve_replicas", int, 2, "REPRO_SERVE_REPLICAS", _at_least(1),
+         "replicated-serving fleet size"),
+    Knob("serve_heartbeat_ms", float, 100.0, "REPRO_SERVE_HEARTBEAT_MS", _positive,
+         "replica heartbeat interval in ms (5x silence is a hang)"),
+    Knob("serve_crash_loop_threshold", int, 3, "REPRO_SERVE_CRASH_LOOP_THRESHOLD",
+         _at_least(1), "deaths inside the crash-loop window that trip the breaker"),
+)}
 
 
-def check_pwl_engine(engine: str) -> str:
-    """Validate a pwl operator inference engine name."""
-    if engine not in PWL_ENGINES:
-        raise ValueError(
-            "unknown engine %r; expected one of %s" % (engine, PWL_ENGINES)
-        )
-    return engine
+def _validate(config: Any) -> None:
+    for knob in KNOBS.values():
+        if knob.check is not None:
+            knob.check(knob.name, getattr(config, knob.name))
 
 
-def check_infer_engine(engine: str) -> str:
-    """Validate a model inference engine name."""
-    if engine not in INFER_ENGINES:
-        raise ValueError(
-            "unknown engine %r; expected one of %s" % (engine, INFER_ENGINES)
-        )
-    return engine
+EngineConfig = dataclasses.make_dataclass(
+    "EngineConfig",
+    [(knob.name, Optional[knob.type] if knob.default is None else knob.type,
+      knob.default) for knob in KNOBS.values()],
+    frozen=True,
+    namespace={
+        "__doc__": "A fully resolved snapshot of every engine knob.",
+        "__post_init__": _validate,
+    },
+)
+EngineConfig.__module__ = __name__
+
+_LAYERS: contextvars.ContextVar[Tuple[Dict[str, Any], ...]] = contextvars.ContextVar(
+    "engine_config_layers", default=()
+)
 
 
-def check_train_engine(engine: str) -> str:
-    """Validate a training engine name."""
-    if engine not in TRAIN_ENGINES:
-        raise ValueError(
-            "unknown engine %r; expected one of %s" % (engine, TRAIN_ENGINES)
-        )
-    return engine
+def _knob(name: str) -> Knob:
+    try:
+        return KNOBS[name]
+    except KeyError:
+        raise TypeError(
+            "unknown engine-config field %r; expected one of %s" % (name, list(KNOBS))
+        ) from None
 
 
-def check_decode_engine(engine: str) -> str:
-    """Validate an autoregressive-decode engine name."""
-    if engine not in DECODE_ENGINES:
-        raise ValueError(
-            "unknown engine %r; expected one of %s" % (engine, DECODE_ENGINES)
-        )
-    return engine
-
-
-_FIELDS = tuple(field.name for field in dataclasses.fields(EngineConfig))
-_OVERRIDES: List[Dict[str, Any]] = []
-
-
-def _env_layer() -> Dict[str, Any]:
-    """Knobs picked up from the environment (resolution layer 3)."""
-    layer: Dict[str, Any] = {}
-    ga = os.environ.get(GA_ENGINE_ENV)
-    if ga:
-        layer["ga_engine"] = ga
-    pwl = os.environ.get(PWL_ENGINE_ENV)
-    if pwl:
-        layer["pwl_engine"] = pwl
-    raw_workers = os.environ.get(SWEEP_WORKERS_ENV)
-    if raw_workers is not None:
+def _from_env(knob: Knob) -> Any:
+    """The knob's environment value (validated), or its default if unset."""
+    raw = os.environ.get(knob.env)
+    if not raw:
+        return knob.default
+    if knob.type is str:
+        value = raw
+    else:
         try:
-            layer["sweep_workers"] = int(raw_workers.strip() or "0")
+            value = knob.type(raw.strip())
         except ValueError:
+            kind = "an integer" if knob.type is int else "a float"
             raise ValueError(
-                "%s must be an integer worker count, got %r"
-                % (SWEEP_WORKERS_ENV, raw_workers)
+                "%s must be %s %s, got %r" % (knob.env, kind, knob.doc, raw)
             ) from None
-    directory = os.environ.get(ARTIFACT_DIR_ENV)
-    if directory:
-        layer["artifact_dir"] = directory
-    run_dir = os.environ.get(SWEEP_RUN_DIR_ENV)
-    if run_dir:
-        layer["sweep_run_dir"] = run_dir
-    infer = os.environ.get(INFER_ENGINE_ENV)
-    if infer:
-        layer["infer_engine"] = infer
-    train = os.environ.get(TRAIN_ENGINE_ENV)
-    if train:
-        layer["train_engine"] = train
-    decode = os.environ.get(DECODE_ENGINE_ENV)
-    if decode:
-        layer["decode_engine"] = decode
-    for env, field, convert in (
-        (SWEEP_LEASE_S_ENV, "sweep_lease_s", float),
-        (RETRY_ATTEMPTS_ENV, "retry_attempts", int),
-        (RETRY_BASE_DELAY_ENV, "retry_base_delay", float),
-        (SERVE_QUEUE_LIMIT_ENV, "serve_queue_limit", int),
-        (SERVE_DEADLINE_MS_ENV, "serve_deadline_ms", float),
-        (SERVE_REPLICAS_ENV, "serve_replicas", int),
-        (SERVE_HEARTBEAT_MS_ENV, "serve_heartbeat_ms", float),
-        (SERVE_CRASH_LOOP_THRESHOLD_ENV, "serve_crash_loop_threshold", int),
-    ):
-        raw = os.environ.get(env)
-        if raw:
-            try:
-                layer[field] = convert(raw.strip())
-            except ValueError:
-                raise ValueError(
-                    "%s must be a %s, got %r" % (env, convert.__name__, raw)
-                ) from None
-    return layer
+    if knob.check is not None:
+        knob.check(knob.name, value)
+    return value
+
+
+def resolve(name: str, override: Any = None) -> Any:
+    """One knob's value: ``override`` > innermost ``use`` > env > default."""
+    knob = _knob(name)
+    if override is not None:
+        value = override if knob.type is str else knob.type(override)
+        if knob.check is not None:
+            knob.check(name, value)
+        return value
+    for layer in reversed(_LAYERS.get()):
+        if name in layer:
+            return layer[name]
+    return _from_env(knob)
 
 
 def current() -> EngineConfig:
     """The active configuration: defaults, then env, then ``use`` overrides."""
-    values: Dict[str, Any] = _env_layer()
-    for layer in _OVERRIDES:
+    values = {name: _from_env(knob) for name, knob in KNOBS.items()}
+    for layer in _LAYERS.get():
         values.update(layer)
     return EngineConfig(**values)
 
@@ -283,173 +204,13 @@ def use(**overrides: Any) -> Iterator[EngineConfig]:
 
     Values are validated on entry, so a typo fails at the ``with`` line.
     """
-    unknown = set(overrides) - set(_FIELDS)
+    unknown = sorted(set(overrides) - set(KNOBS))
     if unknown:
         raise TypeError(
-            "unknown engine-config field(s) %s; expected %s"
-            % (sorted(unknown), list(_FIELDS))
+            "unknown engine-config field(s) %s; expected %s" % (unknown, list(KNOBS))
         )
-    layer = dict(overrides)
-    _OVERRIDES.append(layer)
+    token = _LAYERS.set(_LAYERS.get() + (dict(overrides),))
     try:
         yield current()  # validates the merged configuration up front
     finally:
-        _OVERRIDES.remove(layer)
-
-
-def resolve_ga_engine(override: Optional[str] = None) -> str:
-    """Genetic-search scoring engine: kwarg > context > env > ``"batch"``."""
-    if override is not None:
-        return check_ga_engine(override)
-    return current().ga_engine
-
-
-def resolve_pwl_engine(override: Optional[str] = None) -> str:
-    """pwl inference engine: kwarg > context > env > ``"dense"``."""
-    if override is not None:
-        return check_pwl_engine(override)
-    return current().pwl_engine
-
-
-def resolve_sweep_workers(override: Optional[int] = None) -> int:
-    """Sweep process count: kwarg > context > env > ``0`` (serial)."""
-    if override is not None:
-        if override < 0:
-            raise ValueError("workers must be >= 0, got %r" % (override,))
-        return int(override)
-    return current().sweep_workers
-
-
-def resolve_artifact_dir(override: Optional[str] = None) -> Optional[str]:
-    """On-disk artifact store directory: kwarg > context > env > none."""
-    if override is not None:
-        return override
-    return current().artifact_dir
-
-
-def resolve_sweep_run_dir(override: Optional[str] = None) -> Optional[str]:
-    """Durable sweep run directory: kwarg > context > env > none.
-
-    ``None`` means sweeps stay process-lifetime objects (no journal); any
-    directory makes every ``run_manifest`` crash-safe and resumable.
-    """
-    if override is not None:
-        return override
-    return current().sweep_run_dir
-
-
-def resolve_sweep_lease_s(override: Optional[float] = None) -> float:
-    """Work-queue lease timeout (seconds): kwarg > context > env > ``30``."""
-    if override is not None:
-        if override <= 0:
-            raise ValueError("lease timeout must be > 0, got %r" % (override,))
-        return float(override)
-    return current().sweep_lease_s
-
-
-def resolve_infer_engine(override: Optional[str] = None) -> str:
-    """Model inference engine: kwarg > context > env > ``"eager"``.
-
-    ``"compiled"`` routes whole-model inference (``predict`` / no-grad
-    evaluation / LUT deployment) through the traced-graph executor of
-    :mod:`repro.graph`; ``"eager"`` rebuilds the dynamic autograd graph per
-    call.  Both produce bit-identical outputs — the compiled executor
-    replays exactly the ops the eager forward would run.
-    """
-    if override is not None:
-        return check_infer_engine(override)
-    return current().infer_engine
-
-
-def resolve_train_engine(override: Optional[str] = None) -> str:
-    """Training engine: kwarg > context > env > ``"eager"``.
-
-    ``"compiled"`` makes ``Trainer.fit`` trace the full fine-tune step
-    (forward + backward + optimizer update) once per input signature and
-    replay the optimised static plan every subsequent step; ``"eager"``
-    rebuilds the dynamic autograd tape per step.  Both engines are
-    bit-identical — per-step losses, final weights, optimizer buffers and
-    the data-order RNG stream match exactly.
-    """
-    if override is not None:
-        return check_train_engine(override)
-    return current().train_engine
-
-
-def resolve_decode_engine(override: Optional[str] = None) -> str:
-    """Autoregressive-decode engine: kwarg > context > env > ``"eager"``.
-
-    ``"compiled"`` routes KV-cached single-token decode steps through
-    :class:`repro.graph.executor.CompiledDecodeStep` — one traced plan per
-    (batch, cache-capacity) signature, cache tensors carried in-place
-    between replays; ``"eager"`` runs the dynamic step per token.  The
-    greedy token streams are identical across engines (pinned by the
-    decode parity suite), and eager-vs-compiled logits are bit-identical
-    for the same cache state.
-    """
-    if override is not None:
-        return check_decode_engine(override)
-    return current().decode_engine
-
-
-def resolve_retry_attempts(override: Optional[int] = None) -> int:
-    """Total retry attempts: kwarg > context > env > ``3``."""
-    if override is not None:
-        if override < 1:
-            raise ValueError("retry attempts must be >= 1, got %r" % (override,))
-        return int(override)
-    return current().retry_attempts
-
-
-def resolve_retry_base_delay(override: Optional[float] = None) -> float:
-    """Retry backoff base (seconds): kwarg > context > env > ``0.05``."""
-    if override is not None:
-        if override < 0:
-            raise ValueError("retry base delay must be >= 0, got %r" % (override,))
-        return float(override)
-    return current().retry_base_delay
-
-
-def resolve_serve_queue_limit(override: Optional[int] = None) -> int:
-    """Serving admission-queue bound: kwarg > context > env > ``0`` (unbounded)."""
-    if override is not None:
-        if override < 0:
-            raise ValueError("queue limit must be >= 0, got %r" % (override,))
-        return int(override)
-    return current().serve_queue_limit
-
-
-def resolve_serve_deadline_ms(override: Optional[float] = None) -> float:
-    """Default per-request deadline (ms): kwarg > context > env > ``0`` (none)."""
-    if override is not None:
-        if override < 0:
-            raise ValueError("deadline must be >= 0, got %r" % (override,))
-        return float(override)
-    return current().serve_deadline_ms
-
-
-def resolve_serve_replicas(override: Optional[int] = None) -> int:
-    """Replicated-serving fleet size: kwarg > context > env > ``2``."""
-    if override is not None:
-        if override < 1:
-            raise ValueError("replicas must be >= 1, got %r" % (override,))
-        return int(override)
-    return current().serve_replicas
-
-
-def resolve_serve_heartbeat_ms(override: Optional[float] = None) -> float:
-    """Replica heartbeat interval (ms): kwarg > context > env > ``100``."""
-    if override is not None:
-        if override <= 0:
-            raise ValueError("heartbeat interval must be > 0, got %r" % (override,))
-        return float(override)
-    return current().serve_heartbeat_ms
-
-
-def resolve_serve_crash_loop_threshold(override: Optional[int] = None) -> int:
-    """Deaths-in-window tripping the breaker: kwarg > context > env > ``3``."""
-    if override is not None:
-        if override < 1:
-            raise ValueError("crash-loop threshold must be >= 1, got %r" % (override,))
-        return int(override)
-    return current().serve_crash_loop_threshold
+        _LAYERS.reset(token)

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.core.lut import QuantizedLUT, QuantizedLUTBatch
 from repro.core.pwl import PiecewiseLinear, PiecewiseLinearBatch

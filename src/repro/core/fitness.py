@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.core.lut import QuantizedLUT, QuantizedLUTBatch
 from repro.core.pwl import PiecewiseLinearBatch, fit_pwl, fit_pwl_batch

@@ -49,10 +49,9 @@ import math
 import struct
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
-from repro.core.engine_config import GA_ENGINES as ENGINES
-from repro.core.engine_config import resolve_ga_engine
+from repro.core import engine_config
 from repro.core.fitness import FitnessFunction
 from repro.core.mutation import MutationFunction, NormalMutation
 
@@ -185,7 +184,7 @@ class GeneticSearch:
         lo, hi = search_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("invalid search range [%r, %r]" % (lo, hi))
-        engine = resolve_ga_engine(engine)
+        engine = engine_config.resolve("ga_engine", engine)
         self.fitness = fitness
         self.search_range = (float(lo), float(hi))
         self.settings = settings

@@ -29,21 +29,12 @@ import dataclasses
 import functools
 from typing import List, Optional, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
-from repro.core.engine_config import PWL_ENGINES, check_pwl_engine
 from repro.core.pwl import PiecewiseLinear, PiecewiseLinearBatch, segment_counts
 from repro.quant.fxp import fxp_round
 from repro.quant.power_of_two import is_power_of_two, power_of_two_exponent
 from repro.quant.quantizer import QuantSpec, quant_bounds
-
-# Inference engines every pwl deployment surface accepts: "dense" gathers
-# from the precomputed all-codes tables, "legacy" re-runs the Fig. 1b
-# comparer pipeline per pass.  The two are bit-identical.  The canonical
-# inventory and validator live in :mod:`repro.core.engine_config`; the
-# aliases here are kept for the deployment-surface modules.
-ENGINES = PWL_ENGINES
-check_engine = check_pwl_engine
 
 
 @dataclasses.dataclass(frozen=True)

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
 
 class MutationFunction:

@@ -25,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Optional, Sequence, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.quant.fxp import fxp_round
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Sequence, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.core.config import GA_DEFAULTS, OperatorSearchConfig, default_config
 from repro.core.evaluation import DEFAULT_SCALES, QuantizedPWLEvaluator

@@ -66,11 +66,6 @@ from repro.reliability.retry import RetryPolicy, run_with_retry
 # budget payloads — and therefore keys — changed shape.
 ARTIFACT_FORMAT_VERSION = 2
 
-# Environment knobs picked up by the process-wide default engine (owned by
-# the engine-config layer; re-exported here for backwards compatibility).
-ARTIFACT_DIR_ENV = engine_config.ARTIFACT_DIR_ENV
-SWEEP_WORKERS_ENV = engine_config.SWEEP_WORKERS_ENV
-
 
 @dataclasses.dataclass(frozen=True)
 class ApproximationJob:
@@ -427,13 +422,13 @@ class SweepEngine:
         quarantine fast.  Because every cell is seeded, the resumed result
         set is bit-identical to an uninterrupted run's.
         """
-        resolved = engine_config.resolve_sweep_run_dir(
-            str(run_dir) if run_dir is not None else self.run_dir
+        resolved = engine_config.resolve(
+            "sweep_run_dir", str(run_dir) if run_dir is not None else self.run_dir
         )
         if not resolved:
             raise ValueError(
                 "resume() needs a run_dir (kwarg, engine attribute, or %s)"
-                % engine_config.SWEEP_RUN_DIR_ENV
+                % engine_config.KNOBS["sweep_run_dir"].env
             )
         queue = self._open_queue(resolved)
         jobs = [
@@ -472,12 +467,12 @@ class SweepEngine:
         :meth:`resume` itself.
         """
         if workers is None:
-            workers = engine_config.resolve_sweep_workers(self.workers)
+            workers = engine_config.resolve("sweep_workers", self.workers)
         policy = RetryPolicy.resolve(retry if retry is not None else self.retry)
         if straggler_timeout is None:
             straggler_timeout = self.straggler_timeout
-        resolved_dir = engine_config.resolve_sweep_run_dir(
-            str(run_dir) if run_dir is not None else self.run_dir
+        resolved_dir = engine_config.resolve(
+            "sweep_run_dir", str(run_dir) if run_dir is not None else self.run_dir
         )
         queue = self._open_queue(resolved_dir) if resolved_dir else None
         run_stats = SweepStats()
@@ -764,7 +759,7 @@ def default_engine() -> SweepEngine:
     pinned and never rebuilt.
     """
     global _DEFAULT_ENGINE, _DEFAULT_ENGINE_DIR
-    directory = engine_config.resolve_artifact_dir()
+    directory = engine_config.resolve("artifact_dir")
     stale = (
         _DEFAULT_ENGINE is not None
         and not _DEFAULT_ENGINE_PINNED

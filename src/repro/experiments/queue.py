@@ -129,7 +129,7 @@ class DurableQueue:
     ) -> None:
         self.run_dir = Path(run_dir)
         self.run_dir.mkdir(parents=True, exist_ok=True)
-        self.lease_s = engine_config.resolve_sweep_lease_s(lease_s)
+        self.lease_s = engine_config.resolve("sweep_lease_s", lease_s)
         self.clock = clock
         self.journal_path = self.run_dir / JOURNAL_NAME
         self.cells: Dict[str, CellRecord] = {}

@@ -8,12 +8,14 @@ of a :class:`repro.nn.module.Module` into a static, replayable plan:
 * :mod:`repro.graph.passes` — constant folding, dense-LUT fusion,
   dead-code elimination, liveness-based buffer planning.
 * :mod:`repro.graph.executor` — :class:`CompiledGraph` (one signature) and
-  :class:`CompiledModel` (shape-specialisation cache + staleness checks).
+  the wrappers that cache one plan per input signature and re-trace when
+  the captured state is rebound: :class:`CompiledModel`,
+  :class:`CompiledTrainStep` and :class:`CompiledDecodeStep`.
 
 Compiled outputs are bit-identical to eager — the passes only remove or
 pre-evaluate work, never approximate it.  Select the engine through
-:mod:`repro.core.engine_config` (``REPRO_INFER_ENGINE=compiled``) or call
-:func:`compile_model` directly.
+:mod:`repro.core.engine_config` (``REPRO_INFER_ENGINE=compiled``) or wrap
+a module in :class:`CompiledModel` directly.
 
 PR 9 extends the pipeline to whole *training* steps: a gradient-capturing
 :class:`Tracer` records the backward traversal and the optimizer update as
@@ -33,8 +35,6 @@ from repro.graph.executor import (
     CompiledGraph,
     CompiledModel,
     CompiledTrainStep,
-    compile_graph,
-    compile_model,
 )
 from repro.graph.ir import Graph, Node
 from repro.graph.passes import (
@@ -68,6 +68,4 @@ __all__ = [
     "CompiledGraph",
     "CompiledModel",
     "CompiledTrainStep",
-    "compile_graph",
-    "compile_model",
 ]

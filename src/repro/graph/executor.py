@@ -1,4 +1,4 @@
-"""Execute: replay an optimised :class:`Graph` through ``backend.xp``.
+"""Execute: replay an optimised :class:`Graph` on plain numpy arrays.
 
 Two layers:
 
@@ -10,26 +10,27 @@ Two layers:
   no Tensor allocation, no graph bookkeeping, no ``no_grad`` checks, and
   buffers are released at their last use so steady-state inference holds
   only the live working set.
-* :class:`CompiledModel` — a serving-grade wrapper around a ``Module``:
-  traces + optimises lazily per input signature (the shape-specialisation
-  cache), detects parameter rebinding between calls (optimiser steps,
-  ``load_state_dict``) by identity-checking a snapshot of every
-  parameter's array and re-traces when the weights moved, and exposes the
-  ``predict`` surface the serving engine batches over.
-
-All ops execute through the active :mod:`repro.backend`, so a compiled
-graph retargets with ``use_backend`` exactly like the eager path (capture
-and execution must use the same backend — node params and constants hold
-that backend's arrays).
+* Three wrappers that trace lazily per input signature and replay the
+  cached plan: :class:`CompiledModel` (``predict`` / no-grad forward),
+  :class:`CompiledTrainStep` (forward + backward + optimizer update) and
+  :class:`CompiledDecodeStep` (a KV-cached single-token step).  They share
+  one plan cache, :class:`_PlanCache`: the signature → plan dict, the
+  post-trace identity snapshot of the state the plans capture by
+  reference, the staleness check that flushes every plan once that state
+  is rebound (optimizer steps, ``load_state_dict``), and the
+  ``compile_count`` / ``replay_count`` / ``stats()`` bookkeeping.  Each
+  wrapper supplies only its signature, its trace and the state it
+  watches.
 """
 
 from __future__ import annotations
 
 import functools
 import warnings
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.backend import xp as np
+import numpy as np
+
 from repro.reliability.faults import fault_point
 from repro.graph.ir import Graph
 from repro.graph.passes import (
@@ -91,8 +92,12 @@ class CompiledGraph:
     def run(self, *inputs: Any) -> List[Any]:
         """Execute the plan on raw arrays; returns the output arrays.
 
-        Not re-entrant: one run at a time per CompiledGraph (the serving
-        engine funnels requests through a single worker for this reason).
+        Re-entrant: every call builds its own slot list from the template,
+        and steps only read the shared constants, so concurrent runs of
+        one plan from several threads are independent — their outputs are
+        bitwise equal to serial runs (pinned by the thread tests over a
+        MiniSegformer and a decode plan).  The wrappers below are not
+        thread-safe: their plan caches and counters are unsynchronised.
 
         The loop body is pre-resolved at compile time: each step is a bound
         callable plus plain slot ints — no per-step registry/dict/attribute
@@ -121,27 +126,115 @@ class CompiledGraph:
         return len(self._steps)
 
 
-def compile_graph(graph: Graph, passes: Sequence[str] = DEFAULT_PASSES) -> CompiledGraph:
-    """Optimise ``graph`` with ``passes`` and freeze it for execution."""
-    return CompiledGraph(optimize(graph, passes))
+# -- the shared plan cache -------------------------------------------------------
 
 
-class CompiledModel:
+StatePairs = List[Tuple[Any, Any]]
+
+
+def _signature(arrays: Sequence[Any]) -> Tuple[Tuple[Tuple[int, ...], str], ...]:
+    return tuple((tuple(a.shape), str(a.dtype)) for a in arrays)
+
+
+def _parameter_state(module: Module) -> Callable[[], StatePairs]:
+    """State declaration for plans that capture ``module``'s parameters."""
+    return lambda: [(param, param.data) for param in module.parameters()]
+
+
+class _PlanCache:
+    """Signature → plan cache with an identity-snapshot staleness check.
+
+    ``state`` declares what the cached plans capture by reference: it
+    returns ``(owner, array)`` pairs.  The pairs are snapshotted right
+    after every trace — first-call side effects such as quantizer
+    initialisation rebind parameter data during capture and belong to the
+    captured state, not a reason to invalidate.  Before each lookup the
+    saved pairs are checked (``owner.data is array``); once any was rebound
+    every plan is dropped and the next call re-traces.  The check loops
+    over the saved pairs only, never the module tree.  In-place writes
+    (``param.data[...] = ...``) keep identity and are not detected.
+    :class:`CompiledTrainStep`, whose state includes optimizer buffer
+    lists, overrides :meth:`_stale` to re-collect and compare instead.
+    """
+
+    def __init__(self, state: Callable[[], StatePairs]) -> None:
+        self._state = state
+        self._cache: Dict[Any, Any] = {}
+        self._snapshot: StatePairs = []
+        self.compile_count = 0
+        self.replay_count = 0
+
+    def _stale(self) -> bool:
+        for owner, array in self._snapshot:
+            if owner.data is not array:
+                return True
+        return False
+
+    def _lookup(self, signature: Any) -> Any:
+        """The cached plan for ``signature``, or ``None`` (trace one)."""
+        if self._snapshot and self._stale():
+            self.invalidate()
+        return self._cache.get(signature)
+
+    def _store(self, signature: Any, plan: Any) -> Any:
+        """Cache a freshly traced plan and snapshot the state it captured."""
+        self._cache[signature] = plan
+        self.compile_count += 1
+        self._snapshot = self._state()
+        return plan
+
+    def invalidate(self) -> None:
+        """Drop every cached plan (forces re-tracing on the next call)."""
+        self._cache.clear()
+        self._snapshot = []
+
+    @property
+    def specializations(self) -> int:
+        """Number of cached input-signature plans."""
+        return len(self._cache)
+
+    def _label(self, signature: Any) -> str:
+        return repr(signature)
+
+    def _row(self, plan: Any) -> Dict[str, int]:
+        return {
+            "nodes": plan.num_steps,
+            "peak_live": plan.plan.peak_live,
+            "num_slots": plan.plan.num_slots,
+        }
+
+    def stats(self) -> Dict[str, Any]:
+        """Plan metrics per cached signature (memory regressions pin these).
+
+        ``peak_live`` is :func:`~repro.graph.passes.plan_memory`'s count of
+        dynamic buffers simultaneously live while replaying the plan — its
+        working set.
+        """
+        return {
+            "compile_count": self.compile_count,
+            "replay_count": self.replay_count,
+            "specializations": len(self._cache),
+            "signatures": {
+                self._label(signature): self._row(plan)
+                for signature, plan in self._cache.items()
+            },
+        }
+
+
+# -- compiled inference ----------------------------------------------------------
+
+
+class CompiledModel(_PlanCache):
     """Traced-and-optimised inference front-end for a :class:`Module`.
 
     Compilation is lazy and per input signature ``(shape, dtype)``: the
     first call with a new signature traces the module's eager forward once
     (running any first-call side effects — quantizer initialisation, dense
     table builds — exactly as eager would), optimises, and caches the
-    executable.  Subsequent calls replay the cached plan.
-
-    The captured constants reference the module's parameter arrays at
-    trace time.  Before every call the wrapper identity-checks each
-    parameter's ``.data`` against its trace-time snapshot and flushes the
-    cache when any was rebound, so training between evaluations (optimiser
-    steps rebind ``.data``) transparently re-compiles.  In-place array
-    mutation (``param.data[:] = ...``) is not detected — nothing in this
-    codebase mutates parameters in place.
+    executable.  Subsequent calls replay the cached plan.  The captured
+    constants reference the module's parameter arrays, so the plan cache
+    watches every parameter: training between evaluations (optimiser steps
+    rebind ``.data``) transparently re-compiles.
 
     With ``fallback=True`` a trace/compile/replay failure degrades to the
     eager forward instead of failing the call: the eager path is run, and
@@ -162,39 +255,12 @@ class CompiledModel:
         passes: Sequence[str] = DEFAULT_PASSES,
         fallback: bool = False,
     ) -> None:
+        super().__init__(_parameter_state(module))
         self.module = module
         self.passes = tuple(passes)
         self.fallback = fallback
         self.fallback_count = 0
         self._fallback_warned = False
-        self._cache: Dict[Tuple[Tuple[Tuple[int, ...], str], ...], CompiledGraph] = {}
-        self._param_snapshot: List[Tuple[Any, Any]] = []
-        self.compile_count = 0
-
-    # -- cache management ------------------------------------------------------
-
-    @staticmethod
-    def _signature(arrays: Sequence[Any]) -> Tuple[Tuple[Tuple[int, ...], str], ...]:
-        return tuple((tuple(a.shape), str(a.dtype)) for a in arrays)
-
-    def _params_moved(self) -> bool:
-        for param, data in self._param_snapshot:
-            if param.data is not data:
-                return True
-        return False
-
-    def _take_snapshot(self) -> None:
-        self._param_snapshot = [(p, p.data) for p in self.module.parameters()]
-
-    def invalidate(self) -> None:
-        """Drop every cached specialisation (forces re-tracing)."""
-        self._cache.clear()
-        self._param_snapshot = []
-
-    @property
-    def specializations(self) -> int:
-        """Number of cached input-signature specialisations."""
-        return len(self._cache)
 
     # -- state swap (replicated serving) ---------------------------------------
 
@@ -219,20 +285,14 @@ class CompiledModel:
 
     def graph_for(self, *arrays: Any) -> CompiledGraph:
         """The cached (or freshly compiled) executable for this signature."""
-        if self._param_snapshot and self._params_moved():
-            self.invalidate()
-        signature = self._signature(arrays)
-        compiled = self._cache.get(signature)
+        signature = _signature(arrays)
+        compiled = self._lookup(signature)
         if compiled is None:
             fault_point("compiled.trace")
             captured = trace(self.module, *arrays)
-            compiled = CompiledGraph(optimize(captured, self.passes))
-            self._cache[signature] = compiled
-            self.compile_count += 1
-            # Snapshot *after* tracing: first-call side effects (quantizer
-            # initialisation) rebind parameter data during capture and are
-            # part of the captured state, not a reason to invalidate.
-            self._take_snapshot()
+            compiled = self._store(
+                signature, CompiledGraph(optimize(captured, self.passes))
+            )
         return compiled
 
     # -- inference surface -----------------------------------------------------
@@ -280,20 +340,13 @@ class CompiledModel:
             outputs = self._degrade(arrays, error)
             if not isinstance(outputs, tuple):
                 return outputs
+        else:
+            self.replay_count += 1
         return outputs[0] if len(outputs) == 1 else tuple(outputs)
 
     def predict(self, images: Any):
         """Per-pixel argmax class prediction (mirrors the eager predict)."""
         return np.argmax(self(images), axis=-1)
-
-
-def compile_model(
-    module: Module,
-    passes: Sequence[str] = DEFAULT_PASSES,
-    fallback: bool = False,
-) -> CompiledModel:
-    """Wrap ``module`` for compiled inference (lazy per-signature tracing)."""
-    return CompiledModel(module, passes=passes, fallback=fallback)
 
 
 # -- compiled training ----------------------------------------------------------
@@ -317,7 +370,17 @@ class _TrainPlan:
         self.onehot_width = onehot_width  # logits' class dim (one-hot cols)
 
 
-class CompiledTrainStep:
+def _train_state(model: Module, optimizer) -> StatePairs:
+    """Every parameter plus every optimizer buffer (SGD velocity, Adam m/v)."""
+    pairs: StatePairs = [(param, param.data) for param in model.parameters()]
+    for group in ("_velocity", "_m", "_v"):
+        buffers = getattr(optimizer, group, None)
+        if buffers is not None:
+            pairs.extend((buffers, buffer) for buffer in buffers)
+    return pairs
+
+
+class CompiledTrainStep(_PlanCache):
     """A whole fine-tune step — forward + backward + optimizer — replayed
     from a static plan.
 
@@ -338,11 +401,12 @@ class CompiledTrainStep:
     node either *is* the function the eager path calls or mirrors its
     exact expression order (pinned by the parity suite).  The per-signature
     cache re-specialises on new batch shapes (the last short batch of an
-    epoch gets its own plan); external state rebinding — checkpoint
-    restore, ``load_state_dict`` — is detected by identity-snapshotting
-    every parameter and optimizer buffer, and invalidates the cache so the
-    next step re-traces (again a real eager step, so the training
-    trajectory never skews).
+    epoch gets its own plan).  The watched state is every parameter and
+    optimizer buffer, re-collected on every call: an optimizer's
+    ``load_state_dict`` replaces whole buffer lists, so a saved snapshot
+    could not see it.  External rebinding — checkpoint restore,
+    ``load_state_dict`` — invalidates the cache so the next step re-traces
+    (again a real eager step, so the training trajectory never skews).
     """
 
     def __init__(
@@ -353,6 +417,7 @@ class CompiledTrainStep:
         schedule=None,
         passes: Sequence[str] = TRAIN_PASSES,
     ) -> None:
+        super().__init__(functools.partial(_train_state, model, optimizer))
         self.model = model
         self.optimizer = optimizer
         self.schedule = schedule
@@ -361,10 +426,6 @@ class CompiledTrainStep:
         # legitimately be wider than the labels in play.
         self.num_classes = int(num_classes)
         self.passes = tuple(passes)
-        self._cache: Dict[Tuple, _TrainPlan] = {}
-        self._state_snapshot: List[Tuple[Any, Any]] = []
-        self.compile_count = 0
-        self.replay_count = 0
         self._check_supported()
 
     # -- guards ----------------------------------------------------------------
@@ -386,39 +447,21 @@ class CompiledTrainStep:
 
     # -- staleness -------------------------------------------------------------
 
-    def _state_arrays(self) -> List[Tuple[Any, Any]]:
-        pairs: List[Tuple[Any, Any]] = [
-            (param, param.data) for param in self.model.parameters()
-        ]
-        for group in ("_velocity", "_m", "_v"):
-            buffers = getattr(self.optimizer, group, None)
-            if buffers is not None:
-                pairs.extend((buffers, buffer) for buffer in buffers)
-        return pairs
-
-    def _take_snapshot(self) -> None:
-        self._state_snapshot = self._state_arrays()
-
     def _stale(self) -> bool:
-        current = self._state_arrays()
-        if len(current) != len(self._state_snapshot):
+        current = self._state()
+        if len(current) != len(self._snapshot):
             return True
         for (owner, array), (snap_owner, snap_array) in zip(
-            current, self._state_snapshot
+            current, self._snapshot
         ):
             if owner is not snap_owner or array is not snap_array:
                 return True
         return False
 
-    def invalidate(self) -> None:
-        """Drop every cached plan (forces an eager re-trace next step)."""
-        self._cache.clear()
-        self._state_snapshot = []
-
     # -- capture ---------------------------------------------------------------
 
     def _trace(self, images: Any, labels: Any) -> Tuple[_TrainPlan, float]:
-        """Run one real eager step under capture; freeze and cache the plan."""
+        """Run one real eager step under capture; freeze the plan."""
         from repro.nn import functional as F
         from repro.nn.tensor import Tensor, tracing
 
@@ -454,7 +497,6 @@ class CompiledTrainStep:
             self.schedule.step()
         plan = _TrainPlan(compiled, params, feeds, updates, advance,
                           onehot_width)
-        self.compile_count += 1
         return plan, float(loss.data)
 
     # -- the step surface ------------------------------------------------------
@@ -478,16 +520,12 @@ class CompiledTrainStep:
         signature = (
             tuple(images.shape), str(images.dtype), tuple(labels.shape)
         )
-        if self._state_snapshot and self._stale():
-            self.invalidate()
-        plan = self._cache.get(signature)
+        plan = self._lookup(signature)
         if plan is None:
+            # The traced step is a real step: it rebinds parameters and
+            # buffers before _store snapshots them.
             plan, loss = self._trace(images, labels)
-            self._cache[signature] = plan
-            # Snapshot *after* tracing: the traced step itself rebound
-            # parameters and buffers (it was a real step), and first-call
-            # side effects (quantizer init) are part of the captured state.
-            self._take_snapshot()
+            self._store(signature, plan)
             return loss
         fault_point("compiled.train.replay")
         arrays = [images]
@@ -503,43 +541,21 @@ class CompiledTrainStep:
         self.replay_count += 1
         # Our own rebinding moved every identity; re-snapshot so only
         # *external* rebinds (checkpoint restore) trigger invalidation.
-        self._take_snapshot()
+        self._snapshot = self._state()
         return float(outputs[0])
 
     # -- introspection ---------------------------------------------------------
 
-    @property
-    def specializations(self) -> int:
-        """Number of cached batch-signature plans."""
-        return len(self._cache)
-
-    def stats(self) -> Dict[str, Any]:
-        """Plan metrics per cached signature (memory regressions pin these).
-
-        ``peak_live`` is :func:`~repro.graph.passes.plan_memory`'s count of
-        dynamic buffers simultaneously live while replaying the joint
-        forward+backward+update graph — the compiled step's working set.
-        """
-        per_signature = {}
-        for signature, plan in self._cache.items():
-            per_signature[repr(signature)] = {
-                "nodes": plan.compiled.num_steps,
-                "peak_live": plan.compiled.plan.peak_live,
-                "num_slots": plan.compiled.plan.num_slots,
-                "outputs": len(plan.updates) + 1,
-            }
-        return {
-            "compile_count": self.compile_count,
-            "replay_count": self.replay_count,
-            "specializations": len(self._cache),
-            "signatures": per_signature,
-        }
+    def _row(self, plan: _TrainPlan) -> Dict[str, int]:
+        row = super()._row(plan.compiled)
+        row["outputs"] = len(plan.updates) + 1
+        return row
 
 
 # -- compiled autoregressive decode ----------------------------------------------
 
 
-class CompiledDecodeStep:
+class CompiledDecodeStep(_PlanCache):
     """The single-token decode step of a cache-carrying decoder, compiled.
 
     Wraps a model exposing ``step(token_onehot, pos_onehot, mask, *caches)
@@ -549,20 +565,17 @@ class CompiledDecodeStep:
     the step's outputs are handed back to the caller's
     :class:`~repro.nn.transformer.KVCache` to rebind, the same
     input→output state carry :class:`CompiledTrainStep` uses for
-    parameters and optimizer buffers.  Nothing is captured by reference,
-    so one compiled step serves any number of concurrent caches — the
-    serving tier drains whole session groups through a single plan.
+    parameters and optimizer buffers.  Nothing is captured by reference
+    except the parameters (the watched state, as in
+    :class:`CompiledModel`), so one compiled step serves any number of
+    concurrent caches — the serving tier drains whole session groups
+    through a single plan.
 
     The signature covers every input's shape/dtype, so specialisations are
     keyed by (batch, cache capacity).  Callers bucket capacity in powers
     of two (:func:`repro.nn.transformer.bucket_capacity`): a ``T``-token
     decode costs ``~log2(T)`` traces, and every step between bucket
     crossings is a pure replay.
-
-    Parameter staleness mirrors :class:`CompiledModel`: an identity
-    snapshot of every parameter array, taken after tracing so that
-    first-call side effects (quantizer calibration) don't self-invalidate,
-    flushes the cache whenever the weights were rebound externally.
     """
 
     def __init__(
@@ -573,35 +586,9 @@ class CompiledDecodeStep:
                 "model %s has no step() method to compile"
                 % type(model).__name__
             )
+        super().__init__(_parameter_state(model))
         self.model = model
         self.passes = tuple(passes)
-        self._cache: Dict[Tuple[Tuple[Tuple[int, ...], str], ...], CompiledGraph] = {}
-        self._param_snapshot: List[Tuple[Any, Any]] = []
-        self.compile_count = 0
-        self.replay_count = 0
-
-    # -- staleness (identical contract to CompiledModel) -----------------------
-
-    def _params_moved(self) -> bool:
-        for param, data in self._param_snapshot:
-            if param.data is not data:
-                return True
-        return False
-
-    def _take_snapshot(self) -> None:
-        self._param_snapshot = [(p, p.data) for p in self.model.parameters()]
-
-    def invalidate(self) -> None:
-        """Drop every cached specialisation (forces re-tracing)."""
-        self._cache.clear()
-        self._param_snapshot = []
-
-    @property
-    def specializations(self) -> int:
-        """Number of cached (batch, capacity) specialisations."""
-        return len(self._cache)
-
-    # -- the step surface ------------------------------------------------------
 
     def step(
         self,
@@ -626,38 +613,19 @@ class CompiledDecodeStep:
         ]
         arrays.extend(np.asarray(array, dtype=np.float64)
                       for array in cache_arrays)
-        if self._param_snapshot and self._params_moved():
-            self.invalidate()
-        signature = CompiledModel._signature(arrays)
-        compiled = self._cache.get(signature)
+        signature = _signature(arrays)
+        compiled = self._lookup(signature)
         if compiled is None:
             fault_point("compiled.decode.trace")
             captured = trace(self.model.step, *arrays)
-            compiled = CompiledGraph(optimize(captured, self.passes))
-            self._cache[signature] = compiled
-            self.compile_count += 1
-            # Snapshot *after* tracing — see CompiledModel.graph_for.
-            self._take_snapshot()
+            compiled = self._store(
+                signature, CompiledGraph(optimize(captured, self.passes))
+            )
         fault_point("compiled.decode.replay")
         outputs = compiled.run(*arrays)
         self.replay_count += 1
         return outputs[0], outputs[1:]
 
-    # -- introspection ---------------------------------------------------------
-
-    def stats(self) -> Dict[str, Any]:
-        """Plan metrics per cached (batch, capacity) signature."""
-        per_signature = {}
-        for signature, compiled in self._cache.items():
-            batch, capacity = signature[0][0][0], signature[3][0][2]
-            per_signature["batch=%d,capacity=%d" % (batch, capacity)] = {
-                "nodes": compiled.num_steps,
-                "peak_live": compiled.plan.peak_live,
-                "num_slots": compiled.plan.num_slots,
-            }
-        return {
-            "compile_count": self.compile_count,
-            "replay_count": self.replay_count,
-            "specializations": len(self._cache),
-            "signatures": per_signature,
-        }
+    def _label(self, signature: Any) -> str:
+        batch, capacity = signature[0][0][0], signature[3][0][2]
+        return "batch=%d,capacity=%d" % (batch, capacity)

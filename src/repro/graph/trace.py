@@ -33,7 +33,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.backend import xp as np
+import numpy as np
+
 from repro.graph.ir import Graph, Node
 from repro.nn.tensor import Tensor, no_grad, tracing
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Callable, Dict, Iterable, List, Optional, Set
 
-from repro.backend import xp as np
+import numpy as np
 
-from repro.core.engine_config import resolve_pwl_engine
+from repro.core import engine_config
 from repro.core.lut import DenseLUT, QuantizedLUT, dense_lut_for
 from repro.core.pwl import PiecewiseLinear
 from repro.functions.nonlinear import NonLinearFunction
@@ -90,7 +90,7 @@ class PWLActivation(Module):
         self.pwl = pwl
         self.bits = bits
         self.frac_bits = frac_bits
-        self.engine = resolve_pwl_engine(engine)
+        self.engine = engine_config.resolve("pwl_engine", engine)
         self.quantizer = PowerOfTwoQuantizer(bits=bits, signed=True)
         self._spec = QuantSpec(bits=bits, signed=True)
         self._dense_table: Optional[DenseLUT] = None
@@ -176,7 +176,7 @@ class PWLWideRange(Module):
     ) -> None:
         super().__init__()
         self.name = name
-        self.engine = resolve_pwl_engine(engine)
+        self.engine = engine_config.resolve("pwl_engine", engine)
         self.scaling = scaling or default_multi_range(name)
         self.wrapped = MultiRangePWL(pwl=pwl, scaling=self.scaling, frac_bits=frac_bits)
 
@@ -330,7 +330,7 @@ class PWLSuite(OperatorSuite):
     engine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        self.engine = resolve_pwl_engine(self.engine)
+        self.engine = engine_config.resolve("pwl_engine", self.engine)
 
     def _should_replace(self, op: str) -> bool:
         return op in self.replace and op in self.approximations

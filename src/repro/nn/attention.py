@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from typing import Callable, Optional
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.layers import Linear

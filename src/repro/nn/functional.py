@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.nn.tensor import Tensor
 

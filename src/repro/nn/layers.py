@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from typing import Optional, Sequence, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.module import Module, Parameter

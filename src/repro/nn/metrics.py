@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.backend import xp as np
+import numpy as np
 
 
 def confusion_matrix(

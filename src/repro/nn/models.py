@@ -24,7 +24,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.nn.approx import FloatSuite, OperatorSuite
 from repro.nn.attention import LinearAttention, MultiHeadSelfAttention
@@ -191,9 +191,9 @@ class SegmentationTransformer(Module):
         (kwarg > context > ``REPRO_INFER_ENGINE`` > ``"eager"``).  Both
         paths return bit-identical predictions.
         """
-        from repro.core.engine_config import resolve_infer_engine
+        from repro.core import engine_config
 
-        if resolve_infer_engine(engine) == "compiled":
+        if engine_config.resolve("infer_engine", engine) == "compiled":
             return self.compiled().predict(images)
         from repro.nn.tensor import Tensor, no_grad
 

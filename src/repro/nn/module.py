@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.nn.tensor import Tensor
 

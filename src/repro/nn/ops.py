@@ -26,7 +26,7 @@ slopes).  VJPs come in two flavours:
 
 VJP outputs may be broadcast-shaped; the caller sums them back to each
 input's shape (the single unbroadcast site).  This module is Tensor-free on
-purpose: ops are backend-level array kernels, usable and testable without
+purpose: ops are plain array kernels, usable and testable without
 the graph machinery on top.
 """
 
@@ -35,9 +35,9 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
-Array = Any  # backend array type (numpy.ndarray under the default backend)
+Array = Any  # numpy.ndarray
 
 
 @dataclasses.dataclass(frozen=True)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.nn.module import Parameter
 

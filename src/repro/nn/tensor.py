@@ -1,4 +1,4 @@
-"""A small reverse-mode automatic-differentiation engine over backend arrays.
+"""A small reverse-mode automatic-differentiation engine over numpy arrays.
 
 This is the substrate that replaces PyTorch for the paper's fine-tuning
 experiments: it provides a :class:`Tensor` with a dynamic computation graph,
@@ -15,8 +15,7 @@ Gradient rules do not live here: every differentiable operation is a named
 methods are thin dispatches through :func:`apply_op` — the single place that
 owns graph construction and ``no_grad`` short-circuiting.  Broadcast
 gradients are summed back to each input's shape in one site inside
-:meth:`Tensor.backward`.  Arrays come from the active :mod:`repro.backend`
-(NumPy by default).
+:meth:`Tensor.backward`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,8 @@ from __future__ import annotations
 import contextlib
 from typing import List, Optional, Sequence, Tuple
 
-from repro.backend import xp as np
+import numpy as np
+
 from repro.nn import ops as _ops
 
 _GRAD_ENABLED = True
@@ -153,7 +153,7 @@ def _emit_vjp_node(tracer, node: "Tensor", argnum: int, grad_vid: int) -> int:
 
 
 class Tensor:
-    """A backend-array tensor participating in a dynamic autograd graph."""
+    """A numpy-array tensor participating in a dynamic autograd graph."""
 
     __slots__ = (
         "data", "grad", "requires_grad", "_backward", "_parents", "name",

@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.nn import functional as F
 from repro.nn.metrics import mean_iou, pixel_accuracy
@@ -291,10 +291,10 @@ class Trainer:
         (CompiledModel's staleness detection); predictions are
         bit-identical either way.
         """
-        from repro.core.engine_config import resolve_infer_engine
+        from repro.core import engine_config
 
         compiled = None
-        if resolve_infer_engine(engine) == "compiled":
+        if engine_config.resolve("infer_engine", engine) == "compiled":
             if hasattr(self.model, "compiled"):
                 compiled = self.model.compiled()
             else:
@@ -385,10 +385,10 @@ class Trainer:
             extra = meta.get("extra", {})
             start_epoch = int(extra.get("epoch", 0))
             losses = [float(value) for value in extra.get("losses", [])]
-        from repro.core.engine_config import resolve_train_engine
+        from repro.core import engine_config
 
         compiled_step = None
-        if resolve_train_engine(train_engine) == "compiled":
+        if engine_config.resolve("train_engine", train_engine) == "compiled":
             from repro.graph.executor import CompiledTrainStep
 
             # Built after any resume restore so the first trace binds the

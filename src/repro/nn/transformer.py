@@ -46,9 +46,9 @@ import dataclasses
 import math
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
-from repro.core.engine_config import resolve_decode_engine
+from repro.core import engine_config
 from repro.nn import functional as F
 from repro.nn.approx import FloatSuite, OperatorSuite
 from repro.nn.layers import Linear, MLP
@@ -517,7 +517,7 @@ def step_inputs(model: MiniDecoder, tokens: Sequence[int],
 
 def _cached_stepper(model: MiniDecoder, engine: Optional[str]):
     """The array-level step callable for the resolved decode engine."""
-    if resolve_decode_engine(engine) == "compiled":
+    if engine_config.resolve("decode_engine", engine) == "compiled":
         compiled = model.compiled_step()
         return lambda *arrays_and_cache: compiled.step(*arrays_and_cache)
     return lambda token, pos, mask, cache_arrays: model.eager_step(
@@ -538,7 +538,7 @@ def greedy_generate(
     one :meth:`MiniDecoder.step` at a time (prefill-by-decode), then each
     generated token feeds the next step.  ``cache=False`` re-runs the full
     causal forward per generated token (the O(T²) baseline).  ``engine``
-    resolves through :func:`repro.core.engine_config.resolve_decode_engine`
+    resolves through :func:`repro.core.engine_config.resolve`
     (kwarg > context > ``REPRO_DECODE_ENGINE`` > ``"eager"``); for the
     uncached path ``"compiled"`` routes each full forward through the
     model's :meth:`~MiniDecoder.compiled` wrapper (one specialisation per
@@ -557,7 +557,7 @@ def greedy_generate(
             % (len(prompt), num_new, model.config.max_seq)
         )
     model.calibrate(prompt)
-    resolved = resolve_decode_engine(engine)
+    resolved = engine_config.resolve("decode_engine", engine)
 
     if not cache:
         tokens = list(prompt)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
-from repro.backend import xp as np
+import numpy as np
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,7 +12,7 @@ import dataclasses
 import math
 from typing import Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
 
 def fxp_round(x, frac_bits: int) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.backend import xp as np
+import numpy as np
 
 
 def _pair(a, b):

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.quant.quantizer import QuantSpec, UniformQuantizer
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from repro.backend import xp as np
+import numpy as np
 
 
 def power_of_two_exponent(scale: float) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 from typing import Optional, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
 
 def quant_bounds(bits: int, signed: bool = True) -> Tuple[int, int]:

@@ -20,7 +20,7 @@ import dataclasses
 import math
 from typing import List, Optional, Sequence, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.core.pwl import PiecewiseLinear
 from repro.functions.nonlinear import NonLinearFunction

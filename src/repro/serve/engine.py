@@ -94,14 +94,9 @@ import time
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.backend import xp as np
+import numpy as np
 
-from repro.core.engine_config import (
-    resolve_decode_engine,
-    resolve_infer_engine,
-    resolve_serve_deadline_ms,
-    resolve_serve_queue_limit,
-)
+from repro.core import engine_config
 from repro.nn.module import Module
 from repro.reliability.errors import (
     DeadlineExceededError,
@@ -307,10 +302,12 @@ class BatchingServer:
         self.model = model
         self.max_batch = max_batch
         self.max_wait = max_wait_ms / 1000.0
-        self.engine = resolve_infer_engine(engine)
-        self.decode_engine = resolve_decode_engine(decode_engine)
-        self.max_queue = resolve_serve_queue_limit(max_queue)
-        self.default_deadline = resolve_serve_deadline_ms(deadline_ms) / 1000.0
+        self.engine = engine_config.resolve("infer_engine", engine)
+        self.decode_engine = engine_config.resolve("decode_engine", decode_engine)
+        self.max_queue = engine_config.resolve("serve_queue_limit", max_queue)
+        self.default_deadline = (
+            engine_config.resolve("serve_deadline_ms", deadline_ms) / 1000.0
+        )
         self._queue: "queue.Queue" = queue.Queue()
         self._closed = False
         self._lock = threading.Lock()  # guards _closed + _depth (admission)

@@ -78,13 +78,9 @@ import time
 from concurrent.futures import Future
 from typing import Any, Dict, List, Optional
 
-from repro.backend import xp as np
+import numpy as np
 
-from repro.core.engine_config import (
-    resolve_serve_crash_loop_threshold,
-    resolve_serve_heartbeat_ms,
-    resolve_serve_replicas,
-)
+from repro.core import engine_config
 from repro.nn.approx import swap_lut_tables
 from repro.nn.module import Module
 from repro.reliability.errors import (
@@ -254,11 +250,13 @@ class ReplicatedServer(BatchingServer):
             raise ValueError(
                 "batch_timeout_s must be > 0, got %r" % (batch_timeout_s,)
             )
-        self._replica_count = resolve_serve_replicas(replicas)
-        self._heartbeat_s = resolve_serve_heartbeat_ms(heartbeat_ms) / 1000.0
+        self._replica_count = engine_config.resolve("serve_replicas", replicas)
+        self._heartbeat_s = (
+            engine_config.resolve("serve_heartbeat_ms", heartbeat_ms) / 1000.0
+        )
         self._heartbeat_stale_s = _HEARTBEAT_STALE_FACTOR * self._heartbeat_s
-        self._crash_loop_threshold = resolve_serve_crash_loop_threshold(
-            crash_loop_threshold
+        self._crash_loop_threshold = engine_config.resolve(
+            "serve_crash_loop_threshold", crash_loop_threshold
         )
         self._crash_loop_window_s = crash_loop_window_s
         self._restart_policy = (

@@ -46,7 +46,7 @@ import os
 import threading
 from typing import Any, Dict, Optional
 
-from repro.backend import xp as np
+import numpy as np
 
 from repro.nn.approx import swap_lut_tables
 from repro.nn.module import Module

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -30,6 +32,62 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow_chaos" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def parameter_walks(monkeypatch):
+    """Record every ``Module.parameters()`` call (each walks a module tree)."""
+    from repro.nn.module import Module
+
+    calls = []
+    original = Module.parameters
+
+    def counting(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Module, "parameters", counting)
+    return calls
+
+
+def _assert_reentrant(fn, inputs, threads=4, runs=480):
+    """Call ``fn`` ``runs`` times from ``threads`` threads at once, cycling
+    through ``inputs``, and require every output to equal a serial call's
+    bit for bit.  A short interpreter switch interval makes the threads
+    interleave inside the calls instead of taking turns.
+    """
+    serial = [fn(*args) for args in inputs]
+    barrier = threading.Barrier(threads)
+    results = [[] for _ in range(threads)]
+
+    def worker(rank):
+        barrier.wait(timeout=60)
+        for call in range(rank, runs, threads):
+            index = call % len(inputs)
+            results[rank].append((index, fn(*inputs[index])))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        pool = [threading.Thread(target=worker, args=(rank,)) for rank in range(threads)]
+        for thread in pool:
+            thread.start()
+        for thread in pool:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in pool)
+    pairs = [pair for rank_results in results for pair in rank_results]
+    assert len(pairs) == runs
+    for index, outputs in pairs:
+        for output, expected in zip(outputs, serial[index], strict=True):
+            np.testing.assert_array_equal(output, expected)
+
+
+@pytest.fixture
+def assert_reentrant():
+    """``assert_reentrant(fn, inputs)``: see :func:`_assert_reentrant`."""
+    return _assert_reentrant
 
 
 @pytest.fixture(scope="session")

@@ -204,14 +204,39 @@ class TestCompiledDecodeStep:
             "batch=1,capacity=%d" % c for c in sorted(expected)
         }
 
-    def test_external_rebind_invalidates(self):
+    def test_external_rebind_invalidates(self, parameter_walks):
         model = make_model("float")
         greedy_generate(model, [1, 5], 4, cache=True, engine="compiled")
         step = model.compiled_step()
         before = step.compile_count
+        kv = model.new_cache(batch=1)
+        inputs = step_inputs(model, [1], [0], kv.ensure(1))
+        # A replay checks the saved (param, array) pairs, not the module tree.
+        walks = len(parameter_walks)
+        step.step(*inputs, kv.arrays())
+        assert len(parameter_walks) == walks
+        assert step.compile_count == before
         model.load_state_dict(model.state_dict())  # rebinds every array
+        step.step(*inputs, kv.arrays())
+        step.step(*inputs, kv.arrays())
+        assert step.compile_count == before + 1  # exactly one re-trace
         greedy_generate(model, [1, 5], 4, cache=True, engine="compiled")
-        assert step.compile_count > before
+        assert step.compile_count > before + 1  # the other buckets re-trace
+
+    def test_concurrent_runs_of_one_plan_match_serial(self, assert_reentrant):
+        """A decode plan's CompiledGraph.run is re-entrant too."""
+        model = make_model("dense")
+        greedy_generate(model, [1, 5, 3], 2, cache=True, engine="eager")
+        rng = np.random.default_rng(6)
+        kv = model.new_cache(batch=2)
+        capacity = kv.ensure(4)
+        inputs = []
+        for first in range(5):
+            arrays = list(step_inputs(model, [first, first + 2], [1, 3], capacity))
+            arrays.extend(rng.normal(size=array.shape) for array in kv.arrays())
+            inputs.append(tuple(arrays))
+        plan = CompiledGraph(optimize(trace(model.step, *inputs[0])))
+        assert_reentrant(plan.run, inputs)
 
     def test_requires_a_step_method(self):
         from repro.nn.layers import Linear
@@ -222,14 +247,14 @@ class TestCompiledDecodeStep:
 
 class TestDecodeEngineConfig:
     def test_env_and_context_resolution(self, monkeypatch):
-        assert engine_config.resolve_decode_engine(None) == "eager"
+        assert engine_config.resolve("decode_engine", None) == "eager"
         monkeypatch.setenv("REPRO_DECODE_ENGINE", "compiled")
-        assert engine_config.resolve_decode_engine(None) == "compiled"
+        assert engine_config.resolve("decode_engine", None) == "compiled"
         with engine_config.use(decode_engine="eager"):
-            assert engine_config.resolve_decode_engine(None) == "eager"
-            assert engine_config.resolve_decode_engine("compiled") == "compiled"
+            assert engine_config.resolve("decode_engine", None) == "eager"
+            assert engine_config.resolve("decode_engine", "compiled") == "compiled"
         with pytest.raises(ValueError):
-            engine_config.resolve_decode_engine("jit")
+            engine_config.resolve("decode_engine", "jit")
 
     def test_env_engine_drives_greedy_generate(self, monkeypatch):
         monkeypatch.setenv("REPRO_DECODE_ENGINE", "compiled")

@@ -21,7 +21,6 @@ from repro.graph import (
     Graph,
     Node,
     Tracer,
-    compile_model,
     dead_code_elimination,
     fold_constants,
     fuse_dense_lookups,
@@ -280,7 +279,7 @@ class TestCompiledModel:
 
     def test_shape_specialisation_cache(self, images):
         model = MiniSegformer(small_config())
-        compiled = compile_model(model)
+        compiled = CompiledModel(model)
         compiled.predict(images)
         compiled.predict(images)
         assert compiled.compile_count == 1
@@ -288,10 +287,15 @@ class TestCompiledModel:
         assert compiled.compile_count == 2
         assert compiled.specializations == 2
 
-    def test_parameter_rebinding_invalidates_cache(self, images):
+    def test_parameter_rebinding_invalidates_cache(self, images, parameter_walks):
         model = MiniSegformer(small_config())
-        compiled = compile_model(model)
+        compiled = CompiledModel(model)
         stale = compiled.predict(images)
+        # A replay checks the saved (param, array) pairs, not the module tree.
+        walks = len(parameter_walks)
+        compiled(images)
+        assert len(parameter_walks) == walks
+        assert compiled.replay_count == 2
         # Mimic an optimiser step: rebind every parameter's data.
         for param in model.parameters():
             param.data = param.data + 0.05
@@ -299,6 +303,11 @@ class TestCompiledModel:
         assert compiled.compile_count == 2
         np.testing.assert_array_equal(fresh, model.predict(images, engine="eager"))
         assert not np.array_equal(stale, fresh)  # weights actually moved
+        # A checkpoint restore between calls re-traces exactly once.
+        model.load_state_dict(model.state_dict())
+        compiled.predict(images)
+        compiled.predict(images)
+        assert compiled.compile_count == 3
 
     def test_engine_config_context_selects_compiled(self, images):
         model = MiniSegformer(small_config())
@@ -326,6 +335,13 @@ class TestCompiledModel:
         for index in range(images.shape[0]):
             solo = model.predict(images[index:index + 1], engine="compiled")
             np.testing.assert_array_equal(solo[0], batched[index])
+
+    def test_concurrent_runs_of_one_plan_match_serial(self, images, assert_reentrant):
+        """CompiledGraph.run is re-entrant: the slot list is per call."""
+        model = build_pwl_model(MiniSegformer, ("exp", "gelu", "div", "rsqrt"), "dense")
+        plan = CompiledModel(model).graph_for(images)
+        rng = np.random.default_rng(5)
+        assert_reentrant(plan.run, [(rng.normal(size=images.shape),) for _ in range(6)])
 
     def test_wrong_input_arity_raises(self, images):
         model = MiniSegformer(small_config())

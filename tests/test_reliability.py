@@ -255,10 +255,10 @@ class TestFaultPlan:
 
 class TestEngineConfigKnobs:
     def test_env_layer_parses_reliability_knobs(self, monkeypatch):
-        monkeypatch.setenv(engine_config.RETRY_ATTEMPTS_ENV, "4")
-        monkeypatch.setenv(engine_config.RETRY_BASE_DELAY_ENV, "0.5")
-        monkeypatch.setenv(engine_config.SERVE_QUEUE_LIMIT_ENV, "64")
-        monkeypatch.setenv(engine_config.SERVE_DEADLINE_MS_ENV, "250")
+        monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "4")
+        monkeypatch.setenv("REPRO_RETRY_BASE_DELAY", "0.5")
+        monkeypatch.setenv("REPRO_SERVE_QUEUE_LIMIT", "64")
+        monkeypatch.setenv("REPRO_SERVE_DEADLINE_MS", "250")
         config = engine_config.current()
         assert config.retry_attempts == 4
         assert config.retry_base_delay == 0.5
@@ -273,12 +273,12 @@ class TestEngineConfigKnobs:
         with pytest.raises(ValueError):
             engine_config.EngineConfig(serve_deadline_ms=-0.5)
         with pytest.raises(ValueError):
-            engine_config.resolve_retry_attempts(0)
+            engine_config.resolve("retry_attempts", 0)
 
     def test_resolvers_follow_precedence(self, monkeypatch):
-        monkeypatch.setenv(engine_config.SERVE_QUEUE_LIMIT_ENV, "8")
-        assert engine_config.resolve_serve_queue_limit() == 8
+        monkeypatch.setenv("REPRO_SERVE_QUEUE_LIMIT", "8")
+        assert engine_config.resolve("serve_queue_limit") == 8
         with engine_config.use(serve_queue_limit=16):
-            assert engine_config.resolve_serve_queue_limit() == 16
-            assert engine_config.resolve_serve_queue_limit(32) == 32
-        assert engine_config.resolve_serve_deadline_ms(125.0) == 125.0
+            assert engine_config.resolve("serve_queue_limit") == 16
+            assert engine_config.resolve("serve_queue_limit", 32) == 32
+        assert engine_config.resolve("serve_deadline_ms", 125.0) == 125.0

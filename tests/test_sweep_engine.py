@@ -398,7 +398,7 @@ class TestDurableRunDir:
 
     def test_run_dir_resolves_from_engine_config_env(self, tmp_path, monkeypatch):
         run_dir = tmp_path / "env-run"
-        monkeypatch.setenv(engine_config.SWEEP_RUN_DIR_ENV, str(run_dir))
+        monkeypatch.setenv("REPRO_SWEEP_RUN_DIR", str(run_dir))
         engine = SweepEngine()
         manifest = engine.run_manifest([ApproximationJob("gelu", "gqa-rm", 8, QUICK)])
         assert manifest.ok
