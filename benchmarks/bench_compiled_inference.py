@@ -7,9 +7,10 @@ operator swapped for its 8-entry pwl and INT8-quantized Linear layers:
 1. **Single-image predict** — ``model.predict`` under ``engine="eager"``
    (dynamic graph rebuilt per call) vs. ``engine="compiled"`` (optimised
    plan replayed through the buffer-reuse executor), for MiniSegformer and
-   MiniEfficientViT.  Before timing, predictions over a seeded evaluation
-   set are asserted bit-identical across **four** paths: eager and
-   compiled under both the dense and the legacy pwl engines.  The compiled
+   MiniEfficientViT.  Before timing, eager and compiled predictions over
+   a seeded evaluation set are asserted bit-identical to the eager
+   predictions of the reference per-pass pwl pipeline in
+   ``tests/oracles.py``.  The compiled
    speedup is the headline gated by ``--min-predict-speedup``.
 2. **Micro-batched serving** — a :class:`repro.serve.BatchingServer` burst
    (single-image submissions fused into padded batches, one compiled call
@@ -38,6 +39,7 @@ import argparse
 import hashlib
 import json
 import platform
+import sys
 import time
 from pathlib import Path
 
@@ -50,6 +52,9 @@ from repro.nn.approx import PWLSuite
 from repro.nn.models import MiniEfficientViT, MiniSegformer, ModelConfig
 from repro.nn.training import prepare_quantized_model
 from repro.serve import BatchingServer
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import ReferencePWLSuite  # noqa: E402
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_compiled_inference.json"
 
@@ -66,11 +71,10 @@ def build_approximation(operator: str, num_entries: int = 8, frac_bits: int = 5)
     return pwl.to_fixed_point(frac_bits)
 
 
-def build_model(model_cls, operators, model_config, pwl_engine: str):
-    suite = PWLSuite(
+def build_model(model_cls, operators, model_config, suite_cls=PWLSuite):
+    suite = suite_cls(
         approximations={op: build_approximation(op) for op in operators},
         replace=set(operators),
-        engine=pwl_engine,
     )
     model = model_cls(model_config, suite=suite)
     prepare_quantized_model(model)
@@ -90,23 +94,19 @@ def _timed(fn_call, repeats: int, inner: int) -> float:
 
 def bench_predict(name, model_cls, operators, model_config, eval_images,
                   repeats: int, inner: int) -> dict:
-    """Eager vs. compiled predict; 4-way bit-parity over the eval set."""
+    """Eager vs. compiled predict; both bit-identical to the oracle."""
     single = eval_images[:1]
-    predictions = {}
-    models = {}
-    for pwl_engine in ("dense", "legacy"):
-        model = build_model(model_cls, operators, model_config, pwl_engine)
-        # First call initialises the LSQ quantizers from the evaluation
-        # set — identically for every path.
-        predictions[("eager", pwl_engine)] = model.predict(eval_images, engine="eager")
-        predictions[("compiled", pwl_engine)] = model.predict(eval_images, engine="compiled")
-        models[pwl_engine] = model
-    reference = predictions[("eager", "dense")]
-    identical = all(np.array_equal(reference, p) for p in predictions.values())
+    # First predict call initialises the LSQ quantizers from the evaluation
+    # set — identically for the oracle and the model under test.
+    oracle = build_model(model_cls, operators, model_config, ReferencePWLSuite)
+    expected = oracle.predict(eval_images, engine="eager")
+    model = build_model(model_cls, operators, model_config)
+    reference = model.predict(eval_images, engine="eager")
+    compiled = model.predict(eval_images, engine="compiled")
+    identical = np.array_equal(expected, reference) and np.array_equal(expected, compiled)
     if not identical:
-        raise AssertionError("%s: compiled/eager predictions diverged" % name)
+        raise AssertionError("%s: predictions diverged from the oracle" % name)
 
-    model = models["dense"]
     graph = trace(model, single)
     optimized = optimize(graph)
     plan = plan_memory(optimized)
@@ -139,7 +139,7 @@ def bench_predict(name, model_cls, operators, model_config, eval_images,
 def bench_serving(model_cls, operators, model_config, num_requests: int,
                   max_batch: int) -> dict:
     """Sequential eager requests vs. a micro-batched compiled burst."""
-    model = build_model(model_cls, operators, model_config, "dense")
+    model = build_model(model_cls, operators, model_config)
     rng = np.random.default_rng(7)
     images = [
         rng.normal(scale=1.0, size=(model_config.image_size, model_config.image_size, 3))

@@ -8,10 +8,11 @@ replaceable operator on its 8-entry pwl, INT8-quantized Linears):
    compiled, cached eager (O(T) KV-cached steps on the dynamic graph) and
    cached compiled (:class:`repro.graph.executor.CompiledDecodeStep`
    replays, one specialisation per power-of-two cache bucket).  Before
-   timing, greedy token streams are asserted identical across **all
-   eight** combinations (the four paths under both the dense and the
-   legacy pwl engines); the cached-compiled over uncached-eager speedup is
-   the headline gated by ``--min-decode-speedup``.
+   timing, the greedy token streams of all four paths are asserted
+   identical to the stream of the reference per-pass pwl pipeline in
+   ``tests/oracles.py`` (uncached eager); the cached-compiled over
+   uncached-eager speedup is the headline gated by
+   ``--min-decode-speedup``.
 2. **Bucket-grouped serving** — concurrent sessions decoding through
    :meth:`repro.serve.BatchingServer.submit_decode` (one batched compiled
    step per cache bucket per drain) asserted token-identical to direct
@@ -38,6 +39,7 @@ import argparse
 import hashlib
 import json
 import platform
+import sys
 import threading
 import time
 from pathlib import Path
@@ -51,6 +53,9 @@ from repro.nn.training import prepare_quantized_model
 from repro.nn.transformer import DecoderConfig, MiniDecoder, greedy_generate
 from repro.serve import BatchingServer
 
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import ReferencePWLSuite  # noqa: E402
+
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_decode.json"
 
 OPERATORS = ("exp", "gelu", "div", "rsqrt")
@@ -63,11 +68,10 @@ def build_approximation(operator: str, num_entries: int = 8, frac_bits: int = 5)
     return pwl.to_fixed_point(frac_bits)
 
 
-def build_model(config: DecoderConfig, pwl_engine: str) -> MiniDecoder:
-    suite = PWLSuite(
+def build_model(config: DecoderConfig, suite_cls=PWLSuite) -> MiniDecoder:
+    suite = suite_cls(
         approximations={op: build_approximation(op) for op in OPERATORS},
         replace=set(OPERATORS),
-        engine=pwl_engine,
     )
     model = MiniDecoder(config, suite=suite)
     prepare_quantized_model(model)
@@ -86,24 +90,23 @@ def _timed_decode(model, prompt, num_new, cache, engine, repeats: int) -> float:
 
 
 def bench_decode(config: DecoderConfig, prompt, num_new: int, repeats: int) -> dict:
-    """8-way stream parity, then timing of the four decode paths."""
+    """4-way stream parity against the oracle, then timing of the four paths."""
+    oracle = greedy_generate(
+        build_model(config, ReferencePWLSuite), prompt, num_new, cache=False, engine="eager"
+    )
     streams = {}
-    models = {}
-    for pwl_engine in ("dense", "legacy"):
-        for cache in (False, True):
-            for engine in ("eager", "compiled"):
-                model = build_model(config, pwl_engine)
-                streams[(pwl_engine, cache, engine)] = greedy_generate(
-                    model, prompt, num_new, cache=cache, engine=engine
-                )
-                if (cache, engine) == (True, "compiled"):
-                    models[pwl_engine] = model
-    reference = streams[("dense", False, "eager")]
-    identical = all(stream == reference for stream in streams.values())
+    for cache in (False, True):
+        for engine in ("eager", "compiled"):
+            model = build_model(config)
+            streams[(cache, engine)] = greedy_generate(
+                model, prompt, num_new, cache=cache, engine=engine
+            )
+    # ``model`` is left at the cached-compiled one, whose step plans are warm.
+    reference = streams[(False, "eager")]
+    identical = all(stream == oracle for stream in streams.values())
     if not identical:
-        raise AssertionError("decode: token streams diverged: %r" % streams)
+        raise AssertionError("decode: token streams diverged from the oracle: %r" % streams)
 
-    model = models["dense"]
     step = model.compiled_step()
     total = len(prompt) + num_new
 
@@ -148,14 +151,14 @@ def bench_serving_decode(config: DecoderConfig, num_sessions: int,
         for length in rng.integers(2, 9, size=num_sessions)
     ]
 
-    direct_model = build_model(config, "dense")
+    direct_model = build_model(config)
     direct_model.calibrate(prompts[0])
     direct = [
         greedy_generate(direct_model, prompt, num_new, cache=True, engine="eager")
         for prompt in prompts
     ]
 
-    served_model = build_model(config, "dense")
+    served_model = build_model(config)
     served_model.calibrate(prompts[0])
     with BatchingServer(served_model, max_batch=max_batch, max_wait_ms=2.0,
                         decode_engine="compiled") as server:

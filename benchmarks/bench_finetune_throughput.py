@@ -1,24 +1,26 @@
-"""Fine-tuning throughput benchmark (dense-table engine vs. legacy pipeline).
+"""Fine-tuning throughput benchmark (dense tables vs. the reference pipeline).
 
-Measures three layers of the quantized fine-tuning stack:
+The reference side of every comparison is the per-pass Fig. 1b pipeline
+kept as an oracle in ``tests/oracles.py``; the report calls it ``legacy``.
+Measures four layers of the quantized fine-tuning stack:
 
 1. **Operator throughput** — one training step's worth of Fig. 1b unit work
-   (forward lookup + selected-segment slope) through the legacy
+   (forward lookup + selected-segment slope) through the
    :class:`QuantizedLUT` comparer pipeline versus the fused
    :class:`DenseLUT` gather, on a ``(16, 64, 64)`` activation.  Outputs and
    slopes are asserted bit-identical.
 2. **PWL fine-tuning step** — forward + backward through the operator
    modules (``PWLActivation`` for GELU/EXP, ``PWLWideRange`` for DIV/RSQRT)
-   under ``engine="dense"`` and ``engine="legacy"``, including the autograd
-   plumbing (`apply_elementwise_fused` vs. `apply_elementwise`).  Gradients
-   are asserted bit-identical; the combined speedup across the four
-   operators is the headline number gated by ``--min-step-speedup``.
+   versus their reference twins, including the autograd plumbing
+   (`apply_elementwise_fused` vs. `apply_elementwise`).  Gradients are
+   asserted bit-identical; the combined speedup across the four operators
+   is the headline number gated by ``--min-step-speedup``.
 3. **Model fine-tune** — a seeded MiniSegformer quantization-aware
-   fine-tune (all four operators replaced) under both engines.  Losses and
-   validation mIoU are asserted *identical*, pinning the engine contract
-   end to end; the fit-time speedup is reported (matmuls, LSQ fake-quant
-   and optimizer work are shared between engines, so this ratio is smaller
-   than the operator-level one).
+   fine-tune (all four operators replaced) on the dense suite and on the
+   reference suite.  Losses and validation mIoU are asserted *identical*,
+   pinning the contract end to end; the fit-time speedup is reported
+   (matmuls, LSQ fake-quant and optimizer work are shared between the
+   two, so this ratio is smaller than the operator-level one).
 4. **Compiled training** — the same fine-tune under
    ``train_engine="compiled"`` (the whole forward + backward + optimizer
    step traced once and replayed from a static plan) versus the eager
@@ -43,6 +45,7 @@ from __future__ import annotations
 import argparse
 import json
 import platform
+import sys
 import time
 from pathlib import Path
 
@@ -60,6 +63,14 @@ from repro.nn.approx import PWLActivation, PWLSuite, PWLWideRange
 from repro.nn.models import MiniSegformer, ModelConfig
 from repro.nn.tensor import Tensor
 from repro.nn.training import Trainer, TrainingConfig, prepare_quantized_model
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+from oracles import (  # noqa: E402
+    ReferencePWLActivation,
+    ReferencePWLSuite,
+    ReferencePWLWideRange,
+    quantized_lut_slope,
+)
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_finetune_throughput.json"
 
@@ -92,9 +103,7 @@ def bench_operator_throughput(shape, repeats: int, seed: int) -> dict:
     x = np.random.default_rng(seed).normal(scale=0.7, size=shape)
 
     def legacy_step():
-        out = legacy(x)
-        q = np.clip(np.round(x / legacy.scale), legacy.spec.qmin, legacy.spec.qmax)
-        return out, legacy.stored_slopes[legacy.segment_index(q)]
+        return legacy(x), quantized_lut_slope(legacy, x)
 
     out_legacy, slope_legacy = legacy_step()
     out_dense, slope_dense = dense.lookup_with_slope(x)
@@ -113,7 +122,7 @@ def bench_operator_throughput(shape, repeats: int, seed: int) -> dict:
 
 
 def bench_pwl_step(shape, repeats: int, seed: int) -> dict:
-    """Forward + backward through the pwl operator modules, per engine."""
+    """Forward + backward through the pwl operator modules and their oracles."""
     rng = np.random.default_rng(seed)
     base = rng.normal(scale=0.7, size=shape)
 
@@ -132,9 +141,10 @@ def bench_pwl_step(shape, repeats: int, seed: int) -> dict:
         modules, results = {}, {}
         for engine in ("legacy", "dense"):
             if operator in WIDE_RANGE:
-                module = PWLWideRange(operator, pwl, engine=engine)
+                module_cls = {"legacy": ReferencePWLWideRange, "dense": PWLWideRange}[engine]
             else:
-                module = PWLActivation(operator, pwl, engine=engine)
+                module_cls = {"legacy": ReferencePWLActivation, "dense": PWLActivation}[engine]
+            module = module_cls(operator, pwl)
             module_step(module, data)  # initialise quantizer / warm caches
             modules[engine] = module
             results[engine] = module_step(module, data)
@@ -165,7 +175,7 @@ def bench_pwl_step(shape, repeats: int, seed: int) -> dict:
 
 
 def bench_model_finetune(budget: FinetuneBudget, epochs: int) -> dict:
-    """Seeded quantization-aware fine-tune under both engines."""
+    """Seeded quantization-aware fine-tune on the dense and reference suites."""
     approximations = {op: build_approximation(op) for op in OPERATORS}
     dataset = SyntheticSegmentationDataset(
         SyntheticSegmentationConfig(
@@ -186,9 +196,8 @@ def bench_model_finetune(budget: FinetuneBudget, epochs: int) -> dict:
 
     timings, results = {}, {}
     for engine in ("legacy", "dense"):
-        suite = PWLSuite(
-            approximations=approximations, replace=set(OPERATORS), engine=engine
-        )
+        suite_cls = {"legacy": ReferencePWLSuite, "dense": PWLSuite}[engine]
+        suite = suite_cls(approximations=approximations, replace=set(OPERATORS))
         model = MiniSegformer(model_config, suite=suite)
         prepare_quantized_model(model)
         trainer = Trainer(
@@ -213,7 +222,7 @@ def bench_model_finetune(budget: FinetuneBudget, epochs: int) -> dict:
         legacy.losses == dense.losses and legacy.val_miou == dense.val_miou
     )
     if not identical:
-        raise AssertionError("dense and legacy fine-tuning trajectories diverged")
+        raise AssertionError("dense and reference fine-tuning trajectories diverged")
     return {
         "model": "MiniSegformer",
         "image_size": budget.image_size,
@@ -232,10 +241,9 @@ def bench_model_finetune(budget: FinetuneBudget, epochs: int) -> dict:
 def bench_compiled_train(budget: FinetuneBudget, epochs: int) -> dict:
     """Compiled train engine vs. eager: bit-identical, then timed.
 
-    Both runs use the dense pwl engine (the PR 2 default); only the
-    training engine differs.  Losses, final weights and validation mIoU
-    must match bitwise — the PR 9 contract — before any timing is
-    reported.
+    Both runs use the dense pwl tables; only the training engine differs.
+    Losses, final weights and validation mIoU must match bitwise — the
+    compiled-training contract — before any timing is reported.
     """
     approximations = {op: build_approximation(op) for op in OPERATORS}
     dataset = SyntheticSegmentationDataset(
@@ -257,9 +265,7 @@ def bench_compiled_train(budget: FinetuneBudget, epochs: int) -> dict:
 
     timings, results, states = {}, {}, {}
     for engine in ("eager", "compiled"):
-        suite = PWLSuite(
-            approximations=approximations, replace=set(OPERATORS), engine="dense"
-        )
+        suite = PWLSuite(approximations=approximations, replace=set(OPERATORS))
         model = MiniSegformer(model_config, suite=suite)
         prepare_quantized_model(model)
         trainer = Trainer(
@@ -348,7 +354,7 @@ def main(argv=None) -> int:
         budget = FinetuneBudget()
         epochs = args.epochs
         # The measured step speedup lands in a ~2.8-3.1x band run to run on
-        # a shared 1-core container (searchsorted dominates the legacy
+        # a shared 1-core container (searchsorted dominates the reference
         # path); 2.5 gates real regressions without flaking on scheduler
         # noise.  check_bench_parity.py holds the tighter per-path line
         # against the recorded baseline.

@@ -61,7 +61,6 @@ def build_model(model_config: ModelConfig):
             for op in OPERATORS
         },
         replace=set(OPERATORS),
-        engine="dense",
     )
     model = MiniSegformer(model_config, suite=suite)
     prepare_quantized_model(model)

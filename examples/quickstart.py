@@ -9,22 +9,21 @@ This is the 60-second tour of the library:
    exact operator,
 4. sweep the scaling factors of Fig. 2(a)/Fig. 3 to see the
    quantization-aware accuracy,
-5. re-run the search under the legacy engines via the central engine
-   config — one ``with`` block instead of threading ``engine=`` kwargs,
-6. deploy the searched pwl inside a segmentation model and predict
+5. deploy the searched pwl inside a segmentation model and predict
    through the compiled inference engine (traced once, then replayed),
-7. hot-swap a re-searched LUT into a live replicated fleet — the canary
+   selected once for a whole block through the central engine config,
+6. hot-swap a re-searched LUT into a live replicated fleet — the canary
    gate verifies each replica bit-for-bit before promoting it,
-8. make a sweep durable with a ``run_dir`` — kill the process at any
+7. make a sweep durable with a ``run_dir`` — kill the process at any
    instant and ``SweepEngine.resume`` finishes the grid from the journal
    without rebuilding a single completed cell,
-9. fine-tune through the compiled training engine — the whole step
+8. fine-tune through the compiled training engine — the whole step
    (forward + backward + optimizer) traced once and replayed from a
    static plan, bit-identical to the eager loop,
-10. greedy-decode from a quantized decoder block through the KV-cached
-    compiled incremental step — O(T) instead of O(T²), a handful of
-    power-of-two cache-bucket plans instead of one trace per position
-    (see ``examples/decode_demo.py`` for the served, batched version).
+9. greedy-decode from a quantized decoder block through the KV-cached
+   compiled incremental step — O(T) instead of O(T²), a handful of
+   power-of-two cache-bucket plans instead of one trace per position
+   (see ``examples/decode_demo.py`` for the served, batched version).
 
 Run with::
 
@@ -65,22 +64,13 @@ def main() -> None:
         print("  S = 2^%-3d  MSE = %.3e" % (round(np.log2(s)), mse))
     print("average MSE: %.3e" % outcome.average_mse())
 
-    # 4. Engine selection happens once, through the central config, instead
-    #    of engine= kwargs at every call site.  Every engine choice is
-    #    bit-identical for seeded runs — the override below reproduces the
-    #    exact same breakpoints on the reference (per-individual, per-pass)
-    #    code paths.  Resolution order: kwarg > context > env (REPRO_GA_ENGINE,
-    #    REPRO_PWL_ENGINE, ...) > default.
-    with engine_config.use(ga_engine="legacy", pwl_engine="legacy"):
-        legacy_outcome = searcher.search(generations=200, seed=0)
-    identical = np.array_equal(legacy_outcome.breakpoints, outcome.breakpoints)
-    print("\nlegacy-engine rerun identical:", identical)
-
-    # 5. Compiled model inference: drop the searched GELU pwl into a
-    #    MiniSegformer and predict through the traced-graph executor
-    #    (REPRO_INFER_ENGINE=compiled does the same globally).  The first
-    #    compiled call traces + optimises; repeats replay the plan, and
-    #    predictions are bit-identical to the eager path.
+    # 4. Compiled model inference: drop the searched GELU pwl into a
+    #    MiniSegformer and predict through the traced-graph executor.  The
+    #    first compiled call traces + optimises; repeats replay the plan,
+    #    and predictions are bit-identical to the eager path.  The engine
+    #    is selected once, through the central config, instead of an
+    #    engine= kwarg at every call site.  Resolution order: kwarg >
+    #    context > env (REPRO_INFER_ENGINE, ...) > default.
     from repro.nn.approx import PWLSuite
     from repro.nn.models import MiniSegformer, ModelConfig
 
@@ -89,10 +79,11 @@ def main() -> None:
     model.eval()
     images = np.random.default_rng(0).normal(size=(2, 16, 16, 3))
     eager_pred = model.predict(images, engine="eager")
-    compiled_pred = model.predict(images, engine="compiled")
-    print("compiled == eager predictions:", np.array_equal(compiled_pred, eager_pred))
+    with engine_config.use(infer_engine="compiled"):
+        compiled_pred = model.predict(images)
+    print("\ncompiled == eager predictions:", np.array_equal(compiled_pred, eager_pred))
 
-    # 6. Rolling hot-swap: serve the model from a 2-replica fleet, then
+    # 5. Rolling hot-swap: serve the model from a 2-replica fleet, then
     #    deploy a *better* GELU table (a deeper search) into the running
     #    service.  swap_state drains each replica, applies the new
     #    weights + LUT tables, and bit-compares its canary prediction
@@ -117,7 +108,7 @@ def main() -> None:
                  np.array_equal(served, expected)))
         fleet.drain(timeout=30.0)  # graceful: outstanding work finishes first
 
-    # 7. Kill-and-resume: give a sweep a run_dir and every cell transition
+    # 6. Kill-and-resume: give a sweep a run_dir and every cell transition
     #    is journaled (fsync'd, torn-tail tolerant) while artifacts land
     #    in a content-addressed store under run_dir/artifacts.  We mimic a
     #    crash by abandoning the engine halfway through the grid; a fresh
@@ -148,7 +139,7 @@ def main() -> None:
           % full.stats.builds)
     finished.close()
 
-    # 8. Compiled fine-tuning: train_engine="compiled" traces the entire
+    # 7. Compiled fine-tuning: train_engine="compiled" traces the entire
     #    training step — forward, cross-entropy, backward, and the
     #    optimizer update — into one optimised graph on the first batch,
     #    then replays it per batch (REPRO_TRAIN_ENGINE=compiled does the
@@ -177,7 +168,7 @@ def main() -> None:
           all(np.array_equal(compiled_state[k], eager_state[k])
               for k in eager_state))
 
-    # 9. KV-cached autoregressive decode: the searched GELU pwl inside a
+    # 8. KV-cached autoregressive decode: the searched GELU pwl inside a
     #    causal decoder block, greedy-decoding through the compiled
     #    incremental step (decode_engine="compiled", or globally via
     #    REPRO_DECODE_ENGINE).  The KV cache makes each token O(1) model

@@ -46,7 +46,6 @@ def main() -> None:
     suite = PWLSuite(
         approximations={op: build_approximation(op) for op in OPERATORS},
         replace=set(OPERATORS),
-        engine="dense",
     )
     model = MiniSegformer(ModelConfig(), suite=suite)
     prepare_quantized_model(model)

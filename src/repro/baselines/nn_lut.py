@@ -21,11 +21,10 @@ quantization aware — the limitation GQA-LUT's RM strategy addresses.
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple, Union
+from typing import Optional
 
 import numpy as np
 
-from repro.core import engine_config
 from repro.core.lut import DenseLUT, QuantizedLUT
 from repro.core.pwl import PiecewiseLinear
 from repro.functions.nonlinear import NonLinearFunction
@@ -201,35 +200,17 @@ class NNLUT:
         scale: float,
         spec: QuantSpec = QuantSpec(bits=8, signed=True),
         frac_bits: int = 5,
-        engine: Optional[str] = None,
-        infer_engine: Optional[str] = None,
-    ) -> Union[DenseLUT, QuantizedLUT]:
+    ) -> DenseLUT:
         """Deploy the trained network as a quantization-aware LUT unit.
 
         This is the inference form NN-LUT actually ships: the extracted pwl
-        behind the Fig. 1b pipeline at the runtime power-of-two ``scale``.
-        ``engine="dense"`` materialises the ``2^bits``-entry gather table,
-        ``engine="legacy"`` returns the comparer-based :class:`QuantizedLUT`;
-        both are bit-identical over every input code, and ``None`` resolves
-        through :mod:`repro.core.engine_config`.  When no pwl engine is
-        requested explicitly and the *model* inference engine resolves to
-        ``"compiled"`` (``REPRO_INFER_ENGINE=compiled``), the dense gather
-        table is materialised — the compiled executor serves LUT operators
-        from precomputed tables, never from the per-call comparer pipeline.
-        An explicit ``engine=`` kwarg always wins (the engine-config
-        contract), so requesting the legacy comparer form stays possible
-        under a compiled deployment.  Trains first if the network has not
-        been trained yet.
+        behind the Fig. 1b pipeline at the runtime power-of-two ``scale``,
+        materialised as the ``2^bits``-entry :class:`DenseLUT` gather table
+        (built through :class:`QuantizedLUT`, so it is bit-identical to the
+        comparer pipeline over every input code).  Trains first if the
+        network has not been trained yet.
         """
-        if engine is None and (
-            engine_config.resolve("infer_engine", infer_engine) == "compiled"
-        ):
-            engine = "dense"
-        engine = engine_config.resolve("pwl_engine", engine)
         if not self._trained:
             self.train()
         pwl = self.extract_fxp_pwl(frac_bits=frac_bits)
-        quantized = QuantizedLUT(pwl=pwl, scale=scale, spec=spec, frac_bits=frac_bits)
-        if engine == "dense":
-            return quantized.to_dense()
-        return quantized
+        return QuantizedLUT(pwl=pwl, scale=scale, spec=spec, frac_bits=frac_bits).to_dense()

@@ -11,21 +11,22 @@ the table, and :func:`resolve` reads one knob with the precedence
 3. otherwise the knob's environment variable, when set and non-empty,
 4. otherwise the table's default.
 
-Consumers (:class:`~repro.core.genetic.GeneticSearch`,
-:class:`~repro.nn.approx.PWLActivation` and friends,
-:meth:`~repro.baselines.nn_lut.NNLUT.deploy`,
-:class:`~repro.experiments.jobs.SweepEngine`, the serving tier) accept
+Consumers (:class:`~repro.experiments.jobs.SweepEngine`, the model
+``predict``/``fit``/decode entry points, the serving tier) accept
 ``engine=None`` / ``workers=None`` and call
-``engine_config.resolve("pwl_engine", engine)``, so experiment code selects
-engines once::
+``engine_config.resolve("infer_engine", engine)``, so experiment code
+selects engines once::
 
     from repro.core import engine_config
 
-    with engine_config.use(ga_engine="legacy", pwl_engine="legacy"):
-        run_table3(...)          # every nested search + pwl module follows
+    with engine_config.use(infer_engine="compiled", sweep_workers=2):
+        run_table4(...)          # every nested predict + sweep follows
 
 Seeded results are bit-identical across every engine choice, so the
-resolution layer can never change numbers — only speed.
+resolution layer can never change numbers — only speed.  An override is
+parsed and checked the same way wherever it comes from: ``resolve(name,
+value)`` and ``use(name=value)`` agree on every input, and a bad value
+raises :class:`ValueError` at the call (or ``with``) line.
 
 The ``use`` layers live in a :class:`contextvars.ContextVar`, so a block
 scopes its overrides to the thread (or asyncio task) that entered it.  A
@@ -80,10 +81,6 @@ _ENGINE = _one_of("eager", "compiled")
 
 #: The table.  Row order is :class:`EngineConfig`'s field order.
 KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
-    Knob("ga_engine", str, "batch", "REPRO_GA_ENGINE", _one_of("batch", "legacy"),
-         "genetic-search scoring engine"),
-    Knob("pwl_engine", str, "dense", "REPRO_PWL_ENGINE", _one_of("dense", "legacy"),
-         "pwl operator inference engine"),
     Knob("sweep_workers", int, 0, "REPRO_SWEEP_WORKERS", _at_least(0),
          "worker count (0 runs the sweep serially)"),
     Knob("artifact_dir", str, None, "REPRO_ARTIFACT_DIR", None,
@@ -151,34 +148,41 @@ def _knob(name: str) -> Knob:
         ) from None
 
 
-def _from_env(knob: Knob) -> Any:
-    """The knob's environment value (validated), or its default if unset."""
-    raw = os.environ.get(knob.env)
-    if not raw:
-        return knob.default
-    if knob.type is str:
-        value = raw
-    else:
+def _coerce(knob: Knob, value: Any, source: str) -> Any:
+    """``value`` converted to the knob's type and checked.
+
+    ``source`` names where the value came from (the env var or the field)
+    in the error.  ``None`` passes through for knobs whose default is
+    ``None`` (no artifact store, no journal).
+    """
+    if value is None and knob.default is None:
+        return None
+    if knob.type is not str:
         try:
-            value = knob.type(raw.strip())
-        except ValueError:
+            value = knob.type(value.strip() if isinstance(value, str) else value)
+        except (TypeError, ValueError):
             kind = "an integer" if knob.type is int else "a float"
             raise ValueError(
-                "%s must be %s %s, got %r" % (knob.env, kind, knob.doc, raw)
+                "%s must be %s %s, got %r" % (source, kind, knob.doc, value)
             ) from None
     if knob.check is not None:
         knob.check(knob.name, value)
     return value
 
 
+def _from_env(knob: Knob) -> Any:
+    """The knob's environment value (validated), or its default if unset."""
+    raw = os.environ.get(knob.env)
+    if not raw:
+        return knob.default
+    return _coerce(knob, raw, knob.env)
+
+
 def resolve(name: str, override: Any = None) -> Any:
     """One knob's value: ``override`` > innermost ``use`` > env > default."""
     knob = _knob(name)
     if override is not None:
-        value = override if knob.type is str else knob.type(override)
-        if knob.check is not None:
-            knob.check(name, value)
-        return value
+        return _coerce(knob, override, name)
     for layer in reversed(_LAYERS.get()):
         if name in layer:
             return layer[name]
@@ -199,17 +203,19 @@ def use(**overrides: Any) -> Iterator[EngineConfig]:
 
     Accepts any :class:`EngineConfig` field::
 
-        with engine_config.use(pwl_engine="legacy", sweep_workers=4):
+        with engine_config.use(infer_engine="compiled", sweep_workers=4):
             ...
 
-    Values are validated on entry, so a typo fails at the ``with`` line.
+    Values are converted and checked on entry exactly as
+    ``resolve(name, value)`` does, so a typo fails at the ``with`` line.
     """
     unknown = sorted(set(overrides) - set(KNOBS))
     if unknown:
         raise TypeError(
             "unknown engine-config field(s) %s; expected %s" % (unknown, list(KNOBS))
         )
-    token = _LAYERS.set(_LAYERS.get() + (dict(overrides),))
+    layer = {name: _coerce(KNOBS[name], value, name) for name, value in overrides.items()}
+    token = _LAYERS.set(_LAYERS.get() + (layer,))
     try:
         yield current()  # validates the merged configuration up front
     finally:

@@ -26,19 +26,16 @@ fitness itself run as array operations; crossover swaps are list slice
 exchanges followed by a sort.  Every row stays byte-identical to what the
 same steps produce on a ``(P, N_b)`` float64 matrix; the one place the two
 sorts can disagree, mixed ``0.0``/``-0.0``, is handled in
-:func:`swap_segment`.  Two scoring engines are available (see DESIGN.md for
-the full contract):
+:func:`swap_segment`.
 
-* ``engine="batch"`` (default) — the population is de-duplicated, filtered
-  through a cross-generation score cache keyed by each row's raw float64
-  bytes, and only the misses are stacked and scored by one
-  :meth:`FitnessFunction.batch_call`;
-* ``engine="legacy"`` — one scalar fitness call per individual, kept as the
-  reference path for equivalence tests and throughput benchmarks.
-
-Both engines consume the random stream identically and the batched fitness
-implementations are bit-identical to their scalar counterparts, so a seeded
-run returns the same :class:`GAResult` under either engine.
+Scoring de-duplicates the population, filters it through a
+cross-generation score cache keyed by each row's raw float64 bytes, and
+stacks only the misses into one :meth:`FitnessFunction.batch_call`.  The
+batched fitness implementations are bit-identical to their scalar
+counterparts, so a seeded run follows the same trajectory, and returns
+the same breakpoints and fitness values, as one scalar fitness call per
+individual; ``tests/oracles.py`` keeps that per-row scorer as the
+reference (see DESIGN.md for the full contract).
 """
 
 from __future__ import annotations
@@ -51,7 +48,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core import engine_config
 from repro.core.fitness import FitnessFunction
 from repro.core.mutation import MutationFunction, NormalMutation
 
@@ -134,8 +130,8 @@ class GAResult:
     scored generation, as Algorithm 1 accounts them); ``fitness_calls`` is
     how many individuals were actually pushed through the fitness function
     after de-duplication and score caching, and ``cache_hits`` is the number
-    of logical evaluations answered without any fitness work.  Under the
-    legacy engine ``fitness_calls == evaluations`` and ``cache_hits == 0``.
+    of logical evaluations answered without any fitness work, so
+    ``fitness_calls + cache_hits == evaluations``.
 
     ``converged_early`` is true when the ``patience`` rule of
     :meth:`GeneticSearch.run` stopped the loop.
@@ -160,16 +156,11 @@ class GeneticSearch:
     ----------
     fitness, search_range, settings, mutation:
         As in Algorithm 1 (see the module docstring).
-    engine:
-        ``"batch"`` scores each generation through
-        :meth:`FitnessFunction.batch_call` after de-duplicating rows and
-        consulting a cross-generation score cache; ``"legacy"`` scores one
-        individual at a time.  Seeded results are identical either way.
-        ``None`` (the default) resolves through
-        :mod:`repro.core.engine_config` (context > env > ``"batch"``).
     cache_size:
-        Maximum number of cached (breakpoints -> score) entries for the
-        batch engine; oldest entries are evicted first.
+        Maximum number of cached (breakpoints -> score) entries; oldest
+        entries are evicted first.  ``0`` keeps no score across
+        generations (rows repeated within one generation are still scored
+        once).
     """
 
     def __init__(
@@ -178,18 +169,17 @@ class GeneticSearch:
         search_range: Tuple[float, float],
         settings: GASettings = GASettings(),
         mutation: Optional[MutationFunction] = None,
-        engine: Optional[str] = None,
         cache_size: int = DEFAULT_CACHE_SIZE,
     ) -> None:
         lo, hi = search_range
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise ValueError("invalid search range [%r, %r]" % (lo, hi))
-        engine = engine_config.resolve("ga_engine", engine)
+        if cache_size < 0:
+            raise ValueError("cache_size must be >= 0, got %r" % (cache_size,))
         self.fitness = fitness
         self.search_range = (float(lo), float(hi))
         self.settings = settings
         self.mutation = mutation or NormalMutation(search_range=self.search_range)
-        self.engine = engine
         self._rng = np.random.default_rng(settings.seed)
         # ``struct`` packs a row of Python floats into the same native
         # float64 bytes as ``ndarray.tobytes()``: the score-cache key.
@@ -278,21 +268,16 @@ class GeneticSearch:
     # -- scoring -------------------------------------------------------------
 
     def _score(self, population: List[List[float]]) -> np.ndarray:
-        """Score every row; the batch engine dedups and caches first.
+        """Score every row, de-duplicating and consulting the cache first.
 
         Tournament selection copies winners, crossover/mutation fire
         probabilistically and RM rounds breakpoints onto coarse grids, so a
         generation routinely repeats rows — within itself and across
-        generations.  Under the batch engine each distinct row (keyed by
-        its raw float64 bytes) is scored once, all cache misses in one
+        generations.  Each distinct row (keyed by its raw float64 bytes) is
+        scored once, all cache misses in one
         :meth:`FitnessFunction.batch_call`; everything else is answered
         from the cache.
         """
-        if self.engine == "legacy":
-            self._fitness_calls += len(population)
-            return np.array(
-                [float(self.fitness(np.array(row))) for row in population], dtype=np.float64
-            )
         cache = self._cache
         keys = list(itertools.starmap(self._pack_row, population))
         scores = list(map(cache.get, keys))

@@ -163,7 +163,9 @@ class QuantizedLUT:
 
     def lookup_integer(self, q) -> np.ndarray:
         """Integer-domain pwl output ``k_i * q + (b_i >> shift)``."""
-        codes = np.asarray(q, dtype=np.float64)
+        # ``+ 0.0`` maps a rounded ``-0.0`` onto code 0: integer codes have
+        # no signed zero, and the dense table is built from code ``+0.0``.
+        codes = np.asarray(q, dtype=np.float64) + 0.0
         idx = self.segment_index(codes)
         return self.stored_slopes[idx] * codes + self.shifted_intercepts[idx]
 
@@ -258,9 +260,9 @@ class DenseLUT:
         object.__setattr__(self, "_qmax", float(self.spec.qmax))
         # Extended gather tables with one sentinel row for NaN inputs, which
         # survive the clip and would otherwise index garbage.  The sentinel
-        # replicates the legacy pipeline bitwise: its comparer sends NaN to
-        # the last segment, so the output is NaN (slope * NaN + b) while the
-        # selected slope is the top segment's finite value.
+        # replicates the QuantizedLUT pipeline bitwise: its comparer sends
+        # NaN to the last segment, so the output is NaN (slope * NaN + b)
+        # while the selected slope is the top segment's finite value.
         object.__setattr__(
             self, "_outputs_ext", np.concatenate([outputs, [np.nan]])
         )

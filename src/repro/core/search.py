@@ -168,16 +168,12 @@ class GQALUT:
         population_size: Optional[int] = None,
         seed: Optional[int] = None,
         patience: Optional[int] = None,
-        engine: Optional[str] = None,
     ) -> SearchOutcome:
         """Run Algorithm 1 and return the searched approximation.
 
         ``generations`` and ``population_size`` default to the Table 1
         values (500 / 50); smaller values are convenient for tests and quick
-        experiments.  ``engine`` selects the population scoring path of
-        :class:`GeneticSearch` (``"batch"`` or ``"legacy"``); seeded results
-        are identical for both, and ``None`` defers to
-        :mod:`repro.core.engine_config`.
+        experiments.
         """
         settings = self.config.ga_settings(
             num_entries=self.num_entries,
@@ -196,7 +192,6 @@ class GQALUT:
             search_range=self.function.search_range,
             settings=settings,
             mutation=self._mutation(),
-            engine=engine,
         )
         result = ga.run(patience=patience)
         pwl_fp = fit_pwl(

@@ -14,14 +14,12 @@ by a stable content hash of the job description (see
   breakpoints/slopes/intercepts, so table, figure and benchmark invocations
   in *different* processes share results too.
 
-On-disk layout (PR 8): artifacts **fan out into key-sharded directories**
+On-disk layout: artifacts **fan out into key-sharded directories**
 (``ab/abcd1234….npz``, shard = first two hex chars of the key) so a
-10-100x grid never lands a hundred thousand files in one directory.  The
-flat pre-shard layout is still read transparently, and
-:meth:`ArtifactStore.rebuild_manifest` migrates it in place — including
-embedding content checksums into checksum-less legacy files.  Each shard
-carries a ``MANIFEST.json`` (entry count + per-key checksums) rebuilt by
-the same pass; :meth:`ArtifactStore.gc` removes orphaned temp files and
+10-100x grid never lands a hundred thousand files in one directory.  Each
+shard carries a ``MANIFEST.json`` (entry count + per-key checksums)
+written by :meth:`ArtifactStore.rebuild_manifest`;
+:meth:`ArtifactStore.gc` removes orphaned temp files and
 unreferenced entries (age-gated, so a gc pass racing a live writer never
 deletes a just-committed artifact); :meth:`ArtifactStore.scrub` is the
 integrity sweep — it verifies every embedded SHA-256, moves corrupt files
@@ -34,9 +32,10 @@ unreadable artifact is treated as a miss and the cell is recomputed (and the
 artifact rewritten), never raised to the caller.  Reads are hardened
 against torn/corrupt files from concurrent writers: every artifact embeds
 a SHA-256 content checksum which is verified on load (a file that unzips
-but carries perturbed bytes is still a miss, counted in
-``corrupt_reads``), and writes stay atomic (temp file + ``os.replace``)
-so a reader racing a writer only ever sees a complete old or new file.
+but carries perturbed bytes, or no checksum at all, is still a miss,
+counted in ``corrupt_reads``), and writes stay atomic (temp file +
+``os.replace``) so a reader racing a writer only ever sees a complete old
+or new file.
 """
 
 from __future__ import annotations
@@ -99,7 +98,6 @@ class ScrubReport:
     scanned: int = 0
     ok: int = 0
     corrupt: int = 0
-    missing_checksum: int = 0
     quarantined: List[str] = dataclasses.field(default_factory=list)
 
 
@@ -141,20 +139,6 @@ class ArtifactStore:
         """The (sharded) artifact file backing ``key``."""
         return self.directory / self.shard_for(key) / ("%s.npz" % key)
 
-    def legacy_path_for(self, key: str) -> Path:
-        """Where the pre-shard flat layout kept ``key``."""
-        return self.directory / ("%s.npz" % key)
-
-    def _resolve(self, key: str) -> Optional[Path]:
-        """The existing file for ``key`` — sharded wins over legacy flat."""
-        sharded = self.path_for(key)
-        if sharded.exists():
-            return sharded
-        legacy = self.legacy_path_for(key)
-        if legacy.exists():
-            return legacy
-        return None
-
     def _shard_dirs(self) -> List[Path]:
         return sorted(
             child for child in self.directory.iterdir()
@@ -162,11 +146,10 @@ class ArtifactStore:
         )
 
     def _artifact_files(self) -> List[Path]:
-        """Every artifact file, sharded then flat, sorted for determinism."""
+        """Every artifact file, sorted for determinism."""
         files: List[Path] = []
         for shard in self._shard_dirs():
             files.extend(sorted(shard.glob("*.npz")))
-        files.extend(sorted(self.directory.glob("*.npz")))
         return files
 
     def keys(self) -> list:
@@ -181,7 +164,7 @@ class ArtifactStore:
     def _read_arrays(
         self, path: Path
     ) -> Tuple[Dict[str, np.ndarray], Optional[bytes]]:
-        """Raw arrays + embedded checksum (``None`` for legacy files)."""
+        """Raw arrays + embedded checksum (``None`` when it has none)."""
         with np.load(path, allow_pickle=False) as data:
             arrays = {field: np.asarray(data[field]) for field in _ARRAY_FIELDS}
             checksum = (
@@ -192,14 +175,18 @@ class ArtifactStore:
         return arrays, checksum
 
     def load(self, key: str) -> Optional[PiecewiseLinear]:
-        """Read an artifact; ``None`` on miss *or* on a corrupted file."""
-        path = self._resolve(key)
-        if path is None:
+        """Read an artifact; ``None`` on miss *or* on a corrupted file.
+
+        A file without an embedded checksum counts as corrupt: every
+        writer embeds one, so its content cannot be trusted.
+        """
+        path = self.path_for(key)
+        if not path.exists():
             return None
         fault_point("artifact.load")
         try:
             arrays, checksum = self._read_arrays(path)
-            if checksum is not None and checksum != _content_digest(arrays):
+            if checksum != _content_digest(arrays):
                 self.corrupt_reads += 1
                 return None
             return PiecewiseLinear(**arrays)
@@ -240,52 +227,30 @@ class ArtifactStore:
             raise
         return path
 
-    # -- manifest / migration --------------------------------------------
+    # -- manifest --------------------------------------------------------
 
     def rebuild_manifest(self) -> Dict[str, int]:
-        """Migrate the layout in place, then rewrite every shard manifest.
+        """Rewrite every shard's ``MANIFEST.json`` from the files on disk.
 
-        Flat pre-shard artifacts move into their shard directory; legacy
-        checksum-less files are rewritten through :meth:`save` so the
-        content checksum gets embedded (the arrays are preserved bitwise —
-        only the container changes).  Unreadable flat files are left where
-        they are for :meth:`scrub` to quarantine.  Afterwards each shard's
-        ``MANIFEST.json`` records its entry count and per-key checksums
+        Each manifest records its shard's entry count and per-key checksums
         (atomic write), giving integrity tooling a ground truth that does
-        not require opening every ``.npz``.
+        not require opening every ``.npz``.  Files that do not parse or
+        carry no checksum are left out and counted as unreadable, for
+        :meth:`scrub` to quarantine.
         """
-        migrated = 0
-        unreadable = 0
-        for path in sorted(self.directory.glob("*.npz")):
-            key = path.stem
-            try:
-                arrays, checksum = self._read_arrays(path)
-            except _READ_ERRORS:
-                unreadable += 1
-                continue
-            if checksum is None:
-                # Legacy artifact: rewrite sharded with the checksum
-                # embedded, then retire the flat file.
-                self.save(key, PiecewiseLinear(**arrays))
-                path.unlink()
-            else:
-                target = self.path_for(key)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, target)
-            migrated += 1
-
         entries_total = 0
+        unreadable = 0
         shards = 0
         for shard_dir in self._shard_dirs():
             entries: Dict[str, str] = {}
             for artifact in sorted(shard_dir.glob("*.npz")):
                 try:
-                    arrays, checksum = self._read_arrays(artifact)
+                    _, checksum = self._read_arrays(artifact)
                 except _READ_ERRORS:
+                    checksum = None
+                if checksum is None:
                     unreadable += 1
                     continue
-                if checksum is None:
-                    checksum = _content_digest(arrays)
                 entries[artifact.stem] = checksum.hex()
             manifest = {
                 "format": MANIFEST_FORMAT_VERSION,
@@ -296,12 +261,7 @@ class ArtifactStore:
             self._write_json_atomic(self.manifest_path(shard_dir.name), manifest)
             entries_total += len(entries)
             shards += 1
-        return {
-            "migrated": migrated,
-            "shards": shards,
-            "entries": entries_total,
-            "unreadable": unreadable,
-        }
+        return {"shards": shards, "entries": entries_total, "unreadable": unreadable}
 
     def read_manifest(self, shard: str) -> Optional[dict]:
         path = self.manifest_path(shard)
@@ -337,7 +297,10 @@ class ArtifactStore:
     ) -> GCReport:
         """Remove orphaned temp files and (optionally) unreferenced entries.
 
-        Everything younger than ``grace_s`` is kept, which is the entire
+        Orphans are the temp files of interrupted atomic writes: artifacts
+        (``*.npz.tmp``) and shard manifests (``*.json.tmp``) in the shard
+        directories, and the sweep's quarantine sidecar (``*.json.tmp``)
+        in the store root.  Everything younger than ``grace_s`` is kept, which is the entire
         concurrency story: a live writer's temp file and a just-committed
         artifact both have fresh mtimes, so any number of gc passes racing
         the writer — or each other — cannot delete in-progress or
@@ -352,7 +315,8 @@ class ArtifactStore:
         now = time.time() if now is None else now
         directories = [self.directory] + self._shard_dirs()
         for directory in directories:
-            for pattern in ("*.npz.tmp", ".*.npz.tmp"):
+            # ``Path.glob``'s ``*`` also matches dot-prefixed names.
+            for pattern in ("*.npz.tmp", "*.json.tmp"):
                 for tmp in directory.glob(pattern):
                     if self._older_than(tmp, now, grace_s):
                         self._unlink_quiet(tmp)
@@ -391,11 +355,10 @@ class ArtifactStore:
         A file whose recomputed digest disagrees with its embedded
         checksum — or that no longer parses at all — is moved into
         ``quarantine/`` (never deleted: the bytes stay available for
-        forensics).  The store then *self-heals*: the next access misses,
-        the seeded cell recomputes, and a checksum-valid artifact is
-        rewritten in place.  Checksum-less legacy files are counted but
-        left alone (no verdict without a checksum); run
-        :meth:`rebuild_manifest` to upgrade them.
+        forensics).  A file with no embedded checksum is quarantined too:
+        nothing can vouch for its bytes.  The store then *self-heals*: the
+        next access misses, the seeded cell recomputes, and a
+        checksum-valid artifact is rewritten in place.
         """
         report = ScrubReport()
         quarantine_dir = self.directory / QUARANTINE_DIR
@@ -405,9 +368,6 @@ class ArtifactStore:
             corrupt = False
             try:
                 arrays, checksum = self._read_arrays(artifact)
-                if checksum is None:
-                    report.missing_checksum += 1
-                    continue
                 corrupt = checksum != _content_digest(arrays)
             except _READ_ERRORS:
                 corrupt = True

@@ -205,9 +205,6 @@ def run_finetune_experiment(
     for method in methods:
         per_method = {op: approximations[(op, method)] for op in operators}
         for name, replace in replacements:
-            # The operator inference engine ("dense" | "legacy") resolves
-            # through repro.core.engine_config; seeded runs are
-            # bit-identical across engines.
             suite = PWLSuite(approximations=per_method, replace=set(replace))
             model = _build_model(model_cls, model_config, suite)
             miou = finetune(model)

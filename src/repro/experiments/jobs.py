@@ -81,8 +81,8 @@ class ApproximationJob:
         """Canonical content hash of the job (stable across processes).
 
         The key covers every field that influences the built artifact —
-        including the full budget (seed and GA engine included) and the
-        artifact format version — serialised canonically (sorted keys, no
+        including the full budget (seed included) and the artifact format
+        version — serialised canonically (sorted keys, no
         whitespace) and hashed with SHA-256.
         """
         payload = {

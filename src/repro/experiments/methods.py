@@ -91,9 +91,6 @@ def compute_approximation(
         searcher = GQALUT.for_operator(
             operator, num_entries=num_entries, use_rm=(method == "gqa-rm")
         )
-        # The population-scoring path ("batch" | "legacy") resolves through
-        # repro.core.engine_config; it never changes seeded results, so it
-        # is deliberately not part of the budget (or the artifact key).
         outcome = searcher.search(
             generations=budget.generations,
             population_size=budget.population_size,

@@ -23,8 +23,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
-from repro.core import engine_config
-from repro.core.lut import DenseLUT, QuantizedLUT, dense_lut_for
+from repro.core.lut import DenseLUT, dense_lut_for
 from repro.core.pwl import PiecewiseLinear
 from repro.functions.nonlinear import NonLinearFunction
 from repro.functions.registry import get_function
@@ -35,18 +34,6 @@ from repro.nn.quantization import PowerOfTwoQuantizer
 from repro.nn.tensor import Tensor, is_grad_enabled, is_tracing
 from repro.quant.quantizer import QuantSpec
 from repro.scaling.multi_range import MultiRangePWL, MultiRangeScaling, default_multi_range
-
-class PWLElementwise(Module):
-    """Element-wise pwl application with segment-slope gradients."""
-
-    def __init__(self, forward_fn: Callable[[np.ndarray], np.ndarray],
-                 slope_fn: Callable[[np.ndarray], np.ndarray]) -> None:
-        super().__init__()
-        self._forward_fn = forward_fn
-        self._slope_fn = slope_fn
-
-    def forward(self, x: Tensor) -> Tensor:
-        return x.apply_elementwise(self._forward_fn, self._slope_fn, name="pwl_elementwise")
 
 
 class QuantizedActivation(Module):
@@ -72,9 +59,10 @@ class PWLActivation(Module):
 
     The input passes through a power-of-two LSQ quantizer; the pwl is then
     evaluated through the quantization-aware pipeline of Fig. 1b at the
-    quantizer's current scale.  The backward pass uses the slope of the
-    selected segment, which is the exact derivative of the deployed
-    approximation.
+    quantizer's current scale, served from the :class:`DenseLUT` gather
+    tables built through :class:`QuantizedLUT`.  The backward pass uses the
+    slope of the selected segment, which is the exact derivative of the
+    deployed approximation.
     """
 
     def __init__(
@@ -83,27 +71,16 @@ class PWLActivation(Module):
         pwl: PiecewiseLinear,
         bits: int = 8,
         frac_bits: int = 5,
-        engine: Optional[str] = None,
     ) -> None:
         super().__init__()
         self.name = name
         self.pwl = pwl
         self.bits = bits
         self.frac_bits = frac_bits
-        self.engine = engine_config.resolve("pwl_engine", engine)
         self.quantizer = PowerOfTwoQuantizer(bits=bits, signed=True)
         self._spec = QuantSpec(bits=bits, signed=True)
         self._dense_table: Optional[DenseLUT] = None
         self._dense_version = -1
-
-    def _lut(self) -> QuantizedLUT:
-        scale = self.quantizer.current_scale()
-        return QuantizedLUT(
-            pwl=self.pwl,
-            scale=scale,
-            spec=self._spec,
-            frac_bits=self.frac_bits,
-        )
 
     def _dense(self) -> DenseLUT:
         """The dense table for the quantizer's current scale.
@@ -140,31 +117,25 @@ class PWLActivation(Module):
     def forward(self, x: Tensor) -> Tensor:
         if not self.quantizer.initialised:
             self.quantizer.initialise_from(x.data)
-        kernel = "pwl[%s]" % self.name
-        if self.engine == "dense":
-            table = self._dense()
-            if is_tracing() or (is_grad_enabled() and x.requires_grad):
-                # Under tracing the fused dispatch keeps the lookup on the
-                # recorded apply_op path (the graph fusion pass rewrites it
-                # to the output-only gather); elsewhere the no-grad branch
-                # below skips the Tensor/op machinery entirely.
-                return x.apply_elementwise_fused(table.lookup_with_slope, name=kernel)
-            return Tensor(table(x.data))
-        lut = self._lut()
-
-        def forward_fn(data: np.ndarray) -> np.ndarray:
-            return lut(data)
-
-        def slope_fn(data: np.ndarray) -> np.ndarray:
-            q = np.clip(np.round(data / lut.scale), lut.spec.qmin, lut.spec.qmax)
-            idx = lut.segment_index(q)
-            return lut.stored_slopes[idx]
-
-        return x.apply_elementwise(forward_fn, slope_fn, name=kernel)
+        table = self._dense()
+        if is_tracing() or (is_grad_enabled() and x.requires_grad):
+            # Under tracing the fused dispatch keeps the lookup on the
+            # recorded apply_op path (the graph fusion pass rewrites it to
+            # the output-only gather); elsewhere the no-grad branch below
+            # skips the Tensor/op machinery entirely.
+            return x.apply_elementwise_fused(
+                table.lookup_with_slope, name="pwl[%s]" % self.name
+            )
+        return Tensor(table(x.data))
 
 
 class PWLWideRange(Module):
-    """Wide-range operator (DIV / RSQRT) replaced by a multi-range pwl."""
+    """Wide-range operator (DIV / RSQRT) replaced by a multi-range pwl.
+
+    Wide-range inputs are not integer codes, so there is no dense table;
+    the forward classifies each input once against the precomputed slot
+    tables and produces output and slope together.
+    """
 
     def __init__(
         self,
@@ -172,11 +143,9 @@ class PWLWideRange(Module):
         pwl: PiecewiseLinear,
         scaling: Optional[MultiRangeScaling] = None,
         frac_bits: int = 5,
-        engine: Optional[str] = None,
     ) -> None:
         super().__init__()
         self.name = name
-        self.engine = engine_config.resolve("pwl_engine", engine)
         self.scaling = scaling or default_multi_range(name)
         self.wrapped = MultiRangePWL(pwl=pwl, scaling=self.scaling, frac_bits=frac_bits)
 
@@ -190,28 +159,11 @@ class PWLWideRange(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         wrapped = self.wrapped
-        kernel = "pwl_wide[%s]" % self.name
-        if self.engine == "dense":
-            # Wide-range inputs are not integer codes, so there is no dense
-            # table; the engine win here is the fused single-classification
-            # pass that produces output and slope together.
-            if is_tracing() or (is_grad_enabled() and x.requires_grad):
-                return x.apply_elementwise_fused(wrapped.lookup_with_slope, name=kernel)
-            return Tensor(wrapped.lookup(x.data))
-        fxp = wrapped.fxp_pwl
-
-        def forward_fn(data: np.ndarray) -> np.ndarray:
-            return wrapped(data)
-
-        def slope_fn(data: np.ndarray) -> np.ndarray:
-            # d/dx [ factor * pwl(scale * x) ] = factor * slope * scale; the
-            # input scale equals factor**(1/rescale_power) only for DIV, so
-            # it comes explicitly from the classification.
-            scaled, factor, input_scale = wrapped.scaling.rescale_input_with_scale(data)
-            idx = fxp.segment_index(scaled)
-            return factor * fxp.slopes[idx] * input_scale
-
-        return x.apply_elementwise(forward_fn, slope_fn, name=kernel)
+        if is_tracing() or (is_grad_enabled() and x.requires_grad):
+            return x.apply_elementwise_fused(
+                wrapped.lookup_with_slope, name="pwl_wide[%s]" % self.name
+            )
+        return Tensor(wrapped.lookup(x.data))
 
 
 class PWLLayerNorm(Module):
@@ -315,11 +267,9 @@ class PWLSuite(OperatorSuite):
     bits, frac_bits:
         Deployment precision of the pwl units.
     engine:
-        Operator inference engine: ``"dense"`` (precomputed gather tables,
-        fused forward/backward) or ``"legacy"`` (per-pass Fig. 1b pipeline).
-        Seeded fine-tuning runs are bit-identical across engines.  ``None``
-        (the default) resolves through :mod:`repro.core.engine_config`
-        (context > env > ``"dense"``) when the suite is constructed.
+        Accepted so callers that still name the engine keep working (the
+        repository benchmark passes ``engine="dense"``); ``"dense"`` is the
+        only engine, and ``None`` means the same.
     """
 
     approximations: Dict[str, PiecewiseLinear]
@@ -330,7 +280,8 @@ class PWLSuite(OperatorSuite):
     engine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        self.engine = engine_config.resolve("pwl_engine", self.engine)
+        if self.engine not in (None, "dense"):
+            raise ValueError("unknown pwl engine %r; expected 'dense'" % (self.engine,))
 
     def _should_replace(self, op: str) -> bool:
         return op in self.replace and op in self.approximations
@@ -338,25 +289,25 @@ class PWLSuite(OperatorSuite):
     def activation(self, kind: str) -> Module:
         if self._should_replace(kind):
             return PWLActivation(kind, self.approximations[kind], bits=self.bits,
-                                 frac_bits=self.frac_bits, engine=self.engine)
+                                 frac_bits=self.frac_bits)
         return QuantizedActivation(kind, bits=self.bits)
 
     def exp_fn(self) -> Callable[[Tensor], Tensor]:
         if self._should_replace("exp"):
             return PWLActivation("exp", self.approximations["exp"], bits=self.bits,
-                                 frac_bits=self.frac_bits, engine=self.engine)
+                                 frac_bits=self.frac_bits)
         return QuantizedActivation("exp", bits=self.bits)
 
     def reciprocal_fn(self) -> Callable[[Tensor], Tensor]:
         if self._should_replace("div"):
             return PWLWideRange("div", self.approximations["div"],
-                                frac_bits=self.frac_bits, engine=self.engine)
+                                frac_bits=self.frac_bits)
         return lambda t: 1.0 / t
 
     def layer_norm(self, num_features: int) -> Module:
         if self._should_replace("rsqrt"):
             rsqrt = PWLWideRange("rsqrt", self.approximations["rsqrt"],
-                                 frac_bits=self.frac_bits, engine=self.engine)
+                                 frac_bits=self.frac_bits)
             return PWLLayerNorm(num_features, rsqrt)
         return LayerNorm(num_features)
 

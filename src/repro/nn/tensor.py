@@ -325,8 +325,9 @@ class Tensor:
     def apply_elementwise(self, forward_fn, grad_fn, name: Optional[str] = None) -> "Tensor":
         """Generic element-wise op: ``y = forward_fn(x)``, ``dy/dx = grad_fn(x)``.
 
-        Used by the pwl-replacement modules, whose forward is a table lookup
-        and whose backward is the selected segment's slope.  ``name`` is an
+        Used by the reference pwl modules (``tests/oracles.py``), whose
+        forward is a table lookup and whose backward is the selected
+        segment's slope, re-derived from the input.  ``name`` is an
         optional stable identifier for the kernel — graph traces and error
         messages would otherwise only see an opaque callable.
         """

@@ -26,8 +26,9 @@ the repo can serve:
   validity masks enter as dense float inputs.
 
 Decode parity contract: for a fixed model state, **greedy token streams
-are identical** across eager/compiled × cached/uncached × dense/legacy pwl
-engines (pinned by the decode parity suite).  Cached-vs-uncached *logits*
+are identical** across eager/compiled × cached/uncached, and equal to the
+reference per-pass pwl pipeline kept in ``tests/oracles.py`` (pinned by
+the decode parity suite).  Cached-vs-uncached *logits*
 agree only to float noise — padded attention rows change numpy's pairwise
 summation split points and BLAS blocking — which is why the contract is
 stream-level; eager-cached vs compiled-cached logits ARE bit-identical

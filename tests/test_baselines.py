@@ -159,7 +159,7 @@ class TestIBert:
 
 
 class TestNNLUTDeployment:
-    """NN-LUT routed through the dense / legacy inference engines."""
+    """NN-LUT deployed as the dense table of its Fig. 1b unit."""
 
     def test_deploy_engines_bit_identical_over_all_codes(self, trained_gelu_nnlut):
         import numpy as np
@@ -167,10 +167,9 @@ class TestNNLUTDeployment:
         from repro.core.lut import DenseLUT, QuantizedLUT
 
         scale = 2.0 ** -4
-        dense = trained_gelu_nnlut.deploy(scale, engine="dense")
-        legacy = trained_gelu_nnlut.deploy(scale, engine="legacy")
+        dense = trained_gelu_nnlut.deploy(scale)
+        legacy = QuantizedLUT(pwl=trained_gelu_nnlut.extract_fxp_pwl(), scale=scale)
         assert isinstance(dense, DenseLUT)
-        assert isinstance(legacy, QuantizedLUT)
         codes = np.arange(legacy.spec.qmin, legacy.spec.qmax + 1, dtype=np.float64)
         np.testing.assert_array_equal(
             dense.lookup_codes(codes), legacy.lookup_dequantized(codes)
@@ -188,9 +187,3 @@ class TestNNLUTDeployment:
         dense = nn.deploy(0.25)
         assert nn._trained
         assert dense.num_codes == 256
-
-    def test_deploy_rejects_unknown_engine(self, trained_gelu_nnlut):
-        import pytest
-
-        with pytest.raises(ValueError):
-            trained_gelu_nnlut.deploy(0.25, engine="turbo")

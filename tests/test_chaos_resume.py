@@ -221,6 +221,26 @@ class TestGCRaces:
         assert not orphan.exists()
         assert store.load(key) is None
 
+    def test_gc_reaps_aged_json_tmp_orphans_and_keeps_fresh_ones(self, tmp_path):
+        # A crash between mkstemp and os.replace leaves the temp file of a
+        # shard manifest (in the shard) or of the quarantine sidecar (in
+        # the store root) behind.
+        store = ArtifactStore(tmp_path)
+        (tmp_path / "ab").mkdir()
+        aged = [tmp_path / "ab" / ".manifest-x1.json.tmp",
+                tmp_path / ".quarantine-x2.json.tmp"]
+        fresh = tmp_path / ".quarantine-x3.json.tmp"
+        now = time.time()
+        for path in aged + [fresh]:
+            path.write_text("{")
+        for path in aged:
+            os.utime(path, (now - 120.0, now - 120.0))
+        report = store.gc(grace_s=60.0, now=now)
+        assert report.tmp_removed == 2
+        assert report.kept_recent == 1
+        assert not any(path.exists() for path in aged)
+        assert fresh.exists()
+
 
 class TestPersistedQuarantine:
     POISON = FaultPlan(specs=(

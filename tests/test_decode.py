@@ -3,7 +3,9 @@
 The decode stack's contract, pinned here:
 
 * greedy token streams are **identical** across eager/compiled ×
-  cached/uncached × float/pwl-dense/pwl-legacy, at several prompt lengths;
+  cached/uncached × float/pwl-dense/pwl-legacy, at several prompt lengths,
+  and the dense streams equal the reference per-pass pwl pipeline of
+  ``oracles.py`` (the ``legacy`` suite);
 * eager-cached vs compiled-cached *logits* are **bit-identical** (the
   compiled plan replays the same ops on the same arrays);
 * cache capacity grows in power-of-two buckets, crossings preserve the
@@ -38,6 +40,8 @@ from repro.nn.transformer import (
 )
 from repro.serve import BatchingServer
 
+from oracles import ReferencePWLSuite
+
 
 def build_approximation(operator: str, num_entries: int = 8) -> PiecewiseLinear:
     fn = get_function(operator)
@@ -46,14 +50,14 @@ def build_approximation(operator: str, num_entries: int = 8) -> PiecewiseLinear:
 
 
 def build_suite(kind: str):
-    """A fresh operator suite: ``float`` or a full pwl suite per engine."""
+    """A fresh operator suite: ``float``, ``dense`` pwl or the ``legacy``
+    reference pwl pipeline."""
     if kind == "float":
         return FloatSuite()
     approximations = {op: build_approximation(op)
                       for op in ("exp", "gelu", "div", "rsqrt")}
-    return PWLSuite(
-        approximations, replace={"exp", "gelu", "div", "rsqrt"}, engine=kind
-    )
+    suite_cls = {"dense": PWLSuite, "legacy": ReferencePWLSuite}[kind]
+    return suite_cls(approximations, replace={"exp", "gelu", "div", "rsqrt"})
 
 
 SMALL = DecoderConfig(
@@ -128,6 +132,9 @@ class TestDecodeStreamParity:
                     model, prompt, 8, cache=cache, engine=engine
                 )
         reference = streams[(False, "eager")]
+        if kind == "dense":
+            reference = greedy_generate(make_model("legacy"), prompt, 8, cache=False,
+                                        engine="eager")
         assert len(reference) == 8
         assert all(stream == reference for stream in streams.values()), streams
 

@@ -1,8 +1,8 @@
 """Resolution-order tests for the unified engine configuration.
 
 The contract: every engine knob resolves **kwarg > context > env >
-default**, the ``use`` context manager nests innermost-wins, and the
-consumers (GeneticSearch, the pwl modules, NNLUT.deploy, SweepEngine)
+default**, the ``use`` context manager nests innermost-wins and parses
+its values exactly as ``resolve`` parses an override, and the consumers
 actually route through it.
 """
 
@@ -17,8 +17,6 @@ from repro.core.engine_config import KNOBS, EngineConfig, current, resolve, use
 class TestTable:
     def test_fields_defaults_and_env_vars(self):
         assert {name: (knob.default, knob.env) for name, knob in KNOBS.items()} == {
-            "ga_engine": ("batch", "REPRO_GA_ENGINE"),
-            "pwl_engine": ("dense", "REPRO_PWL_ENGINE"),
             "sweep_workers": (0, "REPRO_SWEEP_WORKERS"),
             "artifact_dir": (None, "REPRO_ARTIFACT_DIR"),
             "infer_engine": ("eager", "REPRO_INFER_ENGINE"),
@@ -49,7 +47,7 @@ class TestTable:
         with pytest.raises(ValueError, match="sweep_lease_s must be > 0"):
             resolve("sweep_lease_s", 0)
         with pytest.raises(ValueError, match="unknown engine"):
-            resolve("ga_engine", "turbo")
+            resolve("infer_engine", "turbo")
 
     def test_resolve_rejects_unknown_fields(self):
         with pytest.raises(TypeError, match="unknown engine-config field"):
@@ -59,17 +57,11 @@ class TestTable:
 class TestDefaults:
     def test_defaults(self):
         config = current()
-        assert config.ga_engine == "batch"
-        assert config.pwl_engine == "dense"
         assert config.sweep_workers == 0
         assert config.artifact_dir is None
         assert config.infer_engine == "eager"
 
     def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(ga_engine="turbo")
-        with pytest.raises(ValueError):
-            EngineConfig(pwl_engine="sparse")
         with pytest.raises(ValueError):
             EngineConfig(sweep_workers=-1)
         with pytest.raises(ValueError):
@@ -109,32 +101,32 @@ class TestDefaults:
 
 class TestResolutionOrder:
     def test_kwarg_beats_context(self):
-        with use(ga_engine="legacy"):
-            assert resolve("ga_engine", "batch") == "batch"
-            assert resolve("ga_engine") == "legacy"
+        with use(decode_engine="compiled"):
+            assert resolve("decode_engine", "eager") == "eager"
+            assert resolve("decode_engine") == "compiled"
 
     def test_context_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_PWL_ENGINE", "legacy")
-        assert resolve("pwl_engine") == "legacy"
-        with use(pwl_engine="dense"):
-            assert resolve("pwl_engine") == "dense"
+        monkeypatch.setenv("REPRO_DECODE_ENGINE", "compiled")
+        assert resolve("decode_engine") == "compiled"
+        with use(decode_engine="eager"):
+            assert resolve("decode_engine") == "eager"
 
     def test_env_beats_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_GA_ENGINE", "legacy")
+        monkeypatch.setenv("REPRO_DECODE_ENGINE", "compiled")
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "3")
         monkeypatch.setenv("REPRO_ARTIFACT_DIR", "/tmp/artifacts-here")
         config = current()
-        assert config.ga_engine == "legacy"
+        assert config.decode_engine == "compiled"
         assert config.sweep_workers == 3
         assert config.artifact_dir == "/tmp/artifacts-here"
 
     def test_contexts_nest_innermost_wins(self):
-        with use(ga_engine="legacy", sweep_workers=2):
-            with use(ga_engine="batch"):
-                assert resolve("ga_engine") == "batch"
+        with use(decode_engine="compiled", sweep_workers=2):
+            with use(decode_engine="eager"):
+                assert resolve("decode_engine") == "eager"
                 assert resolve("sweep_workers") == 2  # outer layer still applies
-            assert resolve("ga_engine") == "legacy"
-        assert resolve("ga_engine") == "batch"
+            assert resolve("decode_engine") == "compiled"
+        assert resolve("decode_engine") == "eager"
 
     def test_nested_equal_layers_restore_the_exiting_layer(self):
         with use(infer_engine="compiled"):
@@ -164,10 +156,10 @@ class TestResolutionOrder:
 
     def test_use_validates_on_entry(self):
         with pytest.raises(ValueError):
-            with use(pwl_engine="turbo"):
+            with use(infer_engine="turbo"):
                 pass  # pragma: no cover - never reached
         # The broken layer must not leak into later resolutions.
-        assert resolve("pwl_engine") == "dense"
+        assert resolve("infer_engine") == "eager"
 
     def test_use_rejects_unknown_fields(self):
         with pytest.raises(TypeError, match="unknown engine-config field"):
@@ -185,49 +177,53 @@ class TestResolutionOrder:
             assert resolve("artifact_dir") == "/tmp/ctx"
 
 
-class TestConsumers:
-    def test_genetic_search_resolves_engine(self):
-        from repro.core.genetic import GeneticSearch
-        from repro.core.fitness import FitnessFunction
+class TestUseParsesLikeResolve:
+    """``use(name=v)`` and ``resolve(name, v)`` agree on every input."""
 
-        class _Width(FitnessFunction):
-            def __call__(self, breakpoints):
-                return float(breakpoints[-1] - breakpoints[0])
+    @pytest.mark.parametrize("name,value", [
+        ("sweep_workers", 4),
+        ("sweep_workers", 2.7),
+        ("sweep_workers", "3"),
+        ("sweep_lease_s", 2),
+        ("sweep_lease_s", 0.5),
+        ("sweep_lease_s", " 1.5 "),
+        ("retry_attempts", "2"),
+        ("infer_engine", "compiled"),
+        ("artifact_dir", "/tmp/ctx"),
+    ])
+    def test_use_value_matches_resolve_override(self, name, value):
+        expected = resolve(name, value)
+        with use(**{name: value}) as config:
+            assert resolve(name) == expected
+            assert type(resolve(name)) is type(expected)
+            assert getattr(config, name) == expected
 
-        with use(ga_engine="legacy"):
-            assert GeneticSearch(_Width(), (-1.0, 1.0)).engine == "legacy"
-        assert GeneticSearch(_Width(), (-1.0, 1.0)).engine == "batch"
-        assert GeneticSearch(_Width(), (-1.0, 1.0), engine="legacy").engine == "legacy"
+    @pytest.mark.parametrize("name,value", [
+        ("sweep_workers", "many"),
+        ("sweep_workers", -1),
+        ("sweep_workers", "-1"),
+        ("sweep_lease_s", 0),
+        ("sweep_lease_s", "slow"),
+        ("infer_engine", "jit"),
+    ])
+    def test_bad_value_fails_at_the_with_line(self, name, value):
         with pytest.raises(ValueError):
-            GeneticSearch(_Width(), (-1.0, 1.0), engine="turbo")
+            resolve(name, value)
+        with pytest.raises(ValueError):
+            with use(**{name: value}):
+                pytest.fail("the block must not run")  # pragma: no cover
+        assert resolve(name) == KNOBS[name].default
 
-    def test_pwl_modules_resolve_engine(self):
-        from repro.core.pwl import fit_pwl, uniform_breakpoints
-        from repro.functions.registry import get_function
-        from repro.nn.approx import PWLActivation, PWLWideRange
+    def test_none_only_clears_knobs_that_default_to_none(self, monkeypatch):
+        monkeypatch.setenv("REPRO_ARTIFACT_DIR", "/tmp/from-env")
+        with use(artifact_dir=None):
+            assert resolve("artifact_dir") is None
+        with pytest.raises(ValueError):
+            with use(sweep_workers=None):
+                pass  # pragma: no cover - never reached
 
-        fn = get_function("gelu")
-        pwl = fit_pwl(fn.fn, uniform_breakpoints(*fn.search_range, 8),
-                      fn.search_range).to_fixed_point(5)
-        with use(pwl_engine="legacy"):
-            assert PWLActivation("gelu", pwl).engine == "legacy"
-            assert PWLWideRange("div", pwl).engine == "legacy"
-        assert PWLActivation("gelu", pwl).engine == "dense"
-        assert PWLActivation("gelu", pwl, engine="legacy").engine == "legacy"
 
-    def test_nnlut_deploy_resolves_engine(self):
-        from repro.baselines.nn_lut import NNLUT, NNLUTTrainingConfig
-        from repro.core.lut import DenseLUT, QuantizedLUT
-        from repro.functions.registry import get_function
-
-        nn = NNLUT(get_function("gelu"), num_entries=8,
-                   config=NNLUTTrainingConfig(num_samples=500, iterations=30, seed=0))
-        nn.train()
-        assert isinstance(nn.deploy(0.25), DenseLUT)
-        with use(pwl_engine="legacy"):
-            assert isinstance(nn.deploy(0.25), QuantizedLUT)
-        assert isinstance(nn.deploy(0.25, engine="legacy"), QuantizedLUT)
-
+class TestConsumers:
     def test_sweep_engine_resolves_workers(self):
         from repro.experiments.jobs import SweepEngine
 

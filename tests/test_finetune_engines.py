@@ -1,9 +1,10 @@
-"""Engine contract for the fine-tuning stack: dense == legacy, bit for bit.
+"""Fine-tuning contract: dense tables == the reference pipeline, bit for bit.
 
 A seeded quantization-aware fine-tune at the ``FinetuneBudget.quick()``
 budget must produce *identical* losses and validation mIoU whether the pwl
-operators run on the dense-table engine or the legacy Fig. 1b pipeline —
-the same contract PR 1 pinned for the genetic search engines.
+operators run on the dense tables or on the per-pass Fig. 1b reference
+pipeline of ``oracles.py`` — the contract the genetic search holds against
+its per-row scorer.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import engine_config
 from repro.core.pwl import fit_pwl, uniform_breakpoints
 from repro.data.synthetic_segmentation import (
     SyntheticSegmentationConfig,
@@ -22,6 +22,8 @@ from repro.functions.registry import get_function
 from repro.nn.approx import PWLSuite
 from repro.nn.models import MiniEfficientViT, MiniSegformer, ModelConfig
 from repro.nn.training import Trainer, TrainingConfig, prepare_quantized_model
+
+from oracles import ReferencePWLSuite
 
 SEGFORMER_OPS = ("exp", "gelu", "div", "rsqrt")
 EFFICIENTVIT_OPS = ("hswish", "div")
@@ -36,7 +38,7 @@ def _approximations(operators):
     return out
 
 
-def _finetune(model_cls, operators, engine, budget, via_config=False):
+def _finetune(model_cls, operators, suite_cls, budget):
     dataset = SyntheticSegmentationDataset(
         SyntheticSegmentationConfig(
             image_size=budget.image_size,
@@ -53,18 +55,7 @@ def _finetune(model_cls, operators, engine, budget, via_config=False):
         depth=budget.depth,
         seed=budget.seed,
     )
-    if via_config:
-        with engine_config.use(pwl_engine=engine):
-            suite = PWLSuite(
-                approximations=_approximations(operators),
-                replace=set(operators),
-            )
-    else:
-        suite = PWLSuite(
-            approximations=_approximations(operators),
-            replace=set(operators),
-            engine=engine,
-        )
+    suite = suite_cls(approximations=_approximations(operators), replace=set(operators))
     model = model_cls(config, suite=suite)
     prepare_quantized_model(model)
     trainer = Trainer(
@@ -90,32 +81,18 @@ class TestSeededEngineParity:
     )
     def test_quick_finetune_identical_across_engines(self, model_cls, operators):
         budget = FinetuneBudget.quick()
-        legacy = _finetune(model_cls, operators, "legacy", budget)
-        dense = _finetune(model_cls, operators, "dense", budget)
+        legacy = _finetune(model_cls, operators, ReferencePWLSuite, budget)
+        dense = _finetune(model_cls, operators, PWLSuite, budget)
         assert legacy.losses == dense.losses
         assert legacy.val_miou == dense.val_miou
         assert legacy.val_pixel_accuracy == dense.val_pixel_accuracy
         assert legacy.train_miou == dense.train_miou
 
-    def test_config_resolved_engine_matches_explicit_kwarg(self):
-        """engine_config.use(pwl_engine=...) == passing engine= explicitly."""
-        budget = FinetuneBudget.quick()
-        for engine in ("legacy", "dense"):
-            explicit = _finetune(MiniEfficientViT, EFFICIENTVIT_OPS, engine, budget)
-            via_config = _finetune(MiniEfficientViT, EFFICIENTVIT_OPS, engine, budget,
-                                   via_config=True)
-            assert explicit.losses == via_config.losses
-            assert explicit.val_miou == via_config.val_miou
-
-    def test_suite_resolves_engine_from_config(self):
-        assert PWLSuite(approximations={}).engine == "dense"
-        with engine_config.use(pwl_engine="legacy"):
-            assert PWLSuite(approximations={}).engine == "legacy"
-        assert PWLSuite(approximations={}, engine="legacy").engine == "legacy"
-
     def test_suite_rejects_unknown_engine(self):
-        with pytest.raises(ValueError):
-            PWLSuite(approximations={}, engine="turbo")
+        assert PWLSuite(approximations={}, engine="dense").engine == "dense"
+        for engine in ("turbo", "legacy"):
+            with pytest.raises(ValueError):
+                PWLSuite(approximations={}, engine=engine)
 
 
 class TestTrainerEvaluateModeRestore:

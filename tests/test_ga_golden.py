@@ -1,12 +1,13 @@
 """Golden GA trajectory: a SHA-256 over every seeded search of a reduced
 Table 3 grid.
 
-The batch and legacy engines share one generation loop, so an accidental
-change to the random stream or to the order of tournament, crossover or
-mutation passes every engine-parity test.  This digest does not: it covers
-every :class:`GAResult` field (including ``history`` and the work counters)
-and the deployed FXP slopes and intercepts, for the Table 3 operators x
-{RM, w/o RM} x {8, 16} entries x two seeds at 60 generations.
+The search and its per-row scoring oracle (``oracles.py``) share one
+generation loop, so an accidental change to the random stream or to the
+order of tournament, crossover or mutation passes every scorer-parity
+test.  This digest does not: it covers every :class:`GAResult` field
+(including ``history`` and the work counters) and the deployed FXP slopes
+and intercepts, for the Table 3 operators x {RM, w/o RM} x {8, 16}
+entries x two seeds at 60 generations.
 
 The digest pins float64 bits, so it also depends on the platform's
 ``exp``/``erf`` kernels (GELU and EXP sample them); it was recorded on
@@ -45,8 +46,7 @@ def trajectory_digest() -> str:
                     outcome = GQALUT.for_operator(
                         operator, num_entries=entries, use_rm=use_rm
                     ).search(
-                        generations=GENERATIONS, population_size=POPULATION,
-                        seed=seed, engine="batch",
+                        generations=GENERATIONS, population_size=POPULATION, seed=seed,
                     )
                     ga = outcome.ga_result
                     digest.update(repr((operator, use_rm, entries, seed)).encode())

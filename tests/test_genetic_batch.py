@@ -4,8 +4,8 @@ Pins the three contracts DESIGN.md documents:
 
 * batched fitness scores are bit-identical to scalar scores (to well below
   the issue's 1e-12 bound — exactly equal);
-* a seeded ``GeneticSearch.run`` returns identical results under the
-  batched and per-individual (legacy) engines, for both mutation operators;
+* a seeded ``GeneticSearch.run`` returns identical results to the
+  per-individual scorer in ``oracles.py``, for both mutation operators;
 * the dedup + score cache only removes redundant fitness work — it never
   changes the trajectory — and the crossover window can start at the last
   breakpoint index;
@@ -26,6 +26,8 @@ from repro.core.mutation import NormalMutation, RoundingMutation
 from repro.core.pwl import fit_pwl_batch
 from repro.core.search import GQALUT
 from repro.functions.registry import get_function
+
+from oracles import PerRowGeneticSearch, per_row_search
 
 
 def make_population(fn, size=20, num_breakpoints=7, seed=0):
@@ -78,16 +80,12 @@ class TestBatchFitnessEquivalence:
 
 class TestEngineParity:
     def run_pair(self, operator="gelu", use_rm=True, seed=0, generations=25, pop=14):
-        results = {}
-        for engine in ("batch", "legacy"):
-            outcome = GQALUT.for_operator(operator, num_entries=8, use_rm=use_rm).search(
-                generations=generations,
-                population_size=pop,
-                seed=seed,
-                engine=engine,
-            )
-            results[engine] = outcome.ga_result
-        return results["batch"], results["legacy"]
+        """The batch search and its per-row oracle on the same seeded cell."""
+        searcher = GQALUT.for_operator(operator, num_entries=8, use_rm=use_rm)
+        budget = dict(generations=generations, population_size=pop, seed=seed)
+        batch = searcher.search(**budget).ga_result
+        legacy = per_row_search(searcher, **budget).ga_result
+        return batch, legacy
 
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_seeded_run_identical_across_engines_rm(self, seed):
@@ -112,19 +110,10 @@ class TestEngineParity:
         settings = GASettings(
             num_breakpoints=5, population_size=10, generations=12, seed=11
         )
-        results = {}
-        for engine in ("batch", "legacy"):
-            ga = GeneticSearch(WidthFitness(), (-4.0, 4.0), settings, engine=engine)
-            results[engine] = ga.run()
-        np.testing.assert_array_equal(
-            results["batch"].best_breakpoints, results["legacy"].best_breakpoints
-        )
-        assert results["batch"].history == results["legacy"].history
-
-    def test_unknown_engine_rejected(self):
-        fitness = GridMSEFitness(get_function("gelu"), grid_step=0.1)
-        with pytest.raises(ValueError):
-            GeneticSearch(fitness, (-4.0, 4.0), engine="turbo")
+        batch = GeneticSearch(WidthFitness(), (-4.0, 4.0), settings).run()
+        legacy = PerRowGeneticSearch(WidthFitness(), (-4.0, 4.0), settings).run()
+        np.testing.assert_array_equal(batch.best_breakpoints, legacy.best_breakpoints)
+        assert batch.history == legacy.history
 
 
 class TestDedupCache:
@@ -143,12 +132,12 @@ class TestDedupCache:
         fn = get_function("gelu")
         fitness = GridMSEFitness(fn, grid_step=0.05)
         settings = GASettings(num_breakpoints=7, population_size=8, generations=3, seed=1)
-        for engine in ("batch", "legacy"):
-            ga = GeneticSearch(fitness, fn.search_range, settings, engine=engine)
+        for search_cls in (GeneticSearch, PerRowGeneticSearch):
+            ga = search_cls(fitness, fn.search_range, settings)
             first, second = ga.run(), ga.run()
             for result in (first, second):
                 assert result.fitness_calls + result.cache_hits == result.evaluations
-            if engine == "legacy":
+            if search_cls is PerRowGeneticSearch:
                 assert second.fitness_calls == second.evaluations
             else:
                 # Second run starts with a warm cache: strictly less work.
@@ -163,7 +152,7 @@ class TestDedupCache:
                 return np.zeros(1)  # wrong length
 
         settings = GASettings(num_breakpoints=3, population_size=6, generations=2, seed=0)
-        ga = GeneticSearch(BrokenFitness(), (-1.0, 1.0), settings, engine="batch")
+        ga = GeneticSearch(BrokenFitness(), (-1.0, 1.0), settings)
         with pytest.raises(ValueError):
             ga.run()
 
@@ -173,12 +162,23 @@ class TestDedupCache:
         settings = GASettings(
             num_breakpoints=7, population_size=10, generations=15, seed=4
         )
-        tiny = GeneticSearch(fitness, fn.search_range, settings, engine="batch", cache_size=8)
-        full = GeneticSearch(fitness, fn.search_range, settings, engine="batch")
+        tiny = GeneticSearch(fitness, fn.search_range, settings, cache_size=8)
+        full = GeneticSearch(fitness, fn.search_range, settings)
         a, b = tiny.run(), full.run()
         np.testing.assert_array_equal(a.best_breakpoints, b.best_breakpoints)
         assert a.history == b.history
         assert a.fitness_calls >= b.fitness_calls  # eviction re-scores, never corrupts
+
+    def test_cache_size_zero_is_legal_and_negative_rejected(self):
+        fn = get_function("gelu")
+        fitness = GridMSEFitness(fn, grid_step=0.05)
+        settings = GASettings(num_breakpoints=7, population_size=10, generations=6, seed=2)
+        uncached = GeneticSearch(fitness, fn.search_range, settings, cache_size=0).run()
+        reference = GeneticSearch(fitness, fn.search_range, settings).run()
+        np.testing.assert_array_equal(uncached.best_breakpoints, reference.best_breakpoints)
+        assert uncached.history == reference.history
+        with pytest.raises(ValueError, match="cache_size"):
+            GeneticSearch(fitness, fn.search_range, settings, cache_size=-1)
 
 
 def matrix_swap(a: np.ndarray, b: np.ndarray, start: int, stop: int) -> None:

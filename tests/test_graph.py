@@ -1,7 +1,8 @@
 """Tests for the traced graph IR, optimisation passes and compiled executor.
 
 The load-bearing contract: compiled inference is **bit-identical** to the
-eager forward for every model family and every pwl engine, across the
+eager forward for every model family, on the dense pwl tables and on the
+reference pwl pipeline of ``oracles.py`` alike, across the
 capture (tracer), optimize (DCE / constant folding / dense-LUT fusion /
 buffer plan) and execute (CompiledGraph / CompiledModel) layers.
 """
@@ -36,7 +37,8 @@ from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, CosineSchedule
 from repro.nn.tensor import Tensor, no_grad, tracing
 from repro.nn.training import Trainer, TrainingConfig, prepare_quantized_model
-from repro.quant.quantizer import QuantSpec
+
+from oracles import ReferencePWLActivation, ReferencePWLSuite
 
 
 def build_approximation(operator: str, num_entries: int = 8) -> PiecewiseLinear:
@@ -49,12 +51,17 @@ def small_config() -> ModelConfig:
     return ModelConfig(image_size=16, embed_dim=16, depth=1)
 
 
-def build_pwl_model(model_cls, operators, engine: str):
-    suite = PWLSuite(
+def pwl_suite(operators, engine: str) -> PWLSuite:
+    """The dense suite, or (``engine="legacy"``) the reference oracle suite."""
+    suite_cls = {"dense": PWLSuite, "legacy": ReferencePWLSuite}[engine]
+    return suite_cls(
         approximations={op: build_approximation(op) for op in operators},
         replace=set(operators),
-        engine=engine,
     )
+
+
+def build_pwl_model(model_cls, operators, engine: str):
+    suite = pwl_suite(operators, engine)
     model = model_cls(small_config(), suite=suite)
     prepare_quantized_model(model)
     model.eval()
@@ -169,7 +176,7 @@ class TestPasses:
         np.testing.assert_array_equal(CompiledGraph(folded).run(x)[0], expected)
 
     def test_fusion_rewrites_dense_lut_dispatch(self):
-        module = PWLActivation("gelu", build_approximation("gelu"), engine="dense")
+        module = PWLActivation("gelu", build_approximation("gelu"))
         x = np.random.default_rng(4).normal(size=(5, 7))
         with no_grad():
             eager = module(Tensor(x)).data
@@ -184,7 +191,7 @@ class TestPasses:
         np.testing.assert_array_equal(CompiledGraph(fused).run(x)[0], eager)
 
     def test_fusion_rewrites_multirange_dispatch(self):
-        module = PWLWideRange("rsqrt", build_approximation("rsqrt"), engine="dense")
+        module = PWLWideRange("rsqrt", build_approximation("rsqrt"))
         x = np.abs(np.random.default_rng(5).normal(size=(4, 4))) * 200 + 0.5
         with no_grad():
             eager = module(Tensor(x)).data
@@ -193,7 +200,7 @@ class TestPasses:
         np.testing.assert_array_equal(CompiledGraph(fused).run(x)[0], eager)
 
     def test_legacy_engine_is_not_fused(self):
-        module = PWLActivation("gelu", build_approximation("gelu"), engine="legacy")
+        module = ReferencePWLActivation("gelu", build_approximation("gelu"))
         x = np.random.default_rng(6).normal(size=(3, 3))
         with no_grad():
             module(Tensor(x))
@@ -269,6 +276,9 @@ class TestCompiledModel:
         eager = model.predict(images, engine="eager")
         compiled = model.predict(images, engine="compiled")
         np.testing.assert_array_equal(compiled, eager)
+        if pwl_engine == "dense":
+            oracle = build_pwl_model(model_cls, operators, "legacy")
+            np.testing.assert_array_equal(eager, oracle.predict(images, engine="eager"))
 
     def test_float_model_compiled_parity(self, images):
         model = MiniSegformer(small_config())
@@ -348,37 +358,6 @@ class TestCompiledModel:
         compiled_graph = CompiledGraph(optimize(trace(model, images)))
         with pytest.raises(ValueError, match="expects 1 input"):
             compiled_graph.run(images, images)
-
-
-class TestNNLUTInferEngine:
-    def test_compiled_infer_engine_forces_dense_table(self):
-        from repro.baselines.nn_lut import NNLUT, NNLUTTrainingConfig
-        from repro.core.lut import QuantizedLUT
-
-        nn_lut = NNLUT(
-            get_function("gelu"),
-            config=NNLUTTrainingConfig(num_samples=2000, iterations=50),
-        )
-        legacy = nn_lut.deploy(scale=2.0 ** -4, engine="legacy")
-        assert isinstance(legacy, QuantizedLUT)
-        # Unspecified pwl engine + compiled serving -> dense table, even
-        # when the ambient pwl engine would resolve to legacy.
-        with engine_config.use(pwl_engine="legacy"):
-            compiled = nn_lut.deploy(scale=2.0 ** -4, infer_engine="compiled")
-        assert isinstance(compiled, DenseLUT)
-        # An explicit engine kwarg always wins over the infer engine.
-        explicit = nn_lut.deploy(
-            scale=2.0 ** -4, engine="legacy", infer_engine="compiled"
-        )
-        assert isinstance(explicit, QuantizedLUT)
-        codes = np.arange(QuantSpec(bits=8, signed=True).qmin,
-                          QuantSpec(bits=8, signed=True).qmax + 1)
-        np.testing.assert_array_equal(
-            compiled.lookup_codes(codes), legacy.lookup_dequantized(codes)
-        )
-
-
-# -- compiled training (PR 9) ----------------------------------------------------
 
 
 class _TinyTrainNet(Module):
@@ -781,14 +760,7 @@ class TestTrainerFitCompiled:
             image_size=8, num_classes=3, embed_dim=8, depth=1, seed=0
         )
         if pwl_engine is not None:
-            suite = PWLSuite(
-                approximations={
-                    op: build_approximation(op)
-                    for op in ("exp", "gelu", "div", "rsqrt")
-                },
-                replace={"exp", "gelu", "div", "rsqrt"},
-                engine=pwl_engine,
-            )
+            suite = pwl_suite(("exp", "gelu", "div", "rsqrt"), pwl_engine)
             model = MiniSegformer(config, suite=suite)
             prepare_quantized_model(model)
         else:

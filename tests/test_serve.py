@@ -33,7 +33,6 @@ def build_model():
             for op in OPERATORS
         },
         replace=set(OPERATORS),
-        engine="dense",
     )
     model = MiniSegformer(ModelConfig(image_size=16, embed_dim=16, depth=1), suite=suite)
     prepare_quantized_model(model)

@@ -63,17 +63,6 @@ class TestJobKeys:
     def test_any_field_change_changes_key(self, other):
         assert ApproximationJob("gelu", "gqa-rm", 8, QUICK).key != other.key
 
-    def test_ga_engine_choice_does_not_change_key(self):
-        """batch/legacy scoring is bit-identical, so it must share artifacts.
-
-        The GA engine resolves through the central engine config and is
-        deliberately excluded from the content key: the same cell built
-        under either scoring path is the same artifact.
-        """
-        job = ApproximationJob("gelu", "gqa-rm", 8, QUICK)
-        with engine_config.use(ga_engine="legacy"):
-            assert ApproximationJob("gelu", "gqa-rm", 8, QUICK).key == job.key
-
 
 class TestEngineExecution:
     def test_engine_build_matches_direct_compute(self):
@@ -258,22 +247,38 @@ class TestArtifactStore:
     def test_missing_key_loads_none(self, tmp_path):
         assert ArtifactStore(tmp_path).load("0" * 64) is None
 
-    def test_checksumless_legacy_artifact_still_loads(self, tmp_path):
-        # Artifacts written before the checksum field must stay readable
-        # (validation is opportunistic: no checksum, no verdict) — and
-        # they live in the pre-sharding flat layout.
+    def _write_checksumless(self, store, pwl):
+        path = store.path_for(self.JOB.key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        np.savez(path, breakpoints=pwl.breakpoints, slopes=pwl.slopes,
+                 intercepts=pwl.intercepts)
+        return path
+
+    def test_checksumless_artifact_is_a_corrupt_miss(self, tmp_path):
+        # Every writer embeds a checksum, so a file without one cannot be
+        # trusted: it reads as a miss, counts as corruption, and the next
+        # build rewrites it with a checksum.
         built = fresh_engine().build(self.JOB)
         store = ArtifactStore(tmp_path)
-        np.savez(
-            store.legacy_path_for(self.JOB.key),
-            breakpoints=built.breakpoints,
-            slopes=built.slopes,
-            intercepts=built.intercepts,
-        )
-        loaded = store.load(self.JOB.key)
-        assert loaded is not None
-        assert_pwl_equal(loaded, built)
-        assert store.corrupt_reads == 0
+        self._write_checksumless(store, built)
+        assert store.load(self.JOB.key) is None
+        assert store.corrupt_reads == 1
+        assert store.rebuild_manifest()["unreadable"] == 1
+        assert store.read_manifest(self.JOB.key[:2])["count"] == 0
+
+        engine = SweepEngine(cache=ArtifactCache(store=store))
+        assert_pwl_equal(engine.build(self.JOB), built)
+        assert engine.stats.builds == 1
+        assert_pwl_equal(ArtifactStore(tmp_path).load(self.JOB.key), built)
+
+    def test_scrub_quarantines_checksumless_artifact(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        path = self._write_checksumless(store, fresh_engine().build(self.JOB))
+        report = store.scrub()
+        assert (report.scanned, report.ok, report.corrupt) == (1, 0, 1)
+        assert report.quarantined == [self.JOB.key]
+        assert not path.exists()
+        assert (tmp_path / "quarantine" / path.name).exists()
 
     def test_store_keys_listing(self, tmp_path):
         engine = fresh_engine(tmp_path)
@@ -293,55 +298,6 @@ class TestShardedLayout:
         assert not (tmp_path / ("%s.npz" % key)).exists()
         loaded = ArtifactStore(tmp_path).load(key)
         assert_pwl_equal(loaded, built)
-
-    def test_flat_legacy_artifact_is_still_resolved(self, tmp_path):
-        built = fresh_engine().build(self.JOB)
-        store = ArtifactStore(tmp_path)
-        np.savez(
-            store.legacy_path_for(self.JOB.key),
-            breakpoints=built.breakpoints,
-            slopes=built.slopes,
-            intercepts=built.intercepts,
-        )
-        assert store.keys() == [self.JOB.key]
-        assert_pwl_equal(store.load(self.JOB.key), built)
-
-    def test_rebuild_manifest_migrates_flat_store_in_place(self, tmp_path):
-        # A pre-sharding store: one checksummed artifact, one
-        # checksum-less artifact, both in the flat layout.
-        checksummed = self.JOB
-        checksumless = ApproximationJob("exp", "nn-lut", 8, QUICK)
-        originals = {
-            checksummed.key: fresh_engine().build(checksummed),
-            checksumless.key: fresh_engine().build(checksumless),
-        }
-        store = ArtifactStore(tmp_path)
-        store.save(checksummed.key, originals[checksummed.key])
-        sharded_path = store.path_for(checksummed.key)
-        sharded_path.replace(store.legacy_path_for(checksummed.key))
-        sharded_path.parent.rmdir()
-        np.savez(
-            store.legacy_path_for(checksumless.key),
-            breakpoints=originals[checksumless.key].breakpoints,
-            slopes=originals[checksumless.key].slopes,
-            intercepts=originals[checksumless.key].intercepts,
-        )
-
-        report = store.rebuild_manifest()
-        assert report["migrated"] == 2
-        assert report["entries"] == 2
-        assert report["unreadable"] == 0
-
-        migrated = ArtifactStore(tmp_path)
-        for key, original in originals.items():
-            assert migrated.path_for(key).exists()
-            assert not migrated.legacy_path_for(key).exists()
-            assert_pwl_equal(migrated.load(key), original)
-        # The migration backfilled checksums: a scrub now verifies both.
-        scrubbed = migrated.scrub()
-        assert scrubbed.scanned == 2
-        assert scrubbed.ok == 2
-        assert scrubbed.missing_checksum == 0
 
     def test_rebuild_manifest_writes_per_shard_manifests(self, tmp_path):
         store = ArtifactStore(tmp_path)
