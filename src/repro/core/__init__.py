@@ -43,8 +43,6 @@ from repro.core.config import (
 from repro.core.search import GQALUT, SearchOutcome
 from repro.core.evaluation import (
     QuantizedPWLEvaluator,
-    evaluate_operator_mse,
-    sweep_scaling_factors,
     DEFAULT_SCALES,
 )
 
@@ -76,7 +74,5 @@ __all__ = [
     "GQALUT",
     "SearchOutcome",
     "QuantizedPWLEvaluator",
-    "evaluate_operator_mse",
-    "sweep_scaling_factors",
     "DEFAULT_SCALES",
 ]

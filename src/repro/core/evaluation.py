@@ -21,7 +21,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.lut import QuantizedLUT, QuantizedLUTBatch
+from repro.core.lut import QuantizedLUTBatch
 from repro.core.pwl import PiecewiseLinear, PiecewiseLinearBatch
 from repro.functions.nonlinear import NonLinearFunction
 from repro.quant.quantizer import QuantSpec, quant_bounds
@@ -50,9 +50,17 @@ def _evaluation_domain(function: NonLinearFunction) -> Optional[Tuple[float, flo
     return function.search_range
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(frozen=True)
 class QuantizedPWLEvaluator:
-    """Scores a pwl through the Fig. 1b integer pipeline for one operator."""
+    """Scores pwls through the Fig. 1b integer pipeline for one operator.
+
+    This is the one implementation of the paper's operator-level metric:
+    the protocol helpers, :class:`repro.core.search.SearchOutcome` and the
+    GA's :class:`repro.core.fitness.QuantizedMSEFitness` all score through
+    it.  Each scale's ``(codes, x, reference)`` grid is built once per
+    evaluator and cached read-only (the dataclass is frozen, so the cache
+    cannot go stale); every score is an entry of :meth:`mse_matrix`.
+    """
 
     function: NonLinearFunction
     spec: QuantSpec = QuantSpec(bits=8, signed=True)
@@ -61,93 +69,83 @@ class QuantizedPWLEvaluator:
 
     def __post_init__(self) -> None:
         if self.eval_domain is None:
-            self.eval_domain = _evaluation_domain(self.function)
+            object.__setattr__(self, "eval_domain", _evaluation_domain(self.function))
+        object.__setattr__(self, "_grids", {})
+
+    def _grid(self, scale: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(codes q, dequantized x, exact f(x))`` for one scaling factor."""
+        grid = self._grids.get(scale)
+        if grid is None:
+            qn, qp = quant_bounds(self.spec.bits, self.spec.signed)
+            codes = np.arange(qn, qp + 1, dtype=np.float64)
+            x = codes * scale
+            if self.eval_domain is not None:
+                lo, hi = self.eval_domain
+                mask = (x >= lo) & (x <= hi)
+                codes, x = codes[mask], x[mask]
+            if x.size == 0:
+                raise ValueError("evaluation grid is empty for scale %r" % (scale,))
+            reference = np.asarray(self.function(x), dtype=np.float64)
+            for array in (codes, x, reference):
+                array.flags.writeable = False
+            grid = self._grids[scale] = (codes, x, reference)
+        return grid
 
     def grid_for_scale(self, scale: float) -> Tuple[np.ndarray, np.ndarray]:
         """Return ``(codes q, dequantized x)`` for one scaling factor."""
-        qn, qp = quant_bounds(self.spec.bits, self.spec.signed)
-        codes = np.arange(qn, qp + 1, dtype=np.float64)
-        x = codes * scale
-        if self.eval_domain is not None:
-            lo, hi = self.eval_domain
-            mask = (x >= lo) & (x <= hi)
-            codes, x = codes[mask], x[mask]
+        codes, x, _ = self._grid(float(scale))
         return codes, x
-
-    def mse_at_scale(self, pwl: PiecewiseLinear, scale: float) -> float:
-        """MSE of the quantized pipeline at a single scaling factor."""
-        lut = QuantizedLUT(pwl=pwl, scale=scale, spec=self.spec, frac_bits=self.frac_bits)
-        codes, x = self.grid_for_scale(scale)
-        if x.size == 0:
-            raise ValueError("evaluation grid is empty for scale %r" % (scale,))
-        approx = lut.lookup_dequantized(codes)
-        reference = np.asarray(self.function(x), dtype=np.float64)
-        return float(np.mean((approx - reference) ** 2))
-
-    def sweep(
-        self, pwl: PiecewiseLinear, scales: Sequence[float] = DEFAULT_SCALES
-    ) -> Dict[float, float]:
-        """MSE for each scaling factor in ``scales``."""
-        return {float(s): self.mse_at_scale(pwl, s) for s in scales}
-
-    def average_mse(
-        self, pwl: PiecewiseLinear, scales: Sequence[float] = DEFAULT_SCALES
-    ) -> float:
-        """Average MSE over the scale sweep (the Table 3 statistic)."""
-        values = self.sweep(pwl, scales)
-        return float(np.mean(list(values.values())))
 
     def mse_matrix(
         self, pwls: PiecewiseLinearBatch, scales: Sequence[float] = DEFAULT_SCALES
     ) -> np.ndarray:
         """Quantized-pipeline MSE for a pwl population: an ``(S, P)`` matrix.
 
-        Entry ``[s, p]`` equals ``mse_at_scale(pwls.row(p), scales[s])``; the
+        Entry ``[s, p]`` is the MSE of ``pwls.row(p)`` at ``scales[s]``; the
         lookup for each scale runs as one ``(P, C)`` broadcast through
-        :class:`QuantizedLUTBatch`, so comparing many candidate pwls (e.g. a
-        final GA population, or one operator across entry counts) costs a
-        handful of array ops instead of ``S x P`` scalar sweeps.
+        :class:`QuantizedLUTBatch`, so comparing many candidate pwls (a GA
+        population, or one operator across entry counts) costs a handful of
+        array ops instead of ``S x P`` scalar sweeps.
         """
         scale_list = [float(s) for s in scales]
         out = np.empty((len(scale_list), pwls.population_size), dtype=np.float64)
         for s_idx, scale in enumerate(scale_list):
-            codes, x = self.grid_for_scale(scale)
-            if x.size == 0:
-                raise ValueError("evaluation grid is empty for scale %r" % (scale,))
+            codes, _, reference = self._grid(scale)
             lut = QuantizedLUTBatch(
-                pwl=pwls, scales=np.array([scale]), spec=self.spec, frac_bits=self.frac_bits
+                pwl=pwls, scale=scale, spec=self.spec, frac_bits=self.frac_bits
             )
-            approx = lut.lookup_dequantized(codes)[0]
-            reference = np.asarray(self.function(x), dtype=np.float64)
-            out[s_idx] = np.mean((approx - reference[None, :]) ** 2, axis=1)
+            error = lut.lookup_dequantized(codes)
+            error -= reference
+            error *= error
+            out[s_idx] = np.mean(error, axis=1)
         return out
 
     def average_mse_batch(
         self, pwls: PiecewiseLinearBatch, scales: Sequence[float] = DEFAULT_SCALES
     ) -> np.ndarray:
         """Per-individual average MSE over the scale sweep: a ``(P,)`` vector."""
-        return self.mse_matrix(pwls, scales).mean(axis=0)
+        matrix = self.mse_matrix(pwls, scales)
+        if not matrix.shape[0]:
+            raise ValueError("the scale sweep is empty")
+        return matrix.mean(axis=0)
+
+    def mse_at_scale(self, pwl: PiecewiseLinear, scale: float) -> float:
+        """MSE of the quantized pipeline at a single scaling factor."""
+        return float(self.mse_matrix(_one_row(pwl), (scale,))[0, 0])
+
+    def sweep(
+        self, pwl: PiecewiseLinear, scales: Sequence[float] = DEFAULT_SCALES
+    ) -> Dict[float, float]:
+        """MSE for each scaling factor in ``scales``."""
+        scale_list = [float(s) for s in scales]
+        return dict(zip(scale_list, self.mse_matrix(_one_row(pwl), scale_list)[:, 0].tolist()))
+
+    def average_mse(
+        self, pwl: PiecewiseLinear, scales: Sequence[float] = DEFAULT_SCALES
+    ) -> float:
+        """Average MSE over the scale sweep (the Table 3 statistic)."""
+        return float(self.average_mse_batch(_one_row(pwl), scales)[0])
 
 
-def evaluate_operator_mse(
-    function: NonLinearFunction,
-    pwl: PiecewiseLinear,
-    scale: float,
-    spec: QuantSpec = QuantSpec(bits=8, signed=True),
-    frac_bits: int = 5,
-) -> float:
-    """Convenience wrapper: quantized-pipeline MSE at one scaling factor."""
-    return QuantizedPWLEvaluator(function, spec=spec, frac_bits=frac_bits).mse_at_scale(
-        pwl, scale
-    )
-
-
-def sweep_scaling_factors(
-    function: NonLinearFunction,
-    pwl: PiecewiseLinear,
-    scales: Sequence[float] = DEFAULT_SCALES,
-    spec: QuantSpec = QuantSpec(bits=8, signed=True),
-    frac_bits: int = 5,
-) -> Dict[float, float]:
-    """Convenience wrapper: quantized-pipeline MSE across a scale sweep."""
-    return QuantizedPWLEvaluator(function, spec=spec, frac_bits=frac_bits).sweep(pwl, scales)
+def _one_row(pwl: PiecewiseLinear) -> PiecewiseLinearBatch:
+    return PiecewiseLinearBatch.from_rows([pwl])

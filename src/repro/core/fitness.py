@@ -4,21 +4,23 @@ Algorithm 1 scores an individual (a breakpoint set) by the mean squared
 error of its pwl against the target function on a dense grid over the search
 range.  :class:`GridMSEFitness` implements exactly that.  As an extension we
 also provide :class:`QuantizedMSEFitness`, which scores the fully quantized
-pipeline averaged over a set of scaling factors — useful for ablations on
-how much the RM strategy buys over direct quantization-in-the-loop search.
+pipeline averaged over a set of scaling factors — the Table 3 metric itself,
+delegated to :class:`repro.core.evaluation.QuantizedPWLEvaluator` — useful
+for ablations on how much the RM strategy buys over direct
+quantization-in-the-loop search.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.lut import QuantizedLUT, QuantizedLUTBatch
+from repro.core.evaluation import DEFAULT_SCALES, QuantizedPWLEvaluator
 from repro.core.pwl import PiecewiseLinearBatch, fit_pwl, fit_pwl_batch
 from repro.functions.nonlinear import NonLinearFunction
-from repro.quant.quantizer import QuantSpec, quant_bounds
+from repro.quant.quantizer import QuantSpec
 
 
 class FitnessFunction:
@@ -123,47 +125,32 @@ class GridMSEFitness(FitnessFunction):
 
 @dataclasses.dataclass
 class QuantizedMSEFitness(FitnessFunction):
-    """MSE of the fully quantized Fig. 1b pipeline, averaged over scales.
+    """The Table 3 metric as a GA fitness: Fig. 1b pipeline MSE over scales.
 
-    For each scaling factor the input grid is the dequantized range
-    ``[Q_n S, Q_p S]`` intersected with the evaluation domain, sampled with
-    step ``S`` — the paper's operator-level evaluation protocol — and the
-    pwl is evaluated through :class:`QuantizedLUT` (quantized breakpoints,
-    FXP slopes/intercepts, shifter-rescaled intercepts).
+    An adapter over :class:`QuantizedPWLEvaluator`, the one implementation
+    of that metric: each individual is fitted and FXP-rounded, and scored by
+    :meth:`QuantizedPWLEvaluator.average_mse_batch` over ``scales``.  So a
+    fitness value is bit for bit the number the protocol reports for that
+    pwl.  ``eval_domain=None`` takes the evaluator's default, the operator's
+    search range, and is replaced by it at construction.
     """
 
     function: NonLinearFunction
-    scales: Sequence[float] = (1.0, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625)
+    scales: Sequence[float] = DEFAULT_SCALES
     spec: QuantSpec = QuantSpec(bits=8, signed=True)
     frac_bits: int = 5
     fit_method: str = "interpolate"
     eval_domain: Optional[Tuple[float, float]] = None
 
-    def build(self, breakpoints: np.ndarray):
-        return fit_pwl(
-            self.function.fn,
-            breakpoints,
-            self.function.search_range,
-            method=self.fit_method,
-        ).to_fixed_point(self.frac_bits)
+    def __post_init__(self) -> None:
+        self._evaluator = QuantizedPWLEvaluator(
+            self.function, spec=self.spec, frac_bits=self.frac_bits,
+            eval_domain=self.eval_domain,
+        )
+        self.eval_domain = self._evaluator.eval_domain
 
     def __call__(self, breakpoints: np.ndarray) -> float:
-        pwl = self.build(breakpoints)
-        qn, qp = quant_bounds(self.spec.bits, self.spec.signed)
-        total = 0.0
-        for scale in self.scales:
-            lut = QuantizedLUT(pwl=pwl, scale=scale, spec=self.spec, frac_bits=self.frac_bits)
-            codes = np.arange(qn, qp + 1, dtype=np.float64)
-            x = codes * scale
-            if self.eval_domain is not None:
-                mask = (x >= self.eval_domain[0]) & (x <= self.eval_domain[1])
-                codes, x = codes[mask], x[mask]
-            if x.size == 0:
-                continue
-            approx = lut.lookup_dequantized(codes)
-            reference = np.asarray(self.function(x), dtype=np.float64)
-            total += float(np.mean((approx - reference) ** 2))
-        return total / max(len(self.scales), 1)
+        return float(self.batch_call(np.asarray(breakpoints, dtype=np.float64)[None, :])[0])
 
     def build_batch(self, population: np.ndarray) -> PiecewiseLinearBatch:
         """Fit + FXP-round the whole population in one shot."""
@@ -175,35 +162,5 @@ class QuantizedMSEFitness(FitnessFunction):
         ).to_fixed_point(self.frac_bits)
 
     def batch_call(self, population: np.ndarray) -> np.ndarray:
-        """Quantized-pipeline MSE for all individuals and scales at once.
-
-        The lookup for every (scale, individual, code) triple is a single
-        broadcast through :class:`QuantizedLUTBatch`; only the per-scale
-        domain masking and reference evaluation remain a (length ``S``)
-        Python loop, accumulated in the same order as the scalar path so the
-        scores agree bit-for-bit.
-        """
-        pwls = self.build_batch(np.asarray(population, dtype=np.float64))
-        qn, qp = quant_bounds(self.spec.bits, self.spec.signed)
-        codes = np.arange(qn, qp + 1, dtype=np.float64)
-        lut = QuantizedLUTBatch(
-            pwl=pwls,
-            scales=np.asarray(self.scales, dtype=np.float64),
-            spec=self.spec,
-            frac_bits=self.frac_bits,
-        )
-        approx_all = lut.lookup_dequantized(codes)
-        total = np.zeros(pwls.population_size, dtype=np.float64)
-        for s_idx, scale in enumerate(lut.scales):
-            x = codes * scale
-            approx = approx_all[s_idx]
-            if self.eval_domain is not None:
-                mask = (x >= self.eval_domain[0]) & (x <= self.eval_domain[1])
-                # ascontiguousarray keeps the row reduction on the same
-                # contiguous summation path as the scalar code (bit parity).
-                x, approx = x[mask], np.ascontiguousarray(approx[:, mask])
-            if x.size == 0:
-                continue
-            reference = np.asarray(self.function(x), dtype=np.float64)
-            total += np.mean((approx - reference[None, :]) ** 2, axis=1)
-        return total / max(len(self.scales), 1)
+        """Average pipeline MSE of every individual: a ``(P,)`` vector."""
+        return self._evaluator.average_mse_batch(self.build_batch(population), self.scales)

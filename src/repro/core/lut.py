@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.pwl import PiecewiseLinear, PiecewiseLinearBatch, segment_counts
+from repro.core.pwl import PiecewiseLinear, PiecewiseLinearBatch
 from repro.quant.fxp import fxp_round
 from repro.quant.power_of_two import is_power_of_two, power_of_two_exponent
 from repro.quant.quantizer import QuantSpec, quant_bounds
@@ -89,27 +89,16 @@ class LUT:
 
 
 @dataclasses.dataclass(frozen=True)
-class QuantizedLUT:
-    """Quantization-aware LUT (Fig. 1b).
+class _Fig1bCoefficients:
+    """The stored and run-time coefficients of the Fig. 1b pipeline.
 
-    Parameters
-    ----------
-    pwl:
-        The searched pwl (FP breakpoints, FXP-rounded slopes/intercepts).
-    scale:
-        Power-of-two input scaling factor ``S``.
-    spec:
-        Integer format of the input codes (INT8 by default).
-    frac_bits:
-        Decimal bit-width ``lambda`` used for the stored slopes/intercepts
-        and for the shifter output.
-
-    The derived arrays (:attr:`quantized_breakpoints`, :attr:`stored_slopes`,
-    :attr:`stored_intercepts`, :attr:`shifted_intercepts`) are cached
-    properties — the dataclass is frozen, so they can never go stale — and
-    repeated access during a lookup does not re-run the clip/round/FXP
-    pipeline (``functools.cached_property`` writes to the instance
-    ``__dict__`` directly, bypassing the frozen ``__setattr__``).
+    Shared by :class:`QuantizedLUT` (one pwl) and :class:`QuantizedLUTBatch`
+    (a pwl population): every derivation is element-wise, so the same code
+    serves ``(N,)`` and ``(P, N)`` coefficient arrays.  The derived arrays
+    are cached properties — the dataclass is frozen, so they can never go
+    stale — and repeated access during a lookup does not re-run the
+    clip/round/FXP pipeline (``functools.cached_property`` writes to the
+    instance ``__dict__`` directly, bypassing the frozen ``__setattr__``).
     """
 
     pwl: PiecewiseLinear
@@ -122,8 +111,9 @@ class QuantizedLUT:
             raise ValueError("scale must be positive, got %r" % (self.scale,))
         if not is_power_of_two(self.scale):
             raise ValueError(
-                "QuantizedLUT requires a power-of-two scale (got %r); "
-                "round it with round_scale_to_power_of_two()" % (self.scale,)
+                "%s requires a power-of-two scale (got %r); "
+                "round it with round_scale_to_power_of_two()"
+                % (type(self).__name__, self.scale)
             )
 
     @property
@@ -156,6 +146,35 @@ class QuantizedLUT:
         """Run-time intercepts ``b_i >> log2(S)`` produced by the shifter."""
         return fxp_round(self.stored_intercepts / self.scale, self.frac_bits)
 
+    def lookup_integer(self, q) -> np.ndarray:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def lookup_dequantized(self, q) -> np.ndarray:
+        """Real-domain approximation ``S * (k_i q + b_i / S) ~= k_i x + b_i``."""
+        return self.scale * self.lookup_integer(q)
+
+
+@dataclasses.dataclass(frozen=True)
+class QuantizedLUT(_Fig1bCoefficients):
+    """Quantization-aware LUT (Fig. 1b).
+
+    Parameters
+    ----------
+    pwl:
+        The searched pwl (FP breakpoints, FXP-rounded slopes/intercepts).
+    scale:
+        Power-of-two input scaling factor ``S``.
+    spec:
+        Integer format of the input codes (INT8 by default).
+    frac_bits:
+        Decimal bit-width ``lambda`` used for the stored slopes/intercepts
+        and for the shifter output.
+
+    The derived arrays (:attr:`quantized_breakpoints`, :attr:`stored_slopes`,
+    :attr:`stored_intercepts`, :attr:`shifted_intercepts`) are cached
+    properties of the frozen dataclass.
+    """
+
     def segment_index(self, q) -> np.ndarray:
         """Comparer on integer codes against the quantized breakpoints."""
         codes = np.asarray(q, dtype=np.float64)
@@ -168,10 +187,6 @@ class QuantizedLUT:
         codes = np.asarray(q, dtype=np.float64) + 0.0
         idx = self.segment_index(codes)
         return self.stored_slopes[idx] * codes + self.shifted_intercepts[idx]
-
-    def lookup_dequantized(self, q) -> np.ndarray:
-        """Real-domain approximation ``S * (k_i q + b_i / S) ~= k_i x + b_i``."""
-        return self.scale * self.lookup_integer(q)
 
     def __call__(self, x) -> np.ndarray:
         """Quantize ``x``, run the integer pipeline, and dequantize.
@@ -253,9 +268,6 @@ class DenseLUT:
             )
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "segment_slopes", slopes)
-        # Division by the power-of-two scale is an exact exponent shift, so
-        # quantizing with a multiply is bit-identical and faster.
-        object.__setattr__(self, "_inv_scale", 1.0 / self.scale)
         object.__setattr__(self, "_qmin", float(self.spec.qmin))
         object.__setattr__(self, "_qmax", float(self.spec.qmax))
         # Extended gather tables with one sentinel row for NaN inputs, which
@@ -297,7 +309,10 @@ class DenseLUT:
     def table_indices(self, x) -> np.ndarray:
         """Quantize real inputs to extended-table offsets (one pass)."""
         arr = np.asarray(x, dtype=np.float64)
-        q = np.clip(np.round(arr * self._inv_scale), self._qmin, self._qmax)
+        # Divide as QuantizedLUT does: a deployed scale may be a few ulp off
+        # 2^e (the LSQ quantizer computes it as exp(e ln 2)), and then
+        # ``x * (1 / S)`` can round a code differently from ``x / S``.
+        q = np.clip(np.round(arr / self.scale), self._qmin, self._qmax)
         return self._offsets(q)
 
     def code_indices(self, q) -> np.ndarray:
@@ -381,119 +396,41 @@ def dense_lut_cache_clear() -> None:
 
 
 @dataclasses.dataclass(frozen=True)
-class QuantizedLUTBatch:
-    """The Fig. 1b pipeline broadcast over a pwl population and a scale sweep.
+class QuantizedLUTBatch(_Fig1bCoefficients):
+    """The Fig. 1b pipeline at one scale, broadcast over a pwl population.
 
-    Wraps a :class:`PiecewiseLinearBatch` of ``P`` individuals and ``S``
-    power-of-two scaling factors; lookups return ``(S, P, C)`` arrays where
-    ``C`` is the number of input codes.  Entry ``[s, p]`` is bit-identical to
-    the scalar :class:`QuantizedLUT` built from row ``p`` at scale ``s`` —
-    this is what lets :class:`repro.core.fitness.QuantizedMSEFitness` score a
-    whole GA population across its scale sweep in a handful of array ops.
+    ``pwl`` is a :class:`PiecewiseLinearBatch` of ``P`` individuals; the
+    coefficient arrays are ``(P, N)`` (breakpoints ``(P, N - 1)``) and a
+    lookup of ``C`` codes returns a ``(P, C)`` array.  Row ``p`` is
+    bit-identical to the scalar :class:`QuantizedLUT` returned by
+    ``at(p)`` — this is what lets
+    :class:`repro.core.evaluation.QuantizedPWLEvaluator` score a whole GA
+    population in one array op per scale.
     """
 
     pwl: PiecewiseLinearBatch
-    scales: np.ndarray
-    spec: QuantSpec = QuantSpec(bits=8, signed=True)
-    frac_bits: int = 5
-
-    def __post_init__(self) -> None:
-        scales = np.atleast_1d(np.asarray(self.scales, dtype=np.float64))
-        if scales.ndim != 1 or scales.size == 0:
-            raise ValueError("scales must be a non-empty 1-D sequence")
-        for scale in scales:
-            if scale <= 0 or not is_power_of_two(float(scale)):
-                raise ValueError(
-                    "QuantizedLUTBatch requires positive power-of-two scales (got %r)"
-                    % (scale,)
-                )
-        object.__setattr__(self, "scales", scales)
-
-    @property
-    def num_scales(self) -> int:
-        return int(self.scales.size)
 
     @property
     def population_size(self) -> int:
         return self.pwl.population_size
 
-    @property
-    def num_entries(self) -> int:
-        return self.pwl.num_entries
-
-    @property
-    def quantized_breakpoints(self) -> np.ndarray:
-        """Breakpoints quantized per scale (Eq. 3): ``(S, P, N - 1)``."""
-        qn, qp = quant_bounds(self.spec.bits, self.spec.signed)
-        return np.clip(
-            np.round(self.pwl.breakpoints[None, :, :] / self.scales[:, None, None]), qn, qp
-        )
-
-    @property
-    def stored_slopes(self) -> np.ndarray:
-        """FXP slopes as stored in the LUT: ``(P, N)`` (scale independent)."""
-        return fxp_round(self.pwl.slopes, self.frac_bits)
-
-    @property
-    def stored_intercepts(self) -> np.ndarray:
-        """FXP intercepts as stored in the LUT: ``(P, N)``."""
-        return fxp_round(self.pwl.intercepts, self.frac_bits)
-
-    @property
-    def shifted_intercepts(self) -> np.ndarray:
-        """Shifter outputs ``b_i >> log2(S)`` per scale: ``(S, P, N)``."""
-        return fxp_round(
-            self.stored_intercepts[None, :, :] / self.scales[:, None, None], self.frac_bits
-        )
-
-    def segment_index(self, q) -> np.ndarray:
-        """Comparer on integer codes: ``(S, P, C)`` segment indices."""
-        codes = np.asarray(q, dtype=np.float64).ravel()
-        return (self.quantized_breakpoints[:, :, :, None] <= codes[None, None, None, :]).sum(
-            axis=2
-        )
-
     def lookup_integer(self, q) -> np.ndarray:
-        """Integer-domain outputs ``k_i q + (b_i >> shift)``: ``(S, P, C)``.
+        """Integer-domain outputs ``k_i q + (b_i >> shift)``: ``(P, C)``.
 
-        Ascending code vectors (the evaluation-protocol case) take a
-        repeat-expansion fast path via :func:`segment_counts`; the selected
-        coefficients per code are identical either way.
+        The quantized breakpoints, stored slopes and shifted intercepts form
+        an integer-domain pwl batch, so the comparer and the coefficient
+        selection are :meth:`PiecewiseLinearBatch.__call__` (its ascending
+        grid fast path covers the evaluation protocol's codes).
         """
-        codes = np.asarray(q, dtype=np.float64).ravel()
-        scale_count, pop, entries = (
-            self.num_scales,
-            self.population_size,
-            self.num_entries,
+        # ``+ 0.0`` maps a ``-0.0`` code onto code 0, as QuantizedLUT does.
+        codes = np.asarray(q, dtype=np.float64).ravel() + 0.0
+        integer_pwl = PiecewiseLinearBatch._trusted(
+            self.quantized_breakpoints, self.stored_slopes, self.shifted_intercepts
         )
-        if codes.size and entries > 1 and np.all(codes[1:] >= codes[:-1]):
-            counts = segment_counts(
-                self.quantized_breakpoints.reshape(scale_count * pop, entries - 1), codes
-            )
-            k_all = np.broadcast_to(
-                self.stored_slopes[None, :, :], (scale_count, pop, entries)
-            ).ravel()
-            k = np.repeat(k_all, counts.ravel()).reshape(scale_count, pop, codes.size)
-            b = np.repeat(self.shifted_intercepts.ravel(), counts.ravel()).reshape(
-                scale_count, pop, codes.size
-            )
-            return k * codes[None, None, :] + b
-        idx = self.segment_index(codes)
-        rows = np.arange(pop)[None, :, None]
-        sweep = np.arange(scale_count)[:, None, None]
-        k = self.stored_slopes[rows, idx]
-        b = self.shifted_intercepts[sweep, rows, idx]
-        return k * codes[None, None, :] + b
+        return integer_pwl(codes)
 
-    def lookup_dequantized(self, q) -> np.ndarray:
-        """Real-domain approximations ``S * (k_i q + b_i / S)``: ``(S, P, C)``."""
-        return self.scales[:, None, None] * self.lookup_integer(q)
-
-    def at(self, scale_index: int, row: int) -> QuantizedLUT:
-        """The scalar :class:`QuantizedLUT` for one (scale, individual) pair."""
+    def at(self, row: int) -> QuantizedLUT:
+        """The scalar :class:`QuantizedLUT` for one individual."""
         return QuantizedLUT(
-            pwl=self.pwl.row(row),
-            scale=float(self.scales[scale_index]),
-            spec=self.spec,
-            frac_bits=self.frac_bits,
+            pwl=self.pwl.row(row), scale=self.scale, spec=self.spec, frac_bits=self.frac_bits
         )

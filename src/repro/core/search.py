@@ -61,17 +61,14 @@ class SearchOutcome:
 
     def evaluate(self, scales: Sequence[float] = DEFAULT_SCALES) -> dict:
         """Quantized-pipeline MSE per scaling factor (Section 4.1 protocol)."""
-        evaluator = QuantizedPWLEvaluator(
-            self.function, spec=self.spec, frac_bits=self.frac_bits
-        )
-        return evaluator.sweep(self.pwl_fxp, scales)
+        return self._evaluator().sweep(self.pwl_fxp, scales)
 
     def average_mse(self, scales: Sequence[float] = DEFAULT_SCALES) -> float:
         """Average quantized-pipeline MSE over the scale sweep."""
-        evaluator = QuantizedPWLEvaluator(
-            self.function, spec=self.spec, frac_bits=self.frac_bits
-        )
-        return evaluator.average_mse(self.pwl_fxp, scales)
+        return self._evaluator().average_mse(self.pwl_fxp, scales)
+
+    def _evaluator(self) -> QuantizedPWLEvaluator:
+        return QuantizedPWLEvaluator(self.function, spec=self.spec, frac_bits=self.frac_bits)
 
     def float_mse(self, grid_step: float = 0.01) -> float:
         """MSE of the FP pwl on the dense search-range grid."""

@@ -273,8 +273,9 @@ class ArtifactStore:
             return None
 
     def _write_json_atomic(self, path: Path, payload: dict) -> None:
+        """Replace ``path`` with ``payload`` via a ``.<stem>-*.json.tmp`` file."""
         fd, tmp_name = tempfile.mkstemp(
-            prefix=".manifest-", suffix=".json.tmp", dir=str(path.parent)
+            prefix=".%s-" % path.stem, suffix=".json.tmp", dir=str(path.parent)
         )
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:

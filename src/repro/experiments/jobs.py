@@ -43,8 +43,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
-import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
@@ -310,19 +308,7 @@ class SweepEngine:
                 for key, failure in self.quarantine.items()
             },
         }
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".quarantine-", suffix=".json.tmp", dir=str(path.parent)
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True, indent=1)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        self.cache.store._write_json_atomic(path, payload)
 
     def _adopt_persisted_failure(
         self, key: str, payload: Dict[str, Any], error_type: str,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -18,6 +19,17 @@ SCALE_DEPENDENT_OPERATORS: Tuple[str, ...] = ("gelu", "hswish", "exp")
 WIDE_RANGE_OPERATORS: Tuple[str, ...] = ("div", "rsqrt")
 
 
+@functools.lru_cache(maxsize=None)
+def _evaluator(operator: str, bits: int) -> QuantizedPWLEvaluator:
+    """The (shared, grid-caching) Fig. 1b evaluator of one operator and width."""
+    config = default_config(operator)
+    return QuantizedPWLEvaluator(
+        config.function(),
+        spec=QuantSpec(bits=bits, signed=True),
+        frac_bits=config.frac_bits,
+    )
+
+
 def scale_sweep_mse(
     operator: str,
     pwl: PiecewiseLinear,
@@ -25,13 +37,7 @@ def scale_sweep_mse(
     bits: int = 8,
 ) -> Dict[float, float]:
     """Quantized-pipeline MSE per scaling factor for a scale-dependent op."""
-    config = default_config(operator)
-    evaluator = QuantizedPWLEvaluator(
-        config.function(),
-        spec=QuantSpec(bits=bits, signed=True),
-        frac_bits=config.frac_bits,
-    )
-    return evaluator.sweep(pwl, scales)
+    return _evaluator(operator, bits).sweep(pwl, scales)
 
 
 def wide_range_mse(
@@ -71,8 +77,7 @@ def average_mse(operator: str, pwl: PiecewiseLinear, bits: int = 8) -> float:
     """
     if operator in WIDE_RANGE_OPERATORS:
         return wide_range_mse(operator, pwl, bits=bits)
-    sweep = scale_sweep_mse(operator, pwl, bits=bits)
-    return float(np.mean(list(sweep.values())))
+    return _evaluator(operator, bits).average_mse(pwl)
 
 
 def normalize(values: Dict[float, float]) -> Dict[float, float]:

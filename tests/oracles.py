@@ -16,7 +16,10 @@ benchmarks (which add this directory to ``sys.path``):
   output and ``factor * slope * S'`` from a second classification for the
   gradient;
 * :class:`ReferencePWLSuite` — a :class:`~repro.nn.approx.PWLSuite` that
-  builds the two reference modules, so whole models run on the oracle.
+  builds the two reference modules, so whole models run on the oracle;
+* :func:`reference_pipeline_mse` — the Fig. 1b pipeline MSE of one pwl at
+  one scale through a scalar :class:`~repro.core.lut.QuantizedLUT`, the
+  per-row form of ``QuantizedPWLEvaluator.mse_matrix``.
 
 Every oracle consumes the same random stream and the same parameters as
 the path it checks, so seeded results must match exactly.
@@ -35,6 +38,7 @@ from repro.core.search import GQALUT, SearchOutcome
 from repro.nn.approx import PWLActivation, PWLLayerNorm, PWLSuite, PWLWideRange
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor
+from repro.quant.quantizer import quant_bounds
 
 
 class PerRowGeneticSearch(GeneticSearch):
@@ -61,6 +65,25 @@ def quantized_lut_slope(lut: QuantizedLUT, data: np.ndarray) -> np.ndarray:
     """The stored slope of the segment each input's code selects."""
     codes = np.clip(np.round(data / lut.scale), lut.spec.qmin, lut.spec.qmax)
     return lut.stored_slopes[lut.segment_index(codes)]
+
+
+def reference_pipeline_mse(function, pwl, scale, spec, frac_bits, eval_domain) -> float:
+    """MSE of one pwl's Fig. 1b pipeline against ``function`` at ``scale``.
+
+    The codes are every ``spec`` integer whose dequantized value lies in
+    ``eval_domain``; an empty grid raises ``ValueError``.
+    """
+    lut = QuantizedLUT(pwl=pwl, scale=scale, spec=spec, frac_bits=frac_bits)
+    qn, qp = quant_bounds(spec.bits, spec.signed)
+    codes = np.arange(qn, qp + 1, dtype=np.float64)
+    x = codes * scale
+    mask = (x >= eval_domain[0]) & (x <= eval_domain[1])
+    codes, x = codes[mask], x[mask]
+    if x.size == 0:
+        raise ValueError("evaluation grid is empty for scale %r" % (scale,))
+    approx = lut.lookup_dequantized(codes)
+    reference = np.asarray(function(x), dtype=np.float64)
+    return float(np.mean((approx - reference) ** 2))
 
 
 class ReferencePWLActivation(PWLActivation):

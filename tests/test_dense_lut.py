@@ -72,6 +72,19 @@ class TestAllCodesEquivalence:
         out, slope = dense.lookup_with_slope(x)
         np.testing.assert_array_equal(out, legacy(x))
 
+    def test_near_power_of_two_scale_quantizes_like_the_pipeline(self):
+        # PowerOfTwoQuantizer deploys 2^3 as exp(3 ln 2), 2 ulp below 8.
+        scale = float(np.exp(3.0 * np.log(2.0)))
+        assert scale != 8.0
+        legacy = QuantizedLUT(
+            pwl=_pwl_for("gelu").to_fixed_point(3), scale=scale,
+            spec=QuantSpec(bits=4, signed=True), frac_bits=3,
+        )
+        dense = DenseLUT.from_quantized(legacy)
+        x = np.array([np.nextafter(4.0, 0.0), 4.0, np.nextafter(-4.0, 0.0), 12.0])
+        assert dense(x).tobytes() == legacy(x).tobytes()
+        assert dense.lookup_with_slope(x)[0].tobytes() == legacy(x).tobytes()
+
     def test_fused_lookup_slope_matches_separate_path(self):
         pwl = _pwl_for("exp")
         legacy = QuantizedLUT(pwl=pwl, scale=2.0 ** -4)

@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.evaluation import (
-    DEFAULT_SCALES,
-    QuantizedPWLEvaluator,
-    evaluate_operator_mse,
-    sweep_scaling_factors,
-)
+from repro.core.evaluation import DEFAULT_SCALES, QuantizedPWLEvaluator
 from repro.core.config import default_config
 from repro.core.pwl import fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
@@ -106,9 +101,10 @@ class TestEvaluator:
             deviations[scale] = float(np.max(np.abs(recovered - pwl.breakpoints)))
         assert deviations[1.0] > deviations[2.0 ** -3]
 
-    def test_convenience_wrappers_agree(self, gelu_fxp_pwl):
-        fn = get_function("gelu")
-        direct = QuantizedPWLEvaluator(fn).mse_at_scale(gelu_fxp_pwl, 0.25)
-        assert evaluate_operator_mse(fn, gelu_fxp_pwl, 0.25) == pytest.approx(direct)
-        sweep = sweep_scaling_factors(fn, gelu_fxp_pwl, scales=(0.25,))
-        assert sweep[0.25] == pytest.approx(direct)
+    def test_grid_is_built_once_and_read_only(self):
+        evaluator = QuantizedPWLEvaluator(get_function("gelu"))
+        codes, x = evaluator.grid_for_scale(0.25)
+        again, _ = evaluator.grid_for_scale(0.25)
+        assert again is codes
+        with pytest.raises(ValueError):
+            x[0] = 0.0

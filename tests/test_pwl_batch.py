@@ -164,11 +164,13 @@ class TestSegmentCounts:
 
 
 class TestQuantizedLUTBatch:
-    def make(self, operator="gelu", size=10, scales=(1.0, 0.5, 0.25, 0.125)):
+    SCALES = (1.0, 0.5, 0.25, 0.125)
+
+    def make(self, operator="gelu", size=10, scale=0.25):
         fn = get_function(operator)
         pop = population_with_degenerates(fn, size=size)
         pwls = fit_pwl_batch(fn.fn, pop, fn.search_range).to_fixed_point(5)
-        return QuantizedLUTBatch(pwl=pwls, scales=np.asarray(scales), frac_bits=5)
+        return QuantizedLUTBatch(pwl=pwls, scale=scale, frac_bits=5)
 
     def test_requires_power_of_two_scales(self):
         fn = get_function("gelu")
@@ -176,51 +178,61 @@ class TestQuantizedLUTBatch:
             fn.fn, population_with_degenerates(fn, size=3), fn.search_range
         )
         with pytest.raises(ValueError):
-            QuantizedLUTBatch(pwl=pwls, scales=np.array([0.25, 0.3]))
+            QuantizedLUTBatch(pwl=pwls, scale=0.3)
         with pytest.raises(ValueError):
-            QuantizedLUTBatch(pwl=pwls, scales=np.array([-0.5]))
+            QuantizedLUTBatch(pwl=pwls, scale=-0.5)
 
     def test_lookups_bit_identical_to_scalar_lut(self):
-        lut = self.make()
         codes = np.arange(-128, 128, dtype=np.float64)
-        integer = lut.lookup_integer(codes)
-        dequant = lut.lookup_dequantized(codes)
-        assert integer.shape == (4, 10, 256)
-        for s in range(lut.num_scales):
+        for scale in self.SCALES:
+            lut = self.make(scale=scale)
+            integer = lut.lookup_integer(codes)
+            dequant = lut.lookup_dequantized(codes)
+            assert integer.shape == (10, 256)
             for p in range(lut.population_size):
-                scalar = lut.at(s, p)
-                np.testing.assert_array_equal(integer[s, p], scalar.lookup_integer(codes))
-                np.testing.assert_array_equal(
-                    dequant[s, p], scalar.lookup_dequantized(codes)
-                )
+                scalar = lut.at(p)
+                np.testing.assert_array_equal(integer[p], scalar.lookup_integer(codes))
+                np.testing.assert_array_equal(dequant[p], scalar.lookup_dequantized(codes))
 
     def test_unsorted_codes_fallback_matches(self):
-        lut = self.make(size=4, scales=(0.5,))
+        lut = self.make(size=4, scale=0.5)
         codes = np.array([5.0, -3.0, 100.0, -128.0, 0.0])
         out = lut.lookup_integer(codes)
         for p in range(4):
-            np.testing.assert_array_equal(out[0, p], lut.at(0, p).lookup_integer(codes))
+            np.testing.assert_array_equal(out[p], lut.at(p).lookup_integer(codes))
+
+    def test_negative_zero_code_is_code_zero(self):
+        # The stored intercept of the middle segment rounds to -0.0, so a
+        # signed -0.0 code would give k * -0.0 + -0.0 = -0.0.
+        pwls = PiecewiseLinearBatch(
+            breakpoints=np.array([[-1.0, 1.0]]),
+            slopes=np.array([[0.5, 1.0, 0.5]]),
+            intercepts=np.array([[0.0, -0.001, 0.0]]),
+        )
+        lut = QuantizedLUTBatch(pwl=pwls, scale=0.25, frac_bits=5)
+        codes = np.array([-0.0, 0.0, 1.0])
+        for lookup in ("lookup_integer", "lookup_dequantized"):
+            batch = getattr(lut, lookup)(codes)[0]
+            scalar = getattr(lut.at(0), lookup)(codes)
+            assert batch.tobytes() == scalar.tobytes()
+        assert lut.lookup_integer(codes)[0].tobytes() == np.array([0.0, 0.0, 1.0]).tobytes()
 
     def test_quantized_breakpoints_match_scalar(self):
-        lut = self.make(size=5)
-        qbp = lut.quantized_breakpoints
-        for s in range(lut.num_scales):
+        for scale in self.SCALES:
+            lut = self.make(size=5, scale=scale)
+            qbp = lut.quantized_breakpoints
             for p in range(5):
-                np.testing.assert_array_equal(
-                    qbp[s, p], lut.at(s, p).quantized_breakpoints
-                )
+                np.testing.assert_array_equal(qbp[p], lut.at(p).quantized_breakpoints)
 
     def test_shifted_intercepts_match_scalar(self):
-        lut = self.make(size=5)
-        shifted = lut.shifted_intercepts
-        for s in range(lut.num_scales):
+        for scale in self.SCALES:
+            lut = self.make(size=5, scale=scale)
+            shifted = lut.shifted_intercepts
             for p in range(5):
-                np.testing.assert_array_equal(
-                    shifted[s, p], lut.at(s, p).shifted_intercepts
-                )
+                np.testing.assert_array_equal(shifted[p], lut.at(p).shifted_intercepts)
 
     def test_spec_is_respected(self):
         lut = self.make()
         assert lut.spec == QuantSpec(bits=8, signed=True)
         assert lut.num_entries == 8
-        assert isinstance(lut.at(0, 0), QuantizedLUT)
+        assert isinstance(lut.at(0), QuantizedLUT)
