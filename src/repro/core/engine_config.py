@@ -96,7 +96,7 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
     Knob("decode_engine", str, "eager", "REPRO_DECODE_ENGINE", _ENGINE,
          "autoregressive-decode step engine"),
     Knob("sweep_run_dir", str, None, "REPRO_SWEEP_RUN_DIR", None,
-         "durable sweep journal directory (none: no journal)"),
+         "durable sweep journal directory (none: in-memory journal)"),
     Knob("sweep_lease_s", float, 30.0, "REPRO_SWEEP_LEASE_S", _positive,
          "work-queue lease timeout in seconds"),
     Knob("retry_attempts", int, 3, "REPRO_RETRY_ATTEMPTS", _at_least(1),

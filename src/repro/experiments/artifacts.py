@@ -300,12 +300,12 @@ class ArtifactStore:
 
         Orphans are the temp files of interrupted atomic writes: artifacts
         (``*.npz.tmp``) and shard manifests (``*.json.tmp``) in the shard
-        directories, and the sweep's quarantine sidecar (``*.json.tmp``)
-        in the store root.  Everything younger than ``grace_s`` is kept, which is the entire
-        concurrency story: a live writer's temp file and a just-committed
-        artifact both have fresh mtimes, so any number of gc passes racing
-        the writer — or each other — cannot delete in-progress or
-        just-landed work.  Removals tolerate losing the race to another gc
+        directories.  The store root is scanned too, which reaps the
+        orphans earlier builds left there.  Everything younger than
+        ``grace_s`` is kept, which is the entire concurrency story: a live
+        writer's temp file and a just-committed artifact both have fresh
+        mtimes, so any number of gc passes racing the writer — or each
+        other — cannot delete in-progress or just-landed work.  Removals tolerate losing the race to another gc
         pass (a vanished file is already the desired outcome).
 
         ``referenced`` is the caller's live-key set (e.g. a run journal's

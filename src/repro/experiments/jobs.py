@@ -18,19 +18,21 @@ Because each cell is seeded and side-effect free, the parallel and serial
 paths are bit-identical by construction — the tests assert it, the
 benchmarks gate on it.
 
-A sweep can further be made a **durable, resumable object** (PR 8): give
-:meth:`SweepEngine.run_manifest` a ``run_dir`` (kwarg, engine attribute or
-``REPRO_SWEEP_RUN_DIR``) and every per-cell transition is journaled through
-:class:`~repro.experiments.queue.DurableQueue` — pending → leased (with
-expiry + heartbeat renewal) → done/quarantined — while artifacts land in a
-store under ``run_dir/artifacts``.  SIGKILL the coordinator or any worker
-at any instant and :meth:`SweepEngine.resume` replays the journal, answers
-completed cells from the content-addressed store (zero rebuilds),
-re-leases expired cells, and finishes bit-identical to an uninterrupted
-run.  Quarantine is persisted in the journal (or a ``quarantine.json``
-sidecar next to a plain artifact store when no ``run_dir`` is used), so
-poisoned cells fail fast across process restarts until
-:meth:`SweepEngine.clear_quarantine` lifts the embargo.
+Every batch is also a **journaled** sweep (PR 8): each per-cell
+transition goes through a :class:`~repro.experiments.queue.DurableQueue`
+— pending → leased (with expiry + heartbeat renewal) → done/quarantined.
+Give :meth:`SweepEngine.run_manifest` a ``run_dir`` (kwarg, engine
+attribute or ``REPRO_SWEEP_RUN_DIR``) and that journal is an fsync'd file
+while artifacts land in a store under ``run_dir/artifacts``; without one
+the journal lives in memory and the code path is the same.  SIGKILL a
+durable coordinator or any worker at any instant and
+:meth:`SweepEngine.resume` replays the journal, answers completed cells
+from the content-addressed store (zero rebuilds), re-leases expired
+cells, and finishes bit-identical to an uninterrupted run.  A quarantine
+is a verdict about a run, so it lives in that run's journal: poisoned
+cells of a durable run fail fast across process restarts until
+:meth:`SweepEngine.clear_quarantine` lifts the embargo, while an engine
+without a ``run_dir`` keeps its quarantine for its own lifetime.
 
 The process-wide :func:`default_engine` is what
 :func:`repro.experiments.methods.build_approximation` routes through, so any
@@ -52,7 +54,7 @@ from repro.core import engine_config
 from repro.core.pwl import PiecewiseLinear
 from repro.experiments.artifacts import ArtifactCache, ArtifactStore
 from repro.experiments.methods import ApproximationBudget, compute_approximation
-from repro.experiments.queue import DONE, DurableQueue
+from repro.experiments.queue import DONE, JOURNAL_NAME, DurableQueue
 from repro.reliability.errors import JobQuarantinedError, PersistedQuarantineError
 from repro.reliability.faults import fault_point
 from repro.reliability.retry import RetryPolicy, run_with_retry
@@ -220,7 +222,7 @@ class SweepEngine:
         ``None`` re-resolves through :mod:`repro.core.engine_config`
         (context > ``REPRO_SWEEP_WORKERS`` > ``0``) on every :meth:`run`.
     retry:
-        Default :class:`~repro.reliability.retry.RetryPolicy` for failing
+        The :class:`~repro.reliability.retry.RetryPolicy` for failing
         cells.  ``None`` resolves through the engine config
         (``REPRO_RETRY_ATTEMPTS`` / ``REPRO_RETRY_BASE_DELAY``).  Retries
         never change results — every cell is seeded and side-effect free,
@@ -234,18 +236,17 @@ class SweepEngine:
         Default durable-run directory for :meth:`run_manifest` /
         :meth:`resume`.  ``None`` re-resolves through the engine config
         (context > ``REPRO_SWEEP_RUN_DIR`` > none) on every run; any
-        directory makes sweeps journaled and crash-safe (see
-        :mod:`repro.experiments.queue`).
+        directory makes sweeps journaled on disk and crash-safe, none
+        journals in memory (see :mod:`repro.experiments.queue`).
 
     Cells whose retry budget is exhausted are **quarantined** on the
     engine: their :class:`JobFailure` is reported in the
     :class:`SweepResult` manifest and later runs fail them fast (as a
     :class:`~repro.reliability.errors.JobQuarantinedError`) instead of
     re-poisoning a worker.  :meth:`clear_quarantine` lifts the embargo.
-    The quarantine set is persisted — in the run journal when a
-    ``run_dir`` is active, else in a ``quarantine.json`` sidecar next to
-    the disk store when one is attached — so the embargo survives process
-    restarts.
+    The run journal is the only persisted quarantine record: a durable
+    run's embargo survives process restarts, an in-memory run's lasts
+    as long as the engine.
     """
 
     def __init__(
@@ -264,57 +265,19 @@ class SweepEngine:
         self.stats = SweepStats()
         self.last_run = SweepStats()
         self.quarantine: Dict[str, JobFailure] = {}
-        self._queue: Optional[DurableQueue] = None
-        self._load_sidecar_quarantine()
+        self._queue = DurableQueue()
+        # True while ``cache.store`` is the one ``_open_queue`` attached
+        # under a run directory: that store follows the run directory, a
+        # store the caller passed in stays put.
+        self._store_attached = False
 
-    # -- persisted quarantine --------------------------------------------
-
-    _SIDECAR_NAME = "quarantine.json"
-
-    def _sidecar_path(self) -> Optional[Path]:
-        if self.cache.store is None:
-            return None
-        return self.cache.store.directory / self._SIDECAR_NAME
-
-    def _load_sidecar_quarantine(self) -> None:
-        path = self._sidecar_path()
-        if path is None or not path.exists():
-            return
-        try:
-            payload = json.loads(path.read_text())
-        except (OSError, ValueError):
-            return  # unreadable sidecar: start clean rather than crash
-        for key, entry in payload.get("quarantine", {}).items():
-            if key in self.quarantine:
-                continue
-            self._adopt_persisted_failure(
-                key, entry.get("job", {}), entry.get("error_type", ""),
-                entry.get("error", ""), int(entry.get("attempts", 0)),
-            )
-
-    def _persist_sidecar_quarantine(self) -> None:
-        path = self._sidecar_path()
-        if path is None:
-            return
-        payload = {
-            "version": 1,
-            "quarantine": {
-                key: {
-                    "job": _job_payload(failure.job),
-                    "error": str(failure.error),
-                    "error_type": failure.error_type,
-                    "attempts": failure.attempts,
-                }
-                for key, failure in self.quarantine.items()
-            },
-        }
-        self.cache.store._write_json_atomic(path, payload)
+    # -- journal ---------------------------------------------------------
 
     def _adopt_persisted_failure(
         self, key: str, payload: Dict[str, Any], error_type: str,
         message: str, attempts: int,
     ) -> None:
-        """Rebuild a :class:`JobFailure` from journal/sidecar quarantine state."""
+        """Rebuild a :class:`JobFailure` from a journal's quarantine record."""
         try:
             job = _job_from_payload(payload)
         except (KeyError, TypeError, ValueError):
@@ -326,26 +289,25 @@ class SweepEngine:
             key=key, job=job, error=error, attempts=attempts
         )
 
-    # -- durable queue ---------------------------------------------------
-
-    def _open_queue(self, run_dir: str) -> DurableQueue:
+    def _open_queue(self, run_dir: Optional[str]) -> DurableQueue:
         """The journal for ``run_dir`` (cached while the directory is stable).
 
-        Opening a run directory also (1) attaches an artifact store at
-        ``run_dir/artifacts`` when the engine's cache has none — resume
-        bit-parity requires completed cells to be loadable — and (2)
-        merges the journal's persisted quarantine into the engine's
-        in-memory set, so poison recorded by a dead coordinator still
-        fails fast here.
+        ``None`` is an in-memory journal.  Opening a run directory also
+        (1) attaches an artifact store at ``run_dir/artifacts`` when the
+        engine's cache has none, or moves a store attached that way to
+        the new run directory — resume bit-parity requires completed cells
+        to be loadable from their own run — and (2) merges the journal's
+        persisted quarantine into the engine's in-memory set, so poison
+        recorded by a dead coordinator still fails fast here.
         """
-        if self._queue is not None:
-            if str(self._queue.run_dir) == str(run_dir):
-                return self._queue
-            self._queue.close()
-            self._queue = None
-        queue = DurableQueue(run_dir)
-        if self.cache.store is None:
-            self.cache.store = ArtifactStore(Path(run_dir) / "artifacts")
+        target = Path(run_dir) if run_dir is not None else None
+        if self._queue.run_dir == target:
+            return self._queue
+        queue = DurableQueue(target)
+        self._queue.close()
+        if target is not None and (self.cache.store is None or self._store_attached):
+            self.cache.store = ArtifactStore(target / "artifacts")
+            self._store_attached = True
         for key, cell in queue.quarantined().items():
             if key not in self.quarantine:
                 self._adopt_persisted_failure(
@@ -356,27 +318,22 @@ class SweepEngine:
 
     def close(self) -> None:
         """Release the journal handle (the engine stays usable without it)."""
-        if self._queue is not None:
-            self._queue.close()
-            self._queue = None
+        self._queue.close()
+        self._queue = DurableQueue()
 
     def clear_quarantine(self) -> None:
         """Forget every poisoned key (they become eligible to run again).
 
-        The persisted record — journal and/or sidecar — is cleared too,
-        so the embargo stays lifted across process restarts.
+        The open run journal records the clear too, so the embargo stays
+        lifted across process restarts.
         """
         self.quarantine.clear()
-        if self._queue is not None:
-            self._queue.clear_quarantine()
-        self._persist_sidecar_quarantine()
+        self._queue.clear_quarantine()
 
     def run(
         self,
         jobs: Iterable[ApproximationJob],
         workers: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-        straggler_timeout: Optional[float] = None,
         run_dir: Optional[Union[str, Path]] = None,
     ) -> Dict[str, PiecewiseLinear]:
         """Execute ``jobs`` and return ``{job.key: PiecewiseLinear}``.
@@ -387,17 +344,12 @@ class SweepEngine:
         experiment runners need: a cell that still fails after retries
         raises.  Use :meth:`run_manifest` for the fault-tolerant view.
         """
-        return self.run_manifest(
-            jobs, workers=workers, retry=retry,
-            straggler_timeout=straggler_timeout, run_dir=run_dir,
-        ).require()
+        return self.run_manifest(jobs, workers=workers, run_dir=run_dir).require()
 
     def resume(
         self,
         run_dir: Optional[Union[str, Path]] = None,
         workers: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-        straggler_timeout: Optional[float] = None,
     ) -> SweepResult:
         """Finish an interrupted durable sweep from its journal.
 
@@ -406,7 +358,8 @@ class SweepEngine:
         the content-addressed artifact store (zero rebuilds), re-leases
         cells whose coordinator died mid-build, and fails persisted
         quarantine fast.  Because every cell is seeded, the resumed result
-        set is bit-identical to an uninterrupted run's.
+        set is bit-identical to an uninterrupted run's.  A directory with
+        no journal raises :class:`FileNotFoundError` and is left untouched.
         """
         resolved = engine_config.resolve(
             "sweep_run_dir", str(run_dir) if run_dir is not None else self.run_dir
@@ -416,25 +369,22 @@ class SweepEngine:
                 "resume() needs a run_dir (kwarg, engine attribute, or %s)"
                 % engine_config.KNOBS["sweep_run_dir"].env
             )
+        journal = Path(resolved) / JOURNAL_NAME
+        if not journal.is_file():
+            raise FileNotFoundError("no sweep journal to resume at %s" % journal)
         queue = self._open_queue(resolved)
         jobs = [
             _job_from_payload(payload)
             for payload in queue.jobs().values()
             if payload
         ]
-        return self.run_manifest(
-            jobs, workers=workers, retry=retry,
-            straggler_timeout=straggler_timeout, run_dir=resolved, resume=True,
-        )
+        return self.run_manifest(jobs, workers=workers, run_dir=resolved)
 
     def run_manifest(
         self,
         jobs: Iterable[ApproximationJob],
         workers: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-        straggler_timeout: Optional[float] = None,
         run_dir: Optional[Union[str, Path]] = None,
-        resume: bool = False,
     ) -> SweepResult:
         """Fault-tolerant execution: failures land in the manifest.
 
@@ -443,24 +393,20 @@ class SweepEngine:
         a :class:`JobFailure` and quarantined instead of aborting the
         batch.
 
-        With a ``run_dir`` (kwarg > engine attribute > engine config) the
-        sweep is durable: cells are journaled through a
+        Cells are journaled through a
         :class:`~repro.experiments.queue.DurableQueue` (leased with expiry
         + heartbeat while building, marked done once the artifact is
-        persisted), so a SIGKILL at any instant is recoverable via
-        :meth:`resume`.  ``resume`` is informational here — the journal
-        transitions are idempotent either way — and set by
-        :meth:`resume` itself.
+        persisted).  With a ``run_dir`` (kwarg > engine attribute > engine
+        config) that journal is on disk, so a SIGKILL at any instant is
+        recoverable via :meth:`resume`; without one it is in memory.
         """
         if workers is None:
             workers = engine_config.resolve("sweep_workers", self.workers)
-        policy = RetryPolicy.resolve(retry if retry is not None else self.retry)
-        if straggler_timeout is None:
-            straggler_timeout = self.straggler_timeout
+        policy = RetryPolicy.resolve(self.retry)
         resolved_dir = engine_config.resolve(
             "sweep_run_dir", str(run_dir) if run_dir is not None else self.run_dir
         )
-        queue = self._open_queue(resolved_dir) if resolved_dir else None
+        queue = self._open_queue(resolved_dir or None)
         run_stats = SweepStats()
         memory_hits_before = self.cache.memory_hits
         disk_hits_before = self.cache.disk_hits
@@ -473,8 +419,7 @@ class SweepEngine:
             if key in results or key in missing or key in failures:
                 run_stats.deduped += 1
                 continue
-            if queue is not None:
-                queue.enqueue(key, _job_payload(job))
+            queue.enqueue(key, _job_payload(job))
             if key in self.quarantine:
                 # Fail fast: this key poisoned an earlier run.  Re-wrap so
                 # the manifest names the quarantine, keeping the original
@@ -490,12 +435,11 @@ class SweepEngine:
             hit = self.cache.load(key)
             if hit is not None:
                 results[key] = hit
-                if queue is not None:
-                    # A journaled cell satisfied from cache is complete —
-                    # record it so resume accounting never re-leases it.
-                    queue.complete(key)
+                # A journaled cell satisfied from cache is complete —
+                # record it so resume accounting never re-leases it.
+                queue.complete(key)
             else:
-                if queue is not None and queue.state(key) == DONE:
+                if queue.state(key) == DONE:
                     # The journal says done but the artifact vanished
                     # (store lost / scrub quarantined it): self-heal by
                     # making the cell buildable again.
@@ -511,8 +455,7 @@ class SweepEngine:
             # work — so the loop below only does the result bookkeeping.
             if workers and workers > 1 and len(missing) > 1:
                 built = self._run_pool(
-                    missing, workers, policy, straggler_timeout, run_stats,
-                    failures, queue,
+                    missing, workers, policy, run_stats, failures, queue
                 )
             else:
                 built = self._run_serial(
@@ -534,24 +477,19 @@ class SweepEngine:
         job: ApproximationJob,
         error: BaseException,
         attempts: int,
-        queue: Optional[DurableQueue] = None,
+        queue: DurableQueue,
     ) -> None:
         record = JobFailure(key=key, job=job, error=error, attempts=attempts)
         failures[key] = record
         self.quarantine[key] = record
         run_stats.failures += 1
-        # Persist the embargo: journal when this run is durable, sidecar
-        # next to the disk store otherwise.
-        if queue is not None:
-            queue.quarantine(key, error, attempts)
-        else:
-            self._persist_sidecar_quarantine()
+        queue.quarantine(key, error, attempts)
 
     def _commit(
         self,
         key: str,
         pwl: PiecewiseLinear,
-        queue: Optional[DurableQueue],
+        queue: DurableQueue,
     ) -> None:
         """Persist one built cell, *then* journal its completion.
 
@@ -561,8 +499,7 @@ class SweepEngine:
         never exist without its artifact.
         """
         self.cache.put(key, pwl)
-        if queue is not None:
-            queue.complete(key)
+        queue.complete(key)
 
     def _run_serial(
         self,
@@ -570,12 +507,11 @@ class SweepEngine:
         policy: RetryPolicy,
         run_stats: SweepStats,
         failures: Dict[str, JobFailure],
-        queue: Optional[DurableQueue] = None,
+        queue: DurableQueue,
     ) -> List[Tuple[str, PiecewiseLinear]]:
         built: List[Tuple[str, PiecewiseLinear]] = []
         for key, job in missing.items():
-            if queue is not None:
-                queue.lease(key, worker="serial")
+            queue.lease(key, worker="serial")
             outcome = run_with_retry(
                 lambda item=(key, job): _execute_job(item)[1],
                 policy=policy,
@@ -597,27 +533,26 @@ class SweepEngine:
         missing: Dict[str, ApproximationJob],
         workers: int,
         policy: RetryPolicy,
-        straggler_timeout: Optional[float],
         run_stats: SweepStats,
         failures: Dict[str, JobFailure],
-        queue: Optional[DurableQueue] = None,
+        queue: DurableQueue,
     ) -> List[Tuple[str, PiecewiseLinear]]:
         """Fan ``missing`` over a process pool with retry + re-dispatch.
 
         Each cell has a dispatch budget of ``policy.max_attempts`` shared
         between failure retries and straggler duplicates.  When a wait
-        window (``straggler_timeout``) passes with no completion at all,
-        every unresolved cell with budget left is duplicated onto another
-        worker — results are seeded, so whichever copy finishes first is
-        the answer and late copies are ignored.  A cell whose budget is
+        window (the engine's ``straggler_timeout``) passes with no
+        completion at all, every unresolved cell with budget left is
+        duplicated onto another worker — results are seeded, so whichever
+        copy finishes first is the answer and late copies are ignored.  A cell whose budget is
         exhausted *and* whose in-flight copies outlive one further grace
         window is abandoned as a straggler failure; the pool is then shut
         down without waiting so a wedged worker cannot hang the sweep.
 
-        On a durable run the coordinator journals on the workers' behalf
-        (the journal is single-writer): a ``lease`` record per dispatch, a
-        heartbeat ``renew`` for every in-flight cell at most every
-        ``lease_s / 3``, ``done`` once the artifact is persisted.  The
+        The coordinator journals on the workers' behalf (the journal is
+        single-writer): a ``lease`` record per dispatch, a heartbeat
+        ``renew`` for every in-flight cell at most every ``lease_s / 3``,
+        ``done`` once the artifact is persisted.  The
         heartbeat bounds the wait window, so long builds never let a live
         coordinator's leases lapse — only a dead coordinator's do.
         """
@@ -627,11 +562,11 @@ class SweepEngine:
         grace_strikes: Dict[str, int] = {}
         inflight: Dict[object, str] = {}
         abandoned = False
+        straggler_timeout = self.straggler_timeout
         pool = ProcessPoolExecutor(max_workers=workers)
 
         def dispatch(key: str, job: ApproximationJob) -> None:
-            if queue is not None:
-                queue.lease(key, worker="pool")
+            queue.lease(key, worker="pool")
             inflight[pool.submit(_execute_job, (key, job))] = key
             dispatched[key] = dispatched.get(key, 0) + 1
 
@@ -640,20 +575,14 @@ class SweepEngine:
                 dispatch(key, job)
             window_start = time.monotonic()
             while unresolved and inflight:
-                timeouts = []
+                timeout = queue.lease_s / 3.0
                 if straggler_timeout is not None:
                     elapsed = time.monotonic() - window_start
-                    timeouts.append(max(0.0, straggler_timeout - elapsed))
-                if queue is not None:
-                    timeouts.append(queue.lease_s / 3.0)
-                done, _ = wait(
-                    set(inflight), timeout=min(timeouts) if timeouts else None,
-                    return_when=FIRST_COMPLETED,
-                )
+                    timeout = min(timeout, max(0.0, straggler_timeout - elapsed))
+                done, _ = wait(set(inflight), timeout=timeout, return_when=FIRST_COMPLETED)
                 if not done:
-                    if queue is not None:
-                        for key in set(inflight.values()):
-                            queue.renew(key)
+                    for key in set(inflight.values()):
+                        queue.renew(key)
                     straggled = (
                         straggler_timeout is not None
                         and time.monotonic() - window_start >= straggler_timeout
@@ -700,8 +629,7 @@ class SweepEngine:
                         dispatched[key] < policy.max_attempts
                         and policy.is_retryable(error)
                     ):
-                        if queue is not None:
-                            queue.record_failure(key, error, dispatched[key])
+                        queue.record_failure(key, error, dispatched[key])
                         time.sleep(policy.backoff(dispatched[key], site=_job_site(job)))
                         dispatch(key, job)
                         run_stats.retries += 1

@@ -9,6 +9,11 @@ its pool workers) can be SIGKILLed at any instant and a fresh process can
 replay the journal and finish the sweep bit-identical to an uninterrupted
 run.
 
+Every sweep runs through a queue.  ``DurableQueue(None)`` is the same
+state machine with the journal kept in memory (no file, no fsync, no
+replay): a sweep without a ``run_dir`` takes the identical code path and
+simply forgets its state with the process.
+
 Journal format
 --------------
 
@@ -49,12 +54,12 @@ Lease state machine
 
 Lease expiry is *derived*, never journaled: a leased cell whose ``expires``
 timestamp (wall clock — it must survive process restarts) has passed is
-reported by :meth:`pending_keys` and re-leasable, which is precisely how a
-dead coordinator's in-flight cells are recovered on resume.  Completion is
-idempotent by construction — cells are addressed by their SHA-256 content
-key and artifacts live in the content-addressed store — so the races a
-visibility timeout allows (two workers finishing the same cell) converge
-on bit-identical bytes.
+reported by :meth:`state` as pending and is re-leasable, which is
+precisely how a dead coordinator's in-flight cells are recovered on
+resume.  Completion is idempotent by construction — cells are addressed
+by their SHA-256 content key and artifacts live in the content-addressed
+store — so the races a visibility timeout allows (two workers finishing
+the same cell) converge on bit-identical bytes.
 
 The journal has a **single writer**: the coordinator process.  Pool
 workers never append — their lifecycle is recorded by the coordinator on
@@ -69,7 +74,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import IO, Any, Callable, Dict, Optional, Union
 
 from repro.core import engine_config
 from repro.reliability.errors import JournalCorruptError
@@ -105,14 +110,17 @@ class CellRecord:
 
 
 class DurableQueue:
-    """On-disk work-queue state for one sweep run directory.
+    """Work-queue state for one sweep, journaled to disk or kept in memory.
 
     Parameters
     ----------
     run_dir:
         Directory holding the journal (created on first use).  Artifacts
         conventionally live next to it under ``run_dir/artifacts`` (the
-        sweep engine attaches a store there when it has none).
+        sweep engine attaches a store there when it has none).  ``None``
+        keeps the journal in memory: every transition still goes through
+        the same :meth:`_apply`, but nothing is written, fsync'd or
+        replayed, so the state lives as long as the object.
     lease_s:
         Visibility timeout for leased cells; ``None`` resolves through
         :mod:`repro.core.engine_config` (``REPRO_SWEEP_LEASE_S`` > 30).
@@ -123,19 +131,24 @@ class DurableQueue:
 
     def __init__(
         self,
-        run_dir: Union[str, Path],
+        run_dir: Optional[Union[str, Path]] = None,
         lease_s: Optional[float] = None,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        self.run_dir = Path(run_dir)
-        self.run_dir.mkdir(parents=True, exist_ok=True)
         self.lease_s = engine_config.resolve("sweep_lease_s", lease_s)
         self.clock = clock
-        self.journal_path = self.run_dir / JOURNAL_NAME
         self.cells: Dict[str, CellRecord] = {}
         # Set when replay dropped an undecodable final record (a crash
         # mid-append); exposed for tests and health reporting.
         self.torn_tail = False
+        self._handle: Optional[IO[str]] = None
+        self.run_dir: Optional[Path] = None
+        self.journal_path: Optional[Path] = None
+        if run_dir is None:
+            return
+        self.run_dir = Path(run_dir)
+        self.run_dir.mkdir(parents=True, exist_ok=True)
+        self.journal_path = self.run_dir / JOURNAL_NAME
         fresh = not self.journal_path.exists()
         if not fresh:
             self._replay()
@@ -186,10 +199,12 @@ class DurableQueue:
 
         In-memory state is updated through the same :meth:`_apply` replay
         uses, so a resumed process reconstructs exactly the state a live
-        one held.
+        one held.  An in-memory queue stops after the apply.
         """
         fault_point("queue.append")
         self._apply(record)
+        if self._handle is None:
+            return
         line = json.dumps(record, sort_keys=True, separators=(",", ":"))
         self._handle.write(line + "\n")
         self._handle.flush()
@@ -328,17 +343,6 @@ class DurableQueue:
             return PENDING
         return cell.state
 
-    def pending_keys(self, now: Optional[float] = None) -> List[str]:
-        """Cells still owed work: pending plus expired leases, journal order."""
-        now = self.clock() if now is None else now
-        return [
-            cell.key for cell in self.cells.values()
-            if cell.state == PENDING or cell.lease_expired(now)
-        ]
-
-    def done_keys(self) -> List[str]:
-        return [cell.key for cell in self.cells.values() if cell.state == DONE]
-
     def quarantined(self) -> Dict[str, CellRecord]:
         return {
             key: cell for key, cell in self.cells.items()
@@ -349,19 +353,10 @@ class DurableQueue:
         """Every journaled cell's payload, keyed by content key."""
         return {key: cell.payload for key, cell in self.cells.items()}
 
-    def counts(self) -> Dict[str, int]:
-        """State histogram (expired leases counted as pending)."""
-        now = self.clock()
-        histogram = {PENDING: 0, LEASED: 0, DONE: 0, QUARANTINED: 0}
-        for cell in self.cells.values():
-            state = PENDING if cell.lease_expired(now) else cell.state
-            histogram[state] += 1
-        return histogram
-
     # -- lifecycle -------------------------------------------------------
 
     def close(self) -> None:
-        if not self._handle.closed:
+        if self._handle is not None:
             self._handle.close()
 
     def __enter__(self) -> "DurableQueue":

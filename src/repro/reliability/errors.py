@@ -48,7 +48,7 @@ class JournalCorruptError(ReliabilityError):
 
 
 class PersistedQuarantineError(ReliabilityError):
-    """A quarantine record reloaded from a journal or sidecar file.
+    """A quarantine record reloaded from a durable run's journal.
 
     Stands in for the original exception (whose type/traceback died with
     the process that quarantined the cell); the message preserves the

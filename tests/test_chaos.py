@@ -107,9 +107,9 @@ class TestSweepChaos:
         plan = FaultPlan(specs=(
             FaultSpec(site="sweep.build:gelu:*", fail_always=True, exception="runtime"),
         ))
-        engine = SweepEngine()
+        engine = SweepEngine(retry=FAST_RETRY)
         with inject(plan):
-            manifest = engine.run_manifest(self.JOBS, workers=0, retry=FAST_RETRY)
+            manifest = engine.run_manifest(self.JOBS, workers=0)
         assert not manifest.ok
         poisoned = self.JOBS[0].key
         assert set(manifest.failures) == {poisoned}
@@ -130,9 +130,9 @@ class TestSweepChaos:
         plan = FaultPlan(specs=(
             FaultSpec(site="sweep.build:gelu:*", fail_always=True, exception="runtime"),
         ))
-        engine = SweepEngine()
+        engine = SweepEngine(retry=FAST_RETRY)
         with inject(plan, propagate=True):
-            manifest = engine.run_manifest(self.JOBS, workers=2, retry=FAST_RETRY)
+            manifest = engine.run_manifest(self.JOBS, workers=2)
         assert set(manifest.failures) == {self.JOBS[0].key}
         assert manifest.failures[self.JOBS[0].key].attempts == FAST_RETRY.max_attempts
         for job in self.JOBS[1:]:
@@ -145,10 +145,10 @@ class TestSweepChaos:
         plan = FaultPlan(specs=(
             FaultSpec(site="sweep.build:div:*", fail_calls=(1,), exception="os"),
         ))
-        engine = SweepEngine()
+        engine = SweepEngine(retry=FAST_RETRY)
         job = self.JOBS[1]
         with inject(plan):
-            manifest = engine.run_manifest([job], workers=0, retry=FAST_RETRY)
+            manifest = engine.run_manifest([job], workers=0)
         assert manifest.ok
         assert manifest.stats.retries == 1
         assert manifest.stats.builds == 1
@@ -161,21 +161,21 @@ class TestSweepChaos:
         plan = FaultPlan(specs=(
             FaultSpec(site="sweep.build:gelu:*", fail_always=True, exception="runtime"),
         ))
-        engine = SweepEngine()
+        engine = SweepEngine(retry=FAST_RETRY)
         job = self.JOBS[0]
         with inject(plan):
-            first = engine.run_manifest([job], workers=0, retry=FAST_RETRY)
+            first = engine.run_manifest([job], workers=0)
         assert not first.ok
         # Second run: the key is poison — refused without re-execution,
         # even though the fault plan is gone.
-        second = engine.run_manifest([job], workers=0, retry=FAST_RETRY)
+        second = engine.run_manifest([job], workers=0)
         assert isinstance(second.failures[job.key].error, JobQuarantinedError)
         assert second.stats.builds == 0
         # run() (the all-or-nothing surface) raises the quarantine error.
         with pytest.raises(JobQuarantinedError):
             engine.run([job])
         engine.clear_quarantine()
-        healed = engine.run_manifest([job], workers=0, retry=FAST_RETRY)
+        healed = engine.run_manifest([job], workers=0)
         assert healed.ok
         assert_pwl_equal(
             healed.results[job.key],
@@ -186,15 +186,14 @@ class TestSweepChaos:
         plan = FaultPlan(specs=(
             FaultSpec(site="sweep.build:exp:*", delay_always=True, delay_seconds=0.3),
         ))
-        engine = SweepEngine()
-        jobs = [self.JOBS[1], self.JOBS[2]]  # div (healthy), exp (slow)
         # Budget of 5 dispatches: the 0.3s straggler finishes long before
         # the budget plus two grace windows could abandon it.
+        engine = SweepEngine(
+            retry=RetryPolicy(max_attempts=5, base_delay=0.0), straggler_timeout=0.1
+        )
+        jobs = [self.JOBS[1], self.JOBS[2]]  # div (healthy), exp (slow)
         with inject(plan, propagate=True):
-            manifest = engine.run_manifest(
-                jobs, workers=2, retry=RetryPolicy(max_attempts=5, base_delay=0.0),
-                straggler_timeout=0.1,
-            )
+            manifest = engine.run_manifest(jobs, workers=2)
         assert manifest.ok
         assert manifest.stats.redispatches >= 1
         for job in jobs:

@@ -9,9 +9,10 @@ The PR 8 crash-safety contract, exercised end to end:
   (the tear is truncated, everything before it is kept);
 * two concurrent ``gc()`` passes racing a live writer never delete a
   just-committed artifact (the grace window is the invariant);
-* the quarantine set survives process restarts — via the journal on a
-  durable run, via the ``quarantine.json`` sidecar when only a disk
-  store is attached — and ``clear_quarantine()`` lifts both;
+* a durable run's quarantine set survives process restarts through its
+  journal and ``clear_quarantine()`` lifts it; an engine with only a
+  store keeps its quarantine in memory and writes no record beside the
+  artifacts;
 * ``scrub()`` detects an injected bit-flip, moves the corrupt artifact
   aside, and the next access self-heals by recomputing.
 """
@@ -223,8 +224,8 @@ class TestGCRaces:
 
     def test_gc_reaps_aged_json_tmp_orphans_and_keeps_fresh_ones(self, tmp_path):
         # A crash between mkstemp and os.replace leaves the temp file of a
-        # shard manifest (in the shard) or of the quarantine sidecar (in
-        # the store root) behind.
+        # shard manifest behind in the shard; the root scan reaps the
+        # orphans earlier builds left in the store root.
         store = ArtifactStore(tmp_path)
         (tmp_path / "ab").mkdir()
         aged = [tmp_path / "ab" / ".manifest-x1.json.tmp",
@@ -275,30 +276,24 @@ class TestPersistedQuarantine:
         assert final.resume(run_dir).ok
         final.close()
 
-    def test_sidecar_quarantine_survives_restart_and_clears(self, tmp_path):
+    def test_store_only_quarantine_stays_in_memory(self, tmp_path):
+        # Without a run_dir the journal is in memory: the engine keeps its
+        # verdict for its lifetime and writes nothing but artifacts.
         store_dir = tmp_path / "store"
+        good = ApproximationJob("exp", "nn-lut", 8, QUICK)
         engine = SweepEngine(
             cache=ArtifactCache(store=ArtifactStore(store_dir)), retry=FAST_RETRY
         )
         with inject(self.POISON):
-            manifest = engine.run_manifest([self.BAD_JOB])
-        assert not manifest.ok
-        assert (store_dir / "quarantine.json").exists()
+            manifest = engine.run_manifest([self.BAD_JOB, good])
+        assert set(manifest.failures) == {self.BAD_JOB.key}
+        root = [(path.name, path.is_dir()) for path in store_dir.iterdir()]
+        assert root == [(good.key[:2], True)]
 
-        fresh = SweepEngine(
-            cache=ArtifactCache(store=ArtifactStore(store_dir)), retry=FAST_RETRY
-        )
-        blocked = fresh.run_manifest([self.BAD_JOB])
-        assert not blocked.ok
-        failure = blocked.failures[self.BAD_JOB.key]
-        assert isinstance(failure.error, JobQuarantinedError)
-        assert isinstance(failure.error.__cause__, PersistedQuarantineError)
-
-        fresh.clear_quarantine()
-        final = SweepEngine(
-            cache=ArtifactCache(store=ArtifactStore(store_dir)), retry=FAST_RETRY
-        )
-        assert final.run_manifest([self.BAD_JOB]).ok
+        blocked = engine.run_manifest([self.BAD_JOB])
+        assert isinstance(blocked.failures[self.BAD_JOB.key].error, JobQuarantinedError)
+        fresh = SweepEngine(cache=ArtifactCache(store=ArtifactStore(store_dir)))
+        assert fresh.run_manifest([self.BAD_JOB]).ok
 
 
 class TestScrubHeals:

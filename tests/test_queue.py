@@ -5,7 +5,9 @@ substrate of PR 8: these tests pin the journal format (append-only JSONL,
 fsync'd, torn tail tolerated), the lease state machine (pending → leased
 with expiry + renewal → done/failed/quarantined), replay equivalence
 (a reopened queue reconstructs exactly the state a live one held), and
-the fault seams the chaos suite drives.
+the fault seams the chaos suite drives.  The lifecycle, lease and
+quarantine classes run twice: journaled on disk, and again through an
+``*InMemory`` subclass with ``DurableQueue(None)``.
 """
 
 import json
@@ -41,14 +43,31 @@ class FakeClock:
         self.now += seconds
 
 
-def make_queue(tmp_path, lease_s=30.0, clock=None):
-    return DurableQueue(tmp_path / "run", lease_s=lease_s,
-                        clock=clock or FakeClock())
+@pytest.fixture
+def make_queue(request, tmp_path):
+    """Queue factory: journaled under ``tmp_path/run`` (every call reopens
+    the same journal), or in memory in a class that sets ``run_dir = None``."""
+    run_dir = getattr(request.cls, "run_dir", tmp_path / "run")
+
+    def make(lease_s=30.0, clock=None):
+        return DurableQueue(run_dir, lease_s=lease_s, clock=clock or FakeClock())
+
+    return make
+
+
+def record_appends(queue, monkeypatch):
+    """Every record ``queue`` appends from now on, in order."""
+    appended = []
+    append = queue._append
+    monkeypatch.setattr(
+        queue, "_append", lambda record: (appended.append(record), append(record))
+    )
+    return appended
 
 
 class TestLifecycle:
-    def test_enqueue_lease_complete(self, tmp_path):
-        with make_queue(tmp_path) as queue:
+    def test_enqueue_lease_complete(self, make_queue):
+        with make_queue() as queue:
             assert queue.enqueue(KEY, PAYLOAD) is True
             assert queue.state(KEY) == PENDING
             expires = queue.lease(KEY, worker="w0")
@@ -56,53 +75,50 @@ class TestLifecycle:
             assert expires == queue.clock() + queue.lease_s
             queue.complete(KEY)
             assert queue.state(KEY) == DONE
-            assert queue.done_keys() == [KEY]
-            assert queue.pending_keys() == []
 
-    def test_enqueue_is_idempotent(self, tmp_path):
-        with make_queue(tmp_path) as queue:
+    def test_enqueue_is_idempotent(self, make_queue):
+        with make_queue() as queue:
             assert queue.enqueue(KEY, PAYLOAD) is True
             assert queue.enqueue(KEY, {"different": "payload"}) is False
             # First payload wins; the duplicate did not journal.
             assert queue.jobs()[KEY] == PAYLOAD
 
-    def test_complete_is_idempotent(self, tmp_path):
-        with make_queue(tmp_path) as queue:
+    def test_complete_is_idempotent(self, make_queue, monkeypatch):
+        with make_queue() as queue:
             queue.enqueue(KEY, PAYLOAD)
             queue.lease(KEY)
             queue.complete(KEY)
-            before = (tmp_path / "run" / "journal.jsonl").read_text()
+            appended = record_appends(queue, monkeypatch)
             queue.complete(KEY)  # no-op, no duplicate record
-            assert (tmp_path / "run" / "journal.jsonl").read_text() == before
+            assert appended == []
 
-    def test_unknown_key_raises(self, tmp_path):
-        with make_queue(tmp_path) as queue:
+    def test_unknown_key_raises(self, make_queue):
+        with make_queue() as queue:
             with pytest.raises(KeyError):
                 queue.lease(KEY)
             with pytest.raises(KeyError):
                 queue.complete(KEY)
 
-    def test_state_of_unknown_key_is_none(self, tmp_path):
-        with make_queue(tmp_path) as queue:
+    def test_state_of_unknown_key_is_none(self, make_queue):
+        with make_queue() as queue:
             assert queue.state(KEY) is None
 
 
 class TestLeases:
-    def test_expired_lease_reports_pending(self, tmp_path):
+    def test_expired_lease_reports_pending(self, make_queue):
         clock = FakeClock()
-        with make_queue(tmp_path, lease_s=10.0, clock=clock) as queue:
+        with make_queue(lease_s=10.0, clock=clock) as queue:
             queue.enqueue(KEY, PAYLOAD)
             queue.lease(KEY, worker="w0")
             assert queue.state(KEY) == LEASED
-            assert queue.pending_keys() == []
-            clock.advance(10.0)
+            clock.advance(9.0)
+            assert queue.state(KEY) == LEASED
+            clock.advance(1.0)
             assert queue.state(KEY) == PENDING
-            assert queue.pending_keys() == [KEY]
-            assert queue.counts()[PENDING] == 1
 
-    def test_renew_extends_the_lease(self, tmp_path):
+    def test_renew_extends_the_lease(self, make_queue):
         clock = FakeClock()
-        with make_queue(tmp_path, lease_s=10.0, clock=clock) as queue:
+        with make_queue(lease_s=10.0, clock=clock) as queue:
             queue.enqueue(KEY, PAYLOAD)
             queue.lease(KEY)
             clock.advance(8.0)
@@ -110,16 +126,16 @@ class TestLeases:
             clock.advance(8.0)  # 16s after lease, 8s after renew
             assert queue.state(KEY) == LEASED
 
-    def test_renew_of_unleased_cell_is_a_noop(self, tmp_path):
-        with make_queue(tmp_path) as queue:
+    def test_renew_of_unleased_cell_is_a_noop(self, make_queue, monkeypatch):
+        with make_queue() as queue:
             queue.enqueue(KEY, PAYLOAD)
-            before = (tmp_path / "run" / "journal.jsonl").read_text()
+            appended = record_appends(queue, monkeypatch)
             queue.renew(KEY)
-            assert (tmp_path / "run" / "journal.jsonl").read_text() == before
+            assert appended == []
 
-    def test_lease_takeover_supersedes(self, tmp_path):
+    def test_lease_takeover_supersedes(self, make_queue):
         clock = FakeClock()
-        with make_queue(tmp_path, lease_s=10.0, clock=clock) as queue:
+        with make_queue(lease_s=10.0, clock=clock) as queue:
             queue.enqueue(KEY, PAYLOAD)
             queue.lease(KEY, worker="w0")
             clock.advance(10.0)  # w0's lease lapses
@@ -127,8 +143,8 @@ class TestLeases:
             assert queue.state(KEY) == LEASED
             assert queue.cells[KEY].lease_worker == "w1"
 
-    def test_failure_returns_cell_to_pending(self, tmp_path):
-        with make_queue(tmp_path) as queue:
+    def test_failure_returns_cell_to_pending(self, make_queue):
+        with make_queue() as queue:
             queue.enqueue(KEY, PAYLOAD)
             queue.lease(KEY)
             queue.record_failure(KEY, ValueError("boom"), attempts=1)
@@ -138,8 +154,8 @@ class TestLeases:
 
 
 class TestQuarantine:
-    def test_quarantined_cell_cannot_be_leased(self, tmp_path):
-        with make_queue(tmp_path) as queue:
+    def test_quarantined_cell_cannot_be_leased(self, make_queue):
+        with make_queue() as queue:
             queue.enqueue(KEY, PAYLOAD)
             queue.quarantine(KEY, RuntimeError("poison"), attempts=3)
             assert queue.state(KEY) == QUARANTINED
@@ -147,18 +163,20 @@ class TestQuarantine:
             with pytest.raises(ValueError):
                 queue.lease(KEY)
 
-    def test_clear_quarantine_persists_across_reopen(self, tmp_path):
-        with make_queue(tmp_path) as queue:
+    def test_clear_quarantine_persists_across_reopen(self, make_queue):
+        with make_queue() as queue:
             queue.enqueue(KEY, PAYLOAD)
             queue.quarantine(KEY, RuntimeError("poison"), attempts=3)
             queue.clear_quarantine()
             assert queue.state(KEY) == PENDING
-        with make_queue(tmp_path) as reopened:
+        if queue.journal_path is None:
+            return  # an in-memory journal ends with its queue
+        with make_queue() as reopened:
             assert reopened.state(KEY) == PENDING
             assert reopened.quarantined() == {}
 
-    def test_reopen_only_from_done(self, tmp_path):
-        with make_queue(tmp_path) as queue:
+    def test_reopen_only_from_done(self, make_queue):
+        with make_queue() as queue:
             queue.enqueue(KEY, PAYLOAD)
             queue.reopen(KEY)  # pending: no-op
             assert queue.state(KEY) == PENDING
@@ -168,10 +186,31 @@ class TestQuarantine:
             assert queue.state(KEY) == PENDING
 
 
+class TestLifecycleInMemory(TestLifecycle):
+    run_dir = None
+
+    def test_nothing_touches_the_disk(self, make_queue, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with make_queue() as queue:
+            queue.enqueue(KEY, PAYLOAD)
+            queue.lease(KEY)
+            queue.complete(KEY)
+            assert queue.journal_path is None
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestLeasesInMemory(TestLeases):
+    run_dir = None
+
+
+class TestQuarantineInMemory(TestQuarantine):
+    run_dir = None
+
+
 class TestReplay:
-    def test_reopened_queue_reconstructs_exact_state(self, tmp_path):
+    def test_reopened_queue_reconstructs_exact_state(self, make_queue):
         clock = FakeClock()
-        with make_queue(tmp_path, lease_s=10.0, clock=clock) as queue:
+        with make_queue(lease_s=10.0, clock=clock) as queue:
             queue.enqueue(KEY, PAYLOAD)
             queue.enqueue(OTHER, PAYLOAD)
             queue.lease(KEY, worker="w0")
@@ -179,15 +218,15 @@ class TestReplay:
             queue.lease(OTHER, worker="w1")
             live = {k: (c.state, c.attempts, c.lease_expires)
                     for k, c in queue.cells.items()}
-        with make_queue(tmp_path, lease_s=10.0, clock=clock) as reopened:
+        with make_queue(lease_s=10.0, clock=clock) as reopened:
             replayed = {k: (c.state, c.attempts, c.lease_expires)
                         for k, c in reopened.cells.items()}
             assert replayed == live
             assert reopened.jobs() == {KEY: PAYLOAD, OTHER: PAYLOAD}
             assert not reopened.torn_tail
 
-    def test_torn_tail_is_tolerated(self, tmp_path):
-        with make_queue(tmp_path) as queue:
+    def test_torn_tail_is_tolerated(self, make_queue, tmp_path):
+        with make_queue() as queue:
             queue.enqueue(KEY, PAYLOAD)
             queue.lease(KEY)
             queue.complete(KEY)
@@ -195,27 +234,27 @@ class TestReplay:
         # Simulate a crash mid-append: the final record is cut short.
         raw = journal.read_bytes()
         journal.write_bytes(raw + b'{"type":"enqueue","key":"' + b"c" * 30)
-        with make_queue(tmp_path) as reopened:
+        with make_queue() as reopened:
             assert reopened.torn_tail
             assert reopened.state(KEY) == DONE  # everything before the tear
         # Replay truncated the torn bytes, so later appends start a fresh
         # line and the journal stays replayable.
-        with make_queue(tmp_path) as again:
+        with make_queue() as again:
             assert not again.torn_tail
             again.enqueue(OTHER, PAYLOAD)
-        with make_queue(tmp_path) as final:
+        with make_queue() as final:
             assert final.state(KEY) == DONE
             assert final.state(OTHER) == PENDING
 
-    def test_mid_journal_corruption_raises(self, tmp_path):
-        with make_queue(tmp_path) as queue:
+    def test_mid_journal_corruption_raises(self, make_queue, tmp_path):
+        with make_queue() as queue:
             queue.enqueue(KEY, PAYLOAD)
         journal = tmp_path / "run" / "journal.jsonl"
         lines = journal.read_bytes().splitlines(keepends=True)
         lines[0] = b"garbage that is not json\n"
         journal.write_bytes(b"".join(lines))
         with pytest.raises(JournalCorruptError):
-            DurableQueue(tmp_path / "run")
+            make_queue()
 
     def test_newer_journal_format_is_refused(self, tmp_path):
         run = tmp_path / "run"
@@ -226,35 +265,35 @@ class TestReplay:
         with pytest.raises(JournalCorruptError):
             DurableQueue(run)
 
-    def test_unknown_record_types_are_ignored(self, tmp_path):
+    def test_unknown_record_types_are_ignored(self, make_queue, tmp_path):
         # Forward compatibility: an older build must replay a journal
         # containing record types it does not know.
-        with make_queue(tmp_path) as queue:
+        with make_queue() as queue:
             queue.enqueue(KEY, PAYLOAD)
         journal = tmp_path / "run" / "journal.jsonl"
         with open(journal, "a") as handle:
             handle.write(json.dumps({"type": "future_extension", "x": 1}) + "\n")
-        with make_queue(tmp_path) as reopened:
+        with make_queue() as reopened:
             assert reopened.state(KEY) == PENDING
 
 
 class TestFaultSeams:
-    def test_append_seam_fires(self, tmp_path):
+    def test_append_seam_fires(self, make_queue):
         plan = FaultPlan(specs=(FaultSpec(site="queue.append", fail_calls=(2,)),))
-        with make_queue(tmp_path) as queue:
+        with make_queue() as queue:
             with inject(plan):
                 queue.enqueue(KEY, PAYLOAD)  # call 1 (meta was pre-plan)
                 with pytest.raises(InjectedFault):
                     queue.enqueue(OTHER, PAYLOAD)  # call 2 fails
             # The failed append journaled nothing: a reopened queue does
             # not know the cell.
-        with make_queue(tmp_path) as reopened:
+        with make_queue() as reopened:
             assert reopened.state(KEY) == PENDING
             assert reopened.state(OTHER) is None
 
-    def test_lease_seam_fires(self, tmp_path):
+    def test_lease_seam_fires(self, make_queue):
         plan = FaultPlan(specs=(FaultSpec(site="queue.lease", fail_always=True),))
-        with make_queue(tmp_path) as queue:
+        with make_queue() as queue:
             queue.enqueue(KEY, PAYLOAD)
             with inject(plan):
                 with pytest.raises(InjectedFault):

@@ -360,3 +360,37 @@ class TestDurableRunDir:
         assert manifest.ok
         assert (run_dir / "journal.jsonl").exists()
         engine.close()
+
+    def test_resume_of_a_missing_run_raises_and_creates_nothing(self, tmp_path):
+        run_dir = tmp_path / "typo-run"
+        with pytest.raises(FileNotFoundError):
+            SweepEngine().resume(run_dir)
+        assert not run_dir.exists()
+
+    def test_attached_store_follows_a_run_dir_switch(self, tmp_path):
+        gelu = ApproximationJob("gelu", "gqa-rm", 8, QUICK)
+        exp = ApproximationJob("exp", "gqa-rm", 8, QUICK)
+        engine = SweepEngine()
+        engine.run_manifest([gelu], run_dir=tmp_path / "a")
+        engine.run_manifest([exp], run_dir=tmp_path / "b")
+        engine.close()
+        assert set(ArtifactStore(tmp_path / "a" / "artifacts").keys()) == {gelu.key}
+        assert set(ArtifactStore(tmp_path / "b" / "artifacts").keys()) == {exp.key}
+        # Zero completed cells rebuilt: b's done cell loads from b's store.
+        fresh = SweepEngine()
+        resumed = fresh.resume(tmp_path / "b")
+        fresh.close()
+        assert resumed.ok
+        assert resumed.stats.builds == 0
+
+    def test_store_passed_by_the_caller_stays_across_run_dirs(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        engine = SweepEngine(cache=ArtifactCache(store=store))
+        engine.run_manifest([ApproximationJob("gelu", "gqa-rm", 8, QUICK)],
+                            run_dir=tmp_path / "a")
+        engine.run_manifest([ApproximationJob("exp", "gqa-rm", 8, QUICK)],
+                            run_dir=tmp_path / "b")
+        engine.close()
+        assert engine.cache.store is store
+        assert len(store.keys()) == 2
+        assert not (tmp_path / "b" / "artifacts").exists()
