@@ -26,7 +26,8 @@ Measures four layers of the quantized fine-tuning stack:
    step traced once and replayed from a static plan) versus the eager
    loop.  Losses, final weights and validation mIoU are asserted
    bit-identical; the fit-time speedup is the headline gated by
-   ``--min-train-speedup``.
+   ``--min-train-speedup``.  Each fit's time is also split into trace,
+   steps and the two validation passes (reported, not gated).
 
 Results are written to ``BENCH_finetune_throughput.json`` at the repository
 root so the performance trajectory is tracked across PRs; CI runs a reduced
@@ -43,11 +44,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import platform
 import sys
 import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -59,6 +62,7 @@ from repro.data.synthetic_segmentation import (
 )
 from repro.experiments.finetune import FinetuneBudget
 from repro.functions.registry import get_function
+from repro.graph.executor import CompiledTrainStep
 from repro.nn.approx import PWLActivation, PWLSuite, PWLWideRange
 from repro.nn.models import MiniSegformer, ModelConfig
 from repro.nn.tensor import Tensor
@@ -92,6 +96,23 @@ def _timed(fn_call, repeats: int) -> float:
         fn_call()
         best = min(best, time.perf_counter() - start)
     return best
+
+
+@contextlib.contextmanager
+def _time_calls(owner, name: str, totals: dict):
+    """Add the wall time of every ``owner.name`` call to ``totals[name]``."""
+    original = getattr(owner, name)
+
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            totals[name] += time.perf_counter() - start
+
+    totals.setdefault(name, 0.0)
+    with mock.patch.object(owner, name, timed):
+        yield
 
 
 def bench_operator_throughput(shape, repeats: int, seed: int) -> dict:
@@ -263,7 +284,7 @@ def bench_compiled_train(budget: FinetuneBudget, epochs: int) -> dict:
         seed=budget.seed,
     )
 
-    timings, results, states = {}, {}, {}
+    timings, results, states, splits = {}, {}, {}, {}
     for engine in ("eager", "compiled"):
         suite = PWLSuite(approximations=approximations, replace=set(OPERATORS))
         model = MiniSegformer(model_config, suite=suite)
@@ -277,14 +298,25 @@ def bench_compiled_train(budget: FinetuneBudget, epochs: int) -> dict:
                 seed=budget.seed,
             ),
         )
-        start = time.perf_counter()
-        results[engine] = trainer.fit(
-            dataset.train_images, dataset.train_labels,
-            dataset.val_images, dataset.val_labels,
-            num_classes=dataset.num_classes,
-            train_engine=engine,
-        )
-        timings[engine] = time.perf_counter() - start
+        parts: dict = {}
+        with _time_calls(Trainer, "evaluate", parts), \
+                _time_calls(CompiledTrainStep, "_trace", parts):
+            start = time.perf_counter()
+            results[engine] = trainer.fit(
+                dataset.train_images, dataset.train_labels,
+                dataset.val_images, dataset.val_labels,
+                num_classes=dataset.num_classes,
+                train_engine=engine,
+            )
+            timings[engine] = time.perf_counter() - start
+        # Where the fit's time went: the traced first steps, the two
+        # validation passes, and everything else (the eager or replayed
+        # steps and the batch loop).
+        splits[engine] = {
+            "trace_seconds": parts["_trace"],
+            "evaluate_seconds": parts["evaluate"],
+            "steps_seconds": timings[engine] - parts["_trace"] - parts["evaluate"],
+        }
         states[engine] = {
             name: value.copy() for name, value in model.state_dict().items()
         }
@@ -308,6 +340,7 @@ def bench_compiled_train(budget: FinetuneBudget, epochs: int) -> dict:
         "eager_seconds": timings["eager"],
         "compiled_seconds": timings["compiled"],
         "speedup": timings["eager"] / timings["compiled"],
+        "split": splits,
         "identical_losses": identical_losses,
         "identical_weights": identical_weights,
         "val_miou": compiled.val_miou,
@@ -441,6 +474,12 @@ def main(argv=None) -> int:
             train_stats["identical_weights"],
         )
     )
+    for engine, split in train_stats["split"].items():
+        print(
+            "  %8s fit: trace %6.2fs   steps %6.2fs   evaluate %6.2fs"
+            % (engine, split["trace_seconds"], split["steps_seconds"],
+               split["evaluate_seconds"])
+        )
     print("wrote %s" % args.output)
 
     if step_stats["speedup"] < min_speedup:

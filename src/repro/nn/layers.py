@@ -173,7 +173,11 @@ def _scatter_sum(
 
 
 class Upsample(Module):
-    """Nearest-neighbour spatial upsampling for channels-last images."""
+    """Nearest-neighbour spatial upsampling for channels-last images.
+
+    Dispatches to the ``upsample_nearest`` registry op: ``np.repeat`` on
+    both spatial axes forward, strided block sums backward.
+    """
 
     def __init__(self, factor: int) -> None:
         super().__init__()
@@ -184,14 +188,7 @@ class Upsample(Module):
     def forward(self, x: Tensor) -> Tensor:
         if self.factor == 1:
             return x
-        _, height, width, _ = x.shape
-        f = self.factor
-        idx_y = np.repeat(np.arange(height), f)
-        idx_x = np.repeat(np.arange(width), f)
-        # Broadcast the row/column indices against each other so both axes
-        # replicate in a single fancy-index gather (one graph node instead
-        # of two chained full-size gathers).
-        return x[:, idx_y[:, None], idx_x[None, :], :]
+        return apply_op("upsample_nearest", x, factor=self.factor)
 
 
 class Dropout(Module):

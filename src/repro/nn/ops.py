@@ -21,11 +21,19 @@ slopes).  VJPs come in two flavours:
 * ``vjps`` — a tuple with one function per positional input,
   ``vjp(grad, ans, saved, *arrays, **params) -> grad_for_that_input``;
   only the entries whose inputs require grad are invoked.
-* ``vjp_all`` — for variadic ops (``concatenate``, ``scatter_sum``), one
-  function returning the full list of input gradients.
+* ``vjp_all`` — for variadic ops (``concatenate``, ``scatter_sum``,
+  ``pack``), one function returning the full list of input gradients.
 
 VJP outputs may be broadcast-shaped; the caller sums them back to each
-input's shape (the single unbroadcast site).  This module is Tensor-free on
+input's shape (the single unbroadcast site).
+
+Gather VJPs scatter-add into zeros.  ``np.add.at`` is the general form but
+dispatches per element, so the cheap equivalents are used where they round
+identically: ``getitem`` with a basic index (which cannot select an element
+twice) adds in place, and ``upsample_nearest`` adds its ``factor**2``
+strided slices in ``add.at``'s visit order.  ``pack`` (ravel and
+concatenate) lets the optimizers update every parameter with one
+expression over a flat vector.  This module is Tensor-free on
 purpose: ops are plain array kernels, usable and testable without
 the graph machinery on top.
 """
@@ -33,6 +41,7 @@ the graph machinery on top.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -295,9 +304,27 @@ register_op(
 )
 
 
+def _is_basic_index(index: Any) -> bool:
+    """Whether ``index`` is numpy *basic* indexing (ints, slices, ``None``,
+    ``Ellipsis``): it selects a view that touches each element at most once.
+    """
+    items = index if type(index) is tuple else (index,)
+    return all(
+        item is None or item is Ellipsis or type(item) is slice
+        or (isinstance(item, (int, np.integer)) and type(item) is not bool)
+        for item in items
+    )
+
+
 def _getitem_vjp(g: Array, ans: Array, s: Any, a: Array, index: Any) -> Array:
     full = np.zeros_like(a)
-    np.add.at(full, index, g)
+    if _is_basic_index(index):
+        # A basic index hits each element at most once, so the in-place add
+        # performs add.at's single ``0 + g`` per element (``-0.0`` becomes
+        # ``+0.0`` either way) without its per-element dispatch.
+        full[index] += g
+    else:
+        np.add.at(full, index, g)
     return full
 
 
@@ -355,6 +382,31 @@ register_op(
 )
 
 
+def pack_arrays(*arrays: Array) -> Array:
+    """Ravel every array and concatenate them into one flat vector."""
+    return np.concatenate([np.ravel(array) for array in arrays])
+
+
+def split_packed(flat: Array, shapes: Sequence[Tuple[int, ...]]) -> list:
+    """Invert :func:`pack_arrays`: reshaped views of ``flat``, one per shape."""
+    views = []
+    offset = 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset:offset + size].reshape(shape))
+        offset += size
+    return views
+
+
+register_op(
+    "pack",
+    forward=pack_arrays,
+    vjp_all=lambda g, ans, s, *arrays: split_packed(
+        g, [array.shape for array in arrays]
+    ),
+)
+
+
 def _scatter_sum_forward(*arrays, slices, shape):
     out = np.zeros(shape)
     for arr, (y_slice, x_slice) in zip(arrays, slices):
@@ -370,6 +422,29 @@ register_op(
     "scatter_sum",
     forward=_scatter_sum_forward,
     vjp_all=_scatter_sum_vjp_all,
+)
+
+
+def _upsample_nearest_forward(a: Array, factor: int) -> Array:
+    return np.repeat(np.repeat(a, factor, axis=1), factor, axis=2)
+
+
+def _upsample_nearest_vjp(g, ans, s, a, factor):
+    # Each input pixel sums its factor x factor output block, visited in
+    # the order np.add.at visits the equivalent fancy index (row offset
+    # outer, column offset inner), so the sums round identically.
+    full = np.zeros_like(a)
+    for dy in range(factor):
+        for dx in range(factor):
+            full += g[:, dy::factor, dx::factor, :]
+    return full
+
+
+# Nearest-neighbour upsampling of channels-last ``(B, H, W, C)`` images.
+register_op(
+    "upsample_nearest",
+    forward=_upsample_nearest_forward,
+    vjps=(_upsample_nearest_vjp,),
 )
 
 

@@ -375,18 +375,23 @@ class Tensor:
         tracer = _TRACER
         capture = tracer is not None and getattr(tracer, "capture_grads", False)
 
+        # Iterative post-order DFS over parents in recorded order (the
+        # order gradients accumulate in).  A recursive closure would refer
+        # to itself, a reference cycle keeping ``topo`` -- every activation
+        # of the step -- alive until the cyclic garbage collector runs.
         topo: List[Tensor] = []
-        visited = set()
-
-        def build(node: Tensor) -> None:
-            if id(node) in visited:
-                return
-            visited.add(id(node))
-            for parent in node._parents:
-                build(parent)
-            topo.append(node)
-
-        build(self)
+        visited = {id(self)}
+        stack = [(self, iter(self._parents))]
+        while stack:
+            node, parents = stack[-1]
+            for parent in parents:
+                if id(parent) not in visited:
+                    visited.add(id(parent))
+                    stack.append((parent, iter(parent._parents)))
+                    break
+            else:
+                stack.pop()
+                topo.append(node)
         grads = {id(self): grad}
         grad_vids = {id(self): tracer.constant(grad)} if capture else None
         for node in reversed(topo):

@@ -19,7 +19,13 @@ benchmarks (which add this directory to ``sys.path``):
   builds the two reference modules, so whole models run on the oracle;
 * :func:`reference_pipeline_mse` — the Fig. 1b pipeline MSE of one pwl at
   one scale through a scalar :class:`~repro.core.lut.QuantizedLUT`, the
-  per-row form of ``QuantizedPWLEvaluator.mse_matrix``.
+  per-row form of ``QuantizedPWLEvaluator.mse_matrix``;
+* :class:`ReferenceSGD` / :class:`ReferenceAdam` — the optimizers'
+  per-parameter update loop, one expression chain per parameter instead of
+  one over the packed vectors;
+* :func:`reference_getitem_vjp` / :func:`reference_upsample_index` — the
+  ``np.add.at`` scatter every gather VJP used, and the fancy index
+  ``Upsample`` gathered with before it became the ``upsample_nearest`` op.
 
 Every oracle consumes the same random stream and the same parameters as
 the path it checks, so seeded results must match exactly.
@@ -37,6 +43,7 @@ from repro.core.lut import QuantizedLUT
 from repro.core.search import GQALUT, SearchOutcome
 from repro.nn.approx import PWLActivation, PWLLayerNorm, PWLSuite, PWLWideRange
 from repro.nn.module import Module
+from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor
 from repro.quant.quantizer import quant_bounds
 
@@ -151,3 +158,52 @@ class ReferencePWLSuite(PWLSuite):
         if isinstance(norm, PWLLayerNorm):
             norm.rsqrt = _as_reference(norm.rsqrt)
         return norm
+
+
+class ReferenceSGD(SGD):
+    """:class:`SGD` updating one parameter at a time."""
+
+    def step(self) -> None:
+        for param, velocity in zip(self.parameters, self._velocity):
+            if param.grad is None:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            if self.momentum:
+                velocity *= self.momentum
+                velocity += grad
+                grad = velocity
+            param.data = param.data - self.lr * grad
+
+
+class ReferenceAdam(Adam):
+    """:class:`Adam` updating one parameter at a time."""
+
+    def step(self) -> None:
+        self._step += 1
+        for i, param in enumerate(self.parameters):
+            if param.grad is None:
+                continue
+            grad = param.grad
+            if self.weight_decay:
+                grad = grad + self.weight_decay * param.data
+            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * grad
+            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * grad ** 2
+            m_hat = self._m[i] / (1 - self.beta1 ** self._step)
+            v_hat = self._v[i] / (1 - self.beta2 ** self._step)
+            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+
+
+def reference_getitem_vjp(g: np.ndarray, a: np.ndarray, index) -> np.ndarray:
+    """The gradient of ``a[index]`` under cotangent ``g``, by ``np.add.at``."""
+    full = np.zeros_like(a)
+    np.add.at(full, index, g)
+    return full
+
+
+def reference_upsample_index(height: int, width: int, factor: int) -> tuple:
+    """The fancy index of a channels-last nearest upsample by ``factor``."""
+    idx_y = np.repeat(np.arange(height), factor)
+    idx_x = np.repeat(np.arange(width), factor)
+    return (slice(None), idx_y[:, None], idx_x[None, :], slice(None))

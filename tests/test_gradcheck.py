@@ -111,6 +111,9 @@ CASES: Dict[str, List[Case]] = {
     ],
     "getitem": [
         Case("slice", (_normal((5, 3)),), {"index": (slice(1, 4),)}),
+        Case("int", (_normal((3, 4, 2)),), {"index": 1}),
+        Case("basic-mixed", (_normal((3, 4, 2)),),
+             {"index": (Ellipsis, slice(None, None, -2), None, 0)}),
         Case("fancy-repeated", (_normal((4, 3)),),
              {"index": (np.array([0, 2, 2, 1]),)}),
         Case("mixed", (_normal((4, 5)),),
@@ -120,6 +123,15 @@ CASES: Dict[str, List[Case]] = {
         Case("axis0", (_normal((2, 3)), _normal((4, 3), 1)), {"axis": 0}),
         Case("axis1", (_normal((2, 3)), _normal((2, 1), 1), _normal((2, 2), 2)),
              {"axis": 1}),
+    ],
+    "pack": [
+        Case("mixed-ranks",
+             (_normal((2, 3)), _normal((), 1), _normal((4,), 2), _normal((1,), 3))),
+        Case("single", (_normal((3, 2, 2)),)),
+    ],
+    "upsample_nearest": [
+        Case("factor-2", (_normal((2, 3, 2, 3)),), {"factor": 2}),
+        Case("factor-3", (_normal((1, 2, 3, 2)),), {"factor": 3}),
     ],
     "scatter_sum": [
         Case(

@@ -699,14 +699,16 @@ class TestCompiledTrainStep:
         step.step(x, labels)
         step.step(x, labels)
         (per_signature,) = step.stats()["signatures"].values()
-        # 28 before unbroadcast joined chain fusion (PR 10): the grad
-        # reduction feeding the weight update now rides inside the chain
-        # that produced the gradient.
+        # 28 before unbroadcast joined chain fusion: the grad reduction
+        # feeding the weight update now rides inside the chain that
+        # produced the gradient.  The packed optimizer update is two
+        # ``pack`` nodes, one chain, and two flat outputs (parameters and
+        # velocity) next to the loss.
         assert per_signature == {
             "nodes": 27,
-            "peak_live": 19,
-            "num_slots": 22,
-            "outputs": 5,
+            "peak_live": 18,
+            "num_slots": 21,
+            "outputs": 3,
         }
 
     def test_eval_mode_rejected(self):

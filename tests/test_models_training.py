@@ -320,11 +320,16 @@ class TestTrainStepReleasesTape:
             return out
 
         trainer.model.forward = spying_forward
-        trainer.fit(
-            dataset.train_images, dataset.train_labels, num_classes=4
-        )
-        gc.collect()
-        assert refs and all(ref() is None for ref in refs)
+        # Reference counting alone must free each step's activations: no
+        # cyclic garbage may hold them until a collector pass.
+        gc.disable()
+        try:
+            trainer.fit(
+                dataset.train_images, dataset.train_labels, num_classes=4
+            )
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
     def test_fit_raises_if_backward_retains_the_tape(self, monkeypatch):
         trainer, dataset = self._fixtures()

@@ -250,16 +250,32 @@ class TestGraphRelease:
         import gc
         import weakref
 
-        x = Tensor(np.ones(8), requires_grad=True)
-        mid = (x * 2.0).tanh()
-        ref = weakref.ref(mid)
-        out = mid.sum()
-        out.backward()
-        del mid
-        gc.collect()
-        # `out` is still alive, but the released parent links no longer
-        # pin the intermediate (pre-refactor this reference kept it alive).
-        assert ref() is None
+        # With the cyclic collector off, only reference counting frees the
+        # intermediate: backward() must leave no reference cycle holding
+        # its traversal order (and with it every visited tensor).
+        gc.disable()
+        try:
+            x = Tensor(np.ones(8), requires_grad=True)
+            mid = (x * 2.0).tanh()
+            ref = weakref.ref(mid)
+            out = mid.sum()
+            out.backward()
+            del mid
+            # `out` is still alive, but the released parent links no longer
+            # pin the intermediate.
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_backward_through_a_graph_deeper_than_the_recursion_limit(self):
+        import sys
+
+        x = Tensor(np.ones(2), requires_grad=True)
+        out = x
+        for _ in range(sys.getrecursionlimit() + 100):
+            out = out * 1.0
+        out.sum().backward()
+        np.testing.assert_array_equal(x.grad, np.ones(2))
 
     def test_registry_is_the_only_gradient_source(self):
         # Every Tensor operation dispatches through the registry: the ops
