@@ -189,7 +189,11 @@ class ReferenceAdam(Adam):
             if self.weight_decay:
                 grad = grad + self.weight_decay * param.data
             self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * grad
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * grad ** 2
+            # np.square, not ``grad ** 2``: with weight decay a 0-d parameter
+            # turns ``grad`` into a numpy scalar, whose ``**`` calls libm pow
+            # and can miss the correctly rounded square by one ulp.  The
+            # packed update (and the traced ``pow`` op) square arrays.
+            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * np.square(grad)
             m_hat = self._m[i] / (1 - self.beta1 ** self._step)
             v_hat = self._v[i] / (1 - self.beta2 ** self._step)
             param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -168,23 +168,28 @@ def test_traced_update_replays_the_per_parameter_loop(kind, param_shapes,
 @st.composite
 def basic_indices(draw, shape):
     """An index of ints, slices (negative steps too), None and Ellipsis."""
-    items = []
+    per_axis = []
     for size in shape:
         kind = draw(st.sampled_from(("int", "slice", "full")))
         if kind == "int":
-            items.append(draw(st.integers(-size, size - 1)))
+            entry = [draw(st.integers(-size, size - 1))]
         elif kind == "slice":
             bound = st.one_of(st.none(), st.integers(-size - 1, size + 1))
             step = draw(st.one_of(st.none(), st.sampled_from((-3, -2, -1, 1, 2, 3))))
-            items.append(slice(draw(bound), draw(bound), step))
+            entry = [slice(draw(bound), draw(bound), step)]
         else:
-            items.append(slice(None))
+            entry = [slice(None)]
         if draw(st.integers(0, 5)) == 0:
-            items.append(None)
-    # A partial index is valid, and Ellipsis may stand anywhere.
-    items = items[:draw(st.integers(0, len(items)))]
+            entry.append(None)
+        per_axis.append(entry)
+    # A partial index is valid, and Ellipsis may stand anywhere: the items
+    # before it index the leading axes, those after it the trailing ones.
+    head = draw(st.integers(0, len(shape)))
+    items = [item for entry in per_axis[:head] for item in entry]
     if draw(st.booleans()):
-        items.insert(draw(st.integers(0, len(items))), Ellipsis)
+        tail = draw(st.integers(head, len(shape)))
+        items.append(Ellipsis)
+        items.extend(item for entry in per_axis[tail:] for item in entry)
     if len(items) == 1 and draw(st.booleans()):
         return items[0]
     return tuple(items)
