@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.pwl import PiecewiseLinear, PiecewiseLinearBatch
 from repro.quant.fxp import fxp_round
 from repro.quant.power_of_two import is_power_of_two, power_of_two_exponent
-from repro.quant.quantizer import QuantSpec, quant_bounds
+from repro.quant.quantizer import QuantSpec, clip_ufunc, quant_bounds
 
 
 @dataclasses.dataclass(frozen=True)
@@ -312,7 +312,7 @@ class DenseLUT:
         # Divide as QuantizedLUT does: a deployed scale may be a few ulp off
         # 2^e (the LSQ quantizer computes it as exp(e ln 2)), and then
         # ``x * (1 / S)`` can round a code differently from ``x / S``.
-        q = np.clip(np.round(arr / self.scale), self._qmin, self._qmax)
+        q = clip_ufunc(np.rint(arr / self.scale), self._qmin, self._qmax)
         return self._offsets(q)
 
     def code_indices(self, q) -> np.ndarray:

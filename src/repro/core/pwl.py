@@ -75,7 +75,7 @@ class PiecewiseLinear:
         breakpoints less than or equal to ``x``.
         """
         arr = np.asarray(x, dtype=np.float64)
-        return np.searchsorted(self.breakpoints, arr, side="right")
+        return self.breakpoints.searchsorted(arr, side="right")
 
     def __call__(self, x) -> np.ndarray:
         """Evaluate the pwl at ``x`` (element-wise)."""

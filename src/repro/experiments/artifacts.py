@@ -403,10 +403,18 @@ class ArtifactCache:
         self.misses = 0
 
     def load(self, key: str) -> Optional[PiecewiseLinear]:
-        """Look ``key`` up through both tiers, counting the hit level."""
+        """Look ``key`` up through both tiers, counting the hit level.
+
+        A memory hit is written through to the store when the store lacks
+        it (one ``stat`` per memory hit while a store is attached): the
+        memory tier may hold a cell built under an earlier run's store,
+        and a caller that journals the hit as done must find it on disk.
+        """
         hit = self._memory.get(key)
         if hit is not None:
             self.memory_hits += 1
+            if self.store is not None and not self.store.path_for(key).is_file():
+                self.store.save(key, hit)
             return hit
         if self.store is not None:
             hit = self.store.load(key)

@@ -432,6 +432,8 @@ class SweepEngine:
                 failures[key] = JobFailure(key, job, error, previous.attempts)
                 run_stats.failures += 1
                 continue
+            # A memory hit is written through to this run's store if the
+            # store lacks it, so the ``done`` below never lacks its artifact.
             hit = self.cache.load(key)
             if hit is not None:
                 results[key] = hit

@@ -3,13 +3,16 @@
 Two layers:
 
 * :class:`CompiledGraph` — one graph, one input signature.  At build time
-  every node is resolved to a bound array-level callable (registry op
-  forwards with their params pre-bound, or a fusion-pass graph kernel) and
-  the :func:`~repro.graph.passes.plan_memory` slot assignment is frozen
-  into a flat step list.  ``run`` is then a tight loop over plain arrays:
-  no Tensor allocation, no graph bookkeeping, no ``no_grad`` checks, and
-  buffers are released at their last use so steady-state inference holds
-  only the live working set.
+  every node is resolved to an array-level callable (a registry op forward
+  plus its keyword params, or a fusion-pass graph kernel) and the
+  :func:`~repro.graph.passes.plan_memory` slot assignment is frozen into a
+  step table.  From that table one Python function is generated: one line
+  per step calling its kernel on local names, a ``del`` at each release,
+  kernels, params and constants bound as global names.  ``run`` calls it —
+  no Tensor allocation, no graph bookkeeping, no per-step loop or slot
+  list, and buffers are released at their last use so steady-state
+  inference holds only the live working set.  ``profile`` walks the same
+  table with a timer per step.
 * Three wrappers that trace lazily per input signature and replay the
   cached plan: :class:`CompiledModel` (``predict`` / no-grad forward),
   :class:`CompiledTrainStep` (forward + backward + optimizer update) and
@@ -26,8 +29,9 @@ Two layers:
 from __future__ import annotations
 
 import functools
+import time
 import warnings
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,11 +50,77 @@ from repro.nn import ops as _ops
 from repro.nn.module import Module
 
 
-def _output_only(forward):
-    """Wrap a ``(output, saved)``-returning forward to drop the saved half."""
-    def fn(*arrays):
-        return forward(*arrays)[0]
-    return fn
+class _Step(NamedTuple):
+    """One frozen node: its bound callable plus plain slot ints.
+
+    ``fn`` is called as ``fn(*[slot values of src], **params)``.  A node
+    whose forward returns ``(output, saved)`` stores both halves when
+    ``saved >= 0`` and keeps only the output when ``first_only`` is set.
+    """
+
+    op: str
+    fn: Callable[..., Any]
+    params: Dict[str, Any]
+    src: Tuple[int, ...]
+    out: int
+    saved: int
+    releases: Tuple[int, ...]
+    first_only: bool
+
+
+def _straight_line(
+    steps: Sequence[_Step],
+    constants: Dict[int, Any],
+    input_slots: Sequence[int],
+    output_slots: Sequence[int],
+) -> Callable[..., List[Any]]:
+    """Generate the replay function for a frozen step table.
+
+    One Python line per step, a ``del`` after each step that releases
+    slots, and every kernel, keyword parameter and constant bound as a
+    global name of the generated function.  Dynamic slots are locals
+    (``s<slot>``), constants globals (``k<slot>``), so each call has its
+    own working set.
+    """
+    namespace: Dict[str, Any] = {}
+    names: Dict[int, str] = {}
+    for slot, array in constants.items():
+        names[slot] = "k%d" % slot
+        namespace[names[slot]] = array
+
+    def name(slot: int) -> str:
+        return names.get(slot) or "s%d" % slot
+
+    lines = ["def replay(%s):" % ", ".join(name(slot) for slot in input_slots)]
+    for index, step in enumerate(steps):
+        namespace["f%d" % index] = step.fn
+        args = [name(slot) for slot in step.src]
+        for key, value in step.params.items():
+            namespace["p%d_%s" % (index, key)] = value
+            args.append("%s=p%d_%s" % (key, index, key))
+        call = "f%d(%s)" % (index, ", ".join(args))
+        if step.saved >= 0:
+            target = "%s, %s" % (name(step.out), name(step.saved))
+        else:
+            target = name(step.out)
+            if step.first_only:
+                call += "[0]"
+        lines.append("    %s = %s" % (target, call))
+        if step.releases:
+            lines.append("    del %s" % ", ".join(name(s) for s in step.releases))
+    lines.append("    return [%s]" % ", ".join(name(slot) for slot in output_slots))
+    exec(_replay_code("\n".join(lines) + "\n"), namespace)
+    # Popped so the namespace does not refer back to the function (no
+    # reference cycle to wait on the cyclic collector).
+    return namespace.pop("replay")
+
+
+@functools.lru_cache(maxsize=64)
+def _replay_code(source: str) -> Any:
+    """Compiled code for a replay source.  Plans that differ only in
+    shapes, params and constants (a decoder's cache buckets, batch sizes)
+    generate the same source, so each is compiled once."""
+    return compile(source, "<compiled graph>", "exec")
 
 
 class CompiledGraph:
@@ -60,66 +130,106 @@ class CompiledGraph:
         graph.validate()
         self.graph = graph
         self.plan = plan if plan is not None else plan_memory(graph)
-        template: List[Any] = [None] * self.plan.num_slots
-        for vid, slot in self.plan.constant_slots.items():
-            template[slot] = graph.constants[vid]
-        self._template = template
         steps = []
         for node, releases in zip(graph.nodes, self.plan.releases):
             kernel_factory = GRAPH_KERNELS.get(node.op)
             if kernel_factory is not None:
-                fn = kernel_factory(node.params)
-                tuple_result = False
+                fn, params = kernel_factory(node.params), {}
             else:
-                forward = _ops.get_op(node.op).forward
-                fn = functools.partial(forward, **node.params) if node.params else forward
-                tuple_result = node.op in _ops.SAVED_OUTPUT_OPS
-            saved_slot = -1
+                fn, params = _ops.get_op(node.op).forward, node.params
+            saved = -1
             if node.saved_output is not None:
                 # Training graphs keep the (output, saved) pair — e.g. the
                 # fused LUT slope that feeds a traced VJP node.
-                saved_slot = self.plan.slots[node.saved_output]
-            elif tuple_result:
-                # Discarded saved half: split at compile time so the replay
-                # loop needs no per-step result-type check.
-                fn = _output_only(fn)
-            src = tuple(self.plan.slots[vid] for vid in node.inputs)
-            steps.append((fn, src, self.plan.slots[node.output], saved_slot, releases))
+                saved = self.plan.slots[node.saved_output]
+            steps.append(_Step(
+                op=node.op,
+                fn=fn,
+                params=params,
+                src=tuple(self.plan.slots[vid] for vid in node.inputs),
+                out=self.plan.slots[node.output],
+                saved=saved,
+                releases=releases,
+                first_only=saved < 0 and node.op in _ops.SAVED_OUTPUT_OPS,
+            ))
         self._steps = tuple(steps)
+        self._constants = {
+            slot: graph.constants[vid]
+            for vid, slot in self.plan.constant_slots.items()
+        }
         self._input_slots = tuple(self.plan.slots[vid] for vid in graph.inputs)
         self._output_slots = tuple(self.plan.slots[vid] for vid in graph.outputs)
+        self._replay = _straight_line(
+            self._steps, self._constants, self._input_slots, self._output_slots
+        )
 
     def run(self, *inputs: Any) -> List[Any]:
         """Execute the plan on raw arrays; returns the output arrays.
 
-        Re-entrant: every call builds its own slot list from the template,
-        and steps only read the shared constants, so concurrent runs of
-        one plan from several threads are independent — their outputs are
-        bitwise equal to serial runs (pinned by the thread tests over a
-        MiniSegformer and a decode plan).  The wrappers below are not
-        thread-safe: their plan caches and counters are unsynchronised.
+        ``run`` calls one generated straight-line function (see
+        :func:`_straight_line`): each step is a direct call of its bound
+        kernel with its keyword parameters, and each release a ``del`` of
+        a local.  There is no per-step loop, slot list or result-type
+        check, so a replayed node costs about what its numpy call costs.
 
-        The loop body is pre-resolved at compile time: each step is a bound
-        callable plus plain slot ints — no per-step registry/dict/attribute
-        lookups and no result-shape branching (tuple-returning forwards are
-        split when compiled, see ``__init__``).
+        Re-entrant: every call has its own locals, and steps only read the
+        shared constants, so concurrent runs of one plan from several
+        threads are independent — their outputs are bitwise equal to
+        serial runs (pinned by the thread tests over a MiniSegformer and a
+        decode plan).  The wrappers below are not thread-safe: their plan
+        caches and counters are unsynchronised.
         """
+        self._check_arity(inputs)
+        return self._replay(*inputs)
+
+    def profile(
+        self, *inputs: Any, repeats: int = 1
+    ) -> Tuple[List[Any], Dict[str, Dict[str, float]]]:
+        """Replay ``repeats`` times, timing every step; returns
+        ``(outputs, breakdown)``.
+
+        ``breakdown`` maps each op name to ``{"count": nodes of that op in
+        the plan, "seconds": their summed time per replay}`` (the mean over
+        the repeats).  The walk goes over ``_steps`` with one
+        ``perf_counter`` pair per step, so each number includes the
+        timer's own cost; the outputs are those of ``run`` on the same
+        inputs.
+        """
+        self._check_arity(inputs)
+        if repeats < 1:
+            raise ValueError("repeats must be at least 1, got %d" % repeats)
+        clock = time.perf_counter
+        breakdown: Dict[str, Dict[str, float]] = {}
+        for step in self._steps:
+            row = breakdown.setdefault(step.op, {"count": 0, "seconds": 0.0})
+            row["count"] += 1
+        for _ in range(repeats):
+            env: List[Any] = [None] * self.plan.num_slots
+            for slot, array in self._constants.items():
+                env[slot] = array
+            for slot, array in zip(self._input_slots, inputs):
+                env[slot] = array
+            for step in self._steps:
+                args = [env[slot] for slot in step.src]
+                began = clock()
+                result = step.fn(*args, **step.params)
+                breakdown[step.op]["seconds"] += clock() - began
+                if step.saved >= 0:
+                    env[step.out], env[step.saved] = result
+                else:
+                    env[step.out] = result[0] if step.first_only else result
+                for slot in step.releases:
+                    env[slot] = None
+        for row in breakdown.values():
+            row["seconds"] /= repeats
+        return [env[slot] for slot in self._output_slots], breakdown
+
+    def _check_arity(self, inputs: Sequence[Any]) -> None:
         if len(inputs) != len(self._input_slots):
             raise ValueError(
                 "compiled graph expects %d input(s), got %d"
                 % (len(self._input_slots), len(inputs))
             )
-        env = list(self._template)
-        for slot, array in zip(self._input_slots, inputs):
-            env[slot] = array
-        for fn, src, out_slot, saved_slot, releases in self._steps:
-            if saved_slot < 0:
-                env[out_slot] = fn(*[env[s] for s in src])
-            else:
-                env[out_slot], env[saved_slot] = fn(*[env[s] for s in src])
-            for slot in releases:
-                env[slot] = None
-        return [env[slot] for slot in self._output_slots]
 
     @property
     def num_steps(self) -> int:
@@ -132,8 +242,13 @@ class CompiledGraph:
 StatePairs = List[Tuple[Any, Any]]
 
 
-def _signature(arrays: Sequence[Any]) -> Tuple[Tuple[Tuple[int, ...], str], ...]:
-    return tuple((tuple(a.shape), str(a.dtype)) for a in arrays)
+def _signature(arrays: Sequence[Any]) -> Tuple[Tuple[Tuple[int, ...], Any], ...]:
+    """The plan-cache key: every array's ``(shape, dtype)``.
+
+    Keyed on the dtype object itself; its name is only spelled out for
+    stats labels (``str(dtype)`` costs more than the rest of the key).
+    """
+    return tuple((a.shape, a.dtype) for a in arrays)
 
 
 def _parameter_state(module: Module) -> Callable[[], StatePairs]:
@@ -282,6 +397,9 @@ class CompiledModel(_PlanCache):
         """
         self.module.load_state_dict(state, strict=strict)
         self.invalidate()
+
+    def _label(self, signature: Any) -> str:
+        return repr(tuple((shape, str(dtype)) for shape, dtype in signature))
 
     def graph_for(self, *arrays: Any) -> CompiledGraph:
         """The cached (or freshly compiled) executable for this signature."""

@@ -1,6 +1,6 @@
 """Optimize: deterministic rewrite passes over the traced :class:`Graph`.
 
-Four passes, composed by :func:`optimize` (each takes and returns a
+Five passes, composed by :func:`optimize` (each takes and returns a
 :class:`~repro.graph.ir.Graph`; none mutates its input):
 
 * :func:`fold_constants` — evaluate every node whose inputs are all
@@ -8,6 +8,10 @@ Four passes, composed by :func:`optimize` (each takes and returns a
   subtrees the eager path re-runs per call: LSQ weight fake-quantization
   chains, power-of-two scale snapping (``abs → log → round_ste → exp``),
   lifted scalar arithmetic.
+* :func:`cse` — merge nodes that recompute a value already computed: same
+  op, same inputs, equal params.  0-d constants merge by value first, so
+  the twin ``1/n`` of the mean that ``Tensor.var`` recomputes merges, and
+  with it the mean and ``x - mean`` every LayerNorm computes twice.
 * :func:`fuse_dense_lookups` — recognise the quantize → output-gather →
   slope-gather kernels the dense-LUT engine dispatches
   (``apply_elementwise_fused`` bound to :meth:`DenseLUT.lookup_with_slope`
@@ -22,10 +26,12 @@ Four passes, composed by :func:`optimize` (each takes and returns a
   inference holds only the live set instead of every intermediate.
 
 All passes are semantics-preserving by construction: folding runs the
-exact registered forward on the exact captured arrays, fusion swaps in a
-kernel documented (and pinned by the engine-parity tests) to be
+exact registered forward on the exact captured arrays, CSE only drops a
+node whose pure function of the same inputs is already computed, fusion
+swaps in a kernel documented (and pinned by the engine-parity tests) to be
 bit-identical to the fused pair's output half, and DCE only removes
-unobservable work.  Compiled results therefore match eager bit for bit.
+unobservable work.  Compiled results therefore match eager bit for bit
+(pinned generatively by ``tests/test_replay_parity.py``).
 
 Training graphs (PR 9) add one wrinkle and one pass:
 
@@ -42,7 +48,7 @@ Training graphs (PR 9) add one wrinkle and one pass:
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.core.lut import DenseLUT
 from repro.graph.ir import Graph, Node
@@ -147,6 +153,95 @@ def fold_constants(graph: Graph) -> Graph:
                 constants[node.saved_output] = saved
         else:
             nodes.append(node)
+    return Graph(
+        inputs=list(graph.inputs),
+        outputs=list(graph.outputs),
+        nodes=nodes,
+        constants=constants,
+        num_values=graph.num_values,
+    )
+
+
+def _param_key(value: Any) -> Any:
+    """Hashable equality key for a node parameter (see :func:`cse`).
+
+    Floats compare by ``float.hex`` (so ``-0.0`` and ``0.0`` stay apart),
+    containers element by element, and everything else — arrays, bound
+    table callables, numpy scalars — by identity.  Types are part of the
+    key, so ``2`` and ``2.0`` never merge.
+    """
+    kind = type(value)
+    if kind is float:
+        return (kind, value.hex())
+    if value is None or value is Ellipsis or kind in (bool, int, str):
+        return (kind, value)
+    if kind in (tuple, list):
+        return (kind, tuple(_param_key(item) for item in value))
+    if kind is slice:
+        return (kind, _param_key(value.start), _param_key(value.stop),
+                _param_key(value.step))
+    if kind is dict:
+        return (kind, tuple(sorted(
+            (key, _param_key(item)) for key, item in value.items()
+        )))
+    return ("id", id(value))
+
+
+def _constant_key(value: Any) -> Any:
+    """Equality key for a graph constant: 0-d by type, dtype and bytes,
+    anything larger by identity (two equal parameters stay two values)."""
+    if getattr(value, "ndim", None) == 0 and hasattr(value, "tobytes"):
+        return (type(value), value.dtype, value.tobytes())
+    return ("id", id(value))
+
+
+def cse(graph: Graph) -> Graph:
+    """Common-subexpression elimination: merge nodes that recompute a value.
+
+    Two nodes merge when they have the same op, the same (already merged)
+    inputs and equal params (:func:`_param_key`); the later one is dropped
+    and its consumers read the earlier one's output.  Constants merge
+    first: 0-d constants by value, which folds the ``1/n`` each
+    ``Tensor.mean`` lifts, larger ones by identity.  One forward walk then
+    catches chains of repeats — the mean and ``x - mean`` that a
+    LayerNorm's ``var`` recomputes.
+
+    Every registry op is a pure function of its inputs and params, so a
+    merged node's consumers see the same bits.  Nodes whose
+    ``saved_output`` is consumed are neither merged nor merge targets, and
+    a node producing a graph output is never dropped, so no two outputs
+    alias one array.
+    """
+    output_vids = set(graph.outputs)
+    consumed = set(output_vids)
+    for node in graph.nodes:
+        consumed.update(node.inputs)
+    rename: Dict[int, int] = {}
+    constants: Dict[int, Any] = {}
+    first_constant: Dict[Any, int] = {}
+    for vid in sorted(graph.constants):
+        value = graph.constants[vid]
+        first = first_constant.setdefault(_constant_key(value), vid)
+        if first != vid and vid not in output_vids:
+            rename[vid] = first
+        else:
+            constants[vid] = value
+    first_node: Dict[Any, int] = {}
+    nodes: List[Node] = []
+    for node in graph.nodes:
+        inputs = tuple(rename.get(vid, vid) for vid in node.inputs)
+        if inputs != node.inputs:
+            node = dataclasses.replace(node, inputs=inputs)
+        if node.saved_output is not None and node.saved_output in consumed:
+            nodes.append(node)
+            continue
+        key = (node.op, inputs, _param_key(node.params) if node.params else None)
+        first = first_node.get(key)
+        if first is not None and node.output not in output_vids:
+            rename[node.output] = first
+            continue
+        first_node.setdefault(key, node.output)
+        nodes.append(node)
     return Graph(
         inputs=list(graph.inputs),
         outputs=list(graph.outputs),
@@ -310,18 +405,20 @@ def fuse_elementwise_chains(graph: Graph) -> Graph:
     )
 
 
-#: Default pipeline: fold parameter subtrees, fuse LUT kernels, then sweep
-#: the now-dead slope machinery and folded-away source constants.
-DEFAULT_PASSES: Tuple[str, ...] = ("fold", "fuse", "dce")
+#: Default pipeline: fold parameter subtrees, merge repeated work, fuse
+#: LUT kernels, then sweep the now-dead slope machinery and folded-away
+#: source constants.  CSE runs after folding so folded constants merge too.
+DEFAULT_PASSES: Tuple[str, ...] = ("fold", "cse", "fuse", "dce")
 
-#: Training pipeline: same folding/LUT fusion (the LUT pass skips nodes
+#: Training pipeline: same folding/CSE/LUT fusion (the LUT pass skips nodes
 #: whose slope feeds backward), then chain fusion over the joint
 #: forward+backward+update graph.  Chain fusion runs after DCE so dead
 #: saved_outputs are already stripped and fuse maximally.
-TRAIN_PASSES: Tuple[str, ...] = ("fold", "fuse", "dce", "fuse_chains")
+TRAIN_PASSES: Tuple[str, ...] = ("fold", "cse", "fuse", "dce", "fuse_chains")
 
 _PASS_TABLE = {
     "fold": fold_constants,
+    "cse": cse,
     "fuse": fuse_dense_lookups,
     "dce": dead_code_elimination,
     "fuse_chains": fuse_elementwise_chains,

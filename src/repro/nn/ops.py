@@ -46,6 +46,8 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.quant.quantizer import clip_ufunc
+
 Array = Any  # numpy.ndarray
 
 
@@ -119,7 +121,7 @@ SAVED_OUTPUT_OPS = frozenset({"elementwise_fused"})
 #: one kernel.  ``elementwise``/``elementwise_fused`` are excluded: their
 #: params carry bound table callables the LUT fusion pass owns.
 ELEMENTWISE_OPS = frozenset({
-    "add", "neg", "mul", "div", "pow", "exp", "log", "sqrt", "tanh",
+    "add", "sub", "neg", "mul", "div", "pow", "exp", "log", "sqrt", "tanh",
     "relu", "abs", "clip", "clip_ste", "round_ste",
 })
 
@@ -242,6 +244,15 @@ register_op(
 )
 
 register_op(
+    "sub",
+    forward=lambda a, b: a - b,
+    vjps=(
+        lambda g, ans, s, a, b: g,
+        lambda g, ans, s, a, b: -g,
+    ),
+)
+
+register_op(
     "neg",
     forward=lambda a: -a,
     vjps=(lambda g, ans, s, a: -g,),
@@ -269,13 +280,18 @@ register_op(
 def _pow_forward(a: Array, exponent: float) -> Array:
     if not np.isscalar(exponent):
         raise TypeError("only scalar exponents are supported")
-    return a ** exponent
+    # Eager hands every op a 0-d array where a compiled replay may hand a
+    # numpy scalar (a ufunc's 0-d result).  Only arrays take numpy's ``**``
+    # fast paths (``sqrt`` for 0.5, ``square`` for 2), which can round
+    # differently from ``pow``, so both run through an array.
+    return np.asarray(a) ** exponent
 
 
 register_op(
     "pow",
     forward=_pow_forward,
-    vjps=(lambda g, ans, s, a, exponent: g * exponent * a ** (exponent - 1),),
+    vjps=(lambda g, ans, s, a, exponent:
+          g * exponent * np.asarray(a) ** (exponent - 1),),
 )
 
 register_op(
@@ -527,7 +543,7 @@ register_op(
 
 register_op(
     "clip",
-    forward=lambda a, lo, hi: np.clip(a, lo, hi),
+    forward=lambda a, lo, hi: clip_ufunc(a, lo, hi),
     vjps=(lambda g, ans, s, a, lo, hi: g * ((a >= lo) & (a <= hi)),),
 )
 
@@ -535,13 +551,14 @@ register_op(
 # VJP passes the incoming gradient through unchanged (LSQ / Eq. 2).
 register_op(
     "clip_ste",
-    forward=lambda a, lo, hi: np.clip(a, lo, hi),
+    forward=lambda a, lo, hi: clip_ufunc(a, lo, hi),
     vjps=(lambda g, ans, s, a, lo, hi: g,),
 )
 
+# ``np.rint`` is the ufunc ``np.round`` runs for ``decimals=0``.
 register_op(
     "round_ste",
-    forward=lambda a: np.round(a),
+    forward=np.rint,
     vjps=(lambda g, ans, s, a: g,),
 )
 

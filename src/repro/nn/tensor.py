@@ -117,8 +117,10 @@ def _emit_vjp_node(tracer, node: "Tensor", argnum: int, grad_vid: int) -> int:
     in_vids = tuple(tracer.value_of(parent) for parent in node._parents)
     if op_name == "add":            # vjp: g
         return grad_vid
-    if op_name == "neg":            # vjp: -g
+    if op_name == "neg" or (op_name == "sub" and argnum == 1):  # vjp: -g
         return emit("neg", (grad_vid,))
+    if op_name == "sub":            # vjp: g
+        return grad_vid
     if op_name == "mul":            # vjp: g * other
         return emit("mul", (grad_vid, in_vids[1 - argnum]))
     if op_name == "exp":            # vjp: g * ans
@@ -225,10 +227,10 @@ class Tensor:
         return apply_op("neg", self)
 
     def __sub__(self, other) -> "Tensor":
-        return self + (-self._lift(other))
+        return apply_op("sub", self, other)
 
     def __rsub__(self, other) -> "Tensor":
-        return self._lift(other) + (-self)
+        return apply_op("sub", self._lift(other), self)
 
     def __mul__(self, other) -> "Tensor":
         return apply_op("mul", self, other)

@@ -243,7 +243,7 @@ class MultiRangePWL:
         if self._slot_edges is None:
             return self(x)
         arr = np.asarray(x, dtype=np.float64)
-        slot = np.searchsorted(self._slot_edges, arr, side="right")
+        slot = self._slot_edges.searchsorted(arr, side="right")
         scaled = arr * self._slot_scales[slot]
         idx = self._fxp_pwl.segment_index(scaled)
         return self._slot_factors[slot] * (
@@ -265,7 +265,7 @@ class MultiRangePWL:
         """
         arr = np.asarray(x, dtype=np.float64)
         if self._slot_edges is not None:
-            slot = np.searchsorted(self._slot_edges, arr, side="right")
+            slot = self._slot_edges.searchsorted(arr, side="right")
             input_scale = self._slot_scales[slot]
             factor = self._slot_factors[slot]
             scaled = arr * input_scale

@@ -85,6 +85,12 @@ CASES: Dict[str, List[Case]] = {
         Case("broadcast-bias", (_normal((3, 4)), _normal((4,), 2))),
         Case("broadcast-keepdim", (_normal((2, 3, 4)), _normal((2, 1, 4), 3))),
     ],
+    "sub": [
+        Case("same-shape", (_normal((3, 4)), _normal((3, 4), 1))),
+        Case("broadcast-right", (_normal((3, 4)), _normal((4,), 2))),
+        Case("broadcast-left", (_normal((2, 1, 4), 3), _normal((2, 3, 4)))),
+        Case("scalar-left", (_normal((), 4), _normal((3, 4)))),
+    ],
     "neg": [Case("plain", (_normal((3, 4)),))],
     "mul": [
         Case("same-shape", (_normal((3, 4)), _normal((3, 4), 1))),
@@ -256,7 +262,7 @@ class TestRegistryGradcheck:
         assert all(CASES[name] for name in CASES)
 
     def test_binary_ops_include_broadcasting_cases(self):
-        for name in ("add", "mul", "div"):
+        for name in ("add", "sub", "mul", "div"):
             shapes = {
                 tuple(arr.shape for arr in case.inputs) for case in CASES[name]
             }
@@ -300,6 +306,18 @@ class TestCompositionGradcheck:
         self._check(lambda t: t.mean(), _normal((3, 4)))
         self._check(lambda t: t.mean(axis=1).sum(), _normal((3, 4), 1))
         self._check(lambda t: t.var(axis=-1).sum(), _normal((3, 4), 2), atol=1e-3)
+
+    def test_scalar_minus_tensor_is_one_sub(self):
+        """``2.0 - t`` dispatches ``__rsub__`` to one ``sub`` node whose
+        gradient is ``-1`` everywhere (the lifted scalar gets none)."""
+        from repro.graph import trace
+
+        self._check(lambda t: (2.0 - t * t).sum(), _normal((3, 4)))
+        graph = trace(lambda t: 2.0 - t, _normal((3, 4)))
+        assert [node.op for node in graph.nodes] == ["sub"]
+        x = Tensor(_normal((3, 4)), requires_grad=True)
+        (2.0 - x).sum().backward()
+        np.testing.assert_array_equal(x.grad, -np.ones((3, 4)))
 
     def test_softmax(self):
         from repro.nn import functional as F

@@ -1,0 +1,440 @@
+"""Generative parity of compiled replay: eager ≡ compiled, bit for bit.
+
+Hypothesis draws straight-line programs over broadcasting input shapes
+from the element-wise registry ops, ``sub``, ``sum``/``max`` reductions
+and ``reshape``, with 0-d literals on either side of a binary op and
+repeated instructions, so :func:`~repro.graph.passes.cse` merges both
+nodes and 0-d constants.  Each program is traced once and replayed under
+``DEFAULT_PASSES`` and ``TRAIN_PASSES``:
+
+* forward outputs equal the eager forward on fresh inputs of the traced
+  shapes;
+* a captured backward (``Tracer(capture_grads=True)``) replays to the
+  gradients an independent eager backward computes on those inputs;
+* the replay holds exactly the buffer plan's live set at every kernel
+  call, so a release the generated code skips is caught here, not only as
+  a memory regression.
+
+A few hand-built graphs pin the ``cse`` equality rules directly.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import gc
+import sys
+import types
+from typing import List, Sequence, Tuple
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from repro.graph import (
+    DEFAULT_PASSES,
+    TRAIN_PASSES,
+    CompiledGraph,
+    Tracer,
+    optimize,
+    trace,
+)
+from repro.graph.ir import Graph, Node
+from repro.graph.passes import cse
+from repro.nn import functional as F
+from repro.nn.tensor import Tensor, no_grad, tracing
+
+UNARY = ("neg", "exp", "tanh", "abs", "relu", "sqrt", "log", "round_ste")
+BINARY = ("add", "sub", "mul", "div")
+# Few distinct values, signed zeros included, so literals repeat (and their
+# 0-d constants merge) but -0.0 and 0.0 must stay apart.
+LITERALS = (0.5, 2.0, -1.0, 0.0, -0.0)
+# ``repeat`` re-emits an earlier instruction; it is listed twice to make
+# duplicates common.
+KINDS = ("unary", "binary", "literal", "reduce", "reshape", "clip", "pow",
+         "repeat", "repeat")
+
+
+@dataclasses.dataclass(frozen=True)
+class Program:
+    """Input shapes, instructions over value indices, and output indices.
+
+    Value ``i < len(shapes)`` is input ``i``; instruction ``j`` defines
+    value ``len(shapes) + j``.
+    """
+
+    shapes: Tuple[Tuple[int, ...], ...]
+    instructions: Tuple[tuple, ...]
+    outputs: Tuple[int, ...]
+
+    def __call__(self, *inputs: Tensor) -> Tuple[Tensor, ...]:
+        values: List[Tensor] = list(inputs)
+        for instruction in self.instructions:
+            values.append(_apply(instruction, values))
+        return tuple(values[i] for i in self.outputs)
+
+
+def _apply(instruction: tuple, values: Sequence[Tensor]) -> Tensor:
+    kind = instruction[0]
+    if kind == "unary":
+        _, name, a = instruction
+        x = values[a]
+        return -x if name == "neg" else getattr(x, name)()
+    if kind == "binary":
+        _, name, a, b = instruction
+        return _binary(name, values[a], values[b])
+    if kind == "literal":
+        _, name, a, literal, literal_first = instruction
+        if literal_first:
+            return _binary(name, literal, values[a])
+        return _binary(name, values[a], literal)
+    if kind == "reduce":
+        _, name, a, axis, keepdims = instruction
+        return getattr(values[a], name)(axis=axis, keepdims=keepdims)
+    if kind == "reshape":
+        _, a, shape = instruction
+        return values[a].reshape(shape)
+    if kind == "clip":
+        _, name, a, lo, hi = instruction
+        return getattr(values[a], name)(lo, hi)
+    if kind == "pow":
+        _, a, exponent = instruction
+        return values[a] ** exponent
+    raise AssertionError(kind)
+
+
+def _binary(name: str, a, b):
+    if name == "add":
+        return a + b
+    if name == "sub":
+        return a - b
+    if name == "mul":
+        return a * b
+    return a / b
+
+
+def _broadcasts(a: Tuple[int, ...], b: Tuple[int, ...]) -> bool:
+    try:
+        np.broadcast_shapes(a, b)
+    except ValueError:
+        return False
+    return True
+
+
+@st.composite
+def broadcastable(draw, base: Tuple[int, ...]) -> Tuple[int, ...]:
+    """``base`` with some leading dims dropped and some dims set to 1."""
+    drop = draw(st.integers(0, len(base)))
+    shape = base[drop:]
+    return tuple(
+        1 if draw(st.booleans()) else size for size in shape
+    )
+
+
+@st.composite
+def programs(draw) -> Program:
+    base = draw(st.lists(st.integers(1, 3), min_size=0, max_size=3).map(tuple))
+    shapes = tuple(
+        draw(broadcastable(base)) for _ in range(draw(st.integers(1, 3)))
+    )
+    value_shapes: List[Tuple[int, ...]] = list(shapes)
+    instructions: List[tuple] = []
+    repeats: List[int] = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(KINDS))
+        a = draw(st.integers(0, len(value_shapes) - 1))
+        shape = value_shapes[a]
+        if kind == "repeat":
+            if not instructions:
+                continue
+            # Recompute an earlier instruction on the same operands: the
+            # duplicate cse must merge.
+            instruction = draw(st.sampled_from(instructions))
+            original = len(shapes) + instructions.index(instruction)
+            out = value_shapes[original]
+            instructions.append(instruction)
+            value_shapes.append(out)
+            # Combine the twins so the duplicate is consumed (and merging it
+            # turns ``dup op original`` into ``original op original``).
+            instruction = ("binary", draw(st.sampled_from(BINARY)),
+                           len(value_shapes) - 1, original)
+            repeats.append(len(value_shapes))
+        elif kind == "unary":
+            instruction = ("unary", draw(st.sampled_from(UNARY)), a)
+            out = shape
+        elif kind == "binary":
+            partners = [
+                j for j, other in enumerate(value_shapes)
+                if _broadcasts(shape, other)
+            ]
+            b = draw(st.sampled_from(partners))
+            instruction = ("binary", draw(st.sampled_from(BINARY)), a, b)
+            out = np.broadcast_shapes(shape, value_shapes[b])
+        elif kind == "literal":
+            instruction = ("literal", draw(st.sampled_from(BINARY)), a,
+                           draw(st.sampled_from(LITERALS)), draw(st.booleans()))
+            out = shape
+        elif kind == "reduce":
+            axis = draw(st.sampled_from([None] + list(range(len(shape)))))
+            keepdims = draw(st.booleans())
+            instruction = ("reduce", draw(st.sampled_from(("sum", "max"))), a,
+                           axis, keepdims)
+            out = np.zeros(shape).sum(axis=axis, keepdims=keepdims).shape
+        elif kind == "reshape":
+            size = int(np.prod(shape))
+            out = draw(st.sampled_from([(size,), (1, size), (size, 1), shape[::-1]]))
+            if int(np.prod(out)) != size:
+                out = (size,)
+            instruction = ("reshape", a, tuple(out))
+        elif kind == "clip":
+            lo = draw(st.sampled_from((-1.0, -0.5, 0.0)))
+            instruction = ("clip", draw(st.sampled_from(("clip", "clip_ste"))),
+                           a, lo, lo + draw(st.sampled_from((0.5, 1.0, 2.0))))
+            out = shape
+        else:
+            instruction = ("pow", a, draw(st.sampled_from((2, 3.0, 0.5))))
+            out = shape
+        instructions.append(instruction)
+        value_shapes.append(tuple(out))
+    last = len(value_shapes) - 1
+    # Twin combinations are outputs, so dead-code elimination cannot hide
+    # the duplicates.
+    extra = draw(st.lists(st.integers(0, last), max_size=2)) + repeats
+    return Program(shapes, tuple(instructions), tuple(dict.fromkeys([last] + extra)))
+
+
+def draw_inputs(rng: np.random.Generator, shapes) -> List[np.ndarray]:
+    """Values near the op kinks (0, +-1, +-0.5) and signed zeros."""
+    arrays = []
+    for shape in shapes:
+        values = rng.standard_normal(shape) * 2.0
+        snap = rng.random(shape) < 0.2
+        kinks = rng.choice([0.0, -0.0, 0.5, -0.5, 1.0, -1.0], size=shape)
+        arrays.append(np.where(snap, kinks, values))
+    return arrays
+
+
+def assert_bitwise_equal(actual, expected) -> None:
+    """Equal bits, except that a NaN lane only has to be NaN.
+
+    IEEE 754 leaves open which sign and payload an operation on two NaNs
+    returns.  A compiled replay runs 0-d values as numpy scalars where
+    eager runs 0-d arrays, and the two paths order the operands of ``+``
+    differently, so ``nan + -nan`` can differ in its sign bit.
+    """
+    actual = np.asarray(actual, dtype=np.float64)
+    expected = np.asarray(expected, dtype=np.float64)
+    assert actual.shape == expected.shape
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(actual), nan)
+    assert actual[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def eager_forward(program: Program, arrays) -> List[np.ndarray]:
+    with no_grad():
+        return [t.data for t in program(*[Tensor(a) for a in arrays])]
+
+
+def eager_grads(program: Program, arrays, weights) -> List[np.ndarray]:
+    """Input gradients of ``sum(w_k * out_k)`` from a plain eager backward."""
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    _weighted_loss(program(*tensors), weights).backward()
+    return [t.grad for t in tensors]
+
+
+def _weighted_loss(outputs, weights) -> Tensor:
+    loss = None
+    for output, weight in zip(outputs, weights):
+        term = (output * weight).sum()
+        loss = term if loss is None else loss + term
+    return loss
+
+
+def capture_grad_graph(program: Program, arrays, weights) -> Tuple[Graph, List[bool]]:
+    """One real eager step under gradient capture; outputs are the input
+    gradients (inputs the loss does not reach are reported unused)."""
+    tracer = Tracer(capture_grads=True)
+    tensors = [Tensor(a, requires_grad=True) for a in arrays]
+    for tensor in tensors:
+        tracer.add_input(tensor)
+    with tracing(tracer):
+        _weighted_loss(program(*tensors), weights).backward()
+    used = []
+    for tensor in tensors:
+        vid = tracer.grad_vid(tensor)
+        used.append(vid is not None)
+        if vid is not None:
+            tracer.mark_output_vid(vid)
+    tracer.graph.validate()
+    return tracer.graph, used
+
+
+def replay_live_counts(compiled: CompiledGraph, *inputs) -> List[Tuple[int, int]]:
+    """``(bound locals, plan-live slots)`` at every Python-level kernel call
+    the generated replay makes.
+
+    The plan's live set before step ``i`` is every input and earlier step
+    output its ``releases`` have not yet dropped.  Steps whose kernel is a
+    ufunc make no Python call and are not observed.
+    """
+    code = compiled._replay.__code__
+    kernels = {
+        getattr(step.fn, "__func__", step.fn).__code__
+        for step in compiled._steps
+        if isinstance(step.fn, (types.FunctionType, types.MethodType))
+    }
+    bound: List[int] = []
+
+    def profiler(frame, event_name, arg):
+        caller = frame.f_back
+        if (event_name == "call" and frame.f_code in kernels
+                and caller is not None and caller.f_code is code):
+            bound.append(len(caller.f_locals))
+
+    # No collection mid-replay: a gc callback would be a call from the
+    # replay frame too.
+    gc.disable()
+    sys.setprofile(profiler)
+    try:
+        compiled.run(*inputs)
+    finally:
+        sys.setprofile(None)
+        gc.enable()
+    expected: List[int] = []
+    live = set(compiled._input_slots)
+    for step in compiled._steps:
+        if isinstance(step.fn, (types.FunctionType, types.MethodType)):
+            expected.append(len(live))
+        live.add(step.out)
+        if step.saved >= 0:
+            live.add(step.saved)
+        live.difference_update(step.releases)
+    assert len(bound) == len(expected)
+    return list(zip(bound, expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(program=programs(), seed=st.integers(0, 2 ** 16))
+def test_forward_replay_matches_eager(program, seed):
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        graph = trace(program, *draw_inputs(rng, program.shapes))
+        arrays = draw_inputs(rng, program.shapes)
+        expected = eager_forward(program, arrays)
+        for passes in (DEFAULT_PASSES, TRAIN_PASSES):
+            optimized = optimize(graph, passes)
+            without_cse = optimize(graph, tuple(p for p in passes if p != "cse"))
+            if len(optimized.nodes) < len(without_cse.nodes):
+                event("cse merged nodes (%s)" % passes[-1])
+            if len(optimized.constants) < len(without_cse.constants):
+                event("cse merged constants (%s)" % passes[-1])
+            compiled = CompiledGraph(optimized)
+            for got, want in zip(compiled.run(*arrays), expected):
+                assert_bitwise_equal(got, want)
+            for got, want in replay_live_counts(compiled, *arrays):
+                assert got == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=programs(), seed=st.integers(0, 2 ** 16))
+def test_captured_vjps_match_eager_grads(program, seed):
+    rng = np.random.default_rng(seed)
+    with np.errstate(all="ignore"):
+        with no_grad():
+            shapes = [t.shape for t in program(
+                *[Tensor(a) for a in draw_inputs(rng, program.shapes)]
+            )]
+        weights = [rng.standard_normal(shape) for shape in shapes]
+        graph, used = capture_grad_graph(
+            program, draw_inputs(rng, program.shapes), weights
+        )
+        arrays = draw_inputs(rng, program.shapes)
+        expected = [
+            grad for grad, use in zip(eager_grads(program, arrays, weights), used)
+            if use
+        ]
+        for passes in (DEFAULT_PASSES, TRAIN_PASSES):
+            compiled = CompiledGraph(optimize(graph, passes))
+            got = compiled.run(*arrays)
+            assert len(got) == len(expected)
+            for actual, want in zip(got, expected):
+                assert_bitwise_equal(actual, want)
+
+
+# -- the cse equality rules, one hand-built graph each -------------------------
+
+
+def _x():
+    return np.random.default_rng(0).standard_normal((2, 4))
+
+
+def test_cse_merges_the_twin_layer_norm_mean():
+    weight, bias = np.ones(4), np.zeros(4)
+    graph = trace(lambda x: F.layer_norm(x, Tensor(weight), Tensor(bias)), _x())
+    merged = cse(graph)
+    ops = [node.op for node in graph.nodes]
+    merged_ops = [node.op for node in merged.nodes]
+    # ``var`` recomputes the mean (a sum and a 1/n multiply) and x - mean.
+    assert ops.count("sum") - merged_ops.count("sum") == 1
+    assert ops.count("sub") - merged_ops.count("sub") == 1
+    assert_bitwise_equal(CompiledGraph(merged).run(_x())[0],
+                         CompiledGraph(graph).run(_x())[0])
+
+
+def test_cse_keeps_equal_parameters_apart():
+    w1, w2 = np.full(4, 0.5), np.full(4, 0.5)
+    graph = trace(lambda x: x * Tensor(w1) + x * Tensor(w2), _x())
+    assert [node.op for node in cse(graph).nodes] == ["mul", "mul", "add"]
+
+
+def test_cse_merges_one_array_bound_twice():
+    w = np.full(4, 0.5)
+    graph = trace(lambda x: x * Tensor(w) + x * Tensor(w), _x())
+    assert [node.op for node in cse(graph).nodes] == ["mul", "add"]
+
+
+def test_cse_keeps_signed_zero_literals_and_params_apart():
+    graph = trace(lambda x: (x * 0.0) + (x * -0.0), _x())
+    assert [node.op for node in cse(graph).nodes] == ["mul", "mul", "add"]
+    graph = trace(lambda x: x.clip(0.0, 1.0) + x.clip(-0.0, 1.0), _x())
+    assert [node.op for node in cse(graph).nodes] == ["clip", "clip", "add"]
+    graph = trace(lambda x: (x * 0.5) + (x * 0.5), _x())
+    assert [node.op for node in cse(graph).nodes] == ["mul", "add"]
+
+
+def test_cse_skips_consumed_saved_outputs_and_keeps_graph_outputs():
+    def fused(a):
+        return a * 2.0, a + 1.0
+
+    graph = Graph(inputs=[0], num_values=1)
+    twin_a = graph.new_value(), graph.new_value()
+    twin_b = graph.new_value(), graph.new_value()
+    for out, saved in (twin_a, twin_b):
+        graph.nodes.append(Node(op="elementwise_fused", inputs=(0,), output=out,
+                                params={"fused_fn": fused}, saved_output=saved))
+    total = graph.new_value()
+    graph.nodes.append(Node(op="add", inputs=(twin_a[1], twin_b[1]), output=total))
+    first, second = graph.new_value(), graph.new_value()
+    graph.nodes.append(Node(op="neg", inputs=(total,), output=first))
+    graph.nodes.append(Node(op="neg", inputs=(total,), output=second))
+    graph.outputs = [twin_a[0], twin_b[0], first, second]
+    merged = cse(graph)
+    assert [node.op for node in merged.nodes] == [node.op for node in graph.nodes]
+    outputs = CompiledGraph(merged).run(_x())
+    assert outputs[2] is not outputs[3]
+
+
+def test_profile_returns_run_outputs_and_every_step():
+    graph = trace(lambda x: ((x - 1.0) * (x - 1.0)).sum(axis=-1), _x())
+    compiled = CompiledGraph(optimize(graph))
+    outputs, breakdown = compiled.profile(_x(), repeats=3)
+    assert_bitwise_equal(outputs[0], compiled.run(_x())[0])
+    assert sum(row["count"] for row in breakdown.values()) == compiled.num_steps
+    assert breakdown == {
+        "sub": {"count": 1, "seconds": pytest.approx(breakdown["sub"]["seconds"])},
+        "mul": {"count": 1, "seconds": pytest.approx(breakdown["mul"]["seconds"])},
+        "sum": {"count": 1, "seconds": pytest.approx(breakdown["sum"]["seconds"])},
+    }
+    assert all(row["seconds"] > 0 for row in breakdown.values())
+    with pytest.raises(ValueError, match="expects 1 input"):
+        compiled.profile()

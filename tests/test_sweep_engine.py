@@ -383,6 +383,24 @@ class TestDurableRunDir:
         assert resumed.ok
         assert resumed.stats.builds == 0
 
+    def test_memory_hit_in_a_new_run_dir_lands_in_its_store(self, tmp_path):
+        """A cell answered from the memory tier in a second run directory
+        is journaled done there, so its artifact must be in that run's
+        store too: resuming the second run rebuilds nothing."""
+        gelu = ApproximationJob("gelu", "gqa-rm", 8, QUICK)
+        engine = SweepEngine()
+        first = engine.run_manifest([gelu], run_dir=tmp_path / "a")
+        second = engine.run_manifest([gelu], run_dir=tmp_path / "b")
+        engine.close()
+        assert second.stats.memory_hits == 1
+        assert set(ArtifactStore(tmp_path / "b" / "artifacts").keys()) == {gelu.key}
+        fresh = SweepEngine()
+        resumed = fresh.resume(tmp_path / "b")
+        fresh.close()
+        assert resumed.stats.builds == 0
+        assert resumed.stats.disk_hits == 1
+        assert_pwl_equal(resumed.results[gelu.key], first.results[gelu.key])
+
     def test_store_passed_by_the_caller_stays_across_run_dirs(self, tmp_path):
         store = ArtifactStore(tmp_path / "store")
         engine = SweepEngine(cache=ArtifactCache(store=store))
