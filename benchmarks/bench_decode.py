@@ -12,7 +12,9 @@ replaceable operator on its 8-entry pwl, INT8-quantized Linears):
    identical to the stream of the reference per-pass pwl pipeline in
    ``tests/oracles.py`` (uncached eager); the cached-compiled over
    uncached-eager speedup is the headline gated by
-   ``--min-decode-speedup``.
+   ``--min-decode-speedup``.  The report's ``breakdown`` section splits
+   the last step's batch-1 plan per op (``CompiledGraph.profile``: node
+   count and microseconds per op), taken in the same run.
 2. **Bucket-grouped serving** — concurrent sessions decoding through
    :meth:`repro.serve.BatchingServer.submit_decode` (one batched compiled
    step per cache bucket per drain) asserted token-identical to direct
@@ -43,6 +45,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from typing import Tuple
 
 import numpy as np
 
@@ -50,7 +53,7 @@ from repro.core.pwl import fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
 from repro.nn.approx import PWLSuite
 from repro.nn.training import prepare_quantized_model
-from repro.nn.transformer import DecoderConfig, MiniDecoder, greedy_generate
+from repro.nn.transformer import DecoderConfig, MiniDecoder, greedy_generate, step_inputs
 from repro.serve import BatchingServer
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
@@ -89,8 +92,10 @@ def _timed_decode(model, prompt, num_new, cache, engine, repeats: int) -> float:
     return best
 
 
-def bench_decode(config: DecoderConfig, prompt, num_new: int, repeats: int) -> dict:
-    """4-way stream parity against the oracle, then timing of the four paths."""
+def bench_decode(config: DecoderConfig, prompt, num_new: int,
+                 repeats: int) -> Tuple[dict, dict]:
+    """4-way stream parity against the oracle, then timing of the four paths;
+    returns the report section and the batch-1 plan's per-op breakdown."""
     oracle = greedy_generate(
         build_model(config, ReferencePWLSuite), prompt, num_new, cache=False, engine="eager"
     )
@@ -119,6 +124,7 @@ def bench_decode(config: DecoderConfig, prompt, num_new: int, repeats: int) -> d
     checksum = hashlib.sha256(
         np.asarray(reference, dtype=np.int64).tobytes()
     ).hexdigest()
+    breakdown = profile_decode_step(model, list(prompt) + reference[:-1], 200)
     return {
         "model": "MiniDecoder",
         "vocab_size": config.vocab_size,
@@ -139,6 +145,44 @@ def bench_decode(config: DecoderConfig, prompt, num_new: int, repeats: int) -> d
         "compiled_step_speedup": timings["cached_eager"] / timings["cached_compiled"],
         "identical_streams": True,
         "tokens_sha256": checksum,
+    }, breakdown
+
+
+def profile_decode_step(model, tokens, repeats: int) -> dict:
+    """Per-op split of the batch-1 plan that decodes the last of ``tokens``.
+
+    Decodes ``tokens`` through the model's compiled step to fill a real KV
+    cache, then replays the last step's plan ``repeats`` times under
+    :meth:`CompiledGraph.profile` (one timer pair per node, so the op
+    times sum to more than a plain ``run``).
+    """
+    step = model.compiled_step()
+    kv = model.new_cache(batch=1)
+    for position, token in enumerate(tokens[:-1]):
+        capacity = kv.ensure(position + 1)
+        inputs = step_inputs(model, [token], [position], capacity)
+        kv.update(step.step(*inputs, kv.arrays())[1])
+    position = len(tokens) - 1
+    capacity = kv.ensure(position + 1)
+    arrays = [np.asarray(array, dtype=np.float64) for array in
+              (*step_inputs(model, [tokens[-1]], [position], capacity), *kv.arrays())]
+    plan = step.graph_for(*arrays)
+    runs = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        plan.run(*arrays)
+        runs.append(time.perf_counter() - start)
+    _, ops = plan.profile(*arrays, repeats=repeats)
+    return {
+        "batch": 1,
+        "capacity": capacity,
+        "nodes": plan.num_steps,
+        "run_us": 1e6 * float(np.median(runs)),
+        "profiled_us": 1e6 * sum(row["seconds"] for row in ops.values()),
+        "ops": {
+            name: {"count": row["count"], "us": 1e6 * row["seconds"]}
+            for name, row in sorted(ops.items(), key=lambda item: -item[1]["seconds"])
+        },
     }
 
 
@@ -257,8 +301,9 @@ def main(argv=None) -> int:
     }
 
     failures = []
-    decode = bench_decode(config, prompt, num_new, args.repeats)
+    decode, breakdown = bench_decode(config, prompt, num_new, args.repeats)
     report["decode"] = decode
+    report["breakdown"] = breakdown
     print(
         "decode T=%-4d uncached-eager %7.2fs   cached-eager %6.2fs   "
         "cached-compiled %6.2fs   speedup %5.2fx   (%d bucket plans)"
@@ -271,6 +316,11 @@ def main(argv=None) -> int:
             decode["trace_specializations"],
         )
     )
+    print("batch-1 plan (capacity %d, %d nodes): run %.1f us, per-op profile "
+          "%.1f us" % (breakdown["capacity"], breakdown["nodes"],
+                       breakdown["run_us"], breakdown["profiled_us"]))
+    for name, row in breakdown["ops"].items():
+        print("  %-20s %4d nodes %8.1f us" % (name, row["count"], row["us"]))
     if decode["speedup"] < min_speedup:
         failures.append(
             "cached compiled decode speedup %.2fx below required %.2fx"

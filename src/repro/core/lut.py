@@ -268,8 +268,12 @@ class DenseLUT:
             )
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "segment_slopes", slopes)
-        object.__setattr__(self, "_qmin", float(self.spec.qmin))
-        object.__setattr__(self, "_qmax", float(self.spec.qmax))
+        # The kernel's scalars as 0-d float64 arrays: numpy broadcasts a 0-d
+        # operand several times faster than it converts a Python scalar, and
+        # against the float64 input both give the same bits.
+        object.__setattr__(self, "_scale", np.asarray(self.scale, dtype=np.float64))
+        object.__setattr__(self, "_qmin", np.asarray(self.spec.qmin, dtype=np.float64))
+        object.__setattr__(self, "_qmax", np.asarray(self.spec.qmax, dtype=np.float64))
         # Extended gather tables with one sentinel row for NaN inputs, which
         # survive the clip and would otherwise index garbage.  The sentinel
         # replicates the QuantizedLUT pipeline bitwise: its comparer sends
@@ -312,7 +316,7 @@ class DenseLUT:
         # Divide as QuantizedLUT does: a deployed scale may be a few ulp off
         # 2^e (the LSQ quantizer computes it as exp(e ln 2)), and then
         # ``x * (1 / S)`` can round a code differently from ``x / S``.
-        q = clip_ufunc(np.rint(arr / self.scale), self._qmin, self._qmax)
+        q = clip_ufunc(np.rint(arr / self._scale), self._qmin, self._qmax)
         return self._offsets(q)
 
     def code_indices(self, q) -> np.ndarray:

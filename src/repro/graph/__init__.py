@@ -5,8 +5,8 @@ of a :class:`repro.nn.module.Module` into a static, replayable plan:
 
 * :mod:`repro.graph.ir` — the :class:`Graph`/:class:`Node` IR.
 * :mod:`repro.graph.trace` — capture via the ``apply_op`` dispatch hook.
-* :mod:`repro.graph.passes` — constant folding, dense-LUT fusion,
-  dead-code elimination, liveness-based buffer planning.
+* :mod:`repro.graph.passes` — constant folding, CSE, operand layout,
+  dense-LUT fusion, dead-code elimination, liveness-based buffer planning.
 * :mod:`repro.graph.executor` — :class:`CompiledGraph` (one signature) and
   the wrappers that cache one plan per input signature and re-trace when
   the captured state is rebound: :class:`CompiledModel`,
@@ -45,6 +45,7 @@ from repro.graph.passes import (
     fold_constants,
     fuse_dense_lookups,
     fuse_elementwise_chains,
+    layout_operands,
     optimize,
     plan_memory,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "fold_constants",
     "fuse_dense_lookups",
     "fuse_elementwise_chains",
+    "layout_operands",
     "MemoryPlan",
     "plan_memory",
     "CompiledDecodeStep",

@@ -28,6 +28,7 @@ Two layers:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import time
 import warnings
@@ -56,6 +57,8 @@ class _Step(NamedTuple):
     ``fn`` is called as ``fn(*[slot values of src], **params)``.  A node
     whose forward returns ``(output, saved)`` stores both halves when
     ``saved >= 0`` and keeps only the output when ``first_only`` is set.
+    ``scalar`` marks an output whose traced aval is 0-d: eager holds it as
+    a 0-d array, so the replay wraps the ufunc's numpy scalar the same way.
     """
 
     op: str
@@ -66,6 +69,7 @@ class _Step(NamedTuple):
     saved: int
     releases: Tuple[int, ...]
     first_only: bool
+    scalar: bool
 
 
 def _straight_line(
@@ -80,9 +84,10 @@ def _straight_line(
     slots, and every kernel, keyword parameter and constant bound as a
     global name of the generated function.  Dynamic slots are locals
     (``s<slot>``), constants globals (``k<slot>``), so each call has its
-    own working set.
+    own working set.  A step with a 0-d aval wraps its result in
+    ``asarray``.
     """
-    namespace: Dict[str, Any] = {}
+    namespace: Dict[str, Any] = {"asarray": np.asarray}
     names: Dict[int, str] = {}
     for slot, array in constants.items():
         names[slot] = "k%d" % slot
@@ -105,7 +110,11 @@ def _straight_line(
             target = name(step.out)
             if step.first_only:
                 call += "[0]"
+            if step.scalar:
+                call = "asarray(%s)" % call
         lines.append("    %s = %s" % (target, call))
+        if step.scalar and step.saved >= 0:
+            lines.append("    %s = asarray(%s)" % (name(step.out), name(step.out)))
         if step.releases:
             lines.append("    del %s" % ", ".join(name(s) for s in step.releases))
     lines.append("    return [%s]" % ", ".join(name(slot) for slot in output_slots))
@@ -128,7 +137,9 @@ class CompiledGraph:
 
     def __init__(self, graph: Graph, plan: Optional[MemoryPlan] = None) -> None:
         graph.validate()
-        self.graph = graph
+        # The avals have done their work once the steps know which outputs
+        # are 0-d; a cached plan does not keep them.
+        self.graph = dataclasses.replace(graph, avals={})
         self.plan = plan if plan is not None else plan_memory(graph)
         steps = []
         for node, releases in zip(graph.nodes, self.plan.releases):
@@ -151,6 +162,7 @@ class CompiledGraph:
                 saved=saved,
                 releases=releases,
                 first_only=saved < 0 and node.op in _ops.SAVED_OUTPUT_OPS,
+                scalar=graph.is_scalar(node.output),
             ))
         self._steps = tuple(steps)
         self._constants = {
@@ -218,6 +230,8 @@ class CompiledGraph:
                     env[step.out], env[step.saved] = result
                 else:
                     env[step.out] = result[0] if step.first_only else result
+                if step.scalar:
+                    env[step.out] = np.asarray(env[step.out])
                 for slot in step.releases:
                     env[slot] = None
         for row in breakdown.values():
@@ -731,6 +745,15 @@ class CompiledDecodeStep(_PlanCache):
         ]
         arrays.extend(np.asarray(array, dtype=np.float64)
                       for array in cache_arrays)
+        compiled = self.graph_for(*arrays)
+        fault_point("compiled.decode.replay")
+        outputs = compiled.run(*arrays)
+        self.replay_count += 1
+        return outputs[0], outputs[1:]
+
+    def graph_for(self, *arrays: Any) -> CompiledGraph:
+        """The cached (or freshly compiled) plan for these float64 step
+        arrays, in :meth:`step` order with the cache arrays flattened."""
         signature = _signature(arrays)
         compiled = self._lookup(signature)
         if compiled is None:
@@ -739,10 +762,7 @@ class CompiledDecodeStep(_PlanCache):
             compiled = self._store(
                 signature, CompiledGraph(optimize(captured, self.passes))
             )
-        fault_point("compiled.decode.replay")
-        outputs = compiled.run(*arrays)
-        self.replay_count += 1
-        return outputs[0], outputs[1:]
+        return compiled
 
     def _label(self, signature: Any) -> str:
         batch, capacity = signature[0][0][0], signature[3][0][2]

@@ -16,6 +16,10 @@ Value ids fall into three classes:
   once at capture time (snapshot-by-reference; see the trace docs).
 * **node outputs** — everything a node produces.
 
+Alongside the values the tracer records an *aval* — ``(shape, dtype)`` —
+for every input and every op output it observed (:attr:`Graph.avals`), so
+passes can specialise to the exact shapes a plan replays.
+
 The IR is deliberately minimal — no control flow, one output per node,
 edges are just ints — because the traced models are straight-line token
 pipelines and every optimisation pass (:mod:`repro.graph.passes`) is a
@@ -26,6 +30,9 @@ from __future__ import annotations
 
 import dataclasses
 from typing import Any, Dict, List, Optional, Tuple
+
+#: A value's abstract description: ``(shape, dtype)``.
+Aval = Tuple[Tuple[int, ...], Any]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -59,6 +66,14 @@ class Graph:
 
     ``nodes`` are in execution (topological) order — the tracer appends
     them as the eager forward runs, so index order is always valid.
+
+    ``avals`` maps a value id to the ``(shape, dtype)`` the eager run gave
+    it: every graph input bound to a tensor and every output of an op the
+    tracer saw run.  Nodes appended symbolically (``Tracer.emit``: traced
+    VJPs, optimizer updates) have none, and passes that read avals skip
+    values without one.  Every pass carries them through;
+    :class:`~repro.graph.executor.CompiledGraph` drops them once it has
+    planned the replay.
     """
 
     inputs: List[int] = dataclasses.field(default_factory=list)
@@ -66,6 +81,7 @@ class Graph:
     nodes: List[Node] = dataclasses.field(default_factory=list)
     constants: Dict[int, Any] = dataclasses.field(default_factory=dict)
     num_values: int = 0
+    avals: Dict[int, Aval] = dataclasses.field(default_factory=dict)
 
     def new_value(self) -> int:
         """Allocate a fresh value id."""
@@ -78,6 +94,14 @@ class Graph:
         vid = self.new_value()
         self.constants[vid] = array
         return vid
+
+    def is_scalar(self, vid: int) -> bool:
+        """Whether ``vid``'s aval is 0-d.  Eager holds such a value as a 0-d
+        array, where a ufunc returns a numpy scalar, so folding and replay
+        wrap it the same way (numpy's scalar paths can differ in the sign
+        of a NaN)."""
+        aval = self.avals.get(vid)
+        return aval is not None and aval[0] == ()
 
     def producers(self) -> Dict[int, Node]:
         """Map from value id to the node that produces it."""

@@ -1,7 +1,8 @@
 """Optimize: deterministic rewrite passes over the traced :class:`Graph`.
 
-Five passes, composed by :func:`optimize` (each takes and returns a
-:class:`~repro.graph.ir.Graph`; none mutates its input):
+Six passes, composed by :func:`optimize` (each takes and returns a
+:class:`~repro.graph.ir.Graph`, carries its avals through and mutates
+nothing of its input):
 
 * :func:`fold_constants` — evaluate every node whose inputs are all
   constants once at compile time.  This collapses the parameter-only
@@ -12,6 +13,11 @@ Five passes, composed by :func:`optimize` (each takes and returns a
   op, same inputs, equal params.  0-d constants merge by value first, so
   the twin ``1/n`` of the mean that ``Tensor.var`` recomputes merges, and
   with it the mean and ``x - mean`` every LayerNorm computes twice.
+* :func:`layout_operands` — give every constant operand of a binary op
+  the exact shape its node replays (a 0-d view of a one-element scale, a
+  bias vector reshaped to the output's shape) and ``clip`` 0-d float64
+  bounds, using the traced avals.  numpy's per-call cost depends on how
+  operands are laid out; the values are the same bits.
 * :func:`fuse_dense_lookups` — recognise the quantize → output-gather →
   slope-gather kernels the dense-LUT engine dispatches
   (``apply_elementwise_fused`` bound to :meth:`DenseLUT.lookup_with_slope`
@@ -27,7 +33,8 @@ Five passes, composed by :func:`optimize` (each takes and returns a
 
 All passes are semantics-preserving by construction: folding runs the
 exact registered forward on the exact captured arrays, CSE only drops a
-node whose pure function of the same inputs is already computed, fusion
+node whose pure function of the same inputs is already computed, layout
+only reshapes a float64 constant without moving its elements, fusion
 swaps in a kernel documented (and pinned by the engine-parity tests) to be
 bit-identical to the fused pair's output half, and DCE only removes
 unobservable work.  Compiled results therefore match eager bit for bit
@@ -50,6 +57,8 @@ from __future__ import annotations
 import dataclasses
 from typing import Any, Dict, List, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.lut import DenseLUT
 from repro.graph.ir import Graph, Node
 from repro.nn import ops as _ops
@@ -62,28 +71,30 @@ from repro.scaling.multi_range import MultiRangePWL
 def _fused_chain_kernel(params):
     """Build the callable for a ``fused_chain`` node.
 
-    ``params["steps"]`` is a tuple of ``(op_name, op_params, arg_spec)``
-    triples; ``arg_spec`` maps each step argument to either the previous
-    step's result (``-1``, the carry) or an index into the fused node's
-    external inputs.  Each step runs the *registered* forward of its op, so
-    the fused kernel is bit-identical to the unfused chain by construction
-    — it is literally the same functions in the same order, minus the
-    per-node executor dispatch.
+    ``params["steps"]`` is a tuple of ``(op_name, op_params, arg_spec,
+    scalar)`` records; ``arg_spec`` maps each step argument to either the
+    previous step's result (``-1``, the carry) or an index into the fused
+    node's external inputs, and ``scalar`` marks a link whose aval is 0-d,
+    whose result is wrapped in a 0-d array as eager holds it.  Each step
+    runs the *registered* forward of its op, so the fused kernel is
+    bit-identical to the unfused chain by construction — it is literally
+    the same functions in the same order, minus the per-node executor
+    dispatch.
     """
     resolved = tuple(
-        (_ops.get_op(op_name).forward, op_params, arg_spec)
-        for op_name, op_params, arg_spec in params["steps"]
+        (_ops.get_op(op_name).forward, op_params, arg_spec, scalar)
+        for op_name, op_params, arg_spec, scalar in params["steps"]
     )
 
     def run(*arrays):
         carry = None
-        for forward, op_params, arg_spec in resolved:
+        for forward, op_params, arg_spec, scalar in resolved:
             out = forward(
                 *[carry if j < 0 else arrays[j] for j in arg_spec], **op_params
             )
             if type(out) is tuple:  # (output, saved): chains never keep saved
                 out = out[0]
-            carry = out
+            carry = np.asarray(out) if scalar else out
         return carry
 
     return run
@@ -124,6 +135,7 @@ def dead_code_elimination(graph: Graph) -> Graph:
         nodes=list(reversed(kept_reversed)),
         constants={v: a for v, a in graph.constants.items() if v in needed},
         num_values=graph.num_values,
+        avals=dict(graph.avals),
     )
 
 
@@ -135,6 +147,9 @@ def fold_constants(graph: Graph) -> Graph:
     Graph kernels (no registry entry) and nodes with non-constant inputs
     pass through untouched.  Run :func:`dead_code_elimination` afterwards
     to drop the source constants the folded nodes consumed.
+
+    A result whose aval is 0-d is stored as a 0-d array, as eager's
+    ``Tensor`` holds it, not as the numpy scalar a ufunc returns.
     """
     constants = dict(graph.constants)
     nodes: List[Node] = []
@@ -147,6 +162,8 @@ def fold_constants(graph: Graph) -> Graph:
         if all(vid in constants for vid in node.inputs):
             arrays = [constants[vid] for vid in node.inputs]
             out, saved = _ops.run_forward(op, *arrays, **node.params)
+            if graph.is_scalar(node.output):
+                out = np.asarray(out)
             constants[node.output] = out
             if node.saved_output is not None:
                 # Fold the saved half too — its consumers may fold in turn.
@@ -159,6 +176,7 @@ def fold_constants(graph: Graph) -> Graph:
         nodes=nodes,
         constants=constants,
         num_values=graph.num_values,
+        avals=dict(graph.avals),
     )
 
 
@@ -248,6 +266,96 @@ def cse(graph: Graph) -> Graph:
         nodes=nodes,
         constants=constants,
         num_values=graph.num_values,
+        avals=dict(graph.avals),
+    )
+
+
+#: Binary ops whose constant operand :func:`layout_operands` lays out.
+_BINARY_OPS = frozenset({"add", "sub", "mul", "div"})
+
+
+def layout_operands(graph: Graph) -> Graph:
+    """Lay constant operands out in the exact shape each node replays.
+
+    numpy pays per call for the way an operand is laid out, not only for
+    the arithmetic: at decode sizes ``(1, 1, 64) * (1,)`` costs ~3x
+    ``(1, 1, 64) * 0-d``, ``(1, 1, 64) + (64,)`` ~3x the same vector as a
+    ``(1, 1, 64)`` view, and ``clip`` with Python-int bounds ~3x ``clip``
+    with 0-d float64 bounds.  A plan is specialised to one signature, so
+    its avals say which layout each node will see.  For an
+    ``add``/``sub``/``mul``/``div`` node with one constant and one dynamic
+    operand, where the dynamic operand's aval is the node's output aval
+    and both are float64, the constant becomes
+
+    * a 0-d view when it holds one element;
+    * a view reshaped to the output's shape when it holds as many
+      elements as the output — broadcasting then only added unit axes;
+
+    and stays as it is otherwise (a broadcast is never materialised, so
+    plan memory does not grow).  Each rewritten use gets its own constant
+    id, since one constant may feed nodes of different shapes.  The
+    Python-scalar ``lo``/``hi`` bounds of ``clip``/``clip_ste`` on a
+    float64 input become 0-d float64 arrays.
+
+    Bits do not change: an element-wise ufunc computes each element from
+    the same two float64 values whatever their layout, and float64 on
+    both sides keeps the result dtype the same under numpy 2's NEP 50 and
+    numpy 1's value-based casting.  Nodes without an aval (traced VJPs,
+    optimizer updates) are left alone.
+    """
+    float64 = np.dtype(np.float64)
+    constants = dict(graph.constants)
+    num_values = graph.num_values
+    # New ids share one view per (constant, shape) and one 0-d array per
+    # bound value: a plan is cached per signature, so its arrays add up.
+    views: Dict[Tuple[int, Tuple[int, ...]], np.ndarray] = {}
+    bounds: Dict[Any, np.ndarray] = {}
+    nodes: List[Node] = []
+    for node in graph.nodes:
+        aval = graph.avals.get(node.output)
+        if aval is None or aval[1] != float64:
+            nodes.append(node)
+            continue
+        if node.op in _BINARY_OPS:
+            inputs = list(node.inputs)
+            is_constant = [vid in constants for vid in inputs]
+            if is_constant.count(True) == 1:
+                index = is_constant.index(True)
+                value = constants[inputs[index]]
+                shape = None
+                if (graph.avals.get(inputs[1 - index]) == aval
+                        and type(value) is np.ndarray and value.dtype == float64):
+                    if value.size == 1:
+                        shape = ()
+                    elif value.size == int(np.prod(aval[0])):
+                        shape = aval[0]
+                if shape is not None and value.shape != shape:
+                    key = (inputs[index], shape)
+                    if key not in views:
+                        views[key] = value.reshape(shape)
+                    inputs[index] = num_values
+                    constants[num_values] = views[key]
+                    num_values += 1
+                    node = dataclasses.replace(node, inputs=tuple(inputs))
+        elif node.op in ("clip", "clip_ste"):
+            source = graph.avals.get(node.inputs[0])
+            if source is not None and source[1] == float64:
+                params = dict(node.params)
+                for key in ("lo", "hi"):
+                    value = params.get(key)
+                    if type(value) in (int, float):
+                        params[key] = bounds.setdefault(
+                            _param_key(value), np.asarray(value, dtype=np.float64)
+                        )
+                node = dataclasses.replace(node, params=params)
+        nodes.append(node)
+    return Graph(
+        inputs=list(graph.inputs),
+        outputs=list(graph.outputs),
+        nodes=nodes,
+        constants=constants,
+        num_values=num_values,
+        avals=dict(graph.avals),
     )
 
 
@@ -295,6 +403,7 @@ def fuse_dense_lookups(graph: Graph) -> Graph:
         nodes=nodes,
         constants=dict(graph.constants),
         num_values=graph.num_values,
+        avals=dict(graph.avals),
     )
 
 
@@ -379,7 +488,8 @@ def fuse_elementwise_chains(graph: Graph) -> Graph:
                 if vid not in externals:
                     externals.append(vid)
                 spec.append(externals.index(vid))
-            steps.append((link.op, dict(link.params), tuple(spec)))
+            steps.append((link.op, dict(link.params), tuple(spec),
+                          graph.is_scalar(link.output)))
             carry_vid = link.output
         tail = chain[-1]
         replaced[tail] = Node(
@@ -402,23 +512,29 @@ def fuse_elementwise_chains(graph: Graph) -> Graph:
         nodes=nodes,
         constants=dict(graph.constants),
         num_values=graph.num_values,
+        avals=dict(graph.avals),
     )
 
 
-#: Default pipeline: fold parameter subtrees, merge repeated work, fuse
-#: LUT kernels, then sweep the now-dead slope machinery and folded-away
-#: source constants.  CSE runs after folding so folded constants merge too.
-DEFAULT_PASSES: Tuple[str, ...] = ("fold", "cse", "fuse", "dce")
+#: Default pipeline: fold parameter subtrees, merge repeated work, lay
+#: constant operands out for the traced shapes, fuse LUT kernels, then
+#: sweep the now-dead slope machinery and folded-away source constants.
+#: CSE runs after folding so folded constants merge too, and layout after
+#: CSE so a merged constant is relaid once per use.
+DEFAULT_PASSES: Tuple[str, ...] = ("fold", "cse", "layout", "fuse", "dce")
 
-#: Training pipeline: same folding/CSE/LUT fusion (the LUT pass skips nodes
+#: Training pipeline: same folding/CSE/layout/LUT fusion (the LUT pass skips nodes
 #: whose slope feeds backward), then chain fusion over the joint
 #: forward+backward+update graph.  Chain fusion runs after DCE so dead
 #: saved_outputs are already stripped and fuse maximally.
-TRAIN_PASSES: Tuple[str, ...] = ("fold", "cse", "fuse", "dce", "fuse_chains")
+TRAIN_PASSES: Tuple[str, ...] = (
+    "fold", "cse", "layout", "fuse", "dce", "fuse_chains"
+)
 
 _PASS_TABLE = {
     "fold": fold_constants,
     "cse": cse,
+    "layout": layout_operands,
     "fuse": fuse_dense_lookups,
     "dce": dead_code_elimination,
     "fuse_chains": fuse_elementwise_chains,

@@ -22,6 +22,10 @@ does not change the captured graph (the executor's model wrapper detects
 this and re-traces); mutating an array *in place* would leak into compiled
 results and is not something this codebase does.
 
+Every graph input bound to a tensor and every recorded op output gets an
+aval, the ``(shape, dtype)`` of its eager value (``Graph.avals``); nodes
+added with :meth:`Tracer.emit` get none.
+
 Shape specialisation is inherent to capture: Python-level shape logic
 (``reshape(batch, ...)``, grid arithmetic) executes at trace time and is
 burned into node params, so a trace is valid exactly for the input
@@ -70,6 +74,7 @@ class Tracer:
     def add_input(self, tensor: Tensor) -> int:
         vid = self.graph.new_value()
         self.graph.inputs.append(vid)
+        self.graph.avals[vid] = (tensor.data.shape, tensor.data.dtype)
         self._bind(tensor, vid)
         return vid
 
@@ -138,6 +143,7 @@ class Tracer:
                   out: Tensor, saved: Any = None) -> None:
         in_ids = tuple(self._value_of(t) for t in inputs)
         out_id = self.graph.new_value()
+        self.graph.avals[out_id] = (out.data.shape, out.data.dtype)
         self._bind(out, out_id)
         saved_id = None
         if self.capture_grads and saved is not None:

@@ -280,11 +280,7 @@ register_op(
 def _pow_forward(a: Array, exponent: float) -> Array:
     if not np.isscalar(exponent):
         raise TypeError("only scalar exponents are supported")
-    # Eager hands every op a 0-d array where a compiled replay may hand a
-    # numpy scalar (a ufunc's 0-d result).  Only arrays take numpy's ``**``
-    # fast paths (``sqrt`` for 0.5, ``square`` for 2), which can round
-    # differently from ``pow``, so both run through an array.
-    return np.asarray(a) ** exponent
+    return a ** exponent
 
 
 register_op(
@@ -474,9 +470,12 @@ def _sum_vjp(g, ans, s, a, axis=None, keepdims=False):
     return np.broadcast_to(g, a.shape)
 
 
+# ``ndarray.sum``/``max`` are these reduces behind a Python-level wrapper.
 register_op(
     "sum",
-    forward=lambda a, axis=None, keepdims=False: a.sum(axis=axis, keepdims=keepdims),
+    forward=lambda a, axis=None, keepdims=False: np.add.reduce(
+        a, axis=axis, keepdims=keepdims
+    ),
     vjps=(_sum_vjp,),
 )
 
@@ -497,7 +496,9 @@ def _max_vjp(g, ans, s, a, axis=None, keepdims=False):
 
 register_op(
     "max",
-    forward=lambda a, axis=None, keepdims=False: a.max(axis=axis, keepdims=keepdims),
+    forward=lambda a, axis=None, keepdims=False: np.maximum.reduce(
+        a, axis=axis, keepdims=keepdims
+    ),
     vjps=(_max_vjp,),
 )
 

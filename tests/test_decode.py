@@ -24,7 +24,7 @@ import pytest
 from repro.core import engine_config
 from repro.core.pwl import PiecewiseLinear, fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
-from repro.graph import CompiledGraph, optimize, trace
+from repro.graph import DEFAULT_PASSES, CompiledGraph, optimize, trace
 from repro.graph.executor import CompiledDecodeStep
 from repro.nn import functional as F
 from repro.nn.approx import FloatSuite, PWLSuite
@@ -75,6 +75,32 @@ def make_model(kind: str, config: DecoderConfig = SMALL) -> MiniDecoder:
         prepare_quantized_model(model)
     model.eval()
     return model
+
+
+def _relayout_fixable(graph):
+    """``(op, why)`` for every float64 constant operand whose layout a
+    reshape could change for free, and every Python-scalar ``clip`` bound."""
+    float64 = np.dtype(np.float64)
+    fixable = []
+    for node in graph.nodes:
+        aval = graph.avals.get(node.output)
+        if aval is None or aval[1] != float64:
+            continue
+        if node.op in ("add", "sub", "mul", "div"):
+            constant = [vid for vid in node.inputs if vid in graph.constants]
+            dynamic = [vid for vid in node.inputs if vid not in graph.constants]
+            if len(constant) != 1 or graph.avals.get(dynamic[0]) != aval:
+                continue
+            value = graph.constants[constant[0]]
+            if value.size == 1:
+                if value.ndim != 0:
+                    fixable.append((node.op, "one element, shape %s" % (value.shape,)))
+            elif value.size == int(np.prod(aval[0])) and value.shape != aval[0]:
+                fixable.append((node.op, "%s for %s" % (value.shape, aval[0])))
+        elif node.op in ("clip", "clip_ste"):
+            if any(type(node.params[key]) in (int, float) for key in ("lo", "hi")):
+                fixable.append((node.op, "Python-scalar bound"))
+    return fixable
 
 
 class TestBucketCapacity:
@@ -244,6 +270,28 @@ class TestCompiledDecodeStep:
             inputs.append(tuple(arrays))
         plan = CompiledGraph(optimize(trace(model.step, *inputs[0])))
         assert_reentrant(plan.run, inputs)
+
+    def test_batch1_plan_leaves_no_constant_a_free_relayout_could_fix(self):
+        """Every binary-op constant of the decode plan is already 0-d, in
+        its node's output shape, or needs a real broadcast; no ``clip``
+        keeps a Python-scalar bound."""
+        model = make_model("dense")
+        model.calibrate([1, 5, 3])
+        kv = model.new_cache(batch=1)
+        arrays = list(step_inputs(model, [1], [0], kv.ensure(4)))
+        arrays.extend(kv.arrays())
+        captured = trace(model.step, *arrays)
+        without_layout = optimize(
+            captured, tuple(p for p in DEFAULT_PASSES if p != "layout")
+        )
+        planned = optimize(captured, DEFAULT_PASSES)
+        assert len(_relayout_fixable(without_layout)) > 10
+        assert _relayout_fixable(planned) == []
+        assert len(planned.nodes) == len(without_layout.nodes)
+        expected = model.eager_step(arrays[0], arrays[1], arrays[2], arrays[3:])
+        for got, want in zip(CompiledGraph(planned).run(*arrays),
+                             [expected[0], *expected[1]]):
+            assert got.tobytes() == want.tobytes()
 
     def test_requires_a_step_method(self):
         from repro.nn.layers import Linear

@@ -4,18 +4,24 @@ Hypothesis draws straight-line programs over broadcasting input shapes
 from the element-wise registry ops, ``sub``, ``sum``/``max`` reductions
 and ``reshape``, with 0-d literals on either side of a binary op and
 repeated instructions, so :func:`~repro.graph.passes.cse` merges both
-nodes and 0-d constants.  Each program is traced once and replayed under
-``DEFAULT_PASSES`` and ``TRAIN_PASSES``:
+nodes and 0-d constants.  Constant arrays of shape ``(1,)``, ``(n,)`` and
+``(1, ..., 1, n)``, some shared between consumers of different shapes,
+meet the binary ops on either side, and ``clip`` bounds may be Python
+ints, so :func:`~repro.graph.passes.layout_operands` relays operands.
+Each program is traced once and replayed under ``DEFAULT_PASSES`` and
+``TRAIN_PASSES``:
 
 * forward outputs equal the eager forward on fresh inputs of the traced
-  shapes;
+  shapes in bytes (NaN lanes included), shape, dtype and type;
 * a captured backward (``Tracer(capture_grads=True)``) replays to the
-  gradients an independent eager backward computes on those inputs;
+  gradients an independent eager backward computes on those inputs (NaN
+  lanes by position only, see :func:`assert_equal_but_nan_bits`);
 * the replay holds exactly the buffer plan's live set at every kernel
   call, so a release the generated code skips is caught here, not only as
   a memory regression.
 
-A few hand-built graphs pin the ``cse`` equality rules directly.
+A few hand-built graphs pin the ``cse`` equality rules and the
+``layout_operands`` guards directly.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ from repro.graph import (
     trace,
 )
 from repro.graph.ir import Graph, Node
-from repro.graph.passes import cse
+from repro.graph.passes import cse, layout_operands
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, no_grad, tracing
 
@@ -49,10 +55,14 @@ BINARY = ("add", "sub", "mul", "div")
 # Few distinct values, signed zeros included, so literals repeat (and their
 # 0-d constants merge) but -0.0 and 0.0 must stay apart.
 LITERALS = (0.5, 2.0, -1.0, 0.0, -0.0)
-# ``repeat`` re-emits an earlier instruction; it is listed twice to make
-# duplicates common.
-KINDS = ("unary", "binary", "literal", "reduce", "reshape", "clip", "pow",
-         "repeat", "repeat")
+# ``repeat`` re-emits an earlier instruction and ``constant`` meets a
+# constant array; each is listed twice to make it common.  ``folded``
+# combines two literals, a 0-d value constant folding computes.
+KINDS = ("unary", "binary", "literal", "constant", "constant", "folded",
+         "reduce", "reshape", "clip", "pow", "repeat", "repeat")
+# Clip bounds: Python ints and floats, so int bounds meet float64 inputs.
+CLIP_LOWS = (-1, 0, -1.0, -0.5, 0.0)
+CLIP_WIDTHS = (1, 2, 0.5, 1.0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -66,15 +76,19 @@ class Program:
     shapes: Tuple[Tuple[int, ...], ...]
     instructions: Tuple[tuple, ...]
     outputs: Tuple[int, ...]
+    # Constant operands by index; a ``constant`` instruction binds the same
+    # array each time it names an index, so consumers share one constant.
+    constants: Tuple[np.ndarray, ...] = ()
 
     def __call__(self, *inputs: Tensor) -> Tuple[Tensor, ...]:
         values: List[Tensor] = list(inputs)
         for instruction in self.instructions:
-            values.append(_apply(instruction, values))
+            values.append(_apply(instruction, values, self.constants))
         return tuple(values[i] for i in self.outputs)
 
 
-def _apply(instruction: tuple, values: Sequence[Tensor]) -> Tensor:
+def _apply(instruction: tuple, values: Sequence[Tensor],
+           constants: Sequence[np.ndarray]) -> Tensor:
     kind = instruction[0]
     if kind == "unary":
         _, name, a = instruction
@@ -83,11 +97,16 @@ def _apply(instruction: tuple, values: Sequence[Tensor]) -> Tensor:
     if kind == "binary":
         _, name, a, b = instruction
         return _binary(name, values[a], values[b])
-    if kind == "literal":
-        _, name, a, literal, literal_first = instruction
-        if literal_first:
-            return _binary(name, literal, values[a])
-        return _binary(name, values[a], literal)
+    if kind in ("literal", "constant"):
+        _, name, a, operand, operand_first = instruction
+        if kind == "constant":
+            operand = Tensor(constants[operand])
+        if operand_first:
+            return _binary(name, operand, values[a])
+        return _binary(name, values[a], operand)
+    if kind == "folded":
+        _, name, first, second = instruction
+        return _binary(name, Tensor(first), Tensor(second))
     if kind == "reduce":
         _, name, a, axis, keepdims = instruction
         return getattr(values[a], name)(axis=axis, keepdims=keepdims)
@@ -140,10 +159,15 @@ def programs(draw) -> Program:
     value_shapes: List[Tuple[int, ...]] = list(shapes)
     instructions: List[tuple] = []
     repeats: List[int] = []
+    constants: List[np.ndarray] = []
+    # Whether each value depends on an input; ``folded`` values do not, and
+    # only serve as the second operand of a binary op.
+    dynamic: List[bool] = [True] * len(shapes)
     for _ in range(draw(st.integers(1, 12))):
         kind = draw(st.sampled_from(KINDS))
-        a = draw(st.integers(0, len(value_shapes) - 1))
+        a = draw(st.sampled_from([i for i, d in enumerate(dynamic) if d]))
         shape = value_shapes[a]
+        depends = True
         if kind == "repeat":
             if not instructions:
                 continue
@@ -152,8 +176,10 @@ def programs(draw) -> Program:
             instruction = draw(st.sampled_from(instructions))
             original = len(shapes) + instructions.index(instruction)
             out = value_shapes[original]
+            depends = dynamic[original]
             instructions.append(instruction)
             value_shapes.append(out)
+            dynamic.append(depends)
             # Combine the twins so the duplicate is consumed (and merging it
             # turns ``dup op original`` into ``original op original``).
             instruction = ("binary", draw(st.sampled_from(BINARY)),
@@ -174,6 +200,32 @@ def programs(draw) -> Program:
             instruction = ("literal", draw(st.sampled_from(BINARY)), a,
                            draw(st.sampled_from(LITERALS)), draw(st.booleans()))
             out = shape
+        elif kind == "constant":
+            # Often an array already bound that broadcasts here, so one
+            # constant feeds consumers of different shapes.
+            fits = [index for index, constant in enumerate(constants)
+                    if _broadcasts(shape, constant.shape)]
+            if fits and draw(st.booleans()):
+                index = draw(st.sampled_from(fits))
+            else:
+                n = shape[-1] if shape else 1
+                unit_axes = (1,) * (max(len(shape), 2) - 1)
+                const_shape = draw(st.sampled_from(((1,), (n,), unit_axes + (n,))))
+                index = len(constants)
+                constants.append(np.array(draw(st.lists(
+                    st.sampled_from(LITERALS + (1.5, -3.0)),
+                    min_size=int(np.prod(const_shape)),
+                    max_size=int(np.prod(const_shape)),
+                ))).reshape(const_shape))
+            instruction = ("constant", draw(st.sampled_from(BINARY)), a,
+                           index, draw(st.booleans()))
+            out = np.broadcast_shapes(shape, constants[index].shape)
+        elif kind == "folded":
+            instruction = ("folded", draw(st.sampled_from(BINARY)),
+                           draw(st.sampled_from(LITERALS)),
+                           draw(st.sampled_from(LITERALS)))
+            out = ()
+            depends = False
         elif kind == "reduce":
             axis = draw(st.sampled_from([None] + list(range(len(shape)))))
             keepdims = draw(st.booleans())
@@ -182,25 +234,33 @@ def programs(draw) -> Program:
             out = np.zeros(shape).sum(axis=axis, keepdims=keepdims).shape
         elif kind == "reshape":
             size = int(np.prod(shape))
-            out = draw(st.sampled_from([(size,), (1, size), (size, 1), shape[::-1]]))
+            out = draw(st.sampled_from(
+                [(size,), (1, size), (1, 1, size), (size, 1), shape[::-1]]
+            ))
             if int(np.prod(out)) != size:
                 out = (size,)
             instruction = ("reshape", a, tuple(out))
         elif kind == "clip":
-            lo = draw(st.sampled_from((-1.0, -0.5, 0.0)))
+            lo = draw(st.sampled_from(CLIP_LOWS))
             instruction = ("clip", draw(st.sampled_from(("clip", "clip_ste"))),
-                           a, lo, lo + draw(st.sampled_from((0.5, 1.0, 2.0))))
+                           a, lo, lo + draw(st.sampled_from(CLIP_WIDTHS)))
             out = shape
         else:
             instruction = ("pow", a, draw(st.sampled_from((2, 3.0, 0.5))))
             out = shape
         instructions.append(instruction)
         value_shapes.append(tuple(out))
+        dynamic.append(depends)
+    if not dynamic[-1]:
+        # The last output must depend on an input, or nothing has a gradient.
+        instructions.append(("binary", "add", len(value_shapes) - 1, 0))
+        value_shapes.append(value_shapes[0])
     last = len(value_shapes) - 1
     # Twin combinations are outputs, so dead-code elimination cannot hide
     # the duplicates.
     extra = draw(st.lists(st.integers(0, last), max_size=2)) + repeats
-    return Program(shapes, tuple(instructions), tuple(dict.fromkeys([last] + extra)))
+    return Program(shapes, tuple(instructions), tuple(dict.fromkeys([last] + extra)),
+                   tuple(constants))
 
 
 def draw_inputs(rng: np.random.Generator, shapes) -> List[np.ndarray]:
@@ -215,12 +275,24 @@ def draw_inputs(rng: np.random.Generator, shapes) -> List[np.ndarray]:
 
 
 def assert_bitwise_equal(actual, expected) -> None:
+    """Same type, dtype, shape and bytes, NaN lanes included.
+
+    A replay wraps each 0-d op result in a 0-d array as eager does, so 0-d
+    values never take numpy's scalar paths (where ``nan + -nan`` can keep
+    the other operand's sign) on one side only.
+    """
+    assert type(actual) is type(expected)
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_equal_but_nan_bits(actual, expected) -> None:
     """Equal bits, except that a NaN lane only has to be NaN.
 
-    IEEE 754 leaves open which sign and payload an operation on two NaNs
-    returns.  A compiled replay runs 0-d values as numpy scalars where
-    eager runs 0-d arrays, and the two paths order the operands of ``+``
-    differently, so ``nan + -nan`` can differ in its sign bit.
+    For replayed gradients: traced VJP nodes have no aval, so their 0-d
+    results stay numpy scalars, while the eager backward turns some of its
+    0-d intermediates into 0-d arrays; the two can differ in a NaN's sign.
     """
     actual = np.asarray(actual, dtype=np.float64)
     expected = np.asarray(expected, dtype=np.float64)
@@ -228,6 +300,13 @@ def assert_bitwise_equal(actual, expected) -> None:
     nan = np.isnan(expected)
     assert np.array_equal(np.isnan(actual), nan)
     assert actual[~nan].tobytes() == expected[~nan].tobytes()
+
+
+def _relaid_uses(graph: Graph) -> int:
+    """Nodes whose constant operand :func:`layout_operands` relays."""
+    relaid = layout_operands(graph)
+    return sum(old.inputs != new.inputs
+               for old, new in zip(graph.nodes, relaid.nodes))
 
 
 def eager_forward(program: Program, arrays) -> List[np.ndarray]:
@@ -316,6 +395,39 @@ def replay_live_counts(compiled: CompiledGraph, *inputs) -> List[Tuple[int, int]
 @settings(max_examples=150, deadline=None)
 @given(program=programs(), seed=st.integers(0, 2 ** 16))
 def test_forward_replay_matches_eager(program, seed):
+    check_forward_replay(program, seed)
+
+
+@st.composite
+def shared_constant_programs(draw) -> Program:
+    """One constant array on either side of a binary op with one input of
+    each shape, in any order: its own, more unit axes, a real broadcast."""
+    n = draw(st.integers(1, 3))
+    const_shape = draw(st.sampled_from(((1,), (n,), (1, n), (1, 1, n))))
+    size = int(np.prod(const_shape))
+    constant = np.array(draw(st.lists(
+        st.sampled_from(LITERALS + (1.5, -3.0)), min_size=size, max_size=size,
+    ))).reshape(const_shape)
+    shapes = tuple(draw(st.permutations(
+        ((), (n,), (1, n), (1, 1, n), (2, n), (2, 1, n))
+    )))
+    instructions = tuple(
+        ("constant", draw(st.sampled_from(BINARY)), index, 0, draw(st.booleans()))
+        for index in range(len(shapes))
+    )
+    outputs = tuple(range(len(shapes), 2 * len(shapes)))
+    return Program(shapes, instructions, outputs, (constant,))
+
+
+@settings(max_examples=100, deadline=None)
+@given(program=shared_constant_programs(), seed=st.integers(0, 2 ** 16))
+def test_shared_constant_replays_in_every_layout(program, seed):
+    check_forward_replay(program, seed)
+
+
+def check_forward_replay(program: Program, seed: int) -> None:
+    """Trace on one draw of inputs, replay on another under both pass lists:
+    outputs equal eager's, and the replay holds exactly the plan's live set."""
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
         graph = trace(program, *draw_inputs(rng, program.shapes))
@@ -328,6 +440,10 @@ def test_forward_replay_matches_eager(program, seed):
                 event("cse merged nodes (%s)" % passes[-1])
             if len(optimized.constants) < len(without_cse.constants):
                 event("cse merged constants (%s)" % passes[-1])
+            relaid = _relaid_uses(optimize(graph, passes[:2]))
+            if relaid:
+                event("layout relaid %s (%s)"
+                      % ("several uses" if relaid > 1 else "one use", passes[-1]))
             compiled = CompiledGraph(optimized)
             for got, want in zip(compiled.run(*arrays), expected):
                 assert_bitwise_equal(got, want)
@@ -358,7 +474,7 @@ def test_captured_vjps_match_eager_grads(program, seed):
             got = compiled.run(*arrays)
             assert len(got) == len(expected)
             for actual, want in zip(got, expected):
-                assert_bitwise_equal(actual, want)
+                assert_equal_but_nan_bits(actual, want)
 
 
 # -- the cse equality rules, one hand-built graph each -------------------------
@@ -438,3 +554,82 @@ def test_profile_returns_run_outputs_and_every_step():
     assert all(row["seconds"] > 0 for row in breakdown.values())
     with pytest.raises(ValueError, match="expects 1 input"):
         compiled.profile()
+
+
+# -- layout_operands, one hand-built graph each --------------------------------
+
+
+def _binary_graph(op: str, dynamics, constant, constant_first: bool = False):
+    """``x_i <op> c`` for each dynamic input ``x_i`` over one shared
+    constant ``c``, with the avals numpy gives the results."""
+    graph = Graph()
+    const_vid = graph.add_constant(constant)
+    for example in dynamics:
+        vid = graph.new_value()
+        graph.inputs.append(vid)
+        graph.avals[vid] = (example.shape, example.dtype)
+        out = graph.new_value()
+        inputs = (const_vid, vid) if constant_first else (vid, const_vid)
+        graph.nodes.append(Node(op=op, inputs=inputs, output=out))
+        result = example * constant
+        graph.avals[out] = (result.shape, result.dtype)
+        graph.outputs.append(out)
+    return graph
+
+
+def _constant_shapes(graph: Graph) -> List[Tuple[int, ...]]:
+    """Shape of the constant operand of every node, in node order."""
+    return [
+        next(graph.constants[vid].shape for vid in node.inputs
+             if vid in graph.constants)
+        for node in graph.nodes
+    ]
+
+
+def test_layout_gives_each_use_the_shape_it_replays():
+    rng = np.random.default_rng(3)
+    dynamics = [rng.standard_normal(shape)
+                for shape in ((4,), (1, 4), (1, 1, 4), (2, 4))]
+    # Each use gets the output's shape, except against (2, 4), which needs a
+    # real broadcast, and where the constant would add an axis.
+    for constant, shapes in (
+        (rng.standard_normal(4), [(4,), (1, 4), (1, 1, 4), (4,)]),
+        (rng.standard_normal((1, 4)), [(1, 4), (1, 4), (1, 1, 4), (1, 4)]),
+    ):
+        for op, constant_first in (("sub", True), ("div", False)):
+            graph = _binary_graph(op, dynamics, constant, constant_first)
+            relaid = layout_operands(graph)
+            assert _constant_shapes(relaid) == shapes
+            want = [
+                (constant - x) if constant_first else (x / constant)
+                for x in dynamics
+            ]
+            for got, expected in zip(CompiledGraph(relaid).run(*dynamics), want):
+                assert_bitwise_equal(got, expected)
+    graph = _binary_graph("mul", dynamics[:3], np.array([0.5]))
+    assert _constant_shapes(layout_operands(graph)) == [(), (), ()]
+
+
+def test_layout_leaves_non_float64_operands_alone():
+    """Only float64 meets float64: a float32 operand meeting a (1,) float64
+    or float32 constant, and a float32 ``clip`` with int bounds, keep their
+    layout, and the replay keeps numpy's result dtypes."""
+    x32 = np.linspace(-2.0, 2.0, 4, dtype=np.float32).reshape(1, 1, 4)
+    for constant in (np.array([0.5]), np.array([0.5], dtype=np.float32)):
+        graph = _binary_graph("mul", [x32], constant)
+        relaid = layout_operands(graph)
+        assert _constant_shapes(relaid) == [(1,)]
+        assert_bitwise_equal(CompiledGraph(relaid).run(x32)[0], x32 * constant)
+    graph = Graph(inputs=[0], num_values=2, outputs=[1])
+    graph.avals[0] = graph.avals[1] = (x32.shape, x32.dtype)
+    graph.nodes.append(Node(op="clip", inputs=(0,), output=1,
+                            params={"lo": -1, "hi": 1}))
+    relaid = layout_operands(graph)
+    assert relaid.nodes[0].params == {"lo": -1, "hi": 1}
+    assert_bitwise_equal(CompiledGraph(relaid).run(x32)[0], np.clip(x32, -1, 1))
+
+
+def test_compiled_graph_drops_the_avals():
+    graph = trace(lambda x: (x * 2.0).sum(), _x())
+    assert graph.avals
+    assert CompiledGraph(optimize(graph)).graph.avals == {}
