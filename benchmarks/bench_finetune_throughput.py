@@ -27,7 +27,10 @@ Measures four layers of the quantized fine-tuning stack:
    loop.  Losses, final weights and validation mIoU are asserted
    bit-identical; the fit-time speedup is the headline gated by
    ``--min-train-speedup``.  Each fit's time is also split into trace,
-   steps and the two validation passes (reported, not gated).
+   steps and the two validation passes (reported, not gated), and the
+   report's top-level ``breakdown`` section splits one full-batch replay
+   of the compiled fit's plan per op (:meth:`CompiledGraph.profile`, the
+   same shape as ``bench_decode.py``'s; printed, not gated).
 
 Results are written to ``BENCH_finetune_throughput.json`` at the repository
 root so the performance trajectory is tracked across PRs; CI runs a reduced
@@ -284,7 +287,13 @@ def bench_compiled_train(budget: FinetuneBudget, epochs: int) -> dict:
         seed=budget.seed,
     )
 
-    timings, results, states, splits = {}, {}, {}, {}
+    timings, results, states, splits, traced = {}, {}, {}, {}, []
+    record_trace = CompiledTrainStep._trace
+
+    def trace_and_record(self, *args):
+        traced.append(self)
+        return record_trace(self, *args)
+
     for engine in ("eager", "compiled"):
         suite = PWLSuite(approximations=approximations, replace=set(OPERATORS))
         model = MiniSegformer(model_config, suite=suite)
@@ -299,7 +308,8 @@ def bench_compiled_train(budget: FinetuneBudget, epochs: int) -> dict:
             ),
         )
         parts: dict = {}
-        with _time_calls(Trainer, "evaluate", parts), \
+        with mock.patch.object(CompiledTrainStep, "_trace", trace_and_record), \
+                _time_calls(Trainer, "evaluate", parts), \
                 _time_calls(CompiledTrainStep, "_trace", parts):
             start = time.perf_counter()
             results[engine] = trainer.fit(
@@ -330,7 +340,11 @@ def bench_compiled_train(budget: FinetuneBudget, epochs: int) -> dict:
     if not (identical_losses and identical_weights
             and eager.val_miou == compiled.val_miou):
         raise AssertionError("compiled training diverged from eager")
-    return {
+    breakdown = profile_train_step(
+        traced[0], dataset.train_images[:budget.batch_size],
+        dataset.train_labels[:budget.batch_size], repeats=20,
+    )
+    return breakdown, {
         "model": "MiniSegformer",
         "image_size": budget.image_size,
         "embed_dim": budget.embed_dim,
@@ -344,6 +358,40 @@ def bench_compiled_train(budget: FinetuneBudget, epochs: int) -> dict:
         "identical_losses": identical_losses,
         "identical_weights": identical_weights,
         "val_miou": compiled.val_miou,
+    }
+
+
+def profile_train_step(step: CompiledTrainStep, images, labels,
+                       repeats: int) -> dict:
+    """Per-op split of ``step``'s plan for one batch of ``images``.
+
+    Replays the plan on the model's current parameters ``repeats`` times,
+    plainly and under :meth:`CompiledGraph.profile` (one timer pair per
+    node, so the op times sum to more than a plain ``run``).  The outputs
+    are not applied: the model and optimizer are left as they are.
+    """
+    from repro.nn import functional as F
+
+    plan = step._cache[(tuple(images.shape), str(images.dtype), tuple(labels.shape))]
+    arrays = [images]
+    arrays.extend(param.data for param in plan.params)
+    arrays.append(F.one_hot(labels, plan.onehot_width))
+    arrays.extend(fn() for _vid, fn in plan.feeds)
+    runs = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        plan.compiled.run(*arrays)
+        runs.append(time.perf_counter() - start)
+    _, ops = plan.compiled.profile(*arrays, repeats=repeats)
+    return {
+        "batch": int(images.shape[0]),
+        "nodes": plan.compiled.num_steps,
+        "run_us": 1e6 * float(np.median(runs)),
+        "profiled_us": 1e6 * sum(row["seconds"] for row in ops.values()),
+        "ops": {
+            name: {"count": row["count"], "us": 1e6 * row["seconds"]}
+            for name, row in sorted(ops.items(), key=lambda item: -item[1]["seconds"])
+        },
     }
 
 
@@ -399,7 +447,7 @@ def main(argv=None) -> int:
     operator_stats = bench_operator_throughput(shape, repeats, args.seed)
     step_stats = bench_pwl_step(shape, repeats, args.seed)
     model_stats = bench_model_finetune(budget, epochs)
-    train_stats = bench_compiled_train(budget, epochs)
+    breakdown, train_stats = bench_compiled_train(budget, epochs)
 
     report = {
         "benchmark": "finetune_throughput",
@@ -419,6 +467,7 @@ def main(argv=None) -> int:
         "pwl_step": step_stats,
         "model_finetune": model_stats,
         "compiled_train": train_stats,
+        "breakdown": breakdown,
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n")
 
@@ -480,6 +529,11 @@ def main(argv=None) -> int:
             % (engine, split["trace_seconds"], split["steps_seconds"],
                split["evaluate_seconds"])
         )
+    print("compiled train plan (batch %d, %d nodes): run %.1f us, per-op profile "
+          "%.1f us" % (breakdown["batch"], breakdown["nodes"],
+                       breakdown["run_us"], breakdown["profiled_us"]))
+    for name, row in breakdown["ops"].items():
+        print("  %-24s %4d nodes %8.1f us" % (name, row["count"], row["us"]))
     print("wrote %s" % args.output)
 
     if step_stats["speedup"] < min_speedup:

@@ -14,6 +14,10 @@ backend-dispatch rework): rerun the benchmark, then assert
    shared).  Catches dispatch overhead regressions without flaking on
    scheduler noise.
 
+Sections neither list names — the per-op ``breakdown`` of
+``bench_decode.py`` and ``bench_finetune_throughput.py`` among them — are
+not compared.
+
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_ga_throughput.py --output /tmp/ga.json

@@ -4,15 +4,15 @@ Two layers:
 
 * :class:`CompiledGraph` — one graph, one input signature.  At build time
   every node is resolved to an array-level callable (a registry op forward
-  plus its keyword params, or a fusion-pass graph kernel) and the
+  plus its keyword params, or a graph kernel a pass introduced) and the
   :func:`~repro.graph.passes.plan_memory` slot assignment is frozen into a
   step table.  From that table one Python function is generated: one line
   per step calling its kernel on local names, a ``del`` at each release,
   kernels, params and constants bound as global names.  ``run`` calls it —
   no Tensor allocation, no graph bookkeeping, no per-step loop or slot
   list, and buffers are released at their last use so steady-state
-  inference holds only the live working set.  ``profile`` walks the same
-  table with a timer per step.
+  inference holds only the live working set.  ``profile`` generates the
+  same code with a timer around each step.
 * Three wrappers that trace lazily per input signature and replay the
   cached plan: :class:`CompiledModel` (``predict`` / no-grad forward),
   :class:`CompiledTrainStep` (forward + backward + optimizer update) and
@@ -28,7 +28,7 @@ Two layers:
 
 from __future__ import annotations
 
-import dataclasses
+import collections
 import functools
 import time
 import warnings
@@ -42,7 +42,6 @@ from repro.graph.passes import (
     DEFAULT_PASSES,
     GRAPH_KERNELS,
     MemoryPlan,
-    TRAIN_PASSES,
     optimize,
     plan_memory,
 )
@@ -77,6 +76,7 @@ def _straight_line(
     constants: Dict[int, Any],
     input_slots: Sequence[int],
     output_slots: Sequence[int],
+    times: Optional[List[float]] = None,
 ) -> Callable[..., List[Any]]:
     """Generate the replay function for a frozen step table.
 
@@ -85,9 +85,10 @@ def _straight_line(
     global name of the generated function.  Dynamic slots are locals
     (``s<slot>``), constants globals (``k<slot>``), so each call has its
     own working set.  A step with a 0-d aval wraps its result in
-    ``asarray``.
+    ``asarray``.  With ``times``, each step's line is bracketed by
+    ``perf_counter`` calls that add its seconds to ``times[step]``.
     """
-    namespace: Dict[str, Any] = {"asarray": np.asarray}
+    namespace = {"asarray": np.asarray, "clock": time.perf_counter, "times": times}
     names: Dict[int, str] = {}
     for slot, array in constants.items():
         names[slot] = "k%d" % slot
@@ -112,9 +113,13 @@ def _straight_line(
                 call += "[0]"
             if step.scalar:
                 call = "asarray(%s)" % call
+        if times is not None:
+            lines.append("    t = clock()")
         lines.append("    %s = %s" % (target, call))
         if step.scalar and step.saved >= 0:
             lines.append("    %s = asarray(%s)" % (name(step.out), name(step.out)))
+        if times is not None:
+            lines.append("    times[%d] += clock() - t" % index)
         if step.releases:
             lines.append("    del %s" % ", ".join(name(s) for s in step.releases))
     lines.append("    return [%s]" % ", ".join(name(slot) for slot in output_slots))
@@ -133,16 +138,19 @@ def _replay_code(source: str) -> Any:
 
 
 class CompiledGraph:
-    """A graph frozen into an executable step list for one signature."""
+    """A graph frozen into an executable step list for one signature.
+
+    It keeps the step table, the constants and a summary (:attr:`num_steps`,
+    :attr:`peak_live`, :attr:`num_slots`, the op histogram :attr:`ops`),
+    not the graph or its memory plan: a server caches a plan per signature.
+    """
 
     def __init__(self, graph: Graph, plan: Optional[MemoryPlan] = None) -> None:
         graph.validate()
-        # The avals have done their work once the steps know which outputs
-        # are 0-d; a cached plan does not keep them.
-        self.graph = dataclasses.replace(graph, avals={})
-        self.plan = plan if plan is not None else plan_memory(graph)
+        if plan is None:
+            plan = plan_memory(graph)
         steps = []
-        for node, releases in zip(graph.nodes, self.plan.releases):
+        for node, releases in zip(graph.nodes, plan.releases):
             kernel_factory = GRAPH_KERNELS.get(node.op)
             if kernel_factory is not None:
                 fn, params = kernel_factory(node.params), {}
@@ -152,13 +160,13 @@ class CompiledGraph:
             if node.saved_output is not None:
                 # Training graphs keep the (output, saved) pair — e.g. the
                 # fused LUT slope that feeds a traced VJP node.
-                saved = self.plan.slots[node.saved_output]
+                saved = plan.slots[node.saved_output]
             steps.append(_Step(
                 op=node.op,
                 fn=fn,
                 params=params,
-                src=tuple(self.plan.slots[vid] for vid in node.inputs),
-                out=self.plan.slots[node.output],
+                src=tuple(plan.slots[vid] for vid in node.inputs),
+                out=plan.slots[node.output],
                 saved=saved,
                 releases=releases,
                 first_only=saved < 0 and node.op in _ops.SAVED_OUTPUT_OPS,
@@ -167,13 +175,16 @@ class CompiledGraph:
         self._steps = tuple(steps)
         self._constants = {
             slot: graph.constants[vid]
-            for vid, slot in self.plan.constant_slots.items()
+            for vid, slot in plan.constant_slots.items()
         }
-        self._input_slots = tuple(self.plan.slots[vid] for vid in graph.inputs)
-        self._output_slots = tuple(self.plan.slots[vid] for vid in graph.outputs)
+        self._input_slots = tuple(plan.slots[vid] for vid in graph.inputs)
+        self._output_slots = tuple(plan.slots[vid] for vid in graph.outputs)
         self._replay = _straight_line(
             self._steps, self._constants, self._input_slots, self._output_slots
         )
+        self.peak_live = plan.peak_live
+        self.num_slots = plan.num_slots
+        self.ops = dict(collections.Counter(step.op for step in self._steps))
 
     def run(self, *inputs: Any) -> List[Any]:
         """Execute the plan on raw arrays; returns the output arrays.
@@ -202,41 +213,23 @@ class CompiledGraph:
 
         ``breakdown`` maps each op name to ``{"count": nodes of that op in
         the plan, "seconds": their summed time per replay}`` (the mean over
-        the repeats).  The walk goes over ``_steps`` with one
-        ``perf_counter`` pair per step, so each number includes the
-        timer's own cost; the outputs are those of ``run`` on the same
-        inputs.
+        the repeats).  A column kernel counts under its own name
+        (``mul[cols]``).  The replay is ``run``'s generated code with a
+        ``perf_counter`` pair around each step, so each number includes
+        the timer's own cost; the outputs are those of ``run``.
         """
         self._check_arity(inputs)
         if repeats < 1:
             raise ValueError("repeats must be at least 1, got %d" % repeats)
-        clock = time.perf_counter
-        breakdown: Dict[str, Dict[str, float]] = {}
-        for step in self._steps:
-            row = breakdown.setdefault(step.op, {"count": 0, "seconds": 0.0})
-            row["count"] += 1
+        times = [0.0] * len(self._steps)
+        timed = _straight_line(self._steps, self._constants, self._input_slots,
+                               self._output_slots, times)
         for _ in range(repeats):
-            env: List[Any] = [None] * self.plan.num_slots
-            for slot, array in self._constants.items():
-                env[slot] = array
-            for slot, array in zip(self._input_slots, inputs):
-                env[slot] = array
-            for step in self._steps:
-                args = [env[slot] for slot in step.src]
-                began = clock()
-                result = step.fn(*args, **step.params)
-                breakdown[step.op]["seconds"] += clock() - began
-                if step.saved >= 0:
-                    env[step.out], env[step.saved] = result
-                else:
-                    env[step.out] = result[0] if step.first_only else result
-                if step.scalar:
-                    env[step.out] = np.asarray(env[step.out])
-                for slot in step.releases:
-                    env[slot] = None
-        for row in breakdown.values():
-            row["seconds"] /= repeats
-        return [env[slot] for slot in self._output_slots], breakdown
+            outputs = timed(*inputs)
+        breakdown = {op: {"count": count, "seconds": 0.0} for op, count in self.ops.items()}
+        for step, seconds in zip(self._steps, times):
+            breakdown[step.op]["seconds"] += seconds / repeats
+        return outputs, breakdown
 
     def _check_arity(self, inputs: Sequence[Any]) -> None:
         if len(inputs) != len(self._input_slots):
@@ -328,8 +321,8 @@ class _PlanCache:
     def _row(self, plan: Any) -> Dict[str, int]:
         return {
             "nodes": plan.num_steps,
-            "peak_live": plan.plan.peak_live,
-            "num_slots": plan.plan.num_slots,
+            "peak_live": plan.peak_live,
+            "num_slots": plan.num_slots,
         }
 
     def stats(self) -> Dict[str, Any]:
@@ -547,7 +540,7 @@ class CompiledTrainStep(_PlanCache):
         optimizer,
         num_classes: int,
         schedule=None,
-        passes: Sequence[str] = TRAIN_PASSES,
+        passes: Sequence[str] = DEFAULT_PASSES,
     ) -> None:
         super().__init__(functools.partial(_train_state, model, optimizer))
         self.model = model
@@ -624,6 +617,7 @@ class CompiledTrainStep(_PlanCache):
             tracer.mark_output_vid(vid)
         graph = tracer.graph
         graph.validate()
+        del tracer  # and every tensor of the traced step, before compiling
         compiled = CompiledGraph(optimize(graph, self.passes))
         if self.schedule is not None:
             self.schedule.step()

@@ -68,12 +68,12 @@ class Graph:
     them as the eager forward runs, so index order is always valid.
 
     ``avals`` maps a value id to the ``(shape, dtype)`` the eager run gave
-    it: every graph input bound to a tensor and every output of an op the
-    tracer saw run.  Nodes appended symbolically (``Tracer.emit``: traced
-    VJPs, optimizer updates) have none, and passes that read avals skip
-    values without one.  Every pass carries them through;
-    :class:`~repro.graph.executor.CompiledGraph` drops them once it has
-    planned the replay.
+    it: every graph input bound to a tensor, every output of an op the
+    tracer saw run, and the nodes ``Tracer.emit`` can give one (traced
+    VJPs; not optimizer nodes fed by aval-less inputs).  Passes that read
+    avals skip values without one.  Every pass carries them through;
+    :class:`~repro.graph.executor.CompiledGraph` drops them, with the
+    graph, once it has planned the replay.
     """
 
     inputs: List[int] = dataclasses.field(default_factory=list)
@@ -102,10 +102,6 @@ class Graph:
         of a NaN)."""
         aval = self.avals.get(vid)
         return aval is not None and aval[0] == ()
-
-    def producers(self) -> Dict[int, Node]:
-        """Map from value id to the node that produces it."""
-        return {node.output: node for node in self.nodes}
 
     def validate(self) -> None:
         """Check structural invariants; raises ``ValueError`` on violation.

@@ -15,9 +15,10 @@ nothing of its input):
   with it the mean and ``x - mean`` every LayerNorm computes twice.
 * :func:`layout_operands` — give every constant operand of a binary op
   the exact shape its node replays (a 0-d view of a one-element scale, a
-  bias vector reshaped to the output's shape) and ``clip`` 0-d float64
-  bounds, using the traced avals.  numpy's per-call cost depends on how
-  operands are laid out; the values are the same bits.
+  bias vector reshaped to the output's shape), ``clip`` 0-d float64
+  bounds, and a binary op that broadcasts over a short trailing axis a
+  column kernel, using the traced avals.  numpy's per-call cost depends on
+  how operands are laid out; the values are the same bits.
 * :func:`fuse_dense_lookups` — recognise the quantize → output-gather →
   slope-gather kernels the dense-LUT engine dispatches
   (``apply_elementwise_fused`` bound to :meth:`DenseLUT.lookup_with_slope`
@@ -34,27 +35,24 @@ nothing of its input):
 All passes are semantics-preserving by construction: folding runs the
 exact registered forward on the exact captured arrays, CSE only drops a
 node whose pure function of the same inputs is already computed, layout
-only reshapes a float64 constant without moving its elements, fusion
+only reshapes a float64 constant without moving its elements or splits
+an element-wise ufunc call by columns, fusion
 swaps in a kernel documented (and pinned by the engine-parity tests) to be
 bit-identical to the fused pair's output half, and DCE only removes
 unobservable work.  Compiled results therefore match eager bit for bit
-(pinned generatively by ``tests/test_replay_parity.py``).
+(pinned generatively by ``tests/test_replay_parity.py``), up to which NaN
+a column kernel's add or mul of two NaNs returns (see layout).
 
-Training graphs (PR 9) add one wrinkle and one pass:
-
-* nodes may carry a ``saved_output`` — a second value id holding the
-  forward's stashed intermediate (the fused LUT slope) that a traced VJP
-  node consumes.  Every pass here treats it as a real produced value.
-* :func:`fuse_elementwise_chains` — generalises the dense-LUT fusion:
-  maximal single-consumer chains of element-wise registry ops (forward
-  *and* traced-VJP chains alike) collapse into one ``fused_chain`` graph
-  kernel that runs the exact same forwards in the exact same order from
-  one dispatch, so replay pays one step instead of one per link.
+Training graphs add one wrinkle: nodes may carry a ``saved_output`` — a
+second value id holding the forward's stashed intermediate (the fused LUT
+slope) that a traced VJP node consumes.  Every pass here treats it as a
+real produced value.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Any, Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -64,42 +62,36 @@ from repro.graph.ir import Graph, Node
 from repro.nn import ops as _ops
 from repro.scaling.multi_range import MultiRangePWL
 
-#: Inference-only kernels the fusion pass introduces.  Each entry maps the
-#: node's params to the array-level callable the executor invokes; these
-#: live outside the :mod:`repro.nn.ops` VJP registry on purpose — they have
-#: no gradients and exist only inside compiled graphs.
-def _fused_chain_kernel(params):
-    """Build the callable for a ``fused_chain`` node.
+#: The ufunc each binary registry op's forward calls (``a + b`` is
+#: ``np.add(a, b)`` on arrays, and so on).
+_UFUNCS = {"add": np.add, "sub": np.subtract, "mul": np.multiply, "div": np.true_divide}
 
-    ``params["steps"]`` is a tuple of ``(op_name, op_params, arg_spec,
-    scalar)`` records; ``arg_spec`` maps each step argument to either the
-    previous step's result (``-1``, the carry) or an index into the fused
-    node's external inputs, and ``scalar`` marks a link whose aval is 0-d,
-    whose result is wrapped in a 0-d array as eager holds it.  Each step
-    runs the *registered* forward of its op, so the fused kernel is
-    bit-identical to the unfused chain by construction — it is literally
-    the same functions in the same order, minus the per-node executor
-    dispatch.
-    """
-    resolved = tuple(
-        (_ops.get_op(op_name).forward, op_params, arg_spec, scalar)
-        for op_name, op_params, arg_spec, scalar in params["steps"]
+
+def _column_kernel(params):
+    """Build the callable for a ``<op>[cols]`` node (see
+    :func:`layout_operands`): one ufunc call per column ``j`` of the output
+    ``shape``, into ``out[..., j]``, reading column ``j`` of an operand
+    whose ``wide`` flag is set and column 0 of one with a unit last axis."""
+    ufunc, shape = params["ufunc"], params["shape"]
+    picks = tuple(
+        tuple((Ellipsis, j if wide else 0) for j in range(shape[-1]))
+        for wide in params["wide"]
     )
+    columns = tuple((Ellipsis, j) for j in range(shape[-1]))
 
-    def run(*arrays):
-        carry = None
-        for forward, op_params, arg_spec, scalar in resolved:
-            out = forward(
-                *[carry if j < 0 else arrays[j] for j in arg_spec], **op_params
-            )
-            if type(out) is tuple:  # (output, saved): chains never keep saved
-                out = out[0]
-            carry = np.asarray(out) if scalar else out
-        return carry
+    def run(a, b):
+        out = np.empty(shape)
+        for column, pick_a, pick_b in zip(columns, *picks):
+            ufunc(a[pick_a], b[pick_b], out=out[column])
+        return out
 
     return run
 
 
+#: Kernels the passes introduce.  Each entry maps the node's params to the
+#: array-level callable the executor invokes; these live outside the
+#: :mod:`repro.nn.ops` VJP registry on purpose — they have no gradients
+#: and exist only inside compiled graphs.
 GRAPH_KERNELS = {
     # One quantize pass + one gather from the dense output table
     # (bit-identical to the output half of DenseLUT.lookup_with_slope).
@@ -107,10 +99,9 @@ GRAPH_KERNELS = {
     # Single-searchsorted classify/rescale over the slot tables
     # (bit-identical to the output half of MultiRangePWL.lookup_with_slope).
     "multirange_lookup": lambda params: params["table"].lookup,
-    # A collapsed single-consumer chain of element-wise registry ops
-    # (see fuse_elementwise_chains).
-    "fused_chain": _fused_chain_kernel,
 }
+# A binary op split by columns over a short trailing axis.
+GRAPH_KERNELS.update((name + "[cols]", _column_kernel) for name in _UFUNCS)
 
 
 def dead_code_elimination(graph: Graph) -> Graph:
@@ -270,12 +261,34 @@ def cse(graph: Graph) -> Graph:
     )
 
 
-#: Binary ops whose constant operand :func:`layout_operands` lays out.
-_BINARY_OPS = frozenset({"add", "sub", "mul", "div"})
+#: Column kernels (see :func:`layout_operands`) for trailing axes of 2 to
+#: ``_COLUMN_MAX_WIDTH`` elements and at least ``_COLUMN_MIN_ROWS`` rows.
+_COLUMN_MAX_WIDTH, _COLUMN_MIN_ROWS = 4, 2048
+
+
+def _column_kernel_node(node: Node, aval, operands) -> Node:
+    """``node`` as a ``<op>[cols]`` node when its output has a short
+    trailing axis and an operand (of ``operands``, each input's
+    ``(shape, dtype)`` or ``None``) broadcasts over it, else ``node``."""
+    shape = aval[0]
+    width = shape[-1] if shape else 0
+    if not 2 <= width <= _COLUMN_MAX_WIDTH or math.prod(shape) < width * _COLUMN_MIN_ROWS:
+        return node
+    float64 = np.dtype(np.float64)
+    if any(operand is None or operand[1] != float64 or not operand[0]
+           or operand[0][-1] not in (1, width) for operand in operands):
+        return node
+    if all(operand[0] == shape or math.prod(operand[0]) == 1 for operand in operands):
+        return node  # nothing broadcasts row by row: the plain call is fast
+    return dataclasses.replace(node, op=node.op + "[cols]", params={
+        "ufunc": _UFUNCS[node.op],
+        "shape": shape,
+        "wide": tuple(operand[0][-1] == width for operand in operands),
+    })
 
 
 def layout_operands(graph: Graph) -> Graph:
-    """Lay constant operands out in the exact shape each node replays.
+    """Lay operands out in the exact shape each node replays.
 
     numpy pays per call for the way an operand is laid out, not only for
     the arithmetic: at decode sizes ``(1, 1, 64) * (1,)`` costs ~3x
@@ -297,11 +310,40 @@ def layout_operands(graph: Graph) -> Graph:
     Python-scalar ``lo``/``hi`` bounds of ``clip``/``clip_ste`` on a
     float64 input become 0-d float64 arrays.
 
+    **Short trailing axes.**  When an operand broadcasts over the rows of
+    an output whose last axis is short — ``(8, 31, 31, 3) * (3,)``, the
+    depthwise-conv taps on an RGB image — numpy runs one inner loop of
+    ``k`` elements per row.  Such a node becomes ``<op>[cols]``
+    (:func:`_column_kernel`), one ufunc call per column.  Plain vs column
+    µs, contiguous ``(rows, k)`` with a ``(k,)`` operand, 2-core x86
+    container, numpy 2.4, cold cache:
+
+    ====  ==========  ==========  ==========  ===========
+    k     1024 rows   2048 rows   8192 rows   16384 rows
+    ====  ==========  ==========  ==========  ===========
+    3     4.0 / 3.1   7.6 / 3.8   27 / 10     54 / 26
+    4     6.2 / 8.6   8.8 / 5.1   29 / 17     58 / 42
+    5     4.8 / 4.6   9.1 / 6.6   35 / 25     67 / 57
+    6     5.3 / 5.8   10 / 8.1    33 / 35     66 / 83
+    8     6.2 / 8.4   12 / 13     43 / 70     92 / 149
+    ====  ==========  ==========  ==========  ===========
+
+    With an ``(N, 1)`` operand it lost at k = 5 from 8192 rows (27.5 vs
+    24.4 µs).  So the cutoff is ``2 <= k <= 4`` and at least 2048 rows,
+    where the column kernel won every case measured.  It keeps serving
+    plans plain too: a MiniSegformer's only short-axis node is its
+    ``(B·64, 5) + (5,)`` head bias add, where at 1024 rows a column
+    kernel was no faster (warm cache: 3.7 µs plain, 4.5 µs column).
+
     Bits do not change: an element-wise ufunc computes each element from
     the same two float64 values whatever their layout, and float64 on
     both sides keeps the result dtype the same under numpy 2's NEP 50 and
-    numpy 1's value-based casting.  Nodes without an aval (traced VJPs,
-    optimizer updates) are left alone.
+    numpy 1's value-based casting.  The one freedom is a lane where both
+    operands of an ``add`` or ``mul`` are NaN: numpy returns one of the
+    two NaNs, and which one depends on its inner loop (a plain
+    ``(n, 3) + (3,)`` returns the first operand's at one row and the
+    second's from four), so a column kernel may return the other.  Nodes
+    without an aval are left alone.
     """
     float64 = np.dtype(np.float64)
     constants = dict(graph.constants)
@@ -316,7 +358,7 @@ def layout_operands(graph: Graph) -> Graph:
         if aval is None or aval[1] != float64:
             nodes.append(node)
             continue
-        if node.op in _BINARY_OPS:
+        if node.op in _UFUNCS:
             inputs = list(node.inputs)
             is_constant = [vid in constants for vid in inputs]
             if is_constant.count(True) == 1:
@@ -327,7 +369,7 @@ def layout_operands(graph: Graph) -> Graph:
                         and type(value) is np.ndarray and value.dtype == float64):
                     if value.size == 1:
                         shape = ()
-                    elif value.size == int(np.prod(aval[0])):
+                    elif value.size == math.prod(aval[0]):
                         shape = aval[0]
                 if shape is not None and value.shape != shape:
                     key = (inputs[index], shape)
@@ -337,6 +379,12 @@ def layout_operands(graph: Graph) -> Graph:
                     constants[num_values] = views[key]
                     num_values += 1
                     node = dataclasses.replace(node, inputs=tuple(inputs))
+            node = _column_kernel_node(node, aval, [
+                (constants[vid].shape, constants[vid].dtype)
+                if type(constants.get(vid)) is np.ndarray
+                else graph.avals.get(vid)
+                for vid in node.inputs
+            ])
         elif node.op in ("clip", "clip_ste"):
             source = graph.avals.get(node.inputs[0])
             if source is not None and source[1] == float64:
@@ -407,129 +455,13 @@ def fuse_dense_lookups(graph: Graph) -> Graph:
     )
 
 
-def fuse_elementwise_chains(graph: Graph) -> Graph:
-    """Collapse single-consumer chains of element-wise ops into one kernel.
-
-    Generalises the dense-LUT fusion pattern across arbitrary ops: any
-    maximal chain ``a → b → c`` where every link is an element-wise
-    registry op (or a traced VJP of one), each intermediate value has
-    exactly one consumer and is not a graph output, becomes one
-    ``fused_chain`` node at the last link's position.  The kernel replays
-    the registered forwards in the original order (see
-    :func:`_fused_chain_kernel`), so results are bit-identical; the win is
-    one executor step — one dispatch, one slot write, one release scan —
-    instead of one per link.  Links need not be adjacent in the node list;
-    moving an earlier link down to the tail is safe because its output has
-    no consumer other than the chain itself.
-
-    Applied to traced training graphs this fuses both forward activation
-    arithmetic (gelu's polynomial, hswish) and the mirrored VJP chains the
-    backward capture emits.  ``unbroadcast`` links fuse too: though not
-    element-wise (they sum the carry down to a parameter's shape), each is
-    a pure function of carry + a static ``shape`` param, so the kernel
-    replays its registered forward like any other step — this pulls the
-    grad-reduction node that terminates most backward chains into the
-    chain that produced the gradient instead of leaving a one-op
-    remainder.  Nodes whose ``saved_output`` is consumed stay unfused —
-    the chain kernel returns only the carry.
-    """
-    consumers: Dict[int, set] = {}
-    for index, node in enumerate(graph.nodes):
-        for vid in node.inputs:
-            consumers.setdefault(vid, set()).add(index)
-    output_vids = set(graph.outputs)
-
-    def fusable(node: Node) -> bool:
-        if node.saved_output is not None:
-            return False
-        if node.op in _ops.ELEMENTWISE_OPS or node.op == "unbroadcast":
-            return True
-        base = _ops.vjp_base(node.op)
-        return base is not None and base in _ops.ELEMENTWISE_OPS
-
-    # Link each fusable node to its unique fusable consumer (chain edges).
-    nxt: Dict[int, int] = {}
-    prev: Dict[int, int] = {}
-    for index, node in enumerate(graph.nodes):
-        if not fusable(node) or node.output in output_vids:
-            continue
-        cons = consumers.get(node.output, set())
-        if len(cons) != 1:
-            continue
-        nxt_index = next(iter(cons))
-        if nxt_index in prev or not fusable(graph.nodes[nxt_index]):
-            # A node has at most one carry predecessor: when two producers
-            # both feed the same consumer exclusively, the first claims the
-            # chain and the other stays an external input.
-            continue
-        nxt[index] = nxt_index
-        prev[nxt_index] = index
-
-    replaced: Dict[int, Node] = {}   # tail index -> fused node
-    dropped: set = set()             # non-tail chain member indices
-    for head in sorted(nxt):
-        if head in prev:
-            continue  # not a chain head
-        chain = [head]
-        while chain[-1] in nxt:
-            chain.append(nxt[chain[-1]])
-        if len(chain) < 2:
-            continue
-        externals: List[int] = []
-        steps = []
-        carry_vid = None
-        for link_index in chain:
-            link = graph.nodes[link_index]
-            spec: List[int] = []
-            for vid in link.inputs:
-                if carry_vid is not None and vid == carry_vid:
-                    spec.append(-1)
-                    continue
-                if vid not in externals:
-                    externals.append(vid)
-                spec.append(externals.index(vid))
-            steps.append((link.op, dict(link.params), tuple(spec),
-                          graph.is_scalar(link.output)))
-            carry_vid = link.output
-        tail = chain[-1]
-        replaced[tail] = Node(
-            op="fused_chain",
-            inputs=tuple(externals),
-            output=graph.nodes[tail].output,
-            params={"steps": tuple(steps)},
-            label=",".join(graph.nodes[i].op for i in chain),
-        )
-        dropped.update(chain[:-1])
-
-    nodes: List[Node] = []
-    for index, node in enumerate(graph.nodes):
-        if index in dropped:
-            continue
-        nodes.append(replaced.get(index, node))
-    return Graph(
-        inputs=list(graph.inputs),
-        outputs=list(graph.outputs),
-        nodes=nodes,
-        constants=dict(graph.constants),
-        num_values=graph.num_values,
-        avals=dict(graph.avals),
-    )
-
-
 #: Default pipeline: fold parameter subtrees, merge repeated work, lay
 #: constant operands out for the traced shapes, fuse LUT kernels, then
 #: sweep the now-dead slope machinery and folded-away source constants.
 #: CSE runs after folding so folded constants merge too, and layout after
-#: CSE so a merged constant is relaid once per use.
+#: CSE so a merged constant is relaid once per use.  Training graphs run
+#: the same list (the LUT pass skips nodes whose slope feeds backward).
 DEFAULT_PASSES: Tuple[str, ...] = ("fold", "cse", "layout", "fuse", "dce")
-
-#: Training pipeline: same folding/CSE/layout/LUT fusion (the LUT pass skips nodes
-#: whose slope feeds backward), then chain fusion over the joint
-#: forward+backward+update graph.  Chain fusion runs after DCE so dead
-#: saved_outputs are already stripped and fuse maximally.
-TRAIN_PASSES: Tuple[str, ...] = (
-    "fold", "cse", "layout", "fuse", "dce", "fuse_chains"
-)
 
 _PASS_TABLE = {
     "fold": fold_constants,
@@ -537,7 +469,6 @@ _PASS_TABLE = {
     "layout": layout_operands,
     "fuse": fuse_dense_lookups,
     "dce": dead_code_elimination,
-    "fuse_chains": fuse_elementwise_chains,
 }
 
 

@@ -23,8 +23,9 @@ this and re-traces); mutating an array *in place* would leak into compiled
 results and is not something this codebase does.
 
 Every graph input bound to a tensor and every recorded op output gets an
-aval, the ``(shape, dtype)`` of its eager value (``Graph.avals``); nodes
-added with :meth:`Tracer.emit` get none.
+aval, the ``(shape, dtype)`` of its eager value (``Graph.avals``); so does
+a node added with :meth:`Tracer.emit`, when its caller knows it or its
+inputs' avals do.
 
 Shape specialisation is inherent to capture: Python-level shape logic
 (``reshape(batch, ...)``, grid arithmetic) executes at trace time and is
@@ -39,7 +40,8 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.graph.ir import Graph, Node
+from repro.graph.ir import Aval, Graph, Node
+from repro.nn.ops import ELEMENTWISE_OPS
 from repro.nn.tensor import Tensor, no_grad, tracing
 
 
@@ -114,19 +116,34 @@ class Tracer:
 
     def emit(self, name: str, in_vids: Sequence[int],
              params: Optional[Dict[str, Any]] = None,
-             label: Optional[str] = None) -> int:
+             label: Optional[str] = None, aval: Optional[Aval] = None) -> int:
         """Append a node symbolically (no computation) and return its vid.
 
         The backward capture and the optimizer-update emission build nodes
         for computations that eager code performs on raw arrays outside
-        apply_op; ``emit`` is their direct line into the graph.
+        apply_op; ``emit`` is their direct line into the graph.  Without an
+        ``aval``, an element-wise op whose inputs have avals gets their
+        broadcast shape and result dtype.
         """
         out_id = self.graph.new_value()
+        avals = [self._aval(vid) for vid in in_vids]
+        if aval is None and name in ELEMENTWISE_OPS and all(avals):
+            shapes, dtypes = zip(*avals)
+            aval = (np.broadcast_shapes(*shapes), np.result_type(*dtypes))
+        if aval is not None:
+            self.graph.avals[out_id] = aval
         self.graph.nodes.append(
             Node(op=name, inputs=tuple(in_vids), output=out_id,
                  params=dict(params) if params else {}, label=label)
         )
         return out_id
+
+    def _aval(self, vid: int) -> Optional[Aval]:
+        """``vid``'s aval, or a bound array constant's shape and dtype."""
+        value = self.graph.constants.get(vid)
+        if isinstance(value, np.ndarray):
+            return value.shape, value.dtype
+        return self.graph.avals.get(vid)
 
     def note_grad(self, tensor: Tensor, vid: int) -> None:
         """Remember the value id holding ``tensor``'s final gradient."""

@@ -22,9 +22,14 @@ from repro.quant.fxp import to_fixed_point
 
 
 def _to_signed_literal(value: int, bits: int) -> str:
-    """Render ``value`` as a sized two's-complement Verilog literal."""
-    mask = (1 << bits) - 1
-    return "%d'h%X" % (bits, value & mask)
+    """Render ``value`` as a sized two's-complement Verilog literal.
+
+    Raises ``ValueError`` when ``value`` does not fit ``bits`` signed bits,
+    instead of emitting its wrapped low bits as a different constant.
+    """
+    if not -(1 << (bits - 1)) <= value < (1 << (bits - 1)):
+        raise ValueError("%d does not fit a %d-bit signed literal" % (value, bits))
+    return "%d'h%X" % (bits, value & ((1 << bits) - 1))
 
 
 def generate_pwl_verilog(

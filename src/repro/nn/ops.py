@@ -115,11 +115,9 @@ def registered_ops() -> Tuple[str, ...]:
 SAVED_OUTPUT_OPS = frozenset({"elementwise_fused"})
 
 #: Element-wise registry ops: same-shape (or broadcast) array-in/array-out
-#: arithmetic with no data-dependent shape logic.  The chain-fusion pass
-#: (:func:`repro.graph.passes.fuse_elementwise_chains`) collapses
-#: single-consumer runs of these — and of their traced VJP wrappers — into
-#: one kernel.  ``elementwise``/``elementwise_fused`` are excluded: their
-#: params carry bound table callables the LUT fusion pass owns.
+#: arithmetic with no data-dependent shape logic, so a traced node's
+#: output shape is its inputs' broadcast shape (how
+#: :meth:`repro.graph.trace.Tracer.emit` gives emitted nodes avals).
 ELEMENTWISE_OPS = frozenset({
     "add", "sub", "neg", "mul", "div", "pow", "exp", "log", "sqrt", "tanh",
     "relu", "abs", "clip", "clip_ste", "round_ste",
@@ -134,13 +132,6 @@ def vjp_op_name(name: str, argnum: int) -> str:
 def is_vjp_op(name: str) -> bool:
     """Whether ``name`` is a traced-VJP wrapper (graph-only, no gradients)."""
     return name.startswith("vjp[")
-
-
-def vjp_base(name: str) -> Optional[str]:
-    """The base op a VJP wrapper differentiates, or ``None`` for plain ops."""
-    if not is_vjp_op(name):
-        return None
-    return name[len("vjp["):name.index("]")]
 
 
 def _non_differentiable(name: str):
@@ -354,18 +345,20 @@ def unbroadcast_array(grad: Array, shape: Tuple[int, ...]) -> Array:
     (:meth:`repro.nn.tensor.Tensor.backward`'s single unbroadcast site) and
     the captured training graph's ``unbroadcast`` nodes run — one
     implementation, so eager and compiled gradients agree bit for bit.
+    Each sum is :func:`reduce_sum`; a 0-d result is a 0-d array, as
+    eager holds every gradient.
     """
     shape = tuple(shape)
     if grad.shape == shape:
         return grad
     # Sum leading dimensions added by broadcasting.
     while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
+        grad = reduce_sum(grad, axis=0)
     # Sum dimensions that were size-1 in the original shape.
     for axis, size in enumerate(shape):
         if size == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
+            grad = reduce_sum(grad, axis=axis, keepdims=True)
+    return np.asarray(grad).reshape(shape)
 
 
 register_op(
@@ -462,6 +455,83 @@ register_op(
 
 # -- reductions -----------------------------------------------------------------
 
+#: A float64 reduction over a last axis of 2 to ``SHORT_AXIS - 1``
+#: elements, with at least ``FOLD_MIN_ROWS`` rows, folds column by column:
+#: numpy runs one k-element inner loop per row, so at (8192, 5)
+#: ``np.add.reduce`` takes ~80 us and ``np.maximum.reduce`` ~220 us, where
+#: k ufunc calls down whole columns take ~12 and ~30 us.  Below ~128 rows
+#: (k = 5) the k calls cost more than the row loops they replace.
+SHORT_AXIS, FOLD_MIN_ROWS = 8, 256
+_FOLD_MIN_SIZE = 2 * FOLD_MIN_ROWS  # checked first: it rejects small arrays fastest
+
+
+def _folds_last_axis(a: Array, axis: Any) -> bool:
+    """Whether reducing ``a`` over ``axis`` takes the column fold.  A
+    stride-0 axis keeps numpy's reduce: numpy adds a stride-0 column in
+    another loop, which can return the other NaN of a NaN + NaN lane."""
+    if type(axis) is tuple and len(axis) == 1:
+        (axis,) = axis
+    ndim = getattr(a, "ndim", 0)
+    if ndim == 0 or axis not in (-1, ndim - 1):
+        return False
+    width = a.shape[-1]
+    return (2 <= width < SHORT_AXIS and a.dtype == np.float64
+            and a.size >= width * FOLD_MIN_ROWS
+            and all(stride or size == 1 for stride, size in zip(a.strides, a.shape)))
+
+
+def _canonical_nan_prefix(width: int) -> int:
+    """How many leading elements of a contiguous ``width``-element row
+    ``np.maximum.reduce`` returns a NaN from as the canonical quiet NaN.
+    numpy starts its reduce from the first element (and from as much of a
+    short row as the host's vector loop covers), so this is measured; a
+    later NaN passes on as it is, as ``np.maximum`` passes it."""
+    for j in range(width):
+        row = np.ones((1, width))
+        row[0, j] = np.uint64(0x7FF8000000000001).view(np.float64)
+        if np.maximum.reduce(row, axis=-1).view(np.uint64)[0] != 0x7FF8000000000000:
+            return j
+    return width
+
+
+_NAN_PREFIX = {width: _canonical_nan_prefix(width) for width in range(2, SHORT_AXIS)}
+
+
+def _fold_last(ufunc, a: Array, keepdims: bool, start) -> Array:
+    """``ufunc`` folded over ``a``'s last axis column by column onto
+    ``start(column 0)``; ``np.maximum`` canonicalizes NaNs after the row's
+    :data:`_NAN_PREFIX` columns."""
+    width = a.shape[-1]
+    out = np.empty(a.shape[:-1] + ((1,) if keepdims else ()))
+    column = out[..., 0] if keepdims else out
+    start(a[..., 0], out=column)
+    prefix = _NAN_PREFIX[width] if ufunc is np.maximum else -1
+    for j in range(1, width + 1):
+        if j == prefix:
+            np.copyto(column, np.nan, where=np.isnan(column))
+        if j < width:
+            ufunc(column, a[..., j], out=column)
+    return out
+
+
+def reduce_sum(a: Array, axis: Any = None, keepdims: bool = False) -> Array:
+    """``np.add.reduce``, folding a short last axis column by column: for
+    under 8 elements numpy's pairwise sum adds them one at a time onto
+    ``0.0``, so ``(((0.0 + a0) + a1) + ...)`` gives the same bits."""
+    if a.size >= _FOLD_MIN_SIZE and _folds_last_axis(a, axis):
+        return _fold_last(np.add, a, keepdims, lambda first, out: np.add(0.0, first, out=out))
+    return np.add.reduce(a, axis=axis, keepdims=keepdims)
+
+
+def reduce_max(a: Array, axis: Any = None, keepdims: bool = False) -> Array:
+    """``np.maximum.reduce``, folding a short contiguous last axis column by
+    column (a strided one is iterated differently by numpy and keeps its
+    reduce)."""
+    if (a.size >= _FOLD_MIN_SIZE and _folds_last_axis(a, axis)
+            and a.strides[-1] == a.itemsize):
+        return _fold_last(np.maximum, a, keepdims, lambda first, out: np.copyto(out, first))
+    return np.maximum.reduce(a, axis=axis, keepdims=keepdims)
+
 
 def _sum_vjp(g, ans, s, a, axis=None, keepdims=False):
     g = np.asarray(g, dtype=np.float64)
@@ -470,14 +540,7 @@ def _sum_vjp(g, ans, s, a, axis=None, keepdims=False):
     return np.broadcast_to(g, a.shape)
 
 
-# ``ndarray.sum``/``max`` are these reduces behind a Python-level wrapper.
-register_op(
-    "sum",
-    forward=lambda a, axis=None, keepdims=False: np.add.reduce(
-        a, axis=axis, keepdims=keepdims
-    ),
-    vjps=(_sum_vjp,),
-)
+register_op("sum", forward=reduce_sum, vjps=(_sum_vjp,))
 
 
 def _max_vjp(g, ans, s, a, axis=None, keepdims=False):
@@ -489,18 +552,12 @@ def _max_vjp(g, ans, s, a, axis=None, keepdims=False):
     mask = (a == expanded).astype(np.float64)
     # Split gradient between ties, matching torch's behaviour closely
     # enough for training purposes.
-    denom = mask.sum(axis=axis, keepdims=True)
+    denom = reduce_sum(mask, axis=axis, keepdims=True)
     denom = np.where(denom == 0, 1.0, denom)
     return mask * g / denom
 
 
-register_op(
-    "max",
-    forward=lambda a, axis=None, keepdims=False: np.maximum.reduce(
-        a, axis=axis, keepdims=keepdims
-    ),
-    vjps=(_max_vjp,),
-)
+register_op("max", forward=reduce_max, vjps=(_max_vjp,))
 
 
 # -- element-wise functions -----------------------------------------------------

@@ -107,7 +107,7 @@ def _emit_vjp_node(tracer, node: "Tensor", argnum: int, grad_vid: int) -> int:
     the eager VJP evaluation — the returned value id computes exactly the
     array the eager call produced.  The common arithmetic VJPs lower to
     primitive nodes mirroring the registered VJP's expression term for term
-    (so constant folding and chain fusion see through them); everything
+    (so constant folding sees through them); everything
     else goes through a ``vjp[<op>][<argnum>]`` wrapper op that calls the
     identical registered VJP function (bit-identical trivially).
     """
@@ -427,12 +427,15 @@ class Tensor:
                 contribution = _unbroadcast(raw, parent.data.shape)
                 if capture:
                     vid = _emit_vjp_node(tracer, node, argnum, node_grad_vid)
+                    tracer.graph.avals.setdefault(vid, (raw.shape, raw.dtype))
                     if raw.shape != parent.data.shape:
                         vid = tracer.emit(
-                            "unbroadcast", (vid,), {"shape": parent.data.shape}
+                            "unbroadcast", (vid,), {"shape": parent.data.shape},
+                            aval=(contribution.shape, contribution.dtype),
                         )
                 if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + contribution
+                    # A 0-d sum is a numpy scalar: held as a 0-d array.
+                    grads[id(parent)] = np.asarray(grads[id(parent)] + contribution)
                     if capture:
                         grad_vids[id(parent)] = tracer.emit(
                             "add", (grad_vids[id(parent)], vid)

@@ -25,7 +25,10 @@ benchmarks (which add this directory to ``sys.path``):
   one over the packed vectors;
 * :func:`reference_getitem_vjp` / :func:`reference_upsample_index` — the
   ``np.add.at`` scatter every gather VJP used, and the fancy index
-  ``Upsample`` gathered with before it became the ``upsample_nearest`` op.
+  ``Upsample`` gathered with before it became the ``upsample_nearest`` op;
+* :func:`reference_unbroadcast` — the sum-to-shape loop over
+  ``ndarray.sum`` that ``unbroadcast_array`` ran before a short last axis
+  was folded column by column.
 
 Every oracle consumes the same random stream and the same parameters as
 the path it checks, so seeded results must match exactly.
@@ -204,6 +207,20 @@ def reference_getitem_vjp(g: np.ndarray, a: np.ndarray, index) -> np.ndarray:
     full = np.zeros_like(a)
     np.add.at(full, index, g)
     return full
+
+
+def reference_unbroadcast(grad: np.ndarray, shape) -> np.ndarray:
+    """Sum ``grad`` down to ``shape`` with ``ndarray.sum``, one axis at a
+    time: leading broadcast axes first, then every unit axis."""
+    shape = tuple(shape)
+    if grad.shape == shape:
+        return grad
+    while grad.ndim > len(shape):
+        grad = grad.sum(axis=0)
+    for axis, size in enumerate(shape):
+        if size == 1 and grad.shape[axis] != 1:
+            grad = grad.sum(axis=axis, keepdims=True)
+    return grad.reshape(shape)
 
 
 def reference_upsample_index(height: int, width: int, factor: int) -> tuple:

@@ -15,7 +15,7 @@ from repro.core.lut import DenseLUT
 from repro.core.pwl import PiecewiseLinear, fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
 from repro.graph import (
-    TRAIN_PASSES,
+    DEFAULT_PASSES,
     CompiledGraph,
     CompiledModel,
     CompiledTrainStep,
@@ -25,7 +25,6 @@ from repro.graph import (
     dead_code_elimination,
     fold_constants,
     fuse_dense_lookups,
-    fuse_elementwise_chains,
     optimize,
     plan_memory,
     trace,
@@ -429,7 +428,7 @@ class TestBackwardCapture:
             y.backward()
         tracer.mark_output_vid(tracer.grad_vid(x))
         tracer.graph.validate()
-        compiled = CompiledGraph(optimize(tracer.graph, TRAIN_PASSES))
+        compiled = CompiledGraph(optimize(tracer.graph, DEFAULT_PASSES))
         other = np.random.default_rng(5).normal(size=(2, 3))
         x2 = Tensor(other, requires_grad=True)
         ((x2 * 2.0).tanh() + x2).sum().backward()
@@ -445,7 +444,7 @@ class TestBackwardCapture:
             (x + bias).sum().backward()
         assert "unbroadcast" in [node.op for node in tracer.graph.nodes]
         tracer.mark_output_vid(tracer.grad_vid(bias))
-        compiled = CompiledGraph(optimize(tracer.graph, TRAIN_PASSES))
+        compiled = CompiledGraph(optimize(tracer.graph, DEFAULT_PASSES))
         other = np.random.default_rng(6).normal(size=(4, 3))
         x2 = Tensor(other, requires_grad=True)
         bias2 = Tensor(np.zeros(3), requires_grad=True)
@@ -463,86 +462,10 @@ class TestBackwardCapture:
             with pytest.raises(RuntimeError, match="zeroed"):
                 (x * 2.0).sum().backward()
 
-
-class TestFuseElementwiseChains:
-    @staticmethod
-    def _linear_chain():
-        graph = Graph()
-        x = graph.new_value()
-        graph.inputs.append(x)
-        a = graph.new_value()
-        graph.nodes.append(Node(op="exp", inputs=(x,), output=a))
-        b = graph.new_value()
-        graph.nodes.append(Node(op="neg", inputs=(a,), output=b))
-        c = graph.new_value()
-        graph.nodes.append(Node(op="tanh", inputs=(b,), output=c))
-        graph.outputs.append(c)
-        return graph
-
-    def test_linear_chain_fuses_to_one_node(self):
-        fused = fuse_elementwise_chains(self._linear_chain())
-        assert [node.op for node in fused.nodes] == ["fused_chain"]
-        assert fused.nodes[0].label == "exp,neg,tanh"
-        x = np.random.default_rng(0).normal(size=(3, 4))
-        np.testing.assert_array_equal(
-            CompiledGraph(fused).run(x)[0], np.tanh(-np.exp(x))
-        )
-
-    def test_chain_with_external_operand(self):
-        graph = Graph()
-        x = graph.new_value()
-        graph.inputs.append(x)
-        scale = graph.add_constant(np.asarray(2.5))
-        a = graph.new_value()
-        graph.nodes.append(Node(op="mul", inputs=(x, scale), output=a))
-        b = graph.new_value()
-        graph.nodes.append(Node(op="exp", inputs=(a,), output=b))
-        graph.outputs.append(b)
-        fused = fuse_elementwise_chains(graph)
-        assert [node.op for node in fused.nodes] == ["fused_chain"]
-        x_val = np.random.default_rng(1).normal(size=(2, 3))
-        np.testing.assert_array_equal(
-            CompiledGraph(fused).run(x_val)[0], np.exp(x_val * 2.5)
-        )
-
-    def test_multi_consumer_value_breaks_the_chain(self):
-        graph = Graph()
-        x = graph.new_value()
-        graph.inputs.append(x)
-        a = graph.new_value()
-        graph.nodes.append(Node(op="exp", inputs=(x,), output=a))
-        b = graph.new_value()
-        graph.nodes.append(Node(op="neg", inputs=(a,), output=b))
-        c = graph.new_value()
-        graph.nodes.append(Node(op="mul", inputs=(a, b), output=c))
-        graph.outputs.append(c)
-        fused = fuse_elementwise_chains(graph)
-        # exp feeds two consumers, so it cannot start a chain; neg -> mul
-        # still fuses, with exp's (multi-consumed) output as an external
-        # operand of the fused kernel.
-        assert [node.op for node in fused.nodes] == ["exp", "fused_chain"]
-        assert fused.nodes[1].label == "neg,mul"
-        x_val = np.random.default_rng(3).normal(size=(4,))
-        np.testing.assert_array_equal(
-            CompiledGraph(fused).run(x_val)[0],
-            np.exp(x_val) * -np.exp(x_val),
-        )
-
-    def test_graph_output_midway_breaks_the_chain(self):
-        graph = self._linear_chain()
-        graph.outputs.append(graph.nodes[0].output)  # exp is now an output
-        fused = fuse_elementwise_chains(graph)
-        ops = [node.op for node in fused.nodes]
-        assert "exp" in ops  # kept live as an observable output
-        assert "fused_chain" in ops  # neg->tanh still fuses
-        x = np.random.default_rng(2).normal(size=(5,))
-        tanh_out, exp_out = CompiledGraph(fused).run(x)
-        np.testing.assert_array_equal(exp_out, np.exp(x))
-        np.testing.assert_array_equal(tanh_out, np.tanh(-np.exp(x)))
-
-    def test_unbroadcast_fuses_into_grad_chain(self):
-        """PR 10 satellite: the grad-reduction ``unbroadcast`` node rides
-        inside the elementwise VJP chain that produced the gradient."""
+    def test_unbroadcast_grad_matches_finite_difference(self):
+        """The grad-reduction ``unbroadcast`` node feeding a weight's
+        gradient replays to the eager backward (bitwise) and to a central
+        finite difference (numerically)."""
         rng = np.random.default_rng(11)
         x_val = rng.normal(size=(8, 4))
         w_val = rng.normal(size=(4,))
@@ -555,19 +478,9 @@ class TestFuseElementwiseChains:
         with tracing(tracer):
             (x * w).tanh().sum().backward()
         tracer.mark_output_vid(tracer.grad_vid(w))
-        unfused = optimize(tracer.graph, ("fold", "fuse", "dce"))
-        fused = optimize(tracer.graph, TRAIN_PASSES)
-        # Node-count regression: fusion strictly shrinks the plan, and the
-        # unbroadcast link is inside a chain, not a standalone node.
-        assert len(fused.nodes) < len(unfused.nodes)
-        assert "unbroadcast" in [node.op for node in unfused.nodes]
-        assert "unbroadcast" not in [node.op for node in fused.nodes]
-        labels = [node.label or "" for node in fused.nodes
-                  if node.op == "fused_chain"]
-        assert any("unbroadcast" in label for label in labels)
-        # Gradcheck: the fused replay matches both the eager backward
-        # (bitwise) and a central finite difference (numerically).
-        (replayed,) = CompiledGraph(fused).run(x_val, w_val)
+        optimized = optimize(tracer.graph)
+        assert "unbroadcast" in [node.op for node in optimized.nodes]
+        (replayed,) = CompiledGraph(optimized).run(x_val, w_val)
         x2 = Tensor(x_val, requires_grad=True)
         w2 = Tensor(w_val, requires_grad=True)
         (x2 * w2).tanh().sum().backward()
@@ -582,39 +495,6 @@ class TestFuseElementwiseChains:
             lower = np.tanh(x_val * bumped).sum()
             numeric[index] = (upper - lower) / (2 * eps)
         np.testing.assert_allclose(replayed, numeric, rtol=1e-5, atol=1e-8)
-
-    def test_train_passes_fuse_the_joint_graph(self):
-        """The TRAIN_PASSES pipeline shrinks the forward+backward+update
-        graph without changing replayed results (covered by the parity
-        tests below); unfused vs fused node counts pin the win."""
-        x, labels = _tiny_batch()
-        counts = {}
-        for key, passes in (
-            ("unfused", ("fold", "fuse", "dce")),
-            ("fused", TRAIN_PASSES),
-        ):
-            model = _TinyTrainNet()
-            model.train()
-            step = CompiledTrainStep(
-                model,
-                SGD(model.parameters(), lr=0.05, momentum=0.9),
-                3,
-                passes=passes,
-            )
-            step.step(x, labels)
-            (plan,) = step._cache.values()
-            counts[key] = plan.compiled.num_steps
-        assert counts["fused"] < counts["unfused"]
-        fused_graph_ops = set()
-        model = _TinyTrainNet()
-        model.train()
-        step = CompiledTrainStep(
-            model, SGD(model.parameters(), lr=0.05, momentum=0.9), 3
-        )
-        step.step(x, labels)
-        (plan,) = step._cache.values()
-        fused_graph_ops = [n.op for n in plan.compiled.graph.nodes]
-        assert "fused_chain" in fused_graph_ops
 
 
 class TestCompiledTrainStep:
@@ -699,13 +579,12 @@ class TestCompiledTrainStep:
         step.step(x, labels)
         step.step(x, labels)
         (per_signature,) = step.stats()["signatures"].values()
-        # 28 before unbroadcast joined chain fusion: the grad reduction
-        # feeding the weight update now rides inside the chain that
-        # produced the gradient.  The packed optimizer update is two
-        # ``pack`` nodes, one chain, and two flat outputs (parameters and
-        # velocity) next to the loss.
+        # 27 with element-wise chain fusion, which is gone: every node is
+        # its own step again.  The packed optimizer update is two ``pack``
+        # nodes, its momentum arithmetic, and two flat outputs (parameters
+        # and velocity) next to the loss.
         assert per_signature == {
-            "nodes": 27,
+            "nodes": 35,
             "peak_live": 18,
             "num_slots": 21,
             "outputs": 3,

@@ -212,6 +212,17 @@ class TestVerilog:
         rtl = generate_pwl_verilog(lut)
         assert re.search(r"13'h[0-9A-F]+", rtl)  # 8 input bits + 5 frac bits
 
+    def test_signed_literal_rejects_values_that_do_not_fit(self):
+        from repro.hardware.verilog import _to_signed_literal
+
+        assert _to_signed_literal(127, 8) == "8'h7F"
+        assert _to_signed_literal(-128, 8) == "8'h80"
+        assert _to_signed_literal(-1, 13) == "13'h1FFF"
+        # 128 and -129 would wrap to -128 and 127: a different constant.
+        for value in (128, -129, 1 << 20):
+            with pytest.raises(ValueError, match="does not fit"):
+                _to_signed_literal(value, 8)
+
     def test_testbench_contains_expected_vectors(self, lut):
         tb = generate_testbench(lut, num_vectors=16, seed=3)
         assert len(re.findall(r"check\(-?\d+,", tb)) == 16

@@ -8,14 +8,14 @@ nodes and 0-d constants.  Constant arrays of shape ``(1,)``, ``(n,)`` and
 ``(1, ..., 1, n)``, some shared between consumers of different shapes,
 meet the binary ops on either side, and ``clip`` bounds may be Python
 ints, so :func:`~repro.graph.passes.layout_operands` relays operands.
-Each program is traced once and replayed under ``DEFAULT_PASSES`` and
-``TRAIN_PASSES``:
+Each program is traced once and replayed under ``DEFAULT_PASSES``:
 
 * forward outputs equal the eager forward on fresh inputs of the traced
   shapes in bytes (NaN lanes included), shape, dtype and type;
 * a captured backward (``Tracer(capture_grads=True)``) replays to the
-  gradients an independent eager backward computes on those inputs (NaN
-  lanes by position only, see :func:`assert_equal_but_nan_bits`);
+  gradients an independent eager backward computes on those inputs, in
+  bytes too: emitted VJP nodes carry avals, so their 0-d results are 0-d
+  arrays on both sides;
 * the replay holds exactly the buffer plan's live set at every kernel
   call, so a release the generated code skips is caught here, not only as
   a memory regression.
@@ -39,7 +39,6 @@ from hypothesis import strategies as st
 
 from repro.graph import (
     DEFAULT_PASSES,
-    TRAIN_PASSES,
     CompiledGraph,
     Tracer,
     optimize,
@@ -287,21 +286,6 @@ def assert_bitwise_equal(actual, expected) -> None:
     assert actual.tobytes() == expected.tobytes()
 
 
-def assert_equal_but_nan_bits(actual, expected) -> None:
-    """Equal bits, except that a NaN lane only has to be NaN.
-
-    For replayed gradients: traced VJP nodes have no aval, so their 0-d
-    results stay numpy scalars, while the eager backward turns some of its
-    0-d intermediates into 0-d arrays; the two can differ in a NaN's sign.
-    """
-    actual = np.asarray(actual, dtype=np.float64)
-    expected = np.asarray(expected, dtype=np.float64)
-    assert actual.shape == expected.shape
-    nan = np.isnan(expected)
-    assert np.array_equal(np.isnan(actual), nan)
-    assert actual[~nan].tobytes() == expected[~nan].tobytes()
-
-
 def _relaid_uses(graph: Graph) -> int:
     """Nodes whose constant operand :func:`layout_operands` relays."""
     relaid = layout_operands(graph)
@@ -433,22 +417,22 @@ def check_forward_replay(program: Program, seed: int) -> None:
         graph = trace(program, *draw_inputs(rng, program.shapes))
         arrays = draw_inputs(rng, program.shapes)
         expected = eager_forward(program, arrays)
-        for passes in (DEFAULT_PASSES, TRAIN_PASSES):
-            optimized = optimize(graph, passes)
-            without_cse = optimize(graph, tuple(p for p in passes if p != "cse"))
-            if len(optimized.nodes) < len(without_cse.nodes):
-                event("cse merged nodes (%s)" % passes[-1])
-            if len(optimized.constants) < len(without_cse.constants):
-                event("cse merged constants (%s)" % passes[-1])
-            relaid = _relaid_uses(optimize(graph, passes[:2]))
-            if relaid:
-                event("layout relaid %s (%s)"
-                      % ("several uses" if relaid > 1 else "one use", passes[-1]))
-            compiled = CompiledGraph(optimized)
-            for got, want in zip(compiled.run(*arrays), expected):
-                assert_bitwise_equal(got, want)
-            for got, want in replay_live_counts(compiled, *arrays):
-                assert got == want
+        optimized = optimize(graph, DEFAULT_PASSES)
+        without_cse = optimize(
+            graph, tuple(p for p in DEFAULT_PASSES if p != "cse")
+        )
+        if len(optimized.nodes) < len(without_cse.nodes):
+            event("cse merged nodes")
+        if len(optimized.constants) < len(without_cse.constants):
+            event("cse merged constants")
+        relaid = _relaid_uses(optimize(graph, ("fold", "cse")))
+        if relaid:
+            event("layout relaid %s" % ("several uses" if relaid > 1 else "one use"))
+        compiled = CompiledGraph(optimized)
+        for got, want in zip(compiled.run(*arrays), expected):
+            assert_bitwise_equal(got, want)
+        for got, want in replay_live_counts(compiled, *arrays):
+            assert got == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -469,12 +453,10 @@ def test_captured_vjps_match_eager_grads(program, seed):
             grad for grad, use in zip(eager_grads(program, arrays, weights), used)
             if use
         ]
-        for passes in (DEFAULT_PASSES, TRAIN_PASSES):
-            compiled = CompiledGraph(optimize(graph, passes))
-            got = compiled.run(*arrays)
-            assert len(got) == len(expected)
-            for actual, want in zip(got, expected):
-                assert_equal_but_nan_bits(actual, want)
+        got = CompiledGraph(optimize(graph, DEFAULT_PASSES)).run(*arrays)
+        assert len(got) == len(expected)
+        for actual, want in zip(got, expected):
+            assert_bitwise_equal(actual, want)
 
 
 # -- the cse equality rules, one hand-built graph each -------------------------
@@ -630,6 +612,11 @@ def test_layout_leaves_non_float64_operands_alone():
 
 
 def test_compiled_graph_drops_the_avals():
+    """A plan keeps its step table, constants and a summary; the graph,
+    its avals and the memory plan go once the replay is generated."""
     graph = trace(lambda x: (x * 2.0).sum(), _x())
     assert graph.avals
-    assert CompiledGraph(optimize(graph)).graph.avals == {}
+    compiled = CompiledGraph(optimize(graph))
+    assert not hasattr(compiled, "graph") and not hasattr(compiled, "plan")
+    assert compiled.ops == {"mul": 1, "sum": 1}
+    assert (compiled.num_steps, compiled.peak_live) == (2, 2)
