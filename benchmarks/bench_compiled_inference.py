@@ -123,9 +123,7 @@ def bench_predict(name, model_cls, operators, model_config, eval_images,
         "eval_images": int(eval_images.shape[0]),
         "traced_nodes": len(graph.nodes),
         "optimized_nodes": len(optimized.nodes),
-        "fused_lookups": sum(
-            node.op in ("dense_lookup", "multirange_lookup") for node in optimized.nodes
-        ),
+        "fused_lookups": sum(node.op == "lookup" for node in optimized.nodes),
         "buffer_slots": plan.num_slots,
         "peak_live_buffers": plan.peak_live,
         "eager_seconds": t_eager,

@@ -44,7 +44,6 @@ def wide_range_mse(
     operator: str,
     pwl: PiecewiseLinear,
     num_samples: Optional[int] = None,
-    bits: int = 8,
 ) -> float:
     """MSE of a wide-range operator under multi-range input scaling.
 
@@ -63,8 +62,7 @@ def wide_range_mse(
     bounded = [sr.upper for sr in scaling.sub_ranges if np.isfinite(sr.upper)]
     hi = bounded[-1] if bounded else config.search_range[1]
     inputs = np.linspace(lo, hi, num_samples)
-    wrapped = MultiRangePWL(pwl=pwl, scaling=scaling, frac_bits=config.frac_bits,
-                            total_bits=bits)
+    wrapped = MultiRangePWL(pwl=pwl, scaling=scaling, frac_bits=config.frac_bits)
     return wrapped.mse(config.function(), inputs)
 
 
@@ -72,11 +70,12 @@ def average_mse(operator: str, pwl: PiecewiseLinear, bits: int = 8) -> float:
     """The Table 3 statistic for any operator.
 
     Scale-dependent operators average the quantized-pipeline MSE over the
-    ``2^0 .. 2^-6`` sweep; wide-range operators report the multi-range
-    scaling MSE.
+    ``2^0 .. 2^-6`` sweep with ``bits``-bit input codes; wide-range
+    operators report the multi-range scaling MSE, whose fixed-point
+    inputs ``bits`` does not apply to.
     """
     if operator in WIDE_RANGE_OPERATORS:
-        return wide_range_mse(operator, pwl, bits=bits)
+        return wide_range_mse(operator, pwl)
     return _evaluator(operator, bits).average_mse(pwl)
 
 

@@ -6,8 +6,7 @@ of a :class:`repro.nn.module.Module` into a static, replayable plan:
 * :mod:`repro.graph.ir` — the :class:`Graph`/:class:`Node` IR.
 * :mod:`repro.graph.trace` — capture via the ``apply_op`` dispatch hook.
 * :mod:`repro.graph.passes` — constant folding, CSE, operand layout and
-  column kernels, dense-LUT fusion, dead-code elimination, liveness-based
-  buffer planning.
+  column kernels, dead-code elimination, liveness-based buffer planning.
 * :mod:`repro.graph.executor` — :class:`CompiledGraph` (one signature) and
   the wrappers that cache one plan per input signature and re-trace when
   the captured state is rebound: :class:`CompiledModel`,
@@ -39,11 +38,10 @@ from repro.graph.executor import (
 )
 from repro.graph.ir import Graph, Node
 from repro.graph.passes import (
-    DEFAULT_PASSES,
     MemoryPlan,
+    cse,
     dead_code_elimination,
     fold_constants,
-    fuse_dense_lookups,
     layout_operands,
     optimize,
     plan_memory,
@@ -56,10 +54,9 @@ __all__ = [
     "Tracer",
     "trace",
     "optimize",
-    "DEFAULT_PASSES",
+    "cse",
     "dead_code_elimination",
     "fold_constants",
-    "fuse_dense_lookups",
     "layout_operands",
     "MemoryPlan",
     "plan_memory",

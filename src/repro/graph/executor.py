@@ -38,13 +38,7 @@ import numpy as np
 
 from repro.reliability.faults import fault_point
 from repro.graph.ir import Graph
-from repro.graph.passes import (
-    DEFAULT_PASSES,
-    GRAPH_KERNELS,
-    MemoryPlan,
-    optimize,
-    plan_memory,
-)
+from repro.graph.passes import GRAPH_KERNELS, optimize, plan_memory
 from repro.graph.trace import Tracer, trace
 from repro.nn import ops as _ops
 from repro.nn.module import Module
@@ -145,10 +139,9 @@ class CompiledGraph:
     not the graph or its memory plan: a server caches a plan per signature.
     """
 
-    def __init__(self, graph: Graph, plan: Optional[MemoryPlan] = None) -> None:
+    def __init__(self, graph: Graph) -> None:
         graph.validate()
-        if plan is None:
-            plan = plan_memory(graph)
+        plan = plan_memory(graph)
         steps = []
         for node, releases in zip(graph.nodes, plan.releases):
             kernel_factory = GRAPH_KERNELS.get(node.op)
@@ -374,12 +367,10 @@ class CompiledModel(_PlanCache):
     def __init__(
         self,
         module: Module,
-        passes: Sequence[str] = DEFAULT_PASSES,
         fallback: bool = False,
     ) -> None:
         super().__init__(_parameter_state(module))
         self.module = module
-        self.passes = tuple(passes)
         self.fallback = fallback
         self.fallback_count = 0
         self._fallback_warned = False
@@ -416,7 +407,7 @@ class CompiledModel(_PlanCache):
             fault_point("compiled.trace")
             captured = trace(self.module, *arrays)
             compiled = self._store(
-                signature, CompiledGraph(optimize(captured, self.passes))
+                signature, CompiledGraph(optimize(captured))
             )
         return compiled
 
@@ -538,19 +529,13 @@ class CompiledTrainStep(_PlanCache):
         self,
         model: Module,
         optimizer,
-        num_classes: int,
+        *,
         schedule=None,
-        passes: Sequence[str] = DEFAULT_PASSES,
     ) -> None:
         super().__init__(functools.partial(_train_state, model, optimizer))
         self.model = model
         self.optimizer = optimizer
         self.schedule = schedule
-        # Advisory label-space size (kept for introspection); the traced
-        # one-hot encoding is sized to the model's logit width, which may
-        # legitimately be wider than the labels in play.
-        self.num_classes = int(num_classes)
-        self.passes = tuple(passes)
         self._check_supported()
 
     # -- guards ----------------------------------------------------------------
@@ -618,7 +603,7 @@ class CompiledTrainStep(_PlanCache):
         graph = tracer.graph
         graph.validate()
         del tracer  # and every tensor of the traced step, before compiling
-        compiled = CompiledGraph(optimize(graph, self.passes))
+        compiled = CompiledGraph(optimize(graph))
         if self.schedule is not None:
             self.schedule.step()
         plan = _TrainPlan(compiled, params, feeds, updates, advance,
@@ -704,9 +689,7 @@ class CompiledDecodeStep(_PlanCache):
     crossings is a pure replay.
     """
 
-    def __init__(
-        self, model: Module, passes: Sequence[str] = DEFAULT_PASSES
-    ) -> None:
+    def __init__(self, model: Module) -> None:
         if not hasattr(model, "step"):
             raise TypeError(
                 "model %s has no step() method to compile"
@@ -714,7 +697,6 @@ class CompiledDecodeStep(_PlanCache):
             )
         super().__init__(_parameter_state(model))
         self.model = model
-        self.passes = tuple(passes)
 
     def step(
         self,
@@ -754,7 +736,7 @@ class CompiledDecodeStep(_PlanCache):
             fault_point("compiled.decode.trace")
             captured = trace(self.model.step, *arrays)
             compiled = self._store(
-                signature, CompiledGraph(optimize(captured, self.passes))
+                signature, CompiledGraph(optimize(captured))
             )
         return compiled
 

@@ -4,7 +4,7 @@ A :class:`Graph` is the capture → optimize → execute substrate's common
 currency: a flat, topologically ordered list of :class:`Node` records over
 integer *value ids*.  Each node names a registered op (the same
 ``(forward, vjps)`` table :mod:`repro.nn.ops` uses for eager dispatch, or
-one of the executor's inference-only graph kernels after fusion), the
+a column kernel :func:`repro.graph.passes.layout_operands` introduced), the
 value ids it consumes, its parameters, and the value id it produces.
 
 Value ids fall into three classes:

@@ -1,8 +1,8 @@
 """Optimize: deterministic rewrite passes over the traced :class:`Graph`.
 
-Six passes, composed by :func:`optimize` (each takes and returns a
-:class:`~repro.graph.ir.Graph`, carries its avals through and mutates
-nothing of its input):
+Four rewrite passes, run in a fixed order by :func:`optimize` (each takes
+and returns a :class:`~repro.graph.ir.Graph`, carries its avals through and
+mutates nothing of its input), and the buffer plan:
 
 * :func:`fold_constants` — evaluate every node whose inputs are all
   constants once at compile time.  This collapses the parameter-only
@@ -19,12 +19,6 @@ nothing of its input):
   bounds, and a binary op that broadcasts over a short trailing axis a
   column kernel, using the traced avals.  numpy's per-call cost depends on
   how operands are laid out; the values are the same bits.
-* :func:`fuse_dense_lookups` — recognise the quantize → output-gather →
-  slope-gather kernels the dense-LUT engine dispatches
-  (``apply_elementwise_fused`` bound to :meth:`DenseLUT.lookup_with_slope`
-  or :meth:`MultiRangePWL.lookup_with_slope`) and rewrite them to
-  inference-only graph kernels that skip the slope gather entirely —
-  inference consumes the output table only.
 * :func:`dead_code_elimination` — drop nodes (and constants) that no
   graph output transitively consumes.
 * :func:`plan_memory` — not a rewrite but the liveness analysis the
@@ -32,13 +26,15 @@ nothing of its input):
   each value's last use and reused for later values, so steady-state
   inference holds only the live set instead of every intermediate.
 
+There is no LUT pass: a pwl module records its table's output-only
+kernel as a ``lookup`` node when it is traced for inference, so the plan
+replays what eager runs.
+
 All passes are semantics-preserving by construction: folding runs the
 exact registered forward on the exact captured arrays, CSE only drops a
 node whose pure function of the same inputs is already computed, layout
 only reshapes a float64 constant without moving its elements or splits
-an element-wise ufunc call by columns, fusion
-swaps in a kernel documented (and pinned by the engine-parity tests) to be
-bit-identical to the fused pair's output half, and DCE only removes
+an element-wise ufunc call by columns, and DCE only removes
 unobservable work.  Compiled results therefore match eager bit for bit
 (pinned generatively by ``tests/test_replay_parity.py``), up to which NaN
 a column kernel's add or mul of two NaNs returns (see layout).
@@ -53,14 +49,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
-from repro.core.lut import DenseLUT
 from repro.graph.ir import Graph, Node
 from repro.nn import ops as _ops
-from repro.scaling.multi_range import MultiRangePWL
 
 #: The ufunc each binary registry op's forward calls (``a + b`` is
 #: ``np.add(a, b)`` on arrays, and so on).
@@ -88,20 +82,12 @@ def _column_kernel(params):
     return run
 
 
-#: Kernels the passes introduce.  Each entry maps the node's params to the
-#: array-level callable the executor invokes; these live outside the
-#: :mod:`repro.nn.ops` VJP registry on purpose — they have no gradients
-#: and exist only inside compiled graphs.
-GRAPH_KERNELS = {
-    # One quantize pass + one gather from the dense output table
-    # (bit-identical to the output half of DenseLUT.lookup_with_slope).
-    "dense_lookup": lambda params: params["table"].__call__,
-    # Single-searchsorted classify/rescale over the slot tables
-    # (bit-identical to the output half of MultiRangePWL.lookup_with_slope).
-    "multirange_lookup": lambda params: params["table"].lookup,
-}
-# A binary op split by columns over a short trailing axis.
-GRAPH_KERNELS.update((name + "[cols]", _column_kernel) for name in _UFUNCS)
+#: Kernels the passes introduce: a binary op split by columns over a short
+#: trailing axis.  Each entry maps the node's params to the array-level
+#: callable the executor invokes; they live outside the :mod:`repro.nn.ops`
+#: VJP registry on purpose — they have no gradients and exist only inside
+#: compiled graphs.
+GRAPH_KERNELS = {name + "[cols]": _column_kernel for name in _UFUNCS}
 
 
 def dead_code_elimination(graph: Graph) -> Graph:
@@ -407,81 +393,20 @@ def layout_operands(graph: Graph) -> Graph:
     )
 
 
-def fuse_dense_lookups(graph: Graph) -> Graph:
-    """Rewrite fused LUT dispatches to output-only inference kernels.
+def optimize(graph: Graph) -> Graph:
+    """Fold parameter subtrees, merge repeated work, lay constant operands
+    out for the traced shapes, then sweep dead nodes and the folded-away
+    source constants; validate the result.
 
-    The dense engine's training form computes output *and* slope in one
-    pass (the slope feeds backward).  Inference needs only the output, so
-    an ``elementwise_fused`` node whose callable is bound to
-    ``DenseLUT.lookup_with_slope`` becomes a ``dense_lookup`` kernel (one
-    quantize + one gather) and one bound to
-    ``MultiRangePWL.lookup_with_slope`` becomes a ``multirange_lookup``
-    kernel (one classify + pwl evaluation), dropping the slope gather.
+    CSE runs after folding so folded constants merge too, and layout after
+    CSE so a merged constant is relaid once per use.  Training graphs run
+    the same pipeline.  Why each pass stays is measured in DESIGN.md
+    ("One compile pipeline").
     """
-    nodes: List[Node] = []
-    for node in graph.nodes:
-        replacement = None
-        # A consumed saved_output means the slope feeds a traced VJP node
-        # (training graph): the output-only kernel would drop it, so the
-        # fused training form must stay.
-        if node.op == "elementwise_fused" and node.saved_output is None:
-            fused_fn = node.params.get("fused_fn")
-            owner = getattr(fused_fn, "__self__", None)
-            method = getattr(fused_fn, "__name__", "")
-            if method == "lookup_with_slope":
-                if isinstance(owner, DenseLUT):
-                    replacement = "dense_lookup"
-                elif isinstance(owner, MultiRangePWL):
-                    replacement = "multirange_lookup"
-        if replacement is not None:
-            nodes.append(
-                Node(
-                    op=replacement,
-                    inputs=node.inputs,
-                    output=node.output,
-                    params={"table": owner},
-                    label=node.label,
-                )
-            )
-        else:
-            nodes.append(node)
-    return Graph(
-        inputs=list(graph.inputs),
-        outputs=list(graph.outputs),
-        nodes=nodes,
-        constants=dict(graph.constants),
-        num_values=graph.num_values,
-        avals=dict(graph.avals),
-    )
-
-
-#: Default pipeline: fold parameter subtrees, merge repeated work, lay
-#: constant operands out for the traced shapes, fuse LUT kernels, then
-#: sweep the now-dead slope machinery and folded-away source constants.
-#: CSE runs after folding so folded constants merge too, and layout after
-#: CSE so a merged constant is relaid once per use.  Training graphs run
-#: the same list (the LUT pass skips nodes whose slope feeds backward).
-DEFAULT_PASSES: Tuple[str, ...] = ("fold", "cse", "layout", "fuse", "dce")
-
-_PASS_TABLE = {
-    "fold": fold_constants,
-    "cse": cse,
-    "layout": layout_operands,
-    "fuse": fuse_dense_lookups,
-    "dce": dead_code_elimination,
-}
-
-
-def optimize(graph: Graph, passes: Sequence[str] = DEFAULT_PASSES) -> Graph:
-    """Run the named passes in order and validate the result."""
-    for name in passes:
-        try:
-            pass_fn = _PASS_TABLE[name]
-        except KeyError:
-            raise ValueError(
-                "unknown pass %r; available: %s" % (name, sorted(_PASS_TABLE))
-            ) from None
-        graph = pass_fn(graph)
+    graph = fold_constants(graph)
+    graph = cse(graph)
+    graph = layout_operands(graph)
+    graph = dead_code_elimination(graph)
     graph.validate()
     return graph
 

@@ -111,8 +111,11 @@ def generate_pwl_verilog(
     emit("")
     emit("    // Intercept rescaling shifter: b_i >> log2(S)")
     emit("    wire signed [%d:0] intercept_shifted;" % (out_bits - 1))
-    if shift >= 0:
-        emit("    assign intercept_shifted = intercept_sel >>> SHIFT;")
+    if shift > 0:
+        # Round half to even, as the model's fxp_round(b / S) does: add
+        # half an output LSB less one, plus the kept LSB, then floor.
+        emit("    assign intercept_shifted = (intercept_sel + (1 <<< (SHIFT - 1)) - 1"
+             " + ((intercept_sel >>> SHIFT) & 1)) >>> SHIFT;")
     else:
         emit("    assign intercept_shifted = intercept_sel <<< (-SHIFT);")
     emit("")

@@ -31,7 +31,7 @@ from repro.nn import functional as F
 from repro.nn.layers import GELU, HSwish, LayerNorm
 from repro.nn.module import Module, Parameter
 from repro.nn.quantization import PowerOfTwoQuantizer
-from repro.nn.tensor import Tensor, is_grad_enabled, is_tracing
+from repro.nn.tensor import Tensor, apply_op, is_grad_enabled, is_tracing
 from repro.quant.quantizer import QuantSpec
 from repro.scaling.multi_range import MultiRangePWL, MultiRangeScaling, default_multi_range
 
@@ -63,6 +63,11 @@ class PWLActivation(Module):
     tables built through :class:`QuantizedLUT`.  The backward pass uses the
     slope of the selected segment, which is the exact derivative of the
     deployed approximation.
+
+    The module is the one place that picks the table's kernel: the fused
+    output-and-slope lookup when the input needs a gradient, else the
+    output-only lookup — recorded as a ``lookup`` node under tracing, so a
+    compiled plan replays the same kernel eager calls.
     """
 
     def __init__(
@@ -118,14 +123,14 @@ class PWLActivation(Module):
         if not self.quantizer.initialised:
             self.quantizer.initialise_from(x.data)
         table = self._dense()
-        if is_tracing() or (is_grad_enabled() and x.requires_grad):
-            # Under tracing the fused dispatch keeps the lookup on the
-            # recorded apply_op path (the graph fusion pass rewrites it to
-            # the output-only gather); elsewhere the no-grad branch below
-            # skips the Tensor/op machinery entirely.
+        if is_grad_enabled() and x.requires_grad:
             return x.apply_elementwise_fused(
                 table.lookup_with_slope, name="pwl[%s]" % self.name
             )
+        if is_tracing():
+            # A traced inference forward records the output-only gather
+            # as it is, so a compiled plan replays this table's kernel.
+            return apply_op("lookup", x, fn=table.__call__)
         return Tensor(table(x.data))
 
 
@@ -134,7 +139,8 @@ class PWLWideRange(Module):
 
     Wide-range inputs are not integer codes, so there is no dense table;
     the forward classifies each input once against the precomputed slot
-    tables and produces output and slope together.
+    tables, producing output and slope together when the input needs a
+    gradient.  It picks its kernel as :class:`PWLActivation` does.
     """
 
     def __init__(
@@ -159,10 +165,12 @@ class PWLWideRange(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         wrapped = self.wrapped
-        if is_tracing() or (is_grad_enabled() and x.requires_grad):
+        if is_grad_enabled() and x.requires_grad:
             return x.apply_elementwise_fused(
                 wrapped.lookup_with_slope, name="pwl_wide[%s]" % self.name
             )
+        if is_tracing():
+            return apply_op("lookup", x, fn=wrapped.lookup)
         return Tensor(wrapped.lookup(x.data))
 
 

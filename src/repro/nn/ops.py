@@ -662,3 +662,14 @@ register_op(
     forward=_elementwise_fused_forward,
     vjps=(lambda g, ans, slope, a, fused_fn, name=None: g * slope,),
 )
+
+# A deployed table's inference kernel: ``fn`` is the output-only lookup the
+# pwl module that owns the table chose (``DenseLUT.__call__`` or
+# ``MultiRangePWL.lookup``).  The modules record it only under tracing and
+# only for inputs that need no gradient, so it registers non-differentiable
+# like the ``vjp[...]`` wrappers.
+register_op(
+    "lookup",
+    forward=lambda a, fn: fn(a),
+    vjp_all=_non_differentiable("lookup"),
+)

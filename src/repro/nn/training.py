@@ -393,9 +393,7 @@ class Trainer:
 
             # Built after any resume restore so the first trace binds the
             # restored parameter/optimizer arrays, not the initial ones.
-            compiled_step = CompiledTrainStep(
-                self.model, optimizer, num_classes, schedule=schedule
-            )
+            compiled_step = CompiledTrainStep(self.model, optimizer, schedule=schedule)
         self.model.train()
         for epoch in range(start_epoch, config.epochs):
             for images, labels in self._batches(train_images, train_labels):

@@ -17,8 +17,7 @@ Table 2 of the paper gives the default sub-range setups reproduced here.
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import List, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -43,10 +42,6 @@ class SubRange:
             raise ValueError("sub-range scale must be positive, got %r" % (self.scale,))
         if not is_power_of_two(self.scale):
             raise ValueError("sub-range scale must be a power of two, got %r" % (self.scale,))
-
-    def contains(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=np.float64)
-        return (arr >= self.lower) & (arr < self.upper)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -75,52 +70,12 @@ class MultiRangeScaling:
         lows = [sr.lower for sr in self.sub_ranges]
         if lows != sorted(lows):
             raise ValueError("sub-ranges must be sorted by lower bound")
-
-    def classify(self, x) -> np.ndarray:
-        """Return the sub-range index per element (-1 = inside ``I_R``)."""
-        arr = np.asarray(x, dtype=np.float64)
-        out = np.full(arr.shape, -1, dtype=np.int64)
-        for i, sr in enumerate(self.sub_ranges):
-            out[sr.contains(arr)] = i
-        return out
-
-    def _sweep(self, x, with_scale: bool):
-        """The sub-range mask sweep, optionally also producing ``S'``.
-
-        Single implementation shared by :meth:`rescale_input` and
-        :meth:`rescale_input_with_scale`; ``input_scale`` is only allocated
-        when a caller needs the derivative factor.
-        """
-        arr = np.asarray(x, dtype=np.float64)
-        idx = self.classify(arr)
-        scaled = arr.copy()
-        factor = np.ones_like(arr)
-        input_scale = np.ones_like(arr) if with_scale else None
-        for i, sr in enumerate(self.sub_ranges):
-            mask = idx == i
-            scaled = np.where(mask, arr * sr.scale, scaled)
-            factor = np.where(mask, sr.scale ** self.rescale_power, factor)
-            if with_scale:
-                input_scale = np.where(mask, sr.scale, input_scale)
-        return scaled, factor, input_scale
-
-    def rescale_input(self, x) -> Tuple[np.ndarray, np.ndarray]:
-        """Map inputs into ``I_R`` and return ``(scaled_x, output_factor)``.
-
-        ``output_factor`` is the per-element multiplier to apply to the pwl
-        output (``S'^rescale_power``; 1.0 for in-range inputs).
-        """
-        scaled, factor, _ = self._sweep(x, with_scale=False)
-        return scaled, factor
-
-    def rescale_input_with_scale(self, x) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Like :meth:`rescale_input`, also returning the input scale ``S'``.
-
-        The fused lookup and the derivative path both need the per-element
-        input scale (``d/dx [factor * pwl(S' x)] = factor * slope * S'``),
-        so it is produced alongside ``scaled_x`` and ``output_factor``.
-        """
-        return self._sweep(x, with_scale=True)
+        for below, above in zip(self.sub_ranges, self.sub_ranges[1:]):
+            if below.upper > above.lower:
+                raise ValueError(
+                    "sub-ranges [%r, %r) and [%r, %r) overlap"
+                    % (below.lower, below.upper, above.lower, above.upper)
+                )
 
     def coverage_upper_bound(self) -> float:
         """Largest input covered (inf when the last sub-range is unbounded)."""
@@ -180,7 +135,6 @@ class MultiRangePWL:
     pwl: PiecewiseLinear
     scaling: MultiRangeScaling
     frac_bits: int = 5
-    total_bits: int = 8
 
     def __post_init__(self) -> None:
         self._fxp_pwl = PiecewiseLinear(
@@ -191,32 +145,28 @@ class MultiRangePWL:
         self._build_slot_tables()
 
     def _build_slot_tables(self) -> None:
-        """Precompute the dense sub-range classification tables.
+        """Precompute the sub-range classification tables.
 
         The sub-range edges ``[l_0, u_0, l_1, u_1, ...]`` split the real line
         into ``2n + 1`` slots; one ``searchsorted(side="right")`` maps every
         input to its slot, and per-slot gather tables give the input scale
-        and output correction factor directly — replacing one boolean
-        mask + ``np.where`` sweep per sub-range.  Odd slots are inside
+        and output correction factor directly.  Odd slots are inside
         sub-range ``(slot - 1) / 2``; even slots (gaps and ``I_R``) keep
-        scale/factor 1.  Requires non-decreasing edges (true for any
-        non-overlapping Table 2 setup); otherwise the generic mask loop is
-        used.
+        scale/factor 1.  The edges never decrease, since
+        :class:`MultiRangeScaling` rejects overlapping sub-ranges; a shared
+        edge ``u_i = l_{i+1}`` goes to sub-range ``i + 1``, as ``[l, u)``
+        says.  NaN sorts past every edge, into an even slot.
         """
         subs = self.scaling.sub_ranges
-        edges = np.array([e for sr in subs for e in (sr.lower, sr.upper)], dtype=np.float64)
-        if edges.size and np.any(np.diff(edges) < 0):
-            self._slot_edges = None
-            self._slot_scales = None
-            self._slot_factors = None
-            return
         power = self.scaling.rescale_power
         scales = np.ones(2 * len(subs) + 1, dtype=np.float64)
         factors = np.ones_like(scales)
         for i, sr in enumerate(subs):
             scales[2 * i + 1] = sr.scale
             factors[2 * i + 1] = sr.scale ** power
-        self._slot_edges = edges
+        self._slot_edges = np.array(
+            [e for sr in subs for e in (sr.lower, sr.upper)], dtype=np.float64
+        )
         self._slot_scales = scales
         self._slot_factors = factors
 
@@ -225,23 +175,14 @@ class MultiRangePWL:
         """The fixed-point pwl actually evaluated by the unit."""
         return self._fxp_pwl
 
-    def __call__(self, x) -> np.ndarray:
-        """Approximate the operator over the full wide input range."""
-        arr = np.asarray(x, dtype=np.float64)
-        scaled, factor = self.scaling.rescale_input(arr)
-        return factor * self._fxp_pwl(scaled)
-
     def lookup(self, x) -> np.ndarray:
-        """Forward-only fast path over the precomputed slot tables.
+        """Approximate the operator over the full wide input range.
 
-        Bit-identical to ``self(x)`` (pinned by the engine-parity tests) but
-        classifies with a single ``searchsorted`` instead of the per-sub-range
-        mask sweep — the inference/no-grad path of the dense engine.  Falls
-        back to the generic ``__call__`` when the slot tables are unavailable
-        (overlapping sub-ranges).
+        One ``searchsorted`` against the slot tables classifies every
+        input; the pwl then runs on ``x * S'`` and its output is corrected
+        by ``S'^rescale_power``.  ``self(x)`` is this method, and so is
+        the inference kernel of :class:`repro.nn.approx.PWLWideRange`.
         """
-        if self._slot_edges is None:
-            return self(x)
         arr = np.asarray(x, dtype=np.float64)
         slot = self._slot_edges.searchsorted(arr, side="right")
         scaled = arr * self._slot_scales[slot]
@@ -250,27 +191,22 @@ class MultiRangePWL:
             self._fxp_pwl.slopes[idx] * scaled + self._fxp_pwl.intercepts[idx]
         )
 
+    __call__ = lookup
+
     def lookup_with_slope(self, x) -> Tuple[np.ndarray, np.ndarray]:
         """Output and exact ``d/dx`` from a single classify/rescale pass.
 
-        The separate forward/backward path classifies the input three times
-        (rescale for the output, rescale plus classify again for the slope);
-        here the sub-range classification runs once — a single
-        ``searchsorted`` against the precomputed slot tables — and feeds the
-        output, the output correction factor and the input scale together.
-        The returned values are bit-identical to ``self(x)`` and to
-        ``factor * slopes[idx] * input_scale`` from the separate path, since
-        every factor is gathered from the same scalar values and combined in
-        the same order (in-range inputs multiply by exactly 1.0).
+        The slot classification runs once and feeds the output, the output
+        correction factor and the input scale together.  The output is
+        bit-identical to :meth:`lookup`, and the slope is
+        ``factor * slopes[idx] * S'`` (in-range inputs multiply by exactly
+        1.0).
         """
         arr = np.asarray(x, dtype=np.float64)
-        if self._slot_edges is not None:
-            slot = self._slot_edges.searchsorted(arr, side="right")
-            input_scale = self._slot_scales[slot]
-            factor = self._slot_factors[slot]
-            scaled = arr * input_scale
-        else:
-            scaled, factor, input_scale = self.scaling.rescale_input_with_scale(arr)
+        slot = self._slot_edges.searchsorted(arr, side="right")
+        input_scale = self._slot_scales[slot]
+        factor = self._slot_factors[slot]
+        scaled = arr * input_scale
         idx = self._fxp_pwl.segment_index(scaled)
         slopes = self._fxp_pwl.slopes[idx]
         outputs = factor * (slopes * scaled + self._fxp_pwl.intercepts[idx])

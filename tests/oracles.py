@@ -12,9 +12,12 @@ benchmarks (which add this directory to ``sys.path``):
 * :class:`ReferencePWLActivation` — the per-pass Fig. 1b pipeline: a
   :class:`~repro.core.lut.QuantizedLUT` at the quantizer's current scale,
   with the selected segment's stored slope as the gradient;
-* :class:`ReferencePWLWideRange` — the multi-range mask sweep for the
-  output and ``factor * slope * S'`` from a second classification for the
-  gradient;
+* :func:`reference_sub_range_index` / :func:`reference_rescale` /
+  :func:`reference_multi_range` — the multi-range mask sweep, one boolean
+  mask and ``np.where`` per sub-range, that ``MultiRangePWL``'s slot
+  tables replaced;
+* :class:`ReferencePWLWideRange` — that mask sweep for the output and
+  ``factor * slope * S'`` from a second classification for the gradient;
 * :class:`ReferencePWLSuite` — a :class:`~repro.nn.approx.PWLSuite` that
   builds the two reference modules, so whole models run on the oracle;
 * :func:`reference_pipeline_mse` — the Fig. 1b pipeline MSE of one pwl at
@@ -113,6 +116,40 @@ class ReferencePWLActivation(PWLActivation):
         )
 
 
+def reference_sub_range_index(scaling, x) -> np.ndarray:
+    """The sub-range ``[lower, upper)`` holding each element of ``x``, by
+    one mask per sub-range (-1 for none: ``I_R``, the gaps and NaN)."""
+    arr = np.asarray(x, dtype=np.float64)
+    out = np.full(arr.shape, -1, dtype=np.int64)
+    for i, sub in enumerate(scaling.sub_ranges):
+        out[(arr >= sub.lower) & (arr < sub.upper)] = i
+    return out
+
+
+def reference_rescale(scaling, x):
+    """``(scaled_x, output_factor, input_scale)`` of a
+    :class:`~repro.scaling.MultiRangeScaling` by the mask sweep: inputs in
+    sub-range ``i`` become ``x * S'_i`` with factor ``S'_i^rescale_power``,
+    all others stay as they are with factor and scale 1."""
+    arr = np.asarray(x, dtype=np.float64)
+    idx = reference_sub_range_index(scaling, arr)
+    scaled = arr.copy()
+    factor = np.ones_like(arr)
+    input_scale = np.ones_like(arr)
+    for i, sub in enumerate(scaling.sub_ranges):
+        mask = idx == i
+        scaled = np.where(mask, arr * sub.scale, scaled)
+        factor = np.where(mask, sub.scale ** scaling.rescale_power, factor)
+        input_scale = np.where(mask, sub.scale, input_scale)
+    return scaled, factor, input_scale
+
+
+def reference_multi_range(wrapped, x) -> np.ndarray:
+    """A :class:`~repro.scaling.MultiRangePWL`'s output by the mask sweep."""
+    scaled, factor, _ = reference_rescale(wrapped.scaling, x)
+    return factor * wrapped.fxp_pwl(scaled)
+
+
 class ReferencePWLWideRange(PWLWideRange):
     """:class:`PWLWideRange` through the multi-range mask sweep."""
 
@@ -124,10 +161,13 @@ class ReferencePWLWideRange(PWLWideRange):
             # d/dx [ factor * pwl(scale * x) ] = factor * slope * scale; the
             # input scale equals factor**(1/rescale_power) only for DIV, so
             # it comes explicitly from the classification.
-            scaled, factor, input_scale = wrapped.scaling.rescale_input_with_scale(data)
+            scaled, factor, input_scale = reference_rescale(wrapped.scaling, data)
             return factor * fxp.slopes[fxp.segment_index(scaled)] * input_scale
 
-        return x.apply_elementwise(wrapped, slope_fn, name="pwl_wide[%s]" % self.name)
+        return x.apply_elementwise(
+            lambda data: reference_multi_range(wrapped, data), slope_fn,
+            name="pwl_wide[%s]" % self.name,
+        )
 
 
 def _as_reference(module):

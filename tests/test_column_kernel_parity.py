@@ -288,7 +288,7 @@ def test_finetune_train_plan_runs_the_dwconv_taps_by_column():
     model = MiniEfficientViT(ModelConfig(), suite=_pwl_suite(("hswish", "div")))
     prepare_quantized_model(model)
     model.train()
-    step = CompiledTrainStep(model, Adam(model.parameters(), lr=2e-3), 5)
+    step = CompiledTrainStep(model, Adam(model.parameters(), lr=2e-3))
     rng = np.random.default_rng(0)
     images = rng.normal(size=(8, 32, 32, 3))
     labels = rng.integers(0, 5, size=(8, 32, 32))

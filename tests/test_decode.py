@@ -24,7 +24,14 @@ import pytest
 from repro.core import engine_config
 from repro.core.pwl import PiecewiseLinear, fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
-from repro.graph import DEFAULT_PASSES, CompiledGraph, optimize, trace
+from repro.graph import (
+    CompiledGraph,
+    cse,
+    dead_code_elimination,
+    fold_constants,
+    optimize,
+    trace,
+)
 from repro.graph.executor import CompiledDecodeStep
 from repro.nn import functional as F
 from repro.nn.approx import FloatSuite, PWLSuite
@@ -281,10 +288,8 @@ class TestCompiledDecodeStep:
         arrays = list(step_inputs(model, [1], [0], kv.ensure(4)))
         arrays.extend(kv.arrays())
         captured = trace(model.step, *arrays)
-        without_layout = optimize(
-            captured, tuple(p for p in DEFAULT_PASSES if p != "layout")
-        )
-        planned = optimize(captured, DEFAULT_PASSES)
+        without_layout = dead_code_elimination(cse(fold_constants(captured)))
+        planned = optimize(captured)
         assert len(_relayout_fixable(without_layout)) > 10
         assert _relayout_fixable(planned) == []
         assert len(planned.nodes) == len(without_layout.nodes)
@@ -292,6 +297,20 @@ class TestCompiledDecodeStep:
         for got, want in zip(CompiledGraph(planned).run(*arrays),
                              [expected[0], *expected[1]]):
             assert got.tobytes() == want.tobytes()
+
+    def test_step_trace_records_table_lookups(self):
+        """Each pwl of the inference step is one ``lookup`` node, bound to
+        the output-only kernel of the table its module owns."""
+        model = make_model("dense")
+        model.calibrate([1, 5, 3])
+        kv = model.new_cache(batch=1)
+        arrays = list(step_inputs(model, [1], [0], kv.ensure(4)))
+        arrays.extend(kv.arrays())
+        planned = optimize(trace(model.step, *arrays))
+        lookups = [node for node in planned.nodes if node.op == "lookup"]
+        assert lookups
+        assert {node.params["fn"].__name__ for node in lookups} == {"__call__", "lookup"}
+        assert "elementwise_fused" not in [node.op for node in planned.nodes]
 
     def test_requires_a_step_method(self):
         from repro.nn.layers import Linear

@@ -23,6 +23,8 @@ from repro.nn.tensor import Tensor
 from repro.quant.quantizer import QuantSpec
 from repro.scaling.multi_range import MultiRangePWL, default_multi_range
 
+from oracles import reference_multi_range, reference_rescale
+
 SCALES = (2.0 ** -6, 2.0 ** -3, 2.0 ** 0, 2.0 ** 2)
 
 
@@ -244,12 +246,9 @@ class TestMultiRangeFusedLookup:
         outputs, slopes = wrapped.lookup_with_slope(x)
         np.testing.assert_array_equal(outputs, wrapped(x))
 
-        scaled, factor = wrapped.scaling.rescale_input(x)
+        scaled, factor, input_scale = reference_rescale(wrapped.scaling, x)
         idx = wrapped.fxp_pwl.segment_index(scaled)
-        input_scale = np.ones_like(x)
-        classified = wrapped.scaling.classify(x)
-        for i, sub in enumerate(wrapped.scaling.sub_ranges):
-            input_scale = np.where(classified == i, sub.scale, input_scale)
+        np.testing.assert_array_equal(outputs, reference_multi_range(wrapped, x))
         np.testing.assert_array_equal(
             slopes, factor * wrapped.fxp_pwl.slopes[idx] * input_scale
         )
@@ -259,15 +258,5 @@ class TestMultiRangeFusedLookup:
         pwl = _pwl_for(operator)
         wrapped = MultiRangePWL(pwl=pwl, scaling=default_multi_range(operator))
         x = np.random.default_rng(5).uniform(0.0, 3000.0, size=511)
-        np.testing.assert_array_equal(wrapped.lookup(x), wrapped(x))
+        np.testing.assert_array_equal(wrapped.lookup(x), reference_multi_range(wrapped, x))
 
-    def test_slot_tables_match_generic_mask_loop(self):
-        pwl = _pwl_for("div")
-        wrapped = MultiRangePWL(pwl=pwl, scaling=default_multi_range("div"))
-        assert wrapped._slot_edges is not None
-        x = np.random.default_rng(11).uniform(0.0, 3000.0, size=257)
-        fast = wrapped.lookup_with_slope(x)
-        wrapped._slot_edges = None  # force the generic fallback
-        slow = wrapped.lookup_with_slope(x)
-        np.testing.assert_array_equal(fast[0], slow[0])
-        np.testing.assert_array_equal(fast[1], slow[1])

@@ -3,8 +3,8 @@
 The load-bearing contract: compiled inference is **bit-identical** to the
 eager forward for every model family, on the dense pwl tables and on the
 reference pwl pipeline of ``oracles.py`` alike, across the
-capture (tracer), optimize (DCE / constant folding / dense-LUT fusion /
-buffer plan) and execute (CompiledGraph / CompiledModel) layers.
+capture (tracer), optimize (constant folding / CSE / layout / DCE / buffer
+plan) and execute (CompiledGraph / CompiledModel) layers.
 """
 
 import numpy as np
@@ -15,7 +15,6 @@ from repro.core.lut import DenseLUT
 from repro.core.pwl import PiecewiseLinear, fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
 from repro.graph import (
-    DEFAULT_PASSES,
     CompiledGraph,
     CompiledModel,
     CompiledTrainStep,
@@ -24,7 +23,6 @@ from repro.graph import (
     Tracer,
     dead_code_elimination,
     fold_constants,
-    fuse_dense_lookups,
     optimize,
     plan_memory,
     trace,
@@ -34,7 +32,7 @@ from repro.nn.approx import FloatSuite, PWLActivation, PWLSuite, PWLWideRange
 from repro.nn.models import MiniEfficientViT, MiniSegformer, ModelConfig
 from repro.nn.module import Module, Parameter
 from repro.nn.optim import SGD, Adam, CosineSchedule
-from repro.nn.tensor import Tensor, no_grad, tracing
+from repro.nn.tensor import Tensor, apply_op, no_grad, tracing
 from repro.nn.training import Trainer, TrainingConfig, prepare_quantized_model
 
 from oracles import ReferencePWLActivation, ReferencePWLSuite
@@ -174,38 +172,75 @@ class TestPasses:
             expected = model(Tensor(x)).data
         np.testing.assert_array_equal(CompiledGraph(folded).run(x)[0], expected)
 
-    def test_fusion_rewrites_dense_lut_dispatch(self):
+    def test_legacy_engine_is_not_fused(self):
+        """The reference module's trace holds its own element-wise kernel,
+        not a ``lookup`` of a deployed table."""
+        module = ReferencePWLActivation("gelu", build_approximation("gelu"))
+        x = np.random.default_rng(6).normal(size=(3, 3))
+        with no_grad():
+            module(Tensor(x))
+        ops = [node.op for node in optimize(trace(module, x)).nodes]
+        assert "elementwise" in ops and "lookup" not in ops
+
+
+class TestLookupNodes:
+    """A pwl module records its table's output-only kernel as a ``lookup``
+    node when traced for inference, and its fused training form when the
+    input needs a gradient."""
+
+    def test_activation_records_its_dense_table(self):
         module = PWLActivation("gelu", build_approximation("gelu"))
         x = np.random.default_rng(4).normal(size=(5, 7))
         with no_grad():
             eager = module(Tensor(x)).data
         graph = trace(module, x)
-        assert any(node.op == "elementwise_fused" for node in graph.nodes)
-        fused = fuse_dense_lookups(graph)
-        kinds = [node.op for node in fused.nodes]
-        assert "dense_lookup" in kinds and "elementwise_fused" not in kinds
-        (node,) = [n for n in fused.nodes if n.op == "dense_lookup"]
-        assert isinstance(node.params["table"], DenseLUT)
-        assert node.label == "pwl[gelu]"
-        np.testing.assert_array_equal(CompiledGraph(fused).run(x)[0], eager)
+        (node,) = [n for n in graph.nodes if n.op == "lookup"]
+        table = node.params["fn"].__self__
+        assert isinstance(table, DenseLUT) and table is module._dense()
+        assert node.params["fn"].__name__ == "__call__"
+        assert "elementwise_fused" not in [n.op for n in graph.nodes]
+        np.testing.assert_array_equal(CompiledGraph(optimize(graph)).run(x)[0], eager)
 
-    def test_fusion_rewrites_multirange_dispatch(self):
+    def test_wide_range_records_its_slot_lookup(self):
         module = PWLWideRange("rsqrt", build_approximation("rsqrt"))
         x = np.abs(np.random.default_rng(5).normal(size=(4, 4))) * 200 + 0.5
         with no_grad():
             eager = module(Tensor(x)).data
-        fused = fuse_dense_lookups(trace(module, x))
-        assert any(node.op == "multirange_lookup" for node in fused.nodes)
-        np.testing.assert_array_equal(CompiledGraph(fused).run(x)[0], eager)
+        graph = trace(module, x)
+        (node,) = [n for n in graph.nodes if n.op == "lookup"]
+        assert node.params["fn"] == module.wrapped.lookup
+        np.testing.assert_array_equal(CompiledGraph(optimize(graph)).run(x)[0], eager)
 
-    def test_legacy_engine_is_not_fused(self):
-        module = ReferencePWLActivation("gelu", build_approximation("gelu"))
-        x = np.random.default_rng(6).normal(size=(3, 3))
+    @pytest.mark.parametrize("model_cls", [MiniSegformer, MiniEfficientViT])
+    def test_inference_trace_holds_lookups_only(self, model_cls, images):
+        operators = ["gelu", "hswish", "exp", "div", "rsqrt"]
+        model = build_pwl_model(model_cls, operators, "dense")
         with no_grad():
-            module(Tensor(x))
-        fused = fuse_dense_lookups(trace(module, x))
-        assert all(node.op not in ("dense_lookup", "multirange_lookup")
-                   for node in fused.nodes)
+            model(Tensor(images))
+        ops = [node.op for node in optimize(trace(model, images)).nodes]
+        assert ops.count("lookup") > 0
+        assert "elementwise_fused" not in ops
+
+    def test_train_step_keeps_the_fused_form(self):
+        """A compiled train step replays the output-and-slope kernel, and
+        its slope feeds the traced backward (the step keeps it)."""
+        model = build_pwl_model(MiniSegformer, ["gelu", "exp", "div", "rsqrt"], "dense")
+        model.train()
+        step = CompiledTrainStep(model, SGD(model.parameters(), lr=0.05))
+        images = np.random.default_rng(8).normal(size=(2, 16, 16, 3))
+        step.step(images, np.zeros((2, 16, 16), dtype=np.int64))
+        (plan,) = step._cache.values()
+        fused = [s for s in plan.compiled._steps if s.op == "elementwise_fused"]
+        assert fused and "lookup" not in plan.compiled.ops
+        assert all(s.saved >= 0 for s in fused)
+
+    def test_lookup_has_no_gradient(self):
+        module = PWLActivation("gelu", build_approximation("gelu"))
+        x = Tensor(np.linspace(-2.0, 2.0, 6), requires_grad=True)
+        module(x)  # initialises the quantizer
+        y = apply_op("lookup", x, fn=module._dense().__call__)
+        with pytest.raises(RuntimeError, match="no gradients"):
+            y.sum().backward()
 
 
 class TestMemoryPlan:
@@ -428,7 +463,7 @@ class TestBackwardCapture:
             y.backward()
         tracer.mark_output_vid(tracer.grad_vid(x))
         tracer.graph.validate()
-        compiled = CompiledGraph(optimize(tracer.graph, DEFAULT_PASSES))
+        compiled = CompiledGraph(optimize(tracer.graph))
         other = np.random.default_rng(5).normal(size=(2, 3))
         x2 = Tensor(other, requires_grad=True)
         ((x2 * 2.0).tanh() + x2).sum().backward()
@@ -444,7 +479,7 @@ class TestBackwardCapture:
             (x + bias).sum().backward()
         assert "unbroadcast" in [node.op for node in tracer.graph.nodes]
         tracer.mark_output_vid(tracer.grad_vid(bias))
-        compiled = CompiledGraph(optimize(tracer.graph, DEFAULT_PASSES))
+        compiled = CompiledGraph(optimize(tracer.graph))
         other = np.random.default_rng(6).normal(size=(4, 3))
         x2 = Tensor(other, requires_grad=True)
         bias2 = Tensor(np.zeros(3), requires_grad=True)
@@ -522,7 +557,7 @@ class TestCompiledTrainStep:
         optimizer = make_optimizer(model.parameters())
         schedule = CosineSchedule(optimizer, total_steps=5)
         model.train()
-        step = CompiledTrainStep(model, optimizer, 3, schedule=schedule)
+        step = CompiledTrainStep(model, optimizer, schedule=schedule)
         losses = [step.step(images, labels) for images, labels in batches]
 
         assert losses == eager_losses
@@ -539,7 +574,7 @@ class TestCompiledTrainStep:
     def test_shape_specialisation_per_batch_signature(self):
         model = _TinyTrainNet()
         model.train()
-        step = CompiledTrainStep(model, SGD(model.parameters(), lr=0.05), 3)
+        step = CompiledTrainStep(model, SGD(model.parameters(), lr=0.05))
         full = _tiny_batch(1, batch=4)
         short = _tiny_batch(2, batch=2)
         step.step(*full)
@@ -554,7 +589,7 @@ class TestCompiledTrainStep:
     def test_external_rebind_invalidates_cache(self):
         model = _TinyTrainNet()
         model.train()
-        step = CompiledTrainStep(model, SGD(model.parameters(), lr=0.05), 3)
+        step = CompiledTrainStep(model, SGD(model.parameters(), lr=0.05))
         x, labels = _tiny_batch()
         step.step(x, labels)
         step.step(x, labels)
@@ -572,9 +607,7 @@ class TestCompiledTrainStep:
         """Working-set regression pin for the joint graph's buffer plan."""
         model = _TinyTrainNet()
         model.train()
-        step = CompiledTrainStep(
-            model, SGD(model.parameters(), lr=0.05, momentum=0.9), 3
-        )
+        step = CompiledTrainStep(model, SGD(model.parameters(), lr=0.05, momentum=0.9))
         x, labels = _tiny_batch()
         step.step(x, labels)
         step.step(x, labels)
@@ -593,7 +626,7 @@ class TestCompiledTrainStep:
     def test_eval_mode_rejected(self):
         model = _TinyTrainNet()
         model.eval()
-        step = CompiledTrainStep(model, SGD(model.parameters(), lr=0.05), 3)
+        step = CompiledTrainStep(model, SGD(model.parameters(), lr=0.05))
         with pytest.raises(RuntimeError, match="train"):
             step.step(*_tiny_batch())
 
@@ -610,7 +643,7 @@ class TestCompiledTrainStep:
 
         model = WithDropout()
         with pytest.raises(ValueError, match="Dropout"):
-            CompiledTrainStep(model, SGD(model.parameters(), lr=0.05), 3)
+            CompiledTrainStep(model, SGD(model.parameters(), lr=0.05))
 
     def test_optimizer_without_trace_step_rejected(self):
         class Plain:
@@ -619,7 +652,7 @@ class TestCompiledTrainStep:
 
         model = _TinyTrainNet()
         with pytest.raises(TypeError, match="trace_step"):
-            CompiledTrainStep(model, Plain(model.parameters()), 3)
+            CompiledTrainStep(model, Plain(model.parameters()))
 
 
 class TestTrainerFitCompiled:

@@ -8,7 +8,7 @@ nodes and 0-d constants.  Constant arrays of shape ``(1,)``, ``(n,)`` and
 ``(1, ..., 1, n)``, some shared between consumers of different shapes,
 meet the binary ops on either side, and ``clip`` bounds may be Python
 ints, so :func:`~repro.graph.passes.layout_operands` relays operands.
-Each program is traced once and replayed under ``DEFAULT_PASSES``:
+Each program is traced once and replayed under ``optimize``'s passes:
 
 * forward outputs equal the eager forward on fresh inputs of the traced
   shapes in bytes (NaN lanes included), shape, dtype and type;
@@ -38,14 +38,18 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.graph import (
-    DEFAULT_PASSES,
     CompiledGraph,
     Tracer,
     optimize,
     trace,
 )
 from repro.graph.ir import Graph, Node
-from repro.graph.passes import cse, layout_operands
+from repro.graph.passes import (
+    cse,
+    dead_code_elimination,
+    fold_constants,
+    layout_operands,
+)
 from repro.nn import functional as F
 from repro.nn.tensor import Tensor, no_grad, tracing
 
@@ -410,22 +414,20 @@ def test_shared_constant_replays_in_every_layout(program, seed):
 
 
 def check_forward_replay(program: Program, seed: int) -> None:
-    """Trace on one draw of inputs, replay on another under both pass lists:
+    """Trace on one draw of inputs, replay the optimized plan on another:
     outputs equal eager's, and the replay holds exactly the plan's live set."""
     rng = np.random.default_rng(seed)
     with np.errstate(all="ignore"):
         graph = trace(program, *draw_inputs(rng, program.shapes))
         arrays = draw_inputs(rng, program.shapes)
         expected = eager_forward(program, arrays)
-        optimized = optimize(graph, DEFAULT_PASSES)
-        without_cse = optimize(
-            graph, tuple(p for p in DEFAULT_PASSES if p != "cse")
-        )
+        optimized = optimize(graph)
+        without_cse = dead_code_elimination(layout_operands(fold_constants(graph)))
         if len(optimized.nodes) < len(without_cse.nodes):
             event("cse merged nodes")
         if len(optimized.constants) < len(without_cse.constants):
             event("cse merged constants")
-        relaid = _relaid_uses(optimize(graph, ("fold", "cse")))
+        relaid = _relaid_uses(cse(fold_constants(graph)))
         if relaid:
             event("layout relaid %s" % ("several uses" if relaid > 1 else "one use"))
         compiled = CompiledGraph(optimized)
@@ -453,7 +455,7 @@ def test_captured_vjps_match_eager_grads(program, seed):
             grad for grad, use in zip(eager_grads(program, arrays, weights), used)
             if use
         ]
-        got = CompiledGraph(optimize(graph, DEFAULT_PASSES)).run(*arrays)
+        got = CompiledGraph(optimize(graph)).run(*arrays)
         assert len(got) == len(expected)
         for actual, want in zip(got, expected):
             assert_bitwise_equal(actual, want)

@@ -16,14 +16,19 @@ from repro.scaling import (
     default_multi_range,
 )
 
+from oracles import reference_rescale, reference_sub_range_index
+
 
 class TestSubRange:
     def test_contains(self):
-        sr = SubRange(4.0, 32.0, 2.0 ** -3)
-        assert sr.contains(4.0)
-        assert sr.contains(31.9)
-        assert not sr.contains(32.0)
-        assert not sr.contains(3.9)
+        """A sub-range is half-open, ``[lower, upper)``, in the mask-sweep
+        oracle the slot tables are held to."""
+        scaling = MultiRangeScaling(
+            operator="div", breakpoint_interval=(0.5, 4.0),
+            sub_ranges=(SubRange(4.0, 32.0, 2.0 ** -3),), rescale_power=1.0,
+        )
+        idx = reference_sub_range_index(scaling, np.array([4.0, 31.9, 32.0, 3.9]))
+        np.testing.assert_array_equal(idx, [0, 0, -1, -1])
 
     def test_invalid_bounds(self):
         with pytest.raises(ValueError):
@@ -71,7 +76,7 @@ class TestTable2Defaults:
             for sr in scaling.sub_ranges:
                 upper = sr.upper if np.isfinite(sr.upper) else sr.lower * 4
                 samples = np.linspace(sr.lower, upper * 0.999, 64)
-                scaled, _ = scaling.rescale_input(samples)
+                scaled, _, _ = reference_rescale(scaling, samples)
                 assert np.all(scaled >= lo * 0.999)
                 # The scaled values should not exceed the interval end except
                 # for the unbounded tail sub-range.
@@ -80,24 +85,27 @@ class TestTable2Defaults:
 
 
 class TestMultiRangeScaling:
+    # The Table 2 setups' own arithmetic, through the mask-sweep oracle
+    # that MultiRangePWL's slot tables are held to (test_multi_range_parity).
+
     def test_classification(self):
-        idx = DIV_MULTI_RANGE.classify(np.array([1.0, 5.0, 100.0, 300.0]))
+        idx = reference_sub_range_index(DIV_MULTI_RANGE, np.array([1.0, 5.0, 100.0, 300.0]))
         np.testing.assert_array_equal(idx, [-1, 0, 1, 2])
 
     def test_rescale_identity_inside_interval(self):
-        scaled, factor = DIV_MULTI_RANGE.rescale_input(np.array([1.0, 2.0]))
+        scaled, factor, _ = reference_rescale(DIV_MULTI_RANGE, np.array([1.0, 2.0]))
         np.testing.assert_allclose(scaled, [1.0, 2.0])
         np.testing.assert_allclose(factor, [1.0, 1.0])
 
     def test_div_identity_holds(self):
         """1/x == S' * (1/(S'x)) exactly, so rescaling preserves the math."""
         x = np.array([5.0, 40.0, 500.0])
-        scaled, factor = DIV_MULTI_RANGE.rescale_input(x)
+        scaled, factor, _ = reference_rescale(DIV_MULTI_RANGE, x)
         np.testing.assert_allclose(factor * (1.0 / scaled), 1.0 / x)
 
     def test_rsqrt_identity_holds(self):
         x = np.array([10.0, 100.0, 2000.0])
-        scaled, factor = RSQRT_MULTI_RANGE.rescale_input(x)
+        scaled, factor, _ = reference_rescale(RSQRT_MULTI_RANGE, x)
         np.testing.assert_allclose(factor * (1.0 / np.sqrt(scaled)), 1.0 / np.sqrt(x))
 
     def test_unsorted_subranges_rejected(self):
@@ -109,6 +117,16 @@ class TestMultiRangeScaling:
                     SubRange(32.0, 256.0, 2.0 ** -6),
                     SubRange(4.0, 32.0, 2.0 ** -3),
                 ),
+                rescale_power=1.0,
+            )
+
+    @pytest.mark.parametrize("second", [(16.0, 64.0), (4.0, 8.0), (8.0, 32.0)])
+    def test_overlapping_subranges_rejected(self, second):
+        with pytest.raises(ValueError, match="overlap"):
+            MultiRangeScaling(
+                operator="div",
+                breakpoint_interval=(0.5, 4.0),
+                sub_ranges=(SubRange(4.0, 32.0, 2.0 ** -3), SubRange(*second, 2.0 ** -6)),
                 rescale_power=1.0,
             )
 

@@ -15,7 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import DEFAULT_PASSES, CompiledGraph, Tracer, optimize
+from repro.graph import CompiledGraph, Tracer, optimize
 from repro.nn import ops
 from repro.nn.module import Parameter
 from repro.nn.optim import SGD, Adam
@@ -148,7 +148,7 @@ def test_traced_update_replays_the_per_parameter_loop(kind, param_shapes,
         feeds, updates, advance = optimizer.trace_step(tracer, param_vids)
     for vid, _apply in updates:
         tracer.mark_output_vid(vid)
-    compiled = CompiledGraph(optimize(tracer.graph, DEFAULT_PASSES))
+    compiled = CompiledGraph(optimize(tracer.graph))
     oracle_step()
     assert_same_state(optimizer, reference)
     # Later steps replay the plan and rebind the flat outputs.
