@@ -61,6 +61,17 @@ EXACT_KEYS = (
     ("segformer_predict", "predictions_sha256"),
     ("efficientvit_predict", "identical_results"),
     ("efficientvit_predict", "predictions_sha256"),
+    # ... and the structure of the plans they replay: a change to tracing
+    # or to a rewrite pass moves these counts, so the recorded baseline
+    # keeps describing the plans it pins.
+    ("segformer_predict", "traced_nodes"),
+    ("segformer_predict", "optimized_nodes"),
+    ("segformer_predict", "fused_lookups"),
+    ("segformer_predict", "buffer_slots"),
+    ("efficientvit_predict", "traced_nodes"),
+    ("efficientvit_predict", "optimized_nodes"),
+    ("efficientvit_predict", "fused_lookups"),
+    ("efficientvit_predict", "buffer_slots"),
     ("serving", "identical_results"),
     # Serving benchmark (bench_serving.py): bit-parity at low rate and
     # under injected-fault eager degradation, and the admission queue

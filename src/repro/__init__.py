@@ -8,8 +8,8 @@ The package is organised as:
 * :mod:`repro.core` — piece-wise linear approximation, LUT storage, the
   genetic search (Algorithm 1), the Rounding Mutation (Algorithm 2) and the
   quantization-aware evaluation protocol.
-* :mod:`repro.quant` — integer-only quantization utilities (uniform
-  quantizers, power-of-two scales, dyadic numbers, fixed-point).
+* :mod:`repro.quant` — integer-only quantization utilities (the uniform
+  quantizer, power-of-two scales, fixed-point codes and the shifter).
 * :mod:`repro.scaling` — multi-range input scaling for DIV/RSQRT (Table 2).
 * :mod:`repro.baselines` — NN-LUT, uniform/Chebyshev pwl and I-BERT
   polynomial baselines.
@@ -55,7 +55,7 @@ from repro.core import (
     DEFAULT_CONFIGS,
 )
 from repro.functions import get_function, list_functions, NonLinearFunction
-from repro.quant import UniformQuantizer, QuantSpec
+from repro.quant import QuantSpec
 from repro.scaling import MultiRangePWL, default_multi_range
 from repro.baselines import NNLUT
 from repro.hardware import Precision, estimate_pwl_unit, table6_sweep, generate_pwl_verilog
@@ -82,7 +82,6 @@ __all__ = [
     "get_function",
     "list_functions",
     "NonLinearFunction",
-    "UniformQuantizer",
     "QuantSpec",
     "MultiRangePWL",
     "default_multi_range",

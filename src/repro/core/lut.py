@@ -27,14 +27,15 @@ from __future__ import annotations
 import collections
 import dataclasses
 import functools
+import math
 from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.pwl import PiecewiseLinear, PiecewiseLinearBatch
-from repro.quant.fxp import fxp_round
-from repro.quant.power_of_two import is_power_of_two, power_of_two_exponent
-from repro.quant.quantizer import QuantSpec, clip_ufunc, quant_bounds
+from repro.quant.fxp import shift_codes, to_fixed_point
+from repro.quant.power_of_two import is_power_of_two
+from repro.quant.quantizer import QuantSpec, clip_ufunc, quantize
 
 
 @dataclasses.dataclass(frozen=True)
@@ -90,7 +91,16 @@ class LUT:
 
 @dataclasses.dataclass(frozen=True)
 class _Fig1bCoefficients:
-    """The stored and run-time coefficients of the Fig. 1b pipeline.
+    """The Fig. 1b datapath of a pwl at one power-of-two scale ``S = 2^e``.
+
+    The stored state is integer, as in the hardware: int64 codes of the
+    quantized breakpoints, of the FXP slopes and intercepts (``lambda =
+    frac_bits`` fractional bits), and of the run-time intercepts the shifter
+    makes from them, plus the declared port widths.  The float arrays the
+    lookups run on (:attr:`quantized_breakpoints`, :attr:`stored_slopes`,
+    :attr:`stored_intercepts`, :attr:`shifted_intercepts`) are exact
+    ``code * 2^-lambda`` views of those codes, so the float kernels and the
+    emitted RTL compute the same numbers.
 
     Shared by :class:`QuantizedLUT` (one pwl) and :class:`QuantizedLUTBatch`
     (a pwl population): every derivation is element-wise, so the same code
@@ -107,12 +117,10 @@ class _Fig1bCoefficients:
     frac_bits: int = 5
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive, got %r" % (self.scale,))
         if not is_power_of_two(self.scale):
             raise ValueError(
-                "%s requires a power-of-two scale (got %r); "
-                "round it with round_scale_to_power_of_two()"
+                "%s requires an exact power-of-two scale 2.0 ** e (got %r); "
+                "snap it with nearest_power_of_two()"
                 % (type(self).__name__, self.scale)
             )
 
@@ -122,29 +130,64 @@ class _Fig1bCoefficients:
 
     @property
     def shift(self) -> int:
-        """Right-shift amount implementing the division by ``S``."""
-        return power_of_two_exponent(self.scale)
+        """Shift amount ``e = log2(S)``: the shifter divides by ``2^e``."""
+        return math.frexp(self.scale)[1] - 1
+
+    @property
+    def coefficient_bits(self) -> int:
+        """Declared width of a stored slope or intercept word."""
+        return self.spec.bits + self.frac_bits
+
+    @property
+    def output_bits(self) -> int:
+        """Declared width of the shifted intercept, product and output."""
+        return 2 * self.spec.bits + self.frac_bits
+
+    @functools.cached_property
+    def breakpoint_codes(self) -> np.ndarray:
+        """Breakpoints quantized to the input integer grid (Eq. 3)."""
+        return quantize(
+            self.pwl.breakpoints, self.scale, self.spec.bits, self.spec.signed
+        ).astype(np.int64)
+
+    @functools.cached_property
+    def slope_codes(self) -> np.ndarray:
+        """FXP slope codes ``round(k_i 2^lambda)`` as stored in the LUT."""
+        return to_fixed_point(self.pwl.slopes, self.frac_bits)
+
+    @functools.cached_property
+    def intercept_codes(self) -> np.ndarray:
+        """FXP intercept codes as stored in the LUT (pre-shift)."""
+        return to_fixed_point(self.pwl.intercepts, self.frac_bits)
+
+    @functools.cached_property
+    def shifted_intercept_codes(self) -> np.ndarray:
+        """Run-time intercept codes ``b_i >> e`` produced by the shifter."""
+        return shift_codes(self.intercept_codes, self.shift)
 
     @functools.cached_property
     def quantized_breakpoints(self) -> np.ndarray:
-        """Breakpoints quantized to the input integer grid (Eq. 3)."""
-        qn, qp = quant_bounds(self.spec.bits, self.spec.signed)
-        return np.clip(np.round(self.pwl.breakpoints / self.scale), qn, qp)
+        """Float view of :attr:`breakpoint_codes` (the comparer operands)."""
+        return self.breakpoint_codes.astype(np.float64)
 
     @functools.cached_property
     def stored_slopes(self) -> np.ndarray:
-        """FXP slopes as stored in the LUT."""
-        return fxp_round(self.pwl.slopes, self.frac_bits)
+        """FXP slopes as real values."""
+        return self._fxp_view(self.slope_codes)
 
     @functools.cached_property
     def stored_intercepts(self) -> np.ndarray:
-        """FXP intercepts as stored in the LUT (pre-shift values)."""
-        return fxp_round(self.pwl.intercepts, self.frac_bits)
+        """FXP intercepts as real values (pre-shift)."""
+        return self._fxp_view(self.intercept_codes)
 
     @functools.cached_property
     def shifted_intercepts(self) -> np.ndarray:
-        """Run-time intercepts ``b_i >> log2(S)`` produced by the shifter."""
-        return fxp_round(self.stored_intercepts / self.scale, self.frac_bits)
+        """Run-time intercepts ``b_i >> e`` as real values."""
+        return self._fxp_view(self.shifted_intercept_codes)
+
+    def _fxp_view(self, codes: np.ndarray) -> np.ndarray:
+        """``codes * 2^-lambda``: exact, and never a signed zero."""
+        return codes * (1.0 / (1 << self.frac_bits))
 
     def lookup_integer(self, q) -> np.ndarray:  # pragma: no cover - interface
         raise NotImplementedError
@@ -170,9 +213,8 @@ class QuantizedLUT(_Fig1bCoefficients):
         Decimal bit-width ``lambda`` used for the stored slopes/intercepts
         and for the shifter output.
 
-    The derived arrays (:attr:`quantized_breakpoints`, :attr:`stored_slopes`,
-    :attr:`stored_intercepts`, :attr:`shifted_intercepts`) are cached
-    properties of the frozen dataclass.
+    The integer codes and their float views are cached properties of the
+    frozen dataclass.
     """
 
     def segment_index(self, q) -> np.ndarray:
@@ -181,12 +223,26 @@ class QuantizedLUT(_Fig1bCoefficients):
         return np.searchsorted(self.quantized_breakpoints, codes, side="right")
 
     def lookup_integer(self, q) -> np.ndarray:
-        """Integer-domain pwl output ``k_i * q + (b_i >> shift)``."""
-        # ``+ 0.0`` maps a rounded ``-0.0`` onto code 0: integer codes have
-        # no signed zero, and the dense table is built from code ``+0.0``.
-        codes = np.asarray(q, dtype=np.float64) + 0.0
+        """Integer-domain pwl output ``k_i * q + (b_i >> shift)``.
+
+        Runs on the float views; every term is exact, and a zero
+        intercept is ``+0.0``, so a ``-0.0`` code gives the same bits as
+        code 0.
+        """
+        codes = np.asarray(q, dtype=np.float64)
         idx = self.segment_index(codes)
         return self.stored_slopes[idx] * codes + self.shifted_intercepts[idx]
+
+    def lookup_fixed_point(self, q) -> np.ndarray:
+        """The unit's int64 output codes ``(k_i q + (b_i >> e)) 2^lambda``.
+
+        The same datapath on the integer codes: what the emitted RTL's
+        ``y_out`` holds for input code ``q`` (before wrapping to its
+        declared width), and ``lookup_integer(q) * 2^lambda`` exactly.
+        """
+        codes = np.asarray(q, dtype=np.int64)
+        idx = np.searchsorted(self.breakpoint_codes, codes, side="right")
+        return self.slope_codes[idx] * codes + self.shifted_intercept_codes[idx]
 
     def __call__(self, x) -> np.ndarray:
         """Quantize ``x``, run the integer pipeline, and dequantize.
@@ -194,8 +250,7 @@ class QuantizedLUT(_Fig1bCoefficients):
         This is the end-to-end behaviour of the Fig. 1b unit when fed a real
         value: the surrounding layer would normally supply ``q`` directly.
         """
-        qn, qp = quant_bounds(self.spec.bits, self.spec.signed)
-        q = np.clip(np.round(np.asarray(x, dtype=np.float64) / self.scale), qn, qp)
+        q = quantize(x, self.scale, self.spec.bits, self.spec.signed)
         return self.lookup_dequantized(q)
 
     def storage_bits(self) -> int:
@@ -226,8 +281,9 @@ class DenseLUT:
     once per code at build time and stored densely:
 
     * :attr:`outputs` — ``outputs[q - qmin]`` is the *dequantized* pipeline
-      output for code ``q``, bit-identical to
-      ``QuantizedLUT.lookup_dequantized(q)``.
+      output for code ``q``: the unit's integer output code
+      (``QuantizedLUT.lookup_fixed_point``) times ``S 2^-lambda``, which is
+      bit-identical to ``QuantizedLUT.lookup_dequantized(q)``.
     * :attr:`segment_slopes` — the FXP slope of the segment the comparer
       selects for code ``q``; this is the exact derivative of the deployed
       approximation, used by the fine-tuning backward pass.
@@ -246,6 +302,11 @@ class DenseLUT:
     segment_slopes: Optional[np.ndarray] = None
 
     def __post_init__(self) -> None:
+        if not is_power_of_two(self.scale):
+            raise ValueError(
+                "DenseLUT requires an exact power-of-two scale 2.0 ** e (got %r)"
+                % (self.scale,)
+            )
         if (self.outputs is None) != (self.segment_slopes is None):
             raise ValueError(
                 "outputs and segment_slopes must be supplied together "
@@ -255,10 +316,14 @@ class DenseLUT:
             reference = QuantizedLUT(
                 pwl=self.pwl, scale=self.scale, spec=self.spec, frac_bits=self.frac_bits
             )
-            codes = np.arange(self.spec.qmin, self.spec.qmax + 1, dtype=np.float64)
-            idx = reference.segment_index(codes)
-            object.__setattr__(self, "outputs", reference.lookup_dequantized(codes))
-            object.__setattr__(self, "segment_slopes", reference.stored_slopes[idx])
+            codes = np.arange(self.spec.qmin, self.spec.qmax + 1, dtype=np.int64)
+            outputs = np.ldexp(
+                reference.lookup_fixed_point(codes).astype(np.float64),
+                reference.shift - self.frac_bits,
+            )
+            slopes = reference.stored_slopes[reference.segment_index(codes)]
+            object.__setattr__(self, "outputs", outputs)
+            object.__setattr__(self, "segment_slopes", slopes)
         outputs = np.asarray(self.outputs, dtype=np.float64)
         slopes = np.asarray(self.segment_slopes, dtype=np.float64)
         if outputs.shape != (self.spec.num_levels,) or slopes.shape != outputs.shape:
@@ -313,9 +378,9 @@ class DenseLUT:
     def table_indices(self, x) -> np.ndarray:
         """Quantize real inputs to extended-table offsets (one pass)."""
         arr = np.asarray(x, dtype=np.float64)
-        # Divide as QuantizedLUT does: a deployed scale may be a few ulp off
-        # 2^e (the LSQ quantizer computes it as exp(e ln 2)), and then
-        # ``x * (1 / S)`` can round a code differently from ``x / S``.
+        # ``S`` is exactly 2^e, so ``x / S`` is exact up to the final
+        # rounding (the same bits as ``x * (1 / S)``) and equals the code
+        # ``quantize`` gives QuantizedLUT.
         q = clip_ufunc(np.rint(arr / self._scale), self._qmin, self._qmax)
         return self._offsets(q)
 
@@ -426,8 +491,7 @@ class QuantizedLUTBatch(_Fig1bCoefficients):
         selection are :meth:`PiecewiseLinearBatch.__call__` (its ascending
         grid fast path covers the evaluation protocol's codes).
         """
-        # ``+ 0.0`` maps a ``-0.0`` code onto code 0, as QuantizedLUT does.
-        codes = np.asarray(q, dtype=np.float64).ravel() + 0.0
+        codes = np.asarray(q, dtype=np.float64).ravel()
         integer_pwl = PiecewiseLinearBatch._trusted(
             self.quantized_breakpoints, self.stored_slopes, self.shifted_intercepts
         )

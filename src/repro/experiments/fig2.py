@@ -23,7 +23,7 @@ from repro.core.pwl import fit_pwl
 from repro.experiments.jobs import ApproximationJob, SweepEngine, default_engine
 from repro.experiments.methods import ApproximationBudget, METHODS
 from repro.experiments.protocol import scale_sweep_mse
-from repro.quant.quantizer import quant_bounds
+from repro.quant.quantizer import quantize
 
 
 @dataclasses.dataclass
@@ -166,10 +166,9 @@ def run_fig2b(
     if not 0 <= breakpoint_index < pwl.breakpoints.size:
         raise ValueError("breakpoint_index out of range")
     p = float(pwl.breakpoints[breakpoint_index])
-    qn, qp = quant_bounds(bits, signed=True)
 
     def deviation_and_error(scale: float) -> Tuple[float, float, float]:
-        p_quant = float(np.clip(np.round(p / scale), qn, qp) * scale)
+        p_quant = float(quantize(p, scale, bits) * scale)
         deviation = abs(p_quant - p)
         # Local error: MSE of the pwl with the single deviated breakpoint,
         # measured on a window around the original breakpoint.

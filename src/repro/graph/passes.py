@@ -7,7 +7,7 @@ mutates nothing of its input), and the buffer plan:
 * :func:`fold_constants` — evaluate every node whose inputs are all
   constants once at compile time.  This collapses the parameter-only
   subtrees the eager path re-runs per call: LSQ weight fake-quantization
-  chains, power-of-two scale snapping (``abs → log → round_ste → exp``),
+  chains, power-of-two scale snapping (``abs → log → round_ste → exp2``),
   lifted scalar arithmetic.
 * :func:`cse` — merge nodes that recompute a value already computed: same
   op, same inputs, equal params.  0-d constants merge by value first, so

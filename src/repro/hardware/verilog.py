@@ -13,12 +13,11 @@ primitives, so it can be pushed through any open or commercial flow.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
 from repro.core.lut import QuantizedLUT
-from repro.quant.fxp import to_fixed_point
 
 
 def _to_signed_literal(value: int, bits: int) -> str:
@@ -32,27 +31,25 @@ def _to_signed_literal(value: int, bits: int) -> str:
     return "%d'h%X" % (bits, value & ((1 << bits) - 1))
 
 
-def generate_pwl_verilog(
-    lut: QuantizedLUT,
-    module_name: str = "gqa_lut_pwl",
-    input_bits: Optional[int] = None,
-) -> str:
+def generate_pwl_verilog(lut: QuantizedLUT, module_name: str = "gqa_lut_pwl") -> str:
     """Emit a synthesizable Verilog module implementing ``lut``.
 
     The module computes ``y = k_i * q + (b_i >> shift)`` where segment ``i``
     is selected by comparing the input code ``q`` against the quantized
-    breakpoints.  Slopes and intercepts are stored as FXP integers with
-    ``lut.frac_bits`` fractional bits; the output carries the same FXP
-    format widened to ``2 * input_bits`` bits.
+    breakpoints.  The constants are ``lut``'s integer codes and the wire
+    widths its declared port widths: slopes and intercepts are
+    ``lut.coefficient_bits``-bit FXP words with ``lut.frac_bits``
+    fractional bits, and the output carries the same FXP format in
+    ``lut.output_bits`` bits.
     """
-    bits = input_bits or lut.spec.bits
+    bits = lut.spec.bits
     frac = lut.frac_bits
     n = lut.num_entries
-    out_bits = 2 * bits + frac
-
-    slopes = to_fixed_point(lut.stored_slopes, frac)
-    intercepts = to_fixed_point(lut.stored_intercepts, frac)
-    breakpoints = lut.quantized_breakpoints.astype(np.int64)
+    out_bits = lut.output_bits
+    param_bits = lut.coefficient_bits
+    slopes = lut.slope_codes
+    intercepts = lut.intercept_codes
+    breakpoints = lut.breakpoint_codes
     shift = lut.shift
 
     lines: List[str] = []
@@ -68,7 +65,6 @@ def generate_pwl_verilog(
     emit(");")
     emit("")
     emit("    // LUT parameter ROM (FXP, %d fractional bits)" % frac)
-    param_bits = bits + frac
     for i in range(n):
         emit(
             "    localparam signed [%d:0] SLOPE_%d     = %s;"
@@ -112,8 +108,8 @@ def generate_pwl_verilog(
     emit("    // Intercept rescaling shifter: b_i >> log2(S)")
     emit("    wire signed [%d:0] intercept_shifted;" % (out_bits - 1))
     if shift > 0:
-        # Round half to even, as the model's fxp_round(b / S) does: add
-        # half an output LSB less one, plus the kept LSB, then floor.
+        # Round half to even, as the model's shift_codes does: add half an
+        # output LSB less one, plus the kept LSB, then floor.
         emit("    assign intercept_shifted = (intercept_sel + (1 <<< (SHIFT - 1)) - 1"
              " + ((intercept_sel >>> SHIFT) & 1)) >>> SHIFT;")
     else:
@@ -142,16 +138,15 @@ def generate_testbench(
 ) -> str:
     """Emit a simple self-checking testbench exercising random input codes.
 
-    Expected outputs are computed with the bit-accurate python model
-    (:meth:`QuantizedLUT.lookup_integer`) and baked into the testbench, so a
-    simulator run cross-checks the RTL against the python pipeline.
+    Expected outputs are the model's integer output codes
+    (:meth:`QuantizedLUT.lookup_fixed_point`), baked into the testbench, so
+    a simulator run cross-checks the RTL against the python pipeline.
     """
     bits = lut.spec.bits
-    frac = lut.frac_bits
-    out_bits = 2 * bits + frac
+    out_bits = lut.output_bits
     rng = np.random.default_rng(seed)
     codes = rng.integers(lut.spec.qmin, lut.spec.qmax + 1, size=num_vectors)
-    expected = np.round(lut.lookup_integer(codes) * (2 ** frac)).astype(np.int64)
+    expected = lut.lookup_fixed_point(codes)
 
     lines: List[str] = []
     emit = lines.append

@@ -204,9 +204,8 @@ def power_of_two_scale(alpha: Tensor) -> Tensor:
     """Snap a learnable positive scale to the nearest power of two (STE).
 
     Implements ``S = 2^round(log2(alpha))`` of Section 3.1 with a
-    straight-through gradient on the rounding.
+    straight-through gradient on the rounding.  The value is exactly
+    ``2.0 ** e``, the scale the Fig. 1b shifter divides by.
     """
     log_alpha = alpha.abs().log() * (1.0 / math.log(2.0))
-    exponent = log_alpha.round_ste()
-    # 2^e with gradient through e.
-    return (exponent * math.log(2.0)).exp()
+    return log_alpha.round_ste().exp2()

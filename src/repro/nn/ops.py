@@ -50,6 +50,8 @@ from repro.quant.quantizer import clip_ufunc
 
 Array = Any  # numpy.ndarray
 
+_LN2 = math.log(2.0)
+
 
 @dataclasses.dataclass(frozen=True)
 class Op:
@@ -119,7 +121,7 @@ SAVED_OUTPUT_OPS = frozenset({"elementwise_fused"})
 #: output shape is its inputs' broadcast shape (how
 #: :meth:`repro.graph.trace.Tracer.emit` gives emitted nodes avals).
 ELEMENTWISE_OPS = frozenset({
-    "add", "sub", "neg", "mul", "div", "pow", "exp", "log", "sqrt", "tanh",
+    "add", "sub", "neg", "mul", "div", "pow", "exp", "exp2", "log", "sqrt", "tanh",
     "relu", "abs", "clip", "clip_ste", "round_ste",
 })
 
@@ -567,6 +569,17 @@ register_op(
     "exp",
     forward=lambda a: np.exp(a),
     vjps=(lambda g, ans, s, a: g * ans,),
+)
+
+# ``2^a`` for integer-valued ``a`` (a power-of-two scale from its rounded
+# exponent): ``np.ldexp`` builds the exact ``2.0 ** a``, where
+# ``exp(a ln 2)`` can land an ulp off and ``np.exp2`` is not guaranteed
+# exact under numpy's SIMD dispatch.  Non-integer ``a`` is truncated, so
+# the forward is a step function and the VJP that of the surrogate ``2^a``.
+register_op(
+    "exp2",
+    forward=lambda a: np.ldexp(1.0, a.astype(np.intc)),
+    vjps=(lambda g, ans, s, a: g * ans * _LN2,),
 )
 
 register_op(

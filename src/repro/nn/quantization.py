@@ -23,6 +23,7 @@ from repro.nn import functional as F
 from repro.nn.layers import Linear
 from repro.nn.module import Module, Parameter
 from repro.nn.tensor import Tensor
+from repro.quant.power_of_two import nearest_power_of_two
 from repro.quant.quantizer import quant_bounds
 
 
@@ -84,11 +85,6 @@ class LSQQuantizer(Module):
         grad_scale = 1.0 / math.sqrt(max(x.size * self.qmax, 1))
         return F.lsq_quantize(x, self.effective_scale(), self.qmin, self.qmax, grad_scale)
 
-    def quantize_codes(self, x: np.ndarray) -> np.ndarray:
-        """Integer codes for ``x`` under the current scale (inference path)."""
-        scale = float(self.effective_scale().data[0])
-        return np.clip(np.round(x / scale), self.qmin, self.qmax)
-
     def current_scale(self) -> float:
         """Float value of the deployed scale."""
         return float(self.effective_scale().data[0])
@@ -110,8 +106,7 @@ class PowerOfTwoQuantizer(LSQQuantizer):
         super().initialise_from(x)
         # Snap the stored alpha to the nearest power of two so training
         # starts exactly on the constraint surface.
-        exponent = round(math.log2(float(self.scale.data[0])))
-        self.scale.data = np.asarray([2.0 ** exponent])
+        self.scale.data = np.asarray([nearest_power_of_two(float(self.scale.data[0]))])
         self._initialised = True
 
     def current_exponent(self) -> int:

@@ -297,6 +297,10 @@ class Tensor:
     def exp(self) -> "Tensor":
         return apply_op("exp", self)
 
+    def exp2(self) -> "Tensor":
+        """``2^self`` for an integer-valued tensor, exactly (``np.ldexp``)."""
+        return apply_op("exp2", self)
+
     def log(self) -> "Tensor":
         return apply_op("log", self)
 

@@ -5,62 +5,28 @@ Implements the quantization machinery the paper relies on:
 * uniform symmetric/affine quantization (Eq. 2) with signed/unsigned bounds,
 * power-of-two scaling factors derived from a learnable ``alpha``
   (Section 3.1),
-* dyadic-number rescaling for integer-only inference pipelines [15],
 * fixed-point (FXP) conversion with a configurable decimal bit-width
-  (the ``lambda`` of Algorithm 1),
-* simple min-max observers and quantization-error metrics.
+  (the ``lambda`` of Algorithm 1) and the integer shifter that rescales FXP
+  codes by a power-of-two scale.
 """
 
-from repro.quant.quantizer import (
-    QuantSpec,
-    UniformQuantizer,
-    quantize,
-    dequantize,
-    quant_bounds,
-)
+from repro.quant.quantizer import QuantSpec, quantize, dequantize, quant_bounds
 from repro.quant.power_of_two import (
+    is_power_of_two,
     nearest_power_of_two,
     power_of_two_exponent,
-    round_scale_to_power_of_two,
-    shift_for_scale,
 )
-from repro.quant.fxp import (
-    to_fixed_point,
-    from_fixed_point,
-    fxp_round,
-    fxp_quantize_array,
-    required_integer_bits,
-    FixedPointFormat,
-)
-from repro.quant.dyadic import DyadicNumber, to_dyadic, dyadic_rescale
-from repro.quant.observer import MinMaxObserver, MovingAverageObserver
-from repro.quant.metrics import mse, rmse, mae, max_abs_error, normalized_mse, sqnr_db
+from repro.quant.fxp import to_fixed_point, fxp_round, shift_codes
 
 __all__ = [
     "QuantSpec",
-    "UniformQuantizer",
     "quantize",
     "dequantize",
     "quant_bounds",
+    "is_power_of_two",
     "nearest_power_of_two",
     "power_of_two_exponent",
-    "round_scale_to_power_of_two",
-    "shift_for_scale",
     "to_fixed_point",
-    "from_fixed_point",
     "fxp_round",
-    "fxp_quantize_array",
-    "required_integer_bits",
-    "FixedPointFormat",
-    "DyadicNumber",
-    "to_dyadic",
-    "dyadic_rescale",
-    "MinMaxObserver",
-    "MovingAverageObserver",
-    "mse",
-    "rmse",
-    "mae",
-    "max_abs_error",
-    "normalized_mse",
-    "sqnr_db",
+    "shift_codes",
 ]

@@ -5,15 +5,15 @@ The paper's quantization function is
     x_tilde = S * q = S * round(clip(x / S, Q_n, Q_p))
 
 where ``S`` is the scaling factor, ``q`` the integer code and
-``[Q_n, Q_p]`` the signed or unsigned k-bit bounds.  This module provides a
-functional form (:func:`quantize` / :func:`dequantize`) and an object form
-(:class:`UniformQuantizer`) used throughout the library.
+``[Q_n, Q_p]`` the signed or unsigned k-bit bounds.  :func:`quantize` is
+the library's one input quantizer (real values to codes); a
+:class:`QuantSpec` names the integer format.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -46,9 +46,7 @@ def quantize(x, scale: float, bits: int = 8, signed: bool = True) -> np.ndarray:
     if scale <= 0:
         raise ValueError("scale must be positive, got %r" % (scale,))
     qn, qp = quant_bounds(bits, signed)
-    arr = np.asarray(x, dtype=np.float64)
-    q = np.clip(np.round(arr / scale), qn, qp)
-    return q
+    return clip_ufunc(np.rint(np.asarray(x, dtype=np.float64) / scale), qn, qp)
 
 
 def dequantize(q, scale: float) -> np.ndarray:
@@ -68,15 +66,10 @@ class QuantSpec:
         Integer bit-width (8 for INT8, 16 for INT16, ...).
     signed:
         Whether codes are signed two's-complement values.
-    power_of_two_scale:
-        When true, scales handed to quantizers built from this spec are
-        snapped to the nearest power of two (the paper's Section 3.1
-        constraint for non-linearity inputs).
     """
 
     bits: int = 8
     signed: bool = True
-    power_of_two_scale: bool = False
 
     @property
     def qmin(self) -> int:
@@ -89,96 +82,3 @@ class QuantSpec:
     @property
     def num_levels(self) -> int:
         return self.qmax - self.qmin + 1
-
-    def integer_dtype(self) -> np.dtype:
-        """Smallest numpy integer dtype that can hold codes of this spec."""
-        if self.bits <= 8:
-            return np.dtype(np.int8 if self.signed else np.uint8)
-        if self.bits <= 16:
-            return np.dtype(np.int16 if self.signed else np.uint16)
-        if self.bits <= 32:
-            return np.dtype(np.int32 if self.signed else np.uint32)
-        return np.dtype(np.int64 if self.signed else np.uint64)
-
-
-INT8 = QuantSpec(bits=8, signed=True)
-UINT8 = QuantSpec(bits=8, signed=False)
-INT16 = QuantSpec(bits=16, signed=True)
-INT32 = QuantSpec(bits=32, signed=True)
-
-
-class UniformQuantizer:
-    """A uniform quantizer with a fixed scale.
-
-    Parameters
-    ----------
-    scale:
-        The scaling factor ``S``.
-    spec:
-        The integer format; defaults to signed INT8.
-
-    The quantizer snaps the scale to a power of two when the spec requests
-    it, mirroring the paper's treatment of non-linearity inputs.
-    """
-
-    def __init__(self, scale: float, spec: QuantSpec = INT8) -> None:
-        if scale <= 0:
-            raise ValueError("scale must be positive, got %r" % (scale,))
-        if spec.power_of_two_scale:
-            from repro.quant.power_of_two import round_scale_to_power_of_two
-
-            scale = round_scale_to_power_of_two(scale)
-        self.scale = float(scale)
-        self.spec = spec
-
-    def quantize(self, x) -> np.ndarray:
-        """Return integer codes for ``x``."""
-        return quantize(x, self.scale, self.spec.bits, self.spec.signed)
-
-    def dequantize(self, q) -> np.ndarray:
-        """Return the real values represented by codes ``q``."""
-        return dequantize(q, self.scale)
-
-    def roundtrip(self, x) -> np.ndarray:
-        """Quantize then dequantize (the fake-quant forward pass)."""
-        return self.dequantize(self.quantize(x))
-
-    def representable_range(self) -> Tuple[float, float]:
-        """The real-valued interval representable by this quantizer."""
-        return self.spec.qmin * self.scale, self.spec.qmax * self.scale
-
-    def grid(self) -> np.ndarray:
-        """All representable real values, i.e. ``S * [Qn .. Qp]``.
-
-        This is the "dequantized range" the paper samples when evaluating
-        operator-level accuracy (Section 4.1).
-        """
-        codes = np.arange(self.spec.qmin, self.spec.qmax + 1, dtype=np.float64)
-        return codes * self.scale
-
-    @classmethod
-    def from_range(
-        cls,
-        lo: float,
-        hi: float,
-        spec: QuantSpec = INT8,
-    ) -> "UniformQuantizer":
-        """Build a symmetric quantizer covering ``[lo, hi]`` (min-max)."""
-        if not lo < hi:
-            raise ValueError("invalid range [%r, %r]" % (lo, hi))
-        if spec.signed:
-            amax = max(abs(lo), abs(hi))
-            scale = amax / max(abs(spec.qmin), spec.qmax)
-        else:
-            if lo < 0:
-                raise ValueError("unsigned quantizer cannot represent negative values")
-            scale = hi / spec.qmax
-        scale = max(scale, np.finfo(np.float64).tiny)
-        return cls(scale, spec)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "UniformQuantizer(scale=%g, bits=%d, signed=%s)" % (
-            self.scale,
-            self.spec.bits,
-            self.spec.signed,
-        )

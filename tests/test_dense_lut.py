@@ -21,7 +21,8 @@ from repro.functions.registry import get_function, list_functions
 from repro.nn.quantization import LSQQuantizer, PowerOfTwoQuantizer
 from repro.nn.tensor import Tensor
 from repro.quant.quantizer import QuantSpec
-from repro.scaling.multi_range import MultiRangePWL, default_multi_range
+from repro.nn.approx import PWLActivation
+from repro.scaling.multi_range import MultiRangePWL, SubRange, default_multi_range
 
 from oracles import reference_multi_range, reference_rescale
 
@@ -74,18 +75,17 @@ class TestAllCodesEquivalence:
         out, slope = dense.lookup_with_slope(x)
         np.testing.assert_array_equal(out, legacy(x))
 
-    def test_near_power_of_two_scale_quantizes_like_the_pipeline(self):
-        # PowerOfTwoQuantizer deploys 2^3 as exp(3 ln 2), 2 ulp below 8.
+    def test_near_power_of_two_scale_is_rejected(self):
+        # exp(3 ln 2) is 2 ulp below 8: no shifter divides by it.
         scale = float(np.exp(3.0 * np.log(2.0)))
         assert scale != 8.0
-        legacy = QuantizedLUT(
-            pwl=_pwl_for("gelu").to_fixed_point(3), scale=scale,
-            spec=QuantSpec(bits=4, signed=True), frac_bits=3,
-        )
-        dense = DenseLUT.from_quantized(legacy)
-        x = np.array([np.nextafter(4.0, 0.0), 4.0, np.nextafter(-4.0, 0.0), 12.0])
-        assert dense(x).tobytes() == legacy(x).tobytes()
-        assert dense.lookup_with_slope(x)[0].tobytes() == legacy(x).tobytes()
+        pwl = _pwl_for("gelu")
+        with pytest.raises(ValueError):
+            QuantizedLUT(pwl=pwl, scale=scale)
+        with pytest.raises(ValueError):
+            DenseLUT(pwl=pwl, scale=scale)
+        with pytest.raises(ValueError):
+            SubRange(4.0, 8.0, scale)
 
     def test_fused_lookup_slope_matches_separate_path(self):
         pwl = _pwl_for("exp")
@@ -181,9 +181,10 @@ class TestDenseLUTCache:
     def test_cache_is_bounded(self):
         from repro.core import lut as lut_module
 
-        pwl = _pwl_for("gelu")
-        for exponent in range(lut_module._DENSE_LUT_CACHE_SIZE + 10):
-            dense_lut_for(pwl, 2.0 ** (exponent - 60))
+        # One key per pwl object: the cache holds each entry's pwl, so no
+        # id repeats while its entry is cached.
+        for _ in range(lut_module._DENSE_LUT_CACHE_SIZE + 10):
+            dense_lut_for(_pwl_for("gelu"), 0.25)
         assert len(lut_module._DENSE_LUT_CACHE) == lut_module._DENSE_LUT_CACHE_SIZE
 
 
@@ -209,6 +210,27 @@ class TestScaleVersioning:
         assert not quantizer.initialised
         quantizer.initialise_from(np.ones(10))
         assert quantizer.initialised
+
+
+class TestDeployedScaleIsExact:
+    """The deployed scale is exactly 2.0 ** e, so the served table is the
+    one the integer datapath (and the RTL) computes at that scale."""
+
+    @pytest.mark.parametrize("name", ["gelu", "hswish", "exp"])
+    @pytest.mark.parametrize("exponent", range(-8, 4))
+    def test_pwl_activation_table_is_the_exact_scale_table(self, name, exponent):
+        pwl = _pwl_for(name).to_fixed_point(5)
+        act = PWLActivation(name, pwl)
+        act.quantizer.scale.data = np.asarray([2.0 ** exponent])
+        act.quantizer._initialised = True
+        x = np.random.default_rng(exponent + 20).normal(scale=2.0 ** (exponent + 5), size=64)
+        served = act(Tensor(x)).data
+        table = act._dense()
+        assert table.scale == 2.0 ** exponent
+        exact = DenseLUT(pwl=pwl, scale=2.0 ** exponent)
+        assert table.outputs.tobytes() == exact.outputs.tobytes()
+        assert table.segment_slopes.tobytes() == exact.segment_slopes.tobytes()
+        assert served.tobytes() == exact(x).tobytes()
 
 
 class TestFusedElementwise:

@@ -160,6 +160,15 @@ CASES: Dict[str, List[Case]] = {
         Case("axis-keepdims", (_normal((2, 5)),), {"axis": 1, "keepdims": True}),
     ],
     "exp": [Case("plain", (_normal((3, 4)),))],
+    "exp2": [
+        # The forward is exact on integer exponents (a power-of-two scale)
+        # and steps between them; the VJP is the surrogate 2^a's.
+        Case(
+            "integer-exponents",
+            (np.array([[-12.0, -3.0, 0.0], [1.0, 4.0, 8.0]]),),
+            surrogate=lambda a: np.power(2.0, a),
+        )
+    ],
     "log": [Case("positive", (_positive((3, 4)),))],
     "sqrt": [Case("positive", (_positive((3, 4)),))],
     "tanh": [Case("plain", (_normal((3, 4)),))],

@@ -1,5 +1,7 @@
 """Tests for modules, layers, attention and quantized layers."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -372,6 +374,16 @@ class TestQuantizationLayers:
         quant(x)
         assert is_power_of_two(quant.current_scale())
         assert isinstance(quant.current_exponent(), int)
+
+    @pytest.mark.parametrize("exponent", range(-12, 9))
+    def test_power_of_two_quantizer_deploys_exact_powers(self, exponent):
+        quant = PowerOfTwoQuantizer(bits=8)
+        quant.initialise_from(np.full(4, 2.0 ** exponent))
+        assert math.frexp(quant.current_scale())[0] == 0.5
+        for alpha in (2.0 ** exponent, 2.0 ** exponent * 1.3, 2.0 ** exponent * 0.8):
+            quant.scale.data = np.asarray([alpha])
+            assert quant.current_scale() == 2.0 ** exponent
+            assert quant.current_exponent() == exponent
 
     def test_quant_linear_from_float_preserves_weights(self):
         linear = Linear(4, 3, rng=np.random.default_rng(0))

@@ -6,32 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.quant import (
-    DyadicNumber,
-    FixedPointFormat,
-    MinMaxObserver,
-    MovingAverageObserver,
-    QuantSpec,
-    UniformQuantizer,
     dequantize,
-    dyadic_rescale,
     fxp_round,
-    from_fixed_point,
-    mae,
-    max_abs_error,
-    mse,
+    is_power_of_two,
     nearest_power_of_two,
-    normalized_mse,
     power_of_two_exponent,
     quant_bounds,
     quantize,
-    required_integer_bits,
-    rmse,
-    shift_for_scale,
-    sqnr_db,
-    to_dyadic,
+    shift_codes,
     to_fixed_point,
 )
-from repro.quant.power_of_two import apply_shift, is_power_of_two
 
 
 class TestQuantBounds:
@@ -77,42 +61,6 @@ class TestQuantizeDequantize:
             assert abs(reconstructed - value) <= scale / 2 + 1e-12
 
 
-class TestUniformQuantizer:
-    def test_grid_has_all_levels(self):
-        q = UniformQuantizer(0.5, QuantSpec(bits=8, signed=True))
-        grid = q.grid()
-        assert grid.shape == (256,)
-        assert grid[0] == pytest.approx(-64.0)
-        assert grid[-1] == pytest.approx(63.5)
-
-    def test_from_range_symmetric(self):
-        q = UniformQuantizer.from_range(-3.0, 3.0)
-        lo, hi = q.representable_range()
-        assert lo <= -3.0 <= hi or lo <= 3.0 <= hi
-        assert q.scale == pytest.approx(3.0 / 128)
-
-    def test_from_range_unsigned_rejects_negative(self):
-        with pytest.raises(ValueError):
-            UniformQuantizer.from_range(-1.0, 1.0, QuantSpec(bits=8, signed=False))
-
-    def test_power_of_two_spec_snaps_scale(self):
-        q = UniformQuantizer(0.3, QuantSpec(bits=8, signed=True, power_of_two_scale=True))
-        assert is_power_of_two(q.scale)
-
-    def test_roundtrip_idempotent(self):
-        q = UniformQuantizer(0.1)
-        x = np.linspace(-5, 5, 100)
-        once = q.roundtrip(x)
-        twice = q.roundtrip(once)
-        np.testing.assert_allclose(once, twice)
-
-    def test_integer_dtype_selection(self):
-        assert QuantSpec(8, True).integer_dtype() == np.dtype(np.int8)
-        assert QuantSpec(16, True).integer_dtype() == np.dtype(np.int16)
-        assert QuantSpec(32, True).integer_dtype() == np.dtype(np.int32)
-        assert QuantSpec(8, False).integer_dtype() == np.dtype(np.uint8)
-
-
 class TestPowerOfTwo:
     def test_nearest_power_of_two(self):
         assert nearest_power_of_two(0.3) == pytest.approx(0.25)
@@ -123,25 +71,55 @@ class TestPowerOfTwo:
         assert power_of_two_exponent(0.25) == -2
         assert power_of_two_exponent(8.0) == 3
 
-    def test_shift_for_scale(self):
-        assert shift_for_scale(0.25) == -2
-        assert shift_for_scale(4.0) == 2
-
-    def test_shift_for_non_power_raises(self):
-        with pytest.raises(ValueError):
-            shift_for_scale(0.3)
-
-    def test_apply_shift_matches_division(self):
-        values = np.array([1.0, -2.0, 3.5])
-        np.testing.assert_allclose(apply_shift(values, -3), values * 8.0)
-        np.testing.assert_allclose(apply_shift(values, 2), values / 4.0)
+    def test_is_power_of_two_is_exact(self):
+        for exponent in range(-12, 9):
+            assert is_power_of_two(2.0 ** exponent)
+        # exp(3 ln 2) is 2 ulp below 8: close is not a shift.
+        assert not is_power_of_two(float(np.exp(3.0 * np.log(2.0))))
+        assert not is_power_of_two(0.3)
+        assert not is_power_of_two(0.0)
+        assert not is_power_of_two(-0.5)
 
     @given(st.integers(-10, 10))
     @settings(max_examples=50, deadline=None)
     def test_powers_of_two_are_fixed_points(self, exponent):
         scale = 2.0 ** exponent
-        assert nearest_power_of_two(scale) == pytest.approx(scale)
+        assert nearest_power_of_two(scale) == scale
+        assert nearest_power_of_two(scale * (1 + 1e-9)) == scale
         assert is_power_of_two(scale)
+
+
+class TestShiftCodes:
+    @pytest.mark.parametrize("shift", [1, 2, 3, 6])
+    def test_right_shift_rounds_half_to_even(self, shift):
+        codes = np.arange(-300, 301, dtype=np.int64)
+        shifted = shift_codes(codes, shift)
+        assert shifted.dtype == np.int64
+        np.testing.assert_array_equal(shifted, np.round(codes / 2.0 ** shift))
+
+    @pytest.mark.parametrize("shift", [0, -1, -8])
+    def test_left_shift_is_exact(self, shift):
+        codes = np.arange(-300, 301, dtype=np.int64)
+        np.testing.assert_array_equal(shift_codes(codes, shift), codes * 2 ** -shift)
+
+    def test_shifts_past_the_code_width(self):
+        codes = np.array([-(2 ** 40), -3, 0, 5, 2 ** 40], dtype=np.int64)
+        np.testing.assert_array_equal(shift_codes(codes, 64), np.zeros(5))
+        np.testing.assert_array_equal(shift_codes(codes, 205), np.zeros(5))
+        with pytest.raises(OverflowError):
+            shift_codes(codes, -30)
+        with pytest.raises(OverflowError):
+            shift_codes([8], -60)
+
+    def test_matches_fxp_round_of_the_divided_value(self):
+        # The float formula the shifter replaces: fxp_round(b / S, lambda).
+        b = fxp_round(np.random.default_rng(0).uniform(-4, 4, 500), 5)
+        for exponent in range(-8, 4):
+            scale = 2.0 ** exponent
+            np.testing.assert_array_equal(
+                shift_codes(to_fixed_point(b, 5), exponent) / 32.0,
+                fxp_round(b / scale, 5),
+            )
 
 
 class TestFixedPoint:
@@ -152,29 +130,8 @@ class TestFixedPoint:
     def test_roundtrip_codes(self):
         x = np.array([0.5, -1.25, 3.0])
         codes = to_fixed_point(x, 4)
-        np.testing.assert_allclose(from_fixed_point(codes, 4), x)
-
-    def test_required_integer_bits(self):
-        assert required_integer_bits([0.7]) == 0
-        assert required_integer_bits([1.2]) == 1
-        assert required_integer_bits([-5.0]) == 3
-        assert required_integer_bits([]) == 0
-
-    def test_format_resolution_and_bounds(self):
-        fmt = FixedPointFormat(integer_bits=2, frac_bits=5)
-        assert fmt.total_bits == 8
-        assert fmt.resolution == pytest.approx(1 / 32)
-        assert fmt.max_value == pytest.approx(4 - 1 / 32)
-        assert fmt.min_value == pytest.approx(-4.0)
-
-    def test_format_quantize_saturates(self):
-        fmt = FixedPointFormat(integer_bits=2, frac_bits=5)
-        assert fmt.quantize(100.0) == pytest.approx(fmt.max_value)
-        assert fmt.quantize(-100.0) == pytest.approx(fmt.min_value)
-
-    def test_format_for_values(self):
-        fmt = FixedPointFormat.for_values([3.7, -1.0], frac_bits=5)
-        assert fmt.integer_bits == 2
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes / 16.0, x)
 
     @given(st.floats(-3.9, 3.9), st.integers(1, 10))
     @settings(max_examples=200, deadline=None)
@@ -185,88 +142,3 @@ class TestFixedPoint:
     def test_negative_frac_bits_rejected(self):
         with pytest.raises(ValueError):
             fxp_round(1.0, -1)
-
-
-class TestDyadic:
-    def test_value_reconstruction(self):
-        d = DyadicNumber(mantissa=3, exponent=2)
-        assert d.value == pytest.approx(0.75)
-
-    def test_to_dyadic_accuracy(self):
-        for value in (0.1, 0.33, 1.7, 123.4):
-            d = to_dyadic(value, bits=16)
-            assert d.value == pytest.approx(value, rel=1e-4)
-
-    def test_to_dyadic_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            to_dyadic(0.0)
-
-    def test_multiply_close_to_float(self):
-        x = np.arange(-100, 100, dtype=np.float64)
-        result = dyadic_rescale(x, 0.37)
-        np.testing.assert_allclose(result, np.round(x * 0.37), atol=1.0)
-
-
-class TestObservers:
-    def test_minmax_tracks_extremes(self):
-        obs = MinMaxObserver()
-        obs.observe(np.array([1.0, -2.0]))
-        obs.observe(np.array([5.0]))
-        assert obs.observed_range == (-2.0, 5.0)
-
-    def test_minmax_quantizer_covers_range(self):
-        obs = MinMaxObserver()
-        obs.observe(np.linspace(-3, 7, 50))
-        q = obs.make_quantizer()
-        lo, hi = q.representable_range()
-        assert hi >= 7.0 - q.scale
-
-    def test_observer_without_data_raises(self):
-        with pytest.raises(RuntimeError):
-            MinMaxObserver().observed_range
-
-    def test_moving_average_smooths(self):
-        obs = MovingAverageObserver(momentum=0.5)
-        obs.observe(np.array([0.0, 1.0]))
-        obs.observe(np.array([0.0, 3.0]))
-        assert obs.observed_range[1] == pytest.approx(2.0)
-
-    def test_moving_average_bad_momentum(self):
-        with pytest.raises(ValueError):
-            MovingAverageObserver(momentum=1.5)
-
-
-class TestMetrics:
-    def test_mse_zero_for_identical(self):
-        x = np.linspace(0, 1, 10)
-        assert mse(x, x) == 0.0
-
-    def test_mse_and_rmse_consistent(self):
-        a = np.array([1.0, 2.0])
-        b = np.array([2.0, 4.0])
-        assert rmse(a, b) == pytest.approx(np.sqrt(mse(a, b)))
-
-    def test_mae_and_max_error(self):
-        a = np.array([0.0, 0.0])
-        b = np.array([1.0, 3.0])
-        assert mae(a, b) == pytest.approx(2.0)
-        assert max_abs_error(a, b) == pytest.approx(3.0)
-
-    def test_normalized_mse_scale_invariant(self):
-        a = np.array([1.0, 2.0, 3.0])
-        b = a * 1.01
-        assert normalized_mse(a * 10, b * 10) == pytest.approx(normalized_mse(a, b), rel=1e-6)
-
-    def test_sqnr_increases_with_accuracy(self):
-        ref = np.linspace(1, 2, 100)
-        good = ref + 1e-4
-        bad = ref + 1e-1
-        assert sqnr_db(good, ref) > sqnr_db(bad, ref)
-
-    def test_shape_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            mse(np.zeros(3), np.zeros(4))
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            mse(np.array([]), np.array([]))

@@ -7,15 +7,17 @@ needed to check it: this suite parses the constants, the case table and
 the shifter expression back out of the emitted text and evaluates that
 datapath on Python integers, with every wire wrapped to its declared
 width.  Hypothesis draws the operator, random breakpoints, 8 or 16
-entries, the input width and a scale ``S = 2^-6 .. 2^3``; on every input
-code the RTL model must equal
+entries, the input width and a scale ``S = 2^-8 .. 2^3``.  The parsed
+``SLOPE_i``, ``INTERCEPT_i`` and ``BREAK_i`` must be the LUT's integer
+codes, and on every input code the RTL model must equal
 
-* ``round(QuantizedLUT.lookup_integer(q) * 2^lambda)`` — an exact integer,
-  and the value ``generate_testbench`` bakes in, and
+* ``QuantizedLUT.lookup_fixed_point(q)`` — the model's integer output
+  code, the value ``generate_testbench`` bakes in, and
+  ``lookup_integer(q) * 2^lambda`` exactly, and
 * the :class:`DenseLUT` entry for ``q`` rescaled by ``2^lambda / S``.
 
 At ``S >= 2`` the shifter divides the intercept by ``S``; the model rounds
-that half to even (``fxp_round``), so the RTL must too.
+that half to even (``shift_codes``), so the RTL must too.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def luts(draw):
     seed = draw(st.integers(0, 2 ** 16))
     breakpoints = np.sort(np.random.default_rng(seed).uniform(lo, hi, entries - 1))
     pwl = fit_pwl(fn.fn, breakpoints, fn.search_range).to_fixed_point(5)
-    exponent = draw(st.integers(-6, 3))
+    exponent = draw(st.integers(-8, 3))
     bits = draw(st.sampled_from((6, 8)))
     event("S %s 1" % ("> " if exponent > 0 else "<="))
     return QuantizedLUT(pwl=pwl, scale=2.0 ** exponent,
@@ -113,13 +115,19 @@ def test_rtl_matches_the_model_and_the_dense_table(lut):
         event("constant does not fit")
         assume(False)
     model = RTLModel(rtl)
+    n = lut.num_entries
+    assert [model.params["SLOPE_%d" % i] for i in range(n)] == lut.slope_codes.tolist()
+    assert [model.params["INTERCEPT_%d" % i] for i in range(n)] == lut.intercept_codes.tolist()
+    assert [model.params["BREAK_%d" % i] for i in range(n - 1)] == lut.breakpoint_codes.tolist()
+    assert model.params["SHIFT"] == lut.shift
     codes = np.arange(lut.spec.qmin, lut.spec.qmax + 1)
-    fixed = lut.lookup_integer(codes.astype(np.float64)) * 2.0 ** lut.frac_bits
-    np.testing.assert_array_equal(fixed, np.round(fixed))
+    fixed = lut.lookup_fixed_point(codes)
+    np.testing.assert_array_equal(
+        lut.lookup_integer(codes.astype(np.float64)) * 2.0 ** lut.frac_bits, fixed)
     dense = DenseLUT.from_quantized(lut)
     from_dense = dense.outputs * 2.0 ** lut.frac_bits / lut.scale
     np.testing.assert_array_equal(from_dense, fixed)
-    rtl_codes = np.array([model(int(q)) for q in codes], dtype=np.float64)
+    rtl_codes = np.array([model(int(q)) for q in codes])
     np.testing.assert_array_equal(rtl_codes, fixed)
 
     bench = generate_testbench(lut, num_vectors=16, seed=0)
