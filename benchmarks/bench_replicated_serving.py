@@ -183,24 +183,26 @@ def bench_kill(model, model_config, replicas: int) -> dict:
     images = make_images(model_config, 8, seed=2)
     reference = [model.predict(im[None], engine="eager")[0] for im in images]
     plan = FaultPlan(specs=(FaultSpec(site="replica.kill:0", fail_calls=(1,)),))
-    with inject(plan):  # installed before the fork so workers inherit it
-        with ReplicatedServer(
-            model, replicas=replicas, max_batch=4, **FAST
-        ) as server:
-            server.predict_many(images[:2], timeout=120.0)
-            with _Pounder(server, images) as pounder:
-                died = _wait_until(
-                    lambda: server.health()["supervisor"]["replica_deaths"] >= 1
-                )
-                recovered = _wait_until(
-                    lambda: sum(
-                        entry["state"] == "healthy"
-                        for entry in server.health()["replicas"]
-                    )
-                    == replicas
-                )
-                time.sleep(0.2)  # a little steady-state traffic post-recovery
-            health = server.health()
+    # Fault counters are per process, so every replica forked under the plan
+    # dies on its first batch.  Only the initial fleet inherits it: restarts
+    # fork a plan-free supervisor, so replica 0 is killed exactly once.
+    with inject(plan):
+        server = ReplicatedServer(model, replicas=replicas, max_batch=4, **FAST)
+
+    def fleet_healthy() -> bool:
+        return all(entry["state"] == "healthy"
+                   for entry in server.health()["replicas"])
+
+    with server:
+        server.predict_many(images[:2], timeout=120.0)
+        with _Pounder(server, images) as pounder:
+            died = _wait_until(
+                lambda: server.health()["supervisor"]["replica_deaths"] >= 1
+            )
+            recovered = _wait_until(fleet_healthy)
+            time.sleep(0.2)  # a little steady-state traffic post-recovery
+            recovered = recovered and fleet_healthy()  # and it stayed healthy
+        health = server.health()
     identical = all(
         np.array_equal(result, reference[image_index])
         for image_index, result, _ in pounder.records

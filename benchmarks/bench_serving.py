@@ -91,8 +91,12 @@ def run_level(server: BatchingServer, images, offered_rps: float,
     """Open-loop paced submission at ``offered_rps`` for one level.
 
     Latency is client-observed (submit to future resolution, recorded by
-    a done-callback so the pacing loop never blocks on results).
+    a done-callback so the pacing loop never blocks on results).  The
+    level's ``batches`` and ``mean_batch_size`` come from the server's
+    counters, so the record shows whether the level ran as batches of
+    one or fused requests.
     """
+    before = server.stats()
     interval = 1.0 / offered_rps
     latencies: list = []  # list.append is atomic; callbacks run in the worker
     shed = 0
@@ -122,6 +126,8 @@ def run_level(server: BatchingServer, images, offered_rps: float,
         future.result(timeout=60.0)
     elapsed = time.perf_counter() - start
     completed = len(futures)
+    after = server.stats()
+    batches = after.batches - before.batches
     return {
         "offered_rps": offered_rps,
         "offered": offered,
@@ -129,6 +135,10 @@ def run_level(server: BatchingServer, images, offered_rps: float,
         "shed": shed,
         "shed_rate": shed / offered if offered else 0.0,
         "achieved_rps": completed / elapsed,
+        "batches": batches,
+        "mean_batch_size": (
+            (after.completed - before.completed) / batches if batches else 0.0
+        ),
         **_percentiles_seconds(latencies),
     }
 
@@ -273,10 +283,10 @@ def main(argv=None) -> int:
     for level in load["levels"]:
         print(
             "load %8.1f rps offered   %8.1f achieved   p50 %6.1fms  p99 %6.1fms"
-            "   shed %5.1f%%"
+            "   shed %5.1f%%   mean batch %5.2f"
             % (level["offered_rps"], level["achieved_rps"],
                1e3 * level["p50_seconds"], 1e3 * level["p99_seconds"],
-               100.0 * level["shed_rate"])
+               100.0 * level["shed_rate"], level["mean_batch_size"])
         )
     print("saturation: %s   low-rate bit-parity: %s"
           % (load["saturation_rps"], load["identical_results"]))

@@ -28,7 +28,7 @@ import collections
 import dataclasses
 import functools
 import math
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -298,8 +298,8 @@ class DenseLUT:
     scale: float
     spec: QuantSpec = QuantSpec(bits=8, signed=True)
     frac_bits: int = 5
-    outputs: Optional[np.ndarray] = None
-    segment_slopes: Optional[np.ndarray] = None
+    outputs: np.ndarray = dataclasses.field(init=False)
+    segment_slopes: np.ndarray = dataclasses.field(init=False)
 
     def __post_init__(self) -> None:
         if not is_power_of_two(self.scale):
@@ -307,30 +307,15 @@ class DenseLUT:
                 "DenseLUT requires an exact power-of-two scale 2.0 ** e (got %r)"
                 % (self.scale,)
             )
-        if (self.outputs is None) != (self.segment_slopes is None):
-            raise ValueError(
-                "outputs and segment_slopes must be supplied together "
-                "(or both omitted to derive them from the pwl)"
-            )
-        if self.outputs is None:
-            reference = QuantizedLUT(
-                pwl=self.pwl, scale=self.scale, spec=self.spec, frac_bits=self.frac_bits
-            )
-            codes = np.arange(self.spec.qmin, self.spec.qmax + 1, dtype=np.int64)
-            outputs = np.ldexp(
-                reference.lookup_fixed_point(codes).astype(np.float64),
-                reference.shift - self.frac_bits,
-            )
-            slopes = reference.stored_slopes[reference.segment_index(codes)]
-            object.__setattr__(self, "outputs", outputs)
-            object.__setattr__(self, "segment_slopes", slopes)
-        outputs = np.asarray(self.outputs, dtype=np.float64)
-        slopes = np.asarray(self.segment_slopes, dtype=np.float64)
-        if outputs.shape != (self.spec.num_levels,) or slopes.shape != outputs.shape:
-            raise ValueError(
-                "dense tables must hold one entry per code (%d), got %r / %r"
-                % (self.spec.num_levels, outputs.shape, slopes.shape)
-            )
+        reference = QuantizedLUT(
+            pwl=self.pwl, scale=self.scale, spec=self.spec, frac_bits=self.frac_bits
+        )
+        codes = np.arange(self.spec.qmin, self.spec.qmax + 1, dtype=np.int64)
+        outputs = np.ldexp(
+            reference.lookup_fixed_point(codes).astype(np.float64),
+            reference.shift - self.frac_bits,
+        )
+        slopes = reference.stored_slopes[reference.segment_index(codes)]
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "segment_slopes", slopes)
         # The kernel's scalars as 0-d float64 arrays: numpy broadcasts a 0-d

@@ -10,7 +10,7 @@ Implements the quantization machinery the paper relies on:
   codes by a power-of-two scale.
 """
 
-from repro.quant.quantizer import QuantSpec, quantize, dequantize, quant_bounds
+from repro.quant.quantizer import QuantSpec, quantize, quant_bounds
 from repro.quant.power_of_two import (
     is_power_of_two,
     nearest_power_of_two,
@@ -21,7 +21,6 @@ from repro.quant.fxp import to_fixed_point, fxp_round, shift_codes
 __all__ = [
     "QuantSpec",
     "quantize",
-    "dequantize",
     "quant_bounds",
     "is_power_of_two",
     "nearest_power_of_two",

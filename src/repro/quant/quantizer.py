@@ -49,13 +49,6 @@ def quantize(x, scale: float, bits: int = 8, signed: bool = True) -> np.ndarray:
     return clip_ufunc(np.rint(np.asarray(x, dtype=np.float64) / scale), qn, qp)
 
 
-def dequantize(q, scale: float) -> np.ndarray:
-    """Map integer codes back to the real domain: ``x_tilde = S * q``."""
-    if scale <= 0:
-        raise ValueError("scale must be positive, got %r" % (scale,))
-    return np.asarray(q, dtype=np.float64) * scale
-
-
 @dataclasses.dataclass(frozen=True)
 class QuantSpec:
     """Static description of a quantization format.

@@ -12,7 +12,11 @@ Why each piece exists:
   one compiled replay for up to ``max_batch`` images instead of one per
   image.  The worker collects until ``max_batch`` requests are waiting or
   ``max_wait_ms`` has elapsed since the batch opened (the classic
-  throughput/latency knob pair).
+  throughput/latency knob pair) — but it opens that window only on a
+  fresh server or after a batch that held more than one request.  After
+  a batch of one it runs whatever is already queued without waiting, so
+  a lone client pays its replay, not the window, while concurrent
+  traffic (which keeps producing multi-request batches) still fuses.
 * **Bucket padding** rounds every batch up to the next power-of-two size
   (by repeating the last image) so the compiled executor's
   shape-specialisation cache sees a handful of signatures instead of one
@@ -257,8 +261,11 @@ class BatchingServer:
         Largest number of requests fused into one forward (and the padding
         bucket cap).
     max_wait_ms:
-        How long an open batch waits for more requests before running
-        under-full.  ``0`` runs whatever a single queue drain finds.
+        Upper bound on how long an open batch waits for more requests
+        before running under-full.  The wait applies only on a fresh
+        server or after a batch that held more than one request; after a
+        batch of one (and always at ``0``) the worker runs whatever a
+        single queue drain finds.
     engine:
         Inference engine for the batched forward, resolved through
         :mod:`repro.core.engine_config` (kwarg > context >
@@ -321,6 +328,7 @@ class BatchingServer:
         self._latency: List[float] = []
         self._bucket_latency: Dict[Any, List[float]] = {}
         self._worker_error: Optional[BaseException] = None
+        self._window_open = True  # worker-thread state, see _collect
         self._fallback = fallback
         self._setup_executor()
         self._worker = threading.Thread(
@@ -661,6 +669,10 @@ class BatchingServer:
     def _collect(self) -> Tuple[List[_Request], bool]:
         """Block for the next request, then drain up to a full batch.
 
+        The drain waits up to ``max_wait`` for more requests only while
+        the window is open (fresh server, or the previous batch held more
+        than one request); otherwise it takes only what is already queued.
+
         Returns ``(requests, stop)``; ``stop`` is set when the shutdown
         sentinel was consumed (after which no request follows it — close()
         enqueues it last *under the admission lock* and submit() refuses
@@ -677,7 +689,7 @@ class BatchingServer:
                 pending.append(taken)
         deadline = None
         while len(pending) < self.max_batch:
-            if self.max_wait <= 0:
+            if self.max_wait <= 0 or not self._window_open:
                 try:
                     item = self._queue.get_nowait()
                 except queue.Empty:
@@ -699,6 +711,7 @@ class BatchingServer:
             taken = self._take(item, time.monotonic())
             if taken is not None:
                 pending.append(taken)
+        self._window_open = len(pending) > 1
         return pending, False
 
     def _run_batch(self, requests: List[_Request]) -> None:

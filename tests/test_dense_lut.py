@@ -128,15 +128,6 @@ class TestAllCodesEquivalence:
         codes = np.arange(-128, 128, dtype=np.float64)
         np.testing.assert_array_equal(dense.lookup_codes(codes), legacy.lookup_dequantized(codes))
 
-    def test_rejects_wrong_table_length(self):
-        with pytest.raises(ValueError):
-            DenseLUT(
-                pwl=_pwl_for("gelu"),
-                scale=0.5,
-                outputs=np.zeros(7),
-                segment_slopes=np.zeros(7),
-            )
-
 
 class TestQuantizedLUTMemoization:
     def test_derived_arrays_cached_and_stable(self):

@@ -7,6 +7,7 @@ callers that submitted the affected requests.
 """
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,9 +15,11 @@ import pytest
 from repro.core import engine_config
 from repro.core.pwl import fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
-from repro.nn.approx import PWLSuite
+from repro.nn.approx import FloatSuite, PWLSuite
 from repro.nn.models import MiniSegformer, ModelConfig
 from repro.nn.training import prepare_quantized_model
+from repro.nn.transformer import DecoderConfig, MiniDecoder
+from repro.reliability import FaultPlan, FaultSpec, inject
 from repro.serve import BatchingServer
 
 OPERATORS = ("exp", "gelu", "div", "rsqrt")
@@ -219,3 +222,77 @@ class TestBatchingServer:
             BatchingServer(served_model, max_batch=0)
         with pytest.raises(ValueError):
             BatchingServer(served_model, max_wait_ms=-1.0)
+
+
+def timed(call, *args):
+    start = time.monotonic()
+    result = call(*args)
+    return result, time.monotonic() - start
+
+
+class TestBatchingWindow:
+    """The ``max_wait_ms`` window opens only on a fresh server or after a
+    multi-request batch; a lone client after a batch of one never waits it.
+    Margins are wide: the window is 1 s, "no wait" is anything under 0.5 s."""
+
+    def test_lone_request_after_a_batch_of_one_skips_the_window(self, served_model):
+        first, second = make_images(2, seed=13)
+        with BatchingServer(served_model, max_batch=8, max_wait_ms=1000.0,
+                            engine="compiled") as server:
+            _, fresh_seconds = timed(server.predict, first)
+            again, lone_seconds = timed(server.predict, second)
+            stats = server.stats()
+        assert fresh_seconds >= 0.9  # a fresh server still opens the window
+        assert lone_seconds < 0.5
+        assert stats.batches == 2
+        np.testing.assert_array_equal(
+            again, served_model.predict(second[None], engine="eager")[0]
+        )
+
+    def test_window_reopens_after_a_multi_request_batch(self, served_model):
+        images = make_images(10, seed=14)
+        # The second lone request's batch is held 0.4 s, so a burst
+        # submitted behind it queues up whole and the next drain collects
+        # it as one multi-request batch, which reopens the window.
+        plan = FaultPlan(specs=(FaultSpec(site="serve.batch", delay_calls=(2,),
+                                          delay_seconds=0.4),))
+        with inject(plan), BatchingServer(served_model, max_batch=4,
+                                          max_wait_ms=1000.0,
+                                          engine="compiled") as server:
+            server.predict(images[0])  # fresh window, batch of one: closes it
+            held = server.submit(images[1])
+            time.sleep(0.1)  # the worker takes it alone and is held
+            futures = [server.submit(image) for image in images[2:6]]
+            for future in [held] + futures:
+                future.result(timeout=30)
+            before = server.stats()
+            # Spaced submits fuse only if the worker waits for them.
+            futures = []
+            for image in images[6:]:
+                futures.append(server.submit(image))
+                time.sleep(0.05)
+            for future in futures:
+                future.result(timeout=30)
+            after = server.stats()
+        assert before.batches == 3  # lone, held lone, the queued burst
+        burst = after.requests - before.requests
+        assert burst == 4
+        assert after.batches - before.batches < burst
+
+    def test_served_decode_steps_do_not_wait_out_the_window(self):
+        config = DecoderConfig(vocab_size=16, max_seq=32, embed_dim=16, depth=1,
+                               num_heads=2, seed=3)
+        model = MiniDecoder(config, suite=FloatSuite())
+        model.eval()
+        steps, window_ms = 16, 500.0
+        with BatchingServer(model, max_wait_ms=window_ms,
+                            decode_engine="eager") as server:
+            session = server.open_session([1, 5, 3])
+            start = time.monotonic()
+            for _ in range(steps):
+                server.submit_decode(session).result(timeout=30)
+            elapsed = time.monotonic() - start
+            stats = server.stats()
+        assert stats.decode_steps == steps
+        # Only the fresh server's first step waits the window.
+        assert elapsed < steps * window_ms / 1e3 / 4

@@ -90,6 +90,25 @@ class TestReplicatedServer:
         assert stats.failed == 0
         assert stats.batches < 12  # fusion still happens behind the supervisor
 
+    def test_lone_request_after_a_batch_of_one_skips_the_window(self, served_model):
+        # The batching window (inherited from BatchingServer) opens only on
+        # a fresh server or after a multi-request batch.
+        first, second = make_images(2, seed=4)
+        with ReplicatedServer(
+            served_model, replicas=1, max_batch=4, max_wait_ms=1000.0
+        ) as server:
+            start = time.monotonic()
+            server.predict(first, timeout=120)
+            fresh_seconds = time.monotonic() - start
+            start = time.monotonic()
+            got = server.predict(second, timeout=120)
+            lone_seconds = time.monotonic() - start
+        assert fresh_seconds >= 0.9
+        assert lone_seconds < 0.5
+        np.testing.assert_array_equal(
+            got, served_model.predict(second[None], engine="eager")[0]
+        )
+
     def test_health_report_shape_and_json(self, served_model):
         with ReplicatedServer(served_model, replicas=2, max_wait_ms=1.0) as server:
             server.predict_many(make_images(4), timeout=120)
