@@ -149,8 +149,20 @@ class GQALUT:
             **kwargs,
         )
 
+    @property
+    def uses_rm(self) -> bool:
+        """True when :meth:`search` runs Rounding Mutation.
+
+        Table 1 sets ``theta_r = 0`` for the wide-range operators (DIV,
+        RSQRT), where RM cannot fire, so ``use_rm`` runs the same seeded
+        Gaussian search as "w/o RM".  The sweep keys cells by this
+        predicate (:func:`repro.experiments.methods.resolved_method`), so
+        that search is built once.
+        """
+        return self.use_rm and self.config.theta_r > 0
+
     def _mutation(self) -> MutationFunction:
-        if self.use_rm and self.config.theta_r > 0:
+        if self.uses_rm:
             rm_range = self.config.rm_range(self.num_entries) or (0, 6)
             return RoundingMutation(
                 mutate_range=rm_range,

@@ -433,7 +433,3 @@ class ArtifactCache:
 
     def __len__(self) -> int:
         return len(self._memory)
-
-    def clear_memory(self) -> None:
-        """Drop the in-process tier (the disk store is left untouched)."""
-        self._memory.clear()

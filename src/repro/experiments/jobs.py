@@ -53,7 +53,11 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 from repro.core import engine_config
 from repro.core.pwl import PiecewiseLinear
 from repro.experiments.artifacts import ArtifactCache, ArtifactStore
-from repro.experiments.methods import ApproximationBudget, compute_approximation
+from repro.experiments.methods import (
+    ApproximationBudget,
+    compute_approximation,
+    resolved_method,
+)
 from repro.experiments.queue import DONE, JOURNAL_NAME, DurableQueue
 from repro.reliability.errors import JobQuarantinedError, PersistedQuarantineError
 from repro.reliability.faults import fault_point
@@ -63,7 +67,10 @@ from repro.reliability.retry import RetryPolicy, run_with_retry
 # part of every cache key, so stale on-disk artifacts can never be returned.
 # Version 2: the GA scoring engine left ApproximationBudget (it resolves
 # through repro.core.engine_config and never changes seeded results), so
-# budget payloads — and therefore keys — changed shape.
+# budget payloads — and therefore keys — changed shape.  Keying a cell by
+# its resolved method (``gqa-rm`` -> ``gqa-wo-rm`` where RM cannot fire)
+# did not bump it: the twins' artifacts are bit-identical, and the old
+# ``gqa-rm`` keys of those cells merely become unreachable.
 ARTIFACT_FORMAT_VERSION = 2
 
 
@@ -83,12 +90,15 @@ class ApproximationJob:
         The key covers every field that influences the built artifact —
         including the full budget (seed included) and the artifact format
         version — serialised canonically (sorted keys, no
-        whitespace) and hashed with SHA-256.
+        whitespace) and hashed with SHA-256.  It hashes the search the cell
+        runs, not the label it was requested under: a ``gqa-rm`` cell
+        whose operator cannot fire RM (:func:`resolved_method`) shares its
+        ``gqa-wo-rm`` twin's key, so the engine builds that search once.
         """
         payload = {
             "format": ARTIFACT_FORMAT_VERSION,
             "operator": self.operator,
-            "method": self.method,
+            "method": resolved_method(self.operator, self.method, self.num_entries),
             "num_entries": self.num_entries,
             "budget": dataclasses.asdict(self.budget),
         }

@@ -63,6 +63,19 @@ class ApproximationBudget:
                    nn_lut_samples=3000, nn_lut_iterations=300, seed=0)
 
 
+def resolved_method(operator: str, method: str, num_entries: int = 8) -> str:
+    """The method label of the search a cell actually runs.
+
+    ``"gqa-rm"`` resolves to ``"gqa-wo-rm"`` where Rounding Mutation
+    cannot fire (:attr:`GQALUT.uses_rm` is false: ``theta_r = 0``, the
+    DIV/RSQRT rows of Table 1): both labels run the same seeded search
+    and build bit-identical pwls.  Every other label resolves to itself.
+    """
+    if method == "gqa-rm" and not GQALUT.for_operator(operator, num_entries=num_entries).uses_rm:
+        return "gqa-wo-rm"
+    return method
+
+
 def compute_approximation(
     operator: str,
     method: str,

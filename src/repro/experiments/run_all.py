@@ -9,8 +9,9 @@ against the warm cache.  Every cell owns an explicit seed, so the combined
 pass is bit-identical to running the experiments one by one.
 
 At the default configurations the experiments request 64 cells of which
-only 30 are distinct (Fig. 2/Fig. 3 and both fine-tuning tables re-use
-Table 3 cells); ``benchmarks/bench_experiment_sweep.py`` tracks the
+only 26 are distinct (Fig. 2/Fig. 3 and both fine-tuning tables re-use
+Table 3 cells, and a DIV/RSQRT ``gqa-rm`` cell is keyed to its
+``gqa-wo-rm`` twin); ``benchmarks/bench_experiment_sweep.py`` tracks the
 resulting wall-clock win.
 """
 

@@ -377,14 +377,6 @@ class CompiledModel(_PlanCache):
 
     # -- state swap (replicated serving) ---------------------------------------
 
-    def snapshot_state(self) -> Dict[str, Any]:
-        """Copy of the wrapped module's parameters, keyed by dotted name.
-
-        The supervisor's hot-swap protocol captures this before mutating a
-        fleet so a failed swap can roll the old state back bit-exactly.
-        """
-        return self.module.state_dict()
-
     def rebind_state(self, state: Dict[str, Any], strict: bool = True) -> None:
         """Strict-load new parameters and drop every cached specialisation.
 

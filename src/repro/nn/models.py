@@ -53,10 +53,6 @@ class ModelConfig:
     mlp_ratio: float = 2.0
     seed: int = 0
 
-    @property
-    def tokens_per_side(self) -> int:
-        return self.image_size // self.patch_size
-
 
 class TransformerBlock(Module):
     """Pre-norm Transformer encoder block with pluggable operators."""

@@ -71,7 +71,3 @@ class QuantSpec:
     @property
     def qmax(self) -> int:
         return quant_bounds(self.bits, self.signed)[1]
-
-    @property
-    def num_levels(self) -> int:
-        return self.qmax - self.qmin + 1

@@ -201,15 +201,6 @@ def active_plan() -> Optional[FaultPlan]:
     return state.plan if state is not None else None
 
 
-def call_count(site: str) -> int:
-    """How many times ``site`` fired in this process (testing helper)."""
-    state = _active_state()
-    if state is None:
-        return 0
-    with state.lock:
-        return state.counters.get(site, 0)
-
-
 def fault_point(site: str) -> None:
     """Apply the active plan at ``site``: maybe delay, then maybe raise."""
     state = _active_state()

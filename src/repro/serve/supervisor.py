@@ -156,6 +156,7 @@ class _Replica:
         self.started_at = 0.0
         self.last_heartbeat = 0.0
         self.fallbacks = 0
+        self.batches = 0  # batches the current process answered
         self.crash_times: List[float] = []
         self.first_crash: Optional[float] = None
         self.restart_at: Optional[float] = None
@@ -670,6 +671,7 @@ class ReplicatedServer(BatchingServer):
             if reply is None:  # the replica died with our batch in flight
                 self._redispatch(work)
                 return
+            slot.batches += 1
             if reply[0] == MSG_RESULT:
                 self._finish_group(work.group, reply[2], work.padded_to)
             else:  # MSG_ERROR: the request's fault, not the replica's
@@ -975,6 +977,7 @@ class ReplicatedServer(BatchingServer):
             slot.process = process
             slot.restart_at = None
             slot.reason = None
+            slot.batches = 0
         process.start()
         child_conn.close()  # the parent keeps only its own end
 
@@ -1038,6 +1041,7 @@ class ReplicatedServer(BatchingServer):
                         else None
                     ),
                     "fallbacks": slot.fallbacks,
+                    "batches": slot.batches,
                     "reason": slot.reason,
                 }
             )

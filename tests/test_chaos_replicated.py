@@ -23,7 +23,9 @@ fault harness (every seam is indexed by replica, so a test kills replica
 
 Fault plans are installed *before* the server forks its workers, so the
 replicas inherit them (each worker reinstalls a fresh per-process fault
-state with its own call counters).
+state with its own call counters).  A plan installed only while the
+server is constructed reaches the initial fleet alone: restarts fork
+plan-free replicas.
 """
 
 import threading
@@ -138,22 +140,34 @@ class TestCrashRecovery:
         images = make_images(4, seed=4)
         reference = reference_for(served_model, images)
         plan = FaultPlan(specs=(FaultSpec(site="replica.kill:0", fail_calls=(1,)),))
+        # Only the initial fleet forks under the plan: the restarted replica
+        # 0 forks from a plan-free supervisor, so it dies exactly once and
+        # its restart must serve.
         with inject(plan):
-            with ReplicatedServer(served_model, replicas=2, **FAST) as server:
-                serve_until_first_death(server, images, reference)
-                assert wait_until(
-                    lambda: all(
-                        entry["state"] == "healthy"
-                        for entry in server.health()["replicas"]
-                    )
+            server = ReplicatedServer(served_model, replicas=2, **FAST)
+        with server:
+            serve_until_first_death(server, images, reference)
+            assert wait_until(
+                lambda: all(
+                    entry["state"] == "healthy"
+                    for entry in server.health()["replicas"]
                 )
-                health = server.health()
-                assert health["supervisor"]["restarts"] >= 1
-                assert health["replicas"][0]["generation"] >= 2
+            )
+            health = server.health()
+            assert health["supervisor"]["restarts"] >= 1
+            assert health["replicas"][0]["generation"] >= 2
+
+            def restarted_replica_served():
                 # The restarted fleet still answers bit-identically.
                 results = server.predict_many(images, timeout=120)
                 for got, want in zip(results, reference):
                     np.testing.assert_array_equal(got, want)
+                return server.health()["replicas"][0]["batches"] >= 1
+
+            assert wait_until(restarted_replica_served, timeout=30.0)
+            health = server.health()
+        assert health["supervisor"]["replica_deaths"] == 1
+        assert health["replicas"][0]["generation"] == 2
 
     def test_crash_loop_trips_breaker_and_degrades_health(self, served_model):
         """Replica 0 dies on every batch: FAILED after 3 deaths; replica 1

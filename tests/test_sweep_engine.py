@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import engine_config
+from repro.core.config import DEFAULT_CONFIGS
 from repro.experiments import (
     ApproximationBudget,
     ApproximationJob,
@@ -62,6 +63,29 @@ class TestJobKeys:
     )
     def test_any_field_change_changes_key(self, other):
         assert ApproximationJob("gelu", "gqa-rm", 8, QUICK).key != other.key
+
+    @pytest.mark.parametrize(
+        "operator, twins",
+        [("div", True), ("rsqrt", True), ("gelu", False), ("hswish", False), ("exp", False)],
+    )
+    def test_rm_twin_shares_key_exactly_where_rm_cannot_fire(self, operator, twins):
+        """theta_r = 0 (Table 1's DIV/RSQRT): gqa-rm runs the gqa-wo-rm search."""
+        assert (ApproximationJob(operator, "gqa-rm", 8, QUICK).key
+                == ApproximationJob(operator, "gqa-wo-rm", 8, QUICK).key) == twins
+
+    @pytest.mark.parametrize("num_entries", [8, 16])
+    @pytest.mark.parametrize("operator", sorted(DEFAULT_CONFIGS))
+    def test_gqa_keys_equal_exactly_when_builds_are_identical(self, operator, num_entries):
+        """The key may merge two labels only when their artifacts are the
+        same bits, and must merge them when they are."""
+        rm, wo_rm = (ApproximationJob(operator, method, num_entries, QUICK)
+                     for method in ("gqa-rm", "gqa-wo-rm"))
+        a, b = rm.build(), wo_rm.build()
+        identical = all(
+            np.array_equal(getattr(a, field), getattr(b, field))
+            for field in ("breakpoints", "slopes", "intercepts")
+        )
+        assert (rm.key == wo_rm.key) == identical
 
 
 class TestEngineExecution:
@@ -152,6 +176,39 @@ class TestExperimentEquivalence:
         # re-pulls are all cache hits.
         assert engine.stats.builds == 3
         assert engine.stats.deduped + engine.stats.memory_hits >= 1
+
+
+class TestResolvedTwins:
+    """A gqa-rm cell that cannot fire RM is served by its gqa-wo-rm twin."""
+
+    def test_twins_in_one_batch_build_once(self):
+        engine = fresh_engine()
+        jobs = [ApproximationJob("div", method, 8, QUICK)
+                for method in ("gqa-rm", "gqa-wo-rm")]
+        manifest = engine.run_manifest(jobs, workers=0)
+        assert manifest.ok
+        assert manifest.stats.builds == 1
+        assert manifest.stats.deduped == 1
+        for job in jobs:
+            assert_pwl_equal(
+                manifest.results[job.key],
+                compute_approximation(job.operator, job.method, job.num_entries, QUICK),
+            )
+
+    def test_durable_run_answers_the_other_label_from_its_journal(self, tmp_path):
+        run_dir = tmp_path / "run"
+        first = SweepEngine(run_dir=run_dir)
+        assert first.run_manifest([ApproximationJob("div", "gqa-wo-rm", 8, QUICK)]).ok
+        first.close()
+
+        job = ApproximationJob("div", "gqa-rm", 8, QUICK)
+        second = SweepEngine(run_dir=run_dir)
+        manifest = second.run_manifest([job])
+        second.close()
+        assert manifest.stats.builds == 0
+        assert manifest.stats.disk_hits == 1
+        assert_pwl_equal(manifest.results[job.key],
+                         compute_approximation("div", "gqa-rm", 8, QUICK))
 
 
 class TestManifestSurface:
