@@ -5,9 +5,8 @@ Fig. 2, Fig. 3 and the Table 4/5 fine-tuning at the default experiment
 configurations — but only 26 of them are distinct (the figures and the
 fine-tuning re-use Table 3 cells, Fig. 2 repeats one of its own, and a
 DIV/RSQRT ``gqa-rm`` cell runs its ``gqa-wo-rm`` twin's search because
-Table 1 sets ``theta_r = 0`` there; the report counts those requests as
-``resolved_twins``).  This benchmark measures the orchestration layer
-introduced for that grid:
+Table 1 sets ``theta_r = 0`` there).  This benchmark measures the
+orchestration layer introduced for that grid:
 
 1. **Sequential baseline** — every experiment builds its own cells with the
    raw ``compute_approximation`` loop, exactly like the pre-engine runners:
@@ -50,7 +49,6 @@ import numpy as np
 from repro.experiments import ApproximationBudget, compute_approximation
 from repro.experiments.artifacts import ArtifactCache, ArtifactStore
 from repro.experiments.jobs import ApproximationJob, SweepEngine
-from repro.experiments.methods import resolved_method
 from repro.experiments.run_all import all_experiment_jobs
 
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_experiment_sweep.json"
@@ -194,13 +192,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     per_experiment = all_experiment_jobs(budget)
     requested = sum(len(jobs) for jobs in per_experiment.values())
     unique = len({job.key for jobs in per_experiment.values() for job in jobs})
-    resolved_twins = sum(
-        resolved_method(job.operator, job.method, job.num_entries) != job.method
-        for jobs in per_experiment.values()
-        for job in jobs
-    )
-    print("experiment grid: %d requested cells, %d unique (%d requested under "
-          "a twin's label)" % (requested, unique, resolved_twins))
+    print("experiment grid: %d requested cells, %d unique" % (requested, unique))
 
     if args.artifact_dir is not None:
         store_dir, cleanup = args.artifact_dir, False
@@ -237,7 +229,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "requested": requested,
             "unique": unique,
             "cross_experiment_duplicates": requested - unique,
-            "resolved_twins": resolved_twins,
         },
         "sequential": {
             "seconds": sequential["seconds"],

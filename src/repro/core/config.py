@@ -60,6 +60,15 @@ class OperatorSearchConfig:
     data_size: int
     frac_bits: int = GA_DEFAULTS.frac_bits
 
+    @property
+    def rm_fires(self) -> bool:
+        """True when Rounding Mutation can change a breakpoint (``theta_r > 0``).
+
+        Table 1 sets ``theta_r = 0`` for DIV and RSQRT, where a "with RM"
+        search runs the same seeded Gaussian search as "w/o RM".
+        """
+        return self.theta_r > 0
+
     def rm_range(self, num_entries: int) -> Optional[Tuple[int, int]]:
         """RM grid-exponent range for the given LUT entry count."""
         if num_entries <= 8:

@@ -66,19 +66,9 @@ def swap_segment(a: List[float], b: List[float], start: int, stop: int) -> None:
     more zeros is sorted by ``ndarray.sort``.  Elsewhere, equal floats are
     bitwise equal, so any sort gives the same bytes (rows never hold NaN;
     see :meth:`GeneticSearch._mutate`).
-
-    Rows arrive sorted, and a converged population swaps equal segments
-    often.  When the segments are bitwise equal (list-equal with no zero,
-    since ``0.0 == -0.0``), the swap changes nothing and ``list.sort`` keeps
-    a sorted row as it is, so the rows are left alone, unless one holds two
-    or more zeros: ``ndarray.sort`` may reorder mixed signed zeros even in
-    a sorted row.
     """
     segment = a[start:stop]
-    other = b[start:stop]
-    if segment == other and 0.0 not in segment and a.count(0.0) < 2 and b.count(0.0) < 2:
-        return
-    a[start:stop] = other
+    a[start:stop] = b[start:stop]
     b[start:stop] = segment
     for row in (a, b):
         if row.count(0.0) > 1:

@@ -32,10 +32,6 @@ class MutationFunction:
     def mutate_batch(self, rows: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         """Mutate a ``(K, N_b)`` matrix of individuals; returns the same shape.
 
-        Each returned row must be sorted ascending: the genetic loop keeps
-        rows sorted, and its crossover leaves rows whose swapped segments
-        are equal as they arrived (:func:`repro.core.genetic.swap_segment`).
-
         The default applies ``__call__`` row by row, so custom operators work
         with the batched genetic engine unchanged; the built-in operators
         override it with a single-draw vectorized implementation (one RNG
@@ -103,16 +99,6 @@ class RoundingMutation(MutationFunction):
             raise ValueError("mutate_range must satisfy 0 <= m_a <= m_b, got %r" % (self.mutate_range,))
         if self.theta_r < 0:
             raise ValueError("theta_r must be non-negative, got %r" % (self.theta_r,))
-        # The slot bounds ``i * theta_r`` for ``i = m_a .. m_b + 1`` and the
-        # rounding factor per searchsorted slot (1.0 outside the slots), built
-        # once: the GA calls _apply_rands every generation.
-        object.__setattr__(
-            self, "_bounds", np.array([i * self.theta_r for i in range(ma, mb + 2)])
-        )
-        object.__setattr__(
-            self, "_factors",
-            np.array([1.0] + [2.0 ** i for i in range(ma, mb + 1)] + [1.0]),
-        )
 
     def mutate_scalar(self, p: float, rand_p: float) -> float:
         """Apply Algorithm 2's inner loop to a single breakpoint."""
@@ -135,12 +121,13 @@ class RoundingMutation(MutationFunction):
         """
         if self.theta_r <= 0:
             return bp
-        bounds = self._bounds
+        ma, mb = self.mutate_range
+        bounds = [i * self.theta_r for i in range(ma, mb + 2)]
         # searchsorted(side="right") counts the bounds <= rand_p: 0 is below
         # slot m_a, len(bounds) is at or above the top bound, k hits m_a+k-1.
         slot = np.searchsorted(bounds, rands, side="right")
         hit = (slot > 0) & (slot < len(bounds))
-        factor = self._factors[slot]
+        factor = np.asarray([1.0] + [2.0 ** i for i in range(ma, mb + 1)] + [1.0])[slot]
         return np.where(hit, np.round(bp * factor) / factor, bp)
 
     def __call__(self, breakpoints: np.ndarray, rng: np.random.Generator) -> np.ndarray:

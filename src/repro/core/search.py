@@ -153,13 +153,13 @@ class GQALUT:
     def uses_rm(self) -> bool:
         """True when :meth:`search` runs Rounding Mutation.
 
-        Table 1 sets ``theta_r = 0`` for the wide-range operators (DIV,
-        RSQRT), where RM cannot fire, so ``use_rm`` runs the same seeded
-        Gaussian search as "w/o RM".  The sweep keys cells by this
-        predicate (:func:`repro.experiments.methods.resolved_method`), so
-        that search is built once.
+        Where RM cannot fire (:attr:`OperatorSearchConfig.rm_fires`),
+        ``use_rm`` runs the same seeded Gaussian search as "w/o RM".  The
+        sweep keys cells by the same config predicate
+        (:func:`repro.experiments.methods.resolved_method`), so that search
+        is built once.
         """
-        return self.use_rm and self.config.theta_r > 0
+        return self.use_rm and self.config.rm_fires
 
     def _mutation(self) -> MutationFunction:
         if self.uses_rm:

@@ -98,7 +98,7 @@ class ApproximationJob:
         payload = {
             "format": ARTIFACT_FORMAT_VERSION,
             "operator": self.operator,
-            "method": resolved_method(self.operator, self.method, self.num_entries),
+            "method": resolved_method(self.operator, self.method),
             "num_entries": self.num_entries,
             "budget": dataclasses.asdict(self.budget),
         }

@@ -24,7 +24,7 @@ import dataclasses
 from typing import Dict, Iterable, Optional, Tuple, TYPE_CHECKING
 
 from repro.baselines.nn_lut import NNLUT, NNLUTTrainingConfig
-from repro.core.config import default_config
+from repro.core.config import DEFAULT_CONFIGS, default_config
 from repro.core.pwl import PiecewiseLinear
 from repro.core.search import GQALUT
 
@@ -63,15 +63,20 @@ class ApproximationBudget:
                    nn_lut_samples=3000, nn_lut_iterations=300, seed=0)
 
 
-def resolved_method(operator: str, method: str, num_entries: int = 8) -> str:
+def resolved_method(operator: str, method: str) -> str:
     """The method label of the search a cell actually runs.
 
     ``"gqa-rm"`` resolves to ``"gqa-wo-rm"`` where Rounding Mutation
-    cannot fire (:attr:`GQALUT.uses_rm` is false: ``theta_r = 0``, the
-    DIV/RSQRT rows of Table 1): both labels run the same seeded search
-    and build bit-identical pwls.  Every other label resolves to itself.
+    cannot fire (:attr:`OperatorSearchConfig.rm_fires` is false, the
+    predicate :attr:`GQALUT.uses_rm` reads: the DIV/RSQRT rows of Table 1):
+    both labels run the same seeded search and build bit-identical pwls.
+    Every other label resolves to itself.  Only Table 1 rows are looked up
+    (operators outside it get ``theta_r = 0.05`` from
+    :func:`default_config`), so resolving never raises: an unknown
+    operator keeps its label and fails in its build, like any bad cell.
     """
-    if method == "gqa-rm" and not GQALUT.for_operator(operator, num_entries=num_entries).uses_rm:
+    config = DEFAULT_CONFIGS.get(operator.lower())
+    if method == "gqa-rm" and config is not None and not config.rm_fires:
         return "gqa-wo-rm"
     return method
 

@@ -15,7 +15,7 @@ Pins the three contracts DESIGN.md documents:
 
 import numpy as np
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.evaluation import QuantizedPWLEvaluator
@@ -225,26 +225,6 @@ def swap_cases(draw):
         ))),
         axis=1,
     )
-    # Tournament selection copies rows, so crossover often swaps equal
-    # segments (swap_segment's early return).  Make some rows twins of row 0
-    # up to a prefix: the suffix is shifted up (the row stays sorted), and
-    # the twin's zeros may flip sign (list-equal segments that are not
-    # byte-equal, next to rows holding mixed signed zeros).  The early
-    # return needs rows with at most one zero, so row 0 may be cleared of
-    # zeros and may get exactly one back.
-    zeros = draw(st.sampled_from(["keep", "none", "one"]))
-    if zeros != "keep":
-        matrix[0, matrix[0] == 0.0] = 0.25
-        if zeros == "one":
-            matrix[0, draw(st.integers(0, n - 1))] = draw(st.sampled_from([0.0, -0.0]))
-        matrix[0].sort()
-    for row in range(1, rows):
-        if draw(st.booleans()):
-            twin = matrix[0].copy()
-            twin[draw(st.integers(0, n)):] += draw(st.sampled_from([0.0, 0.5, 2.0]))
-            if draw(st.booleans()):
-                twin[twin == 0.0] *= -1.0
-            matrix[row] = np.sort(twin)
     swaps = draw(st.lists(
         st.tuples(
             st.integers(0, rows - 1), st.integers(0, rows - 1), st.integers(0, n - 1)
@@ -295,25 +275,6 @@ class TestCrossoverWindow:
                 np.sort(np.concatenate([a, b])),
             )
 
-    def test_equal_segments_return_early_only_when_bytes_cannot_change(self):
-        class CountingList(list):
-            sorts = 0
-
-            def sort(self, *args, **kwargs):
-                CountingList.sorts += 1
-                super().sort(*args, **kwargs)
-
-        a = CountingList([-1.0, 0.5, 1.0, 2.0])
-        b = CountingList([-3.0, 0.5, 1.0, 4.0])
-        swap_segment(a, b, 1, 3)
-        assert CountingList.sorts == 0
-        assert (a, b) == ([-1.0, 0.5, 1.0, 2.0], [-3.0, 0.5, 1.0, 4.0])
-        # Equal as lists, but 0.0 == -0.0: the zeros must still change rows.
-        a, b = [-1.0, 0.0, 1.0], [-1.0, -0.0, 1.0]
-        swap_segment(a, b, 1, 2)
-        assert np.array(a).tobytes() == np.array([-1.0, -0.0, 1.0]).tobytes()
-        assert np.array(b).tobytes() == np.array([-1.0, 0.0, 1.0]).tobytes()
-
     @given(swap_cases())
     @settings(max_examples=300, deadline=None)
     def test_list_swap_matches_matrix_swap_bytes(self, case):
@@ -322,11 +283,6 @@ class TestCrossoverWindow:
         for i, j, start, stop in swaps:
             if i == j:
                 continue
-            segment = rows[i][start:stop]
-            if segment == rows[j][start:stop]:
-                event("list-equal segments")
-                if 0.0 not in segment and max(rows[i].count(0.0), rows[j].count(0.0)) < 2:
-                    event("early return")
             matrix_swap(matrix[i], matrix[j], start, stop)
             swap_segment(rows[i], rows[j], start, stop)
         assert np.array(rows, dtype=np.float64).tobytes() == matrix.tobytes()

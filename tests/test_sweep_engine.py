@@ -28,6 +28,7 @@ from repro.experiments import (
     run_table3,
 )
 from repro.experiments.protocol import average_mse, scale_sweep_mse
+from repro.reliability.retry import RetryPolicy
 
 QUICK = ApproximationBudget.quick()
 
@@ -209,6 +210,16 @@ class TestResolvedTwins:
         assert manifest.stats.disk_hits == 1
         assert_pwl_equal(manifest.results[job.key],
                          compute_approximation("div", "gqa-rm", 8, QUICK))
+
+    @pytest.mark.parametrize("operator, num_entries", [("no-such-op", 8), ("div", 1)])
+    def test_bad_gqa_rm_cell_fails_in_its_build_not_its_key(self, operator, num_entries):
+        """Resolving the key never raises: a bad cell lands in the failures."""
+        bad = ApproximationJob(operator, "gqa-rm", num_entries, QUICK)
+        good = ApproximationJob("rsqrt", "gqa-wo-rm", 8, QUICK)
+        engine = SweepEngine(retry=RetryPolicy(max_attempts=1, base_delay=0.0))
+        manifest = engine.run_manifest([bad, good], workers=0)
+        assert set(manifest.failures) == {bad.key}
+        assert set(manifest.results) == {good.key}
 
 
 class TestManifestSurface:
