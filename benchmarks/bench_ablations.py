@@ -5,7 +5,6 @@ non-search baselines, (b) what the FXP-aware fitness buys over the literal
 Algorithm 1 fitness, and (c) the GA's runtime cost per search.
 """
 
-import numpy as np
 import pytest
 
 from repro.baselines.chebyshev import chebyshev_pwl

@@ -45,9 +45,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.pwl import fit_pwl, uniform_breakpoints
+from repro.baselines import uniform_pwl
 from repro.functions.registry import get_function
-from repro.graph import CompiledModel, optimize, plan_memory, trace
+from repro.graph import optimize, plan_memory, trace
 from repro.nn.approx import PWLSuite
 from repro.nn.models import MiniEfficientViT, MiniSegformer, ModelConfig
 from repro.nn.training import prepare_quantized_model
@@ -64,16 +64,9 @@ MODELS = (
 )
 
 
-def build_approximation(operator: str, num_entries: int = 8, frac_bits: int = 5):
-    """A deterministic uniform-breakpoint FXP pwl (no search needed here)."""
-    fn = get_function(operator)
-    pwl = fit_pwl(fn.fn, uniform_breakpoints(*fn.search_range, num_entries), fn.search_range)
-    return pwl.to_fixed_point(frac_bits)
-
-
 def build_model(model_cls, operators, model_config, suite_cls=PWLSuite):
     suite = suite_cls(
-        approximations={op: build_approximation(op) for op in operators},
+        approximations={op: uniform_pwl(get_function(op)).to_fixed_point(5) for op in operators},
         replace=set(operators),
     )
     model = model_cls(model_config, suite=suite)

@@ -49,7 +49,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.core.pwl import fit_pwl, uniform_breakpoints
+from repro.baselines import uniform_pwl
 from repro.functions.registry import get_function
 from repro.nn.approx import PWLSuite
 from repro.nn.training import prepare_quantized_model
@@ -64,16 +64,9 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_decode.json"
 OPERATORS = ("exp", "gelu", "div", "rsqrt")
 
 
-def build_approximation(operator: str, num_entries: int = 8, frac_bits: int = 5):
-    """A deterministic uniform-breakpoint FXP pwl (no search needed here)."""
-    fn = get_function(operator)
-    pwl = fit_pwl(fn.fn, uniform_breakpoints(*fn.search_range, num_entries), fn.search_range)
-    return pwl.to_fixed_point(frac_bits)
-
-
 def build_model(config: DecoderConfig, suite_cls=PWLSuite) -> MiniDecoder:
     suite = suite_cls(
-        approximations={op: build_approximation(op) for op in OPERATORS},
+        approximations={op: uniform_pwl(get_function(op)).to_fixed_point(5) for op in OPERATORS},
         replace=set(OPERATORS),
     )
     model = MiniDecoder(config, suite=suite)

@@ -1,6 +1,5 @@
 """Figure 3: normalized MSE for GELU / HSWISH / EXP, 8 and 16 entries."""
 
-import numpy as np
 import pytest
 
 from repro.experiments.fig3 import format_fig3, run_fig3

@@ -57,8 +57,8 @@ from unittest import mock
 
 import numpy as np
 
+from repro.baselines import uniform_pwl
 from repro.core.lut import DenseLUT, QuantizedLUT
-from repro.core.pwl import PiecewiseLinear, fit_pwl, uniform_breakpoints
 from repro.data.synthetic_segmentation import (
     SyntheticSegmentationConfig,
     SyntheticSegmentationDataset,
@@ -83,13 +83,6 @@ DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_finetune_throug
 
 OPERATORS = ("exp", "gelu", "div", "rsqrt")
 WIDE_RANGE = {"div", "rsqrt"}
-
-
-def build_approximation(operator: str, num_entries: int = 8, frac_bits: int = 5) -> PiecewiseLinear:
-    """A deterministic uniform-breakpoint FXP pwl (no search needed here)."""
-    fn = get_function(operator)
-    pwl = fit_pwl(fn.fn, uniform_breakpoints(*fn.search_range, num_entries), fn.search_range)
-    return pwl.to_fixed_point(frac_bits)
 
 
 def _timed(fn_call, repeats: int) -> float:
@@ -120,7 +113,7 @@ def _time_calls(owner, name: str, totals: dict):
 
 def bench_operator_throughput(shape, repeats: int, seed: int) -> dict:
     """Raw Fig. 1b unit: comparer pipeline vs. dense gather (GELU)."""
-    pwl = build_approximation("gelu")
+    pwl = uniform_pwl(get_function("gelu")).to_fixed_point(5)
     scale = 2.0 ** -4
     legacy = QuantizedLUT(pwl=pwl, scale=scale)
     dense = DenseLUT.from_quantized(legacy)
@@ -161,7 +154,7 @@ def bench_pwl_step(shape, repeats: int, seed: int) -> dict:
     for operator in OPERATORS:
         # Wide-range inputs span I_R, every Table 2 sub-range and beyond.
         data = np.abs(base) * 300 + 0.3 if operator in WIDE_RANGE else base
-        pwl = build_approximation(operator)
+        pwl = uniform_pwl(get_function(operator)).to_fixed_point(5)
         modules, results = {}, {}
         for engine in ("legacy", "dense"):
             if operator in WIDE_RANGE:
@@ -200,7 +193,7 @@ def bench_pwl_step(shape, repeats: int, seed: int) -> dict:
 
 def bench_model_finetune(budget: FinetuneBudget, epochs: int) -> dict:
     """Seeded quantization-aware fine-tune on the dense and reference suites."""
-    approximations = {op: build_approximation(op) for op in OPERATORS}
+    approximations = {op: uniform_pwl(get_function(op)).to_fixed_point(5) for op in OPERATORS}
     dataset = SyntheticSegmentationDataset(
         SyntheticSegmentationConfig(
             image_size=budget.image_size,
@@ -269,7 +262,7 @@ def bench_compiled_train(budget: FinetuneBudget, epochs: int) -> dict:
     Losses, final weights and validation mIoU must match bitwise — the
     compiled-training contract — before any timing is reported.
     """
-    approximations = {op: build_approximation(op) for op in OPERATORS}
+    approximations = {op: uniform_pwl(get_function(op)).to_fixed_point(5) for op in OPERATORS}
     dataset = SyntheticSegmentationDataset(
         SyntheticSegmentationConfig(
             image_size=budget.image_size,

@@ -22,10 +22,8 @@ Run with::
 
 import threading
 
-import numpy as np
-
+from repro.baselines import uniform_pwl
 from repro.core import engine_config
-from repro.core.pwl import fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
 from repro.nn import DecoderConfig, MiniDecoder, PWLSuite, greedy_generate
 from repro.nn.training import prepare_quantized_model
@@ -35,11 +33,7 @@ OPERATORS = ("exp", "gelu", "div", "rsqrt")
 
 
 def build_model() -> MiniDecoder:
-    approximations = {}
-    for name in OPERATORS:
-        fn = get_function(name)
-        pwl = fit_pwl(fn.fn, uniform_breakpoints(*fn.search_range, 8), fn.search_range)
-        approximations[name] = pwl.to_fixed_point(5)
+    approximations = {op: uniform_pwl(get_function(op)).to_fixed_point(5) for op in OPERATORS}
     suite = PWLSuite(approximations=approximations, replace=set(OPERATORS))
     model = MiniDecoder(DecoderConfig(vocab_size=32, max_seq=64, embed_dim=32,
                                       depth=2, num_heads=2, seed=3), suite=suite)

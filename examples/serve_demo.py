@@ -25,7 +25,7 @@ import time
 
 import numpy as np
 
-from repro.core.pwl import fit_pwl, uniform_breakpoints
+from repro.baselines import uniform_pwl
 from repro.functions.registry import get_function
 from repro.nn.approx import PWLSuite
 from repro.nn.models import MiniSegformer, ModelConfig
@@ -35,16 +35,10 @@ from repro.serve import BatchingServer, ReplicatedServer
 OPERATORS = ("exp", "gelu", "div", "rsqrt")
 
 
-def build_approximation(operator: str):
-    fn = get_function(operator)
-    pwl = fit_pwl(fn.fn, uniform_breakpoints(*fn.search_range, 8), fn.search_range)
-    return pwl.to_fixed_point(5)
-
-
 def main() -> None:
     # 1. The deployed model: pwl operators + INT8 linears.
     suite = PWLSuite(
-        approximations={op: build_approximation(op) for op in OPERATORS},
+        approximations={op: uniform_pwl(get_function(op)).to_fixed_point(5) for op in OPERATORS},
         replace=set(OPERATORS),
     )
     model = MiniSegformer(ModelConfig(), suite=suite)

@@ -11,8 +11,7 @@ The package is organised as:
 * :mod:`repro.quant` — integer-only quantization utilities (the uniform
   quantizer, power-of-two scales, fixed-point codes and the shifter).
 * :mod:`repro.scaling` — multi-range input scaling for DIV/RSQRT (Table 2).
-* :mod:`repro.baselines` — NN-LUT, uniform/Chebyshev pwl and I-BERT
-  polynomial baselines.
+* :mod:`repro.baselines` — the NN-LUT and uniform/Chebyshev pwl baselines.
 * :mod:`repro.hardware` — the 28-nm cost model and Verilog generator for
   the pwl unit (Table 6).
 * :mod:`repro.nn` — a numpy autograd + miniature Transformer substrate used
@@ -43,7 +42,6 @@ from repro.core import (
     PiecewiseLinearBatch,
     fit_pwl,
     fit_pwl_batch,
-    LUT,
     QuantizedLUT,
     QuantizedLUTBatch,
     GeneticSearch,
@@ -69,7 +67,6 @@ __all__ = [
     "PiecewiseLinearBatch",
     "fit_pwl",
     "fit_pwl_batch",
-    "LUT",
     "QuantizedLUT",
     "QuantizedLUTBatch",
     "GeneticSearch",

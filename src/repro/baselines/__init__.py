@@ -8,14 +8,11 @@ as sanity references for the genetic search).
 * :func:`repro.baselines.uniform.uniform_pwl` — evenly spaced breakpoints.
 * :func:`repro.baselines.chebyshev.chebyshev_pwl` — Chebyshev-node
   breakpoints.
-* :mod:`repro.baselines.ibert` — the I-BERT polynomial approximations
-  (i-exp, i-gelu, i-sqrt) as an operator-specific, non-LUT reference.
 """
 
 from repro.baselines.nn_lut import NNLUT, NNLUTTrainingConfig
 from repro.baselines.uniform import uniform_pwl
 from repro.baselines.chebyshev import chebyshev_pwl, chebyshev_nodes
-from repro.baselines.ibert import i_exp, i_gelu, i_sqrt, i_rsqrt, IBertSoftmax
 
 __all__ = [
     "NNLUT",
@@ -23,9 +20,4 @@ __all__ = [
     "uniform_pwl",
     "chebyshev_pwl",
     "chebyshev_nodes",
-    "i_exp",
-    "i_gelu",
-    "i_sqrt",
-    "i_rsqrt",
-    "IBertSoftmax",
 ]

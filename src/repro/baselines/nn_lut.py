@@ -25,10 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.lut import DenseLUT, QuantizedLUT
 from repro.core.pwl import PiecewiseLinear
 from repro.functions.nonlinear import NonLinearFunction
-from repro.quant.quantizer import QuantSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -194,23 +192,3 @@ class NNLUT:
         if not self._trained:
             self.train(verbose=verbose)
         return self.extract_pwl()
-
-    def deploy(
-        self,
-        scale: float,
-        spec: QuantSpec = QuantSpec(bits=8, signed=True),
-        frac_bits: int = 5,
-    ) -> DenseLUT:
-        """Deploy the trained network as a quantization-aware LUT unit.
-
-        This is the inference form NN-LUT actually ships: the extracted pwl
-        behind the Fig. 1b pipeline at the runtime power-of-two ``scale``,
-        materialised as the ``2^bits``-entry :class:`DenseLUT` gather table
-        (built through :class:`QuantizedLUT`, so it is bit-identical to the
-        comparer pipeline over every input code).  Trains first if the
-        network has not been trained yet.
-        """
-        if not self._trained:
-            self.train()
-        pwl = self.extract_fxp_pwl(frac_bits=frac_bits)
-        return QuantizedLUT(pwl=pwl, scale=scale, spec=spec, frac_bits=frac_bits).to_dense()

@@ -4,7 +4,7 @@ Public entry points:
 
 * :class:`repro.core.pwl.PiecewiseLinear` — a pwl function (Eq. 1).
 * :func:`repro.core.pwl.fit_pwl` — derive slopes/intercepts from breakpoints.
-* :class:`repro.core.lut.LUT` — hardware-style parameter storage.
+* :class:`repro.core.lut.QuantizedLUT` — the quantization-aware LUT unit (Fig. 1b).
 * :class:`repro.core.genetic.GeneticSearch` — Algorithm 1.
 * :class:`repro.core.mutation.RoundingMutation` — Algorithm 2.
 * :class:`repro.core.search.GQALUT` — the high-level "search an operator"
@@ -22,7 +22,7 @@ from repro.core.pwl import (
     fit_pwl_batch,
     uniform_breakpoints,
 )
-from repro.core.lut import LUT, LUTEntry, QuantizedLUT, QuantizedLUTBatch
+from repro.core.lut import QuantizedLUT, QuantizedLUTBatch
 from repro.core.fitness import (
     GridMSEFitness,
     QuantizedMSEFitness,
@@ -54,8 +54,6 @@ __all__ = [
     "fit_pwl",
     "fit_pwl_batch",
     "uniform_breakpoints",
-    "LUT",
-    "LUTEntry",
     "QuantizedLUT",
     "QuantizedLUTBatch",
     "GridMSEFitness",

@@ -1,10 +1,9 @@
 """LUT storage structures mirroring Figure 1 of the paper.
 
-Two storage patterns are modelled:
+The conventional FP/INT32 pattern (Fig. 1a) is just a float
+:class:`~repro.core.pwl.PiecewiseLinear` evaluated on the high-precision
+input; this module models the deployed forms:
 
-* :class:`LUT` — the conventional FP/INT32 pattern (Fig. 1a): slopes,
-  intercepts and breakpoints are stored at full precision and the comparer
-  operates on the high-precision input directly.
 * :class:`QuantizedLUT` — the quantization-aware pattern (Fig. 1b): the LUT
   stores FXP slopes/intercepts plus breakpoints pre-quantized by the runtime
   power-of-two scaling factor ``S``; the comparer operates on the INT8/16
@@ -28,7 +27,7 @@ import collections
 import dataclasses
 import functools
 import math
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -36,57 +35,6 @@ from repro.core.pwl import PiecewiseLinear, PiecewiseLinearBatch
 from repro.quant.fxp import shift_codes, to_fixed_point
 from repro.quant.power_of_two import is_power_of_two
 from repro.quant.quantizer import QuantSpec, clip_ufunc, quantize
-
-
-@dataclasses.dataclass(frozen=True)
-class LUTEntry:
-    """One row of the LUT: a slope/intercept pair."""
-
-    slope: float
-    intercept: float
-
-    def evaluate(self, x) -> np.ndarray:
-        """Evaluate this entry's line at ``x``."""
-        return self.slope * np.asarray(x, dtype=np.float64) + self.intercept
-
-
-@dataclasses.dataclass(frozen=True)
-class LUT:
-    """High-precision LUT storage (Fig. 1a).
-
-    Wraps a :class:`PiecewiseLinear` and exposes the row/comparer view a
-    hardware designer would use.
-    """
-
-    pwl: PiecewiseLinear
-
-    @property
-    def num_entries(self) -> int:
-        return self.pwl.num_entries
-
-    @property
-    def entries(self) -> List[LUTEntry]:
-        return [
-            LUTEntry(float(k), float(b))
-            for k, b in zip(self.pwl.slopes, self.pwl.intercepts)
-        ]
-
-    @property
-    def breakpoints(self) -> np.ndarray:
-        return self.pwl.breakpoints
-
-    def lookup(self, x) -> np.ndarray:
-        """Comparer + selected-entry evaluation on high-precision input."""
-        return self.pwl(x)
-
-    def storage_bits(self, value_bits: int = 32) -> int:
-        """Total parameter storage in bits.
-
-        ``N`` slopes + ``N`` intercepts + ``N - 1`` breakpoints, each stored
-        in ``value_bits`` bits.
-        """
-        n = self.num_entries
-        return (3 * n - 1) * value_bits
 
 
 @dataclasses.dataclass(frozen=True)
@@ -253,24 +201,6 @@ class QuantizedLUT(_Fig1bCoefficients):
         q = quantize(x, self.scale, self.spec.bits, self.spec.signed)
         return self.lookup_dequantized(q)
 
-    def storage_bits(self) -> int:
-        """Parameter storage in bits for the Fig. 1b pattern.
-
-        Slopes and intercepts are stored in ``frac_bits``-fraction FXP words
-        of the input width; breakpoints are stored as input-width integers.
-        """
-        n = self.num_entries
-        word = self.spec.bits
-        return (3 * n - 1) * word
-
-    def with_scale(self, scale: float) -> "QuantizedLUT":
-        """Re-target the same searched parameters to a new scaling factor."""
-        return QuantizedLUT(pwl=self.pwl, scale=scale, spec=self.spec, frac_bits=self.frac_bits)
-
-    def to_dense(self) -> "DenseLUT":
-        """Materialise this unit as a :class:`DenseLUT` gather table."""
-        return DenseLUT.from_quantized(self)
-
 
 @dataclasses.dataclass(frozen=True)
 class DenseLUT:
@@ -400,10 +330,6 @@ class DenseLUT:
         """
         idx = self.table_indices(x)
         return self._outputs_ext[idx], self._slopes_ext[idx]
-
-    def storage_bits(self) -> int:
-        """Dense storage: one output word plus one slope word per code."""
-        return 2 * self.num_codes * self.spec.bits
 
 
 # -- Dense-table cache ----------------------------------------------------------------

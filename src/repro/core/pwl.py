@@ -23,7 +23,7 @@ paths interchangeable (see DESIGN.md).
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -95,20 +95,6 @@ class PiecewiseLinear:
             slopes=fxp_round(self.slopes, frac_bits),
             intercepts=fxp_round(self.intercepts, frac_bits),
         )
-
-    def max_segment_width(self) -> float:
-        """Widest interior segment; useful for diagnosing degenerate fits."""
-        if self.breakpoints.size < 2:
-            return float("inf")
-        return float(np.max(np.diff(self.breakpoints)))
-
-    def is_continuous(self, tol: float = 1e-6) -> bool:
-        """True when adjacent segments agree at every breakpoint within ``tol``."""
-        if self.breakpoints.size == 0:
-            return True
-        left = self.slopes[:-1] * self.breakpoints + self.intercepts[:-1]
-        right = self.slopes[1:] * self.breakpoints + self.intercepts[1:]
-        return bool(np.all(np.abs(left - right) <= tol))
 
 
 def uniform_breakpoints(lo: float, hi: float, num_entries: int) -> np.ndarray:

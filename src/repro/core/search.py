@@ -17,14 +17,14 @@ Typical usage::
 from __future__ import annotations
 
 import dataclasses
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.core.config import GA_DEFAULTS, OperatorSearchConfig, default_config
+from repro.core.config import OperatorSearchConfig, default_config
 from repro.core.evaluation import DEFAULT_SCALES, QuantizedPWLEvaluator
 from repro.core.fitness import GridMSEFitness
-from repro.core.genetic import GAResult, GASettings, GeneticSearch
+from repro.core.genetic import GAResult, GeneticSearch
 from repro.core.lut import QuantizedLUT
 from repro.core.mutation import MutationFunction, NormalMutation, RoundingMutation
 from repro.core.pwl import PiecewiseLinear, fit_pwl

@@ -21,7 +21,7 @@ non-trivial for a small model without requiring many epochs.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -145,20 +145,3 @@ class SyntheticSegmentationDataset:
     @property
     def num_classes(self) -> int:
         return self.config.num_classes
-
-    def class_frequencies(self) -> Dict[int, float]:
-        """Pixel frequency of each class in the training split."""
-        counts = np.bincount(self.train_labels.reshape(-1), minlength=self.num_classes)
-        total = counts.sum()
-        return {cls: float(counts[cls]) / total for cls in range(self.num_classes)}
-
-    def summary(self) -> str:
-        """Human-readable description of the dataset."""
-        freq = self.class_frequencies()
-        lines = [
-            "SyntheticSegmentationDataset: %dx%d images, %d classes"
-            % (self.config.image_size, self.config.image_size, self.num_classes),
-            "train=%d val=%d" % (self.config.num_train, self.config.num_val),
-        ]
-        lines.extend("  class %d: %.1f%% of pixels" % (cls, 100 * f) for cls, f in freq.items())
-        return "\n".join(lines)

@@ -16,9 +16,7 @@ by a stable content hash of the job description (see
 
 On-disk layout: artifacts **fan out into key-sharded directories**
 (``ab/abcd1234….npz``, shard = first two hex chars of the key) so a
-10-100x grid never lands a hundred thousand files in one directory.  Each
-shard carries a ``MANIFEST.json`` (entry count + per-key checksums)
-written by :meth:`ArtifactStore.rebuild_manifest`;
+10-100x grid never lands a hundred thousand files in one directory.
 :meth:`ArtifactStore.gc` removes orphaned temp files and
 unreferenced entries (age-gated, so a gc pass racing a live writer never
 deletes a just-committed artifact); :meth:`ArtifactStore.scrub` is the
@@ -42,7 +40,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 import os
 import re
 import struct
@@ -75,8 +72,6 @@ _READ_ERRORS = (
 # Shard directories are the first SHARD_CHARS hex chars of the key.
 SHARD_CHARS = 2
 _SHARD_RE = re.compile(r"^[0-9a-f]{%d}$" % SHARD_CHARS)
-MANIFEST_NAME = "MANIFEST.json"
-MANIFEST_FORMAT_VERSION = 1
 QUARANTINE_DIR = "quarantine"
 
 
@@ -156,9 +151,6 @@ class ArtifactStore:
         """Keys of every (syntactically valid) artifact currently on disk."""
         return sorted({path.stem for path in self._artifact_files()})
 
-    def manifest_path(self, shard: str) -> Path:
-        return self.directory / shard / MANIFEST_NAME
-
     # -- read / write ----------------------------------------------------
 
     def _read_arrays(
@@ -227,67 +219,6 @@ class ArtifactStore:
             raise
         return path
 
-    # -- manifest --------------------------------------------------------
-
-    def rebuild_manifest(self) -> Dict[str, int]:
-        """Rewrite every shard's ``MANIFEST.json`` from the files on disk.
-
-        Each manifest records its shard's entry count and per-key checksums
-        (atomic write), giving integrity tooling a ground truth that does
-        not require opening every ``.npz``.  Files that do not parse or
-        carry no checksum are left out and counted as unreadable, for
-        :meth:`scrub` to quarantine.
-        """
-        entries_total = 0
-        unreadable = 0
-        shards = 0
-        for shard_dir in self._shard_dirs():
-            entries: Dict[str, str] = {}
-            for artifact in sorted(shard_dir.glob("*.npz")):
-                try:
-                    _, checksum = self._read_arrays(artifact)
-                except _READ_ERRORS:
-                    checksum = None
-                if checksum is None:
-                    unreadable += 1
-                    continue
-                entries[artifact.stem] = checksum.hex()
-            manifest = {
-                "format": MANIFEST_FORMAT_VERSION,
-                "shard": shard_dir.name,
-                "count": len(entries),
-                "entries": entries,
-            }
-            self._write_json_atomic(self.manifest_path(shard_dir.name), manifest)
-            entries_total += len(entries)
-            shards += 1
-        return {"shards": shards, "entries": entries_total, "unreadable": unreadable}
-
-    def read_manifest(self, shard: str) -> Optional[dict]:
-        path = self.manifest_path(shard)
-        if not path.exists():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except (OSError, ValueError):
-            return None
-
-    def _write_json_atomic(self, path: Path, payload: dict) -> None:
-        """Replace ``path`` with ``payload`` via a ``.<stem>-*.json.tmp`` file."""
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=".%s-" % path.stem, suffix=".json.tmp", dir=str(path.parent)
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, sort_keys=True, indent=1)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
     # -- gc / scrub ------------------------------------------------------
 
     def gc(
@@ -298,10 +229,10 @@ class ArtifactStore:
     ) -> GCReport:
         """Remove orphaned temp files and (optionally) unreferenced entries.
 
-        Orphans are the temp files of interrupted atomic writes: artifacts
-        (``*.npz.tmp``) and shard manifests (``*.json.tmp``) in the shard
-        directories.  The store root is scanned too, which reaps the
-        orphans earlier builds left there.  Everything younger than
+        Orphans are the temp files of interrupted atomic writes
+        (``*.npz.tmp``) in the shard directories.  The store root and
+        ``*.json.tmp`` files (per-shard manifests) are scanned too, for
+        the orphans earlier builds left.  Everything younger than
         ``grace_s`` is kept, which is the entire concurrency story: a live
         writer's temp file and a just-committed artifact both have fresh
         mtimes, so any number of gc passes racing the writer — or each

@@ -31,7 +31,7 @@ from repro.data.synthetic_segmentation import (
 from repro.experiments.jobs import SweepEngine
 from repro.experiments.methods import ApproximationBudget, METHODS, build_approximations
 from repro.nn.approx import FloatSuite, OperatorSuite, PWLSuite, QuantizedBaselineSuite
-from repro.nn.models import MiniEfficientViT, MiniSegformer, ModelConfig, SegmentationTransformer
+from repro.nn.models import ModelConfig, SegmentationTransformer
 from repro.nn.training import Trainer, TrainingConfig, prepare_quantized_model, transfer_weights
 
 

@@ -26,7 +26,6 @@ from repro.functions.registry import (
     FunctionRegistry,
     get_function,
     list_functions,
-    register_function,
     DEFAULT_REGISTRY,
 )
 
@@ -45,6 +44,5 @@ __all__ = [
     "FunctionRegistry",
     "get_function",
     "list_functions",
-    "register_function",
     "DEFAULT_REGISTRY",
 ]

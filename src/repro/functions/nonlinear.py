@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Callable, Optional, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
 ArrayLike = "np.ndarray | float"
 
 _SQRT_2 = math.sqrt(2.0)
-_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
 def _as_array(x) -> np.ndarray:
@@ -35,23 +34,10 @@ def gelu(x) -> np.ndarray:
     return arr * 0.5 * (1.0 + _erf_array(arr / _SQRT_2))
 
 
-def gelu_tanh(x) -> np.ndarray:
-    """The tanh approximation of GELU used by some frameworks."""
-    arr = _as_array(x)
-    inner = _SQRT_2_OVER_PI * (arr + 0.044715 * arr ** 3)
-    return 0.5 * arr * (1.0 + np.tanh(inner))
-
-
 def hswish(x) -> np.ndarray:
     """Hard swish: ``x * relu6(x + 3) / 6``."""
     arr = _as_array(x)
     return arr * np.clip(arr + 3.0, 0.0, 6.0) / 6.0
-
-
-def hsigmoid(x) -> np.ndarray:
-    """Hard sigmoid: ``relu6(x + 3) / 6``."""
-    arr = _as_array(x)
-    return np.clip(arr + 3.0, 0.0, 6.0) / 6.0
 
 
 def exp(x) -> np.ndarray:

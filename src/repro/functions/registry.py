@@ -66,8 +66,3 @@ def get_function(name: str) -> NonLinearFunction:
 def list_functions() -> List[str]:
     """Return the names of all registered operators."""
     return DEFAULT_REGISTRY.names()
-
-
-def register_function(fn: NonLinearFunction, overwrite: bool = False) -> None:
-    """Register a custom operator in the default registry."""
-    DEFAULT_REGISTRY.register(fn, overwrite=overwrite)

@@ -266,8 +266,11 @@ class _PlanCache:
     captured state, not a reason to invalidate.  Before each lookup the
     saved pairs are checked (``owner.data is array``); once any was rebound
     every plan is dropped and the next call re-traces.  The check loops
-    over the saved pairs only, never the module tree.  In-place writes
-    (``param.data[...] = ...``) keep identity and are not detected.
+    over the saved pairs only, never the module tree.  An in-place write
+    (``param.data[...] = ...``) keeps identity, so every snapshotted array
+    is made read-only: such a write raises at the write instead of
+    leaving a plan that baked in the old values.  State changes by
+    rebinding (``param.data = ...``, ``load_state_dict``, optimizer steps).
     :class:`CompiledTrainStep`, whose state includes optimizer buffer
     lists, overrides :meth:`_stale` to re-collect and compare instead.
     """
@@ -295,8 +298,14 @@ class _PlanCache:
         """Cache a freshly traced plan and snapshot the state it captured."""
         self._cache[signature] = plan
         self.compile_count += 1
-        self._snapshot = self._state()
+        self._take_snapshot()
         return plan
+
+    def _take_snapshot(self) -> None:
+        """Save the watched state and make its arrays read-only."""
+        self._snapshot = self._state()
+        for _owner, array in self._snapshot:
+            array.flags.writeable = False
 
     def invalidate(self) -> None:
         """Drop every cached plan (forces re-tracing on the next call)."""
@@ -644,7 +653,7 @@ class CompiledTrainStep(_PlanCache):
         self.replay_count += 1
         # Our own rebinding moved every identity; re-snapshot so only
         # *external* rebinds (checkpoint restore) trigger invalidation.
-        self._snapshot = self._state()
+        self._take_snapshot()
         return float(outputs[0])
 
     # -- introspection ---------------------------------------------------------

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List
 
 
 @dataclasses.dataclass(frozen=True)
@@ -51,21 +50,6 @@ class Technology:
     power_per_shifter_bit_stage: float = 0.9e-3
     power_per_mux_bit_input: float = 0.45e-3
     power_per_encoder_input: float = 1.0e-3
-
-    def scaled_to_clock(self, clock_mhz: float) -> "Technology":
-        """Return a copy with dynamic power rescaled to another clock."""
-        if clock_mhz <= 0:
-            raise ValueError("clock must be positive, got %r" % (clock_mhz,))
-        ratio = clock_mhz / self.clock_mhz
-        scaled = {
-            field.name: getattr(self, field.name)
-            for field in dataclasses.fields(self)
-        }
-        for key in list(scaled):
-            if key.startswith("power_per"):
-                scaled[key] = scaled[key] * ratio
-        scaled["clock_mhz"] = clock_mhz
-        return Technology(**scaled)
 
 
 TSMC28 = Technology()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.hardware.components import (
     HardwareComponent,
@@ -107,15 +107,12 @@ class PWLUnitDesign:
     num_entries:
         LUT entry count ``N`` (the unit stores ``N`` slope/intercept pairs
         and ``N - 1`` breakpoints).
-    frac_bits:
-        FXP decimal bits of the stored parameters (quantization-aware path).
     tech:
         Technology coefficients.
     """
 
     precision: Precision
     num_entries: int = 8
-    frac_bits: int = 5
     tech: Technology = TSMC28
 
     def __post_init__(self) -> None:

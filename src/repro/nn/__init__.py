@@ -7,7 +7,7 @@ quantization-aware training, and the operator-replacement machinery that
 swaps exact non-linear functions for searched pwl approximations.
 """
 
-from repro.nn.tensor import Tensor, tensor, no_grad, zeros, ones, randn, concatenate
+from repro.nn.tensor import Tensor, tensor, no_grad, zeros, ones, concatenate
 from repro.nn.module import Module, Parameter, Sequential
 from repro.nn import functional
 from repro.nn.layers import (
@@ -65,7 +65,6 @@ __all__ = [
     "no_grad",
     "zeros",
     "ones",
-    "randn",
     "concatenate",
     "Module",
     "Parameter",

@@ -19,14 +19,12 @@ of every non-linear operator — the "None" row of Tables 4/5), and
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional, Set
+from typing import Callable, Dict, List, Optional, Set
 
 import numpy as np
 
 from repro.core.lut import DenseLUT, dense_lut_for
 from repro.core.pwl import PiecewiseLinear
-from repro.functions.nonlinear import NonLinearFunction
-from repro.functions.registry import get_function
 from repro.nn import functional as F
 from repro.nn.layers import GELU, HSwish, LayerNorm
 from repro.nn.module import Module, Parameter

@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.nn import functional as F
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.tensor import Tensor

@@ -8,7 +8,7 @@ normalisation, cross entropy and the LSQ fake-quantization primitives.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 

@@ -60,9 +60,6 @@ class Module:
         for child in self._modules.values():
             yield from child.modules()
 
-    def children(self) -> Iterator["Module"]:
-        return iter(self._modules.values())
-
     # -- state ---------------------------------------------------------------------
 
     def zero_grad(self) -> None:
@@ -112,9 +109,6 @@ class Module:
                     "shape mismatch for %s: %s vs %s" % (name, value.shape, param.data.shape)
                 )
             param.data = value.copy()
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
 
     # -- calling ---------------------------------------------------------------------
 

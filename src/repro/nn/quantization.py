@@ -109,10 +109,6 @@ class PowerOfTwoQuantizer(LSQQuantizer):
         self.scale.data = np.asarray([nearest_power_of_two(float(self.scale.data[0]))])
         self._initialised = True
 
-    def current_exponent(self) -> int:
-        """The deployed ``log2(S)`` exponent."""
-        return int(round(math.log2(self.current_scale())))
-
 
 class QuantLinear(Module):
     """Linear layer with LSQ weight and activation fake-quantization."""

@@ -494,11 +494,6 @@ def ones(shape, requires_grad: bool = False) -> Tensor:
     return Tensor(np.ones(shape), requires_grad=requires_grad)
 
 
-def randn(shape, scale: float = 1.0, rng=None, requires_grad: bool = False) -> Tensor:
-    generator = rng or np.random.default_rng()
-    return Tensor(scale * generator.standard_normal(shape), requires_grad=requires_grad)
-
-
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient routing."""
     return apply_op("concatenate", *tensors, axis=axis)

@@ -42,7 +42,7 @@ from repro.reliability.faults import (
     fault_point,
     inject,
 )
-from repro.reliability.retry import RetryPolicy, RetryResult, call_with_retry, run_with_retry
+from repro.reliability.retry import RetryPolicy, RetryResult, run_with_retry
 
 __all__ = [
     "CheckpointCorruptError",
@@ -62,7 +62,6 @@ __all__ = [
     "RetryResult",
     "ServerClosedError",
     "SwapFailedError",
-    "call_with_retry",
     "corrupt_file",
     "fault_flag",
     "fault_point",

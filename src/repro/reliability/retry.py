@@ -24,7 +24,7 @@ Design points:
 * **Outcome objects.**  ``run_with_retry`` never raises for a failing
   callable — it returns a :class:`RetryResult` carrying the value *or*
   the final error plus the attempt count, which is exactly the shape the
-  sweep manifest records.  ``call_with_retry`` is the raising shorthand.
+  sweep manifest records.
 
 Defaults resolve through :mod:`repro.core.engine_config`
 (kwarg > context > ``REPRO_RETRY_ATTEMPTS`` / ``REPRO_RETRY_BASE_DELAY``
@@ -171,17 +171,3 @@ def run_with_retry(
                     return RetryResult(error=error, attempts=attempts, site=site)
             if delay > 0:
                 sleep(delay)
-
-
-def call_with_retry(
-    fn: Callable[[], Any],
-    policy: Optional[RetryPolicy] = None,
-    site: str = "",
-    sleep: Callable[[float], None] = time.sleep,
-    clock: Callable[[], float] = time.monotonic,
-) -> Any:
-    """Like :func:`run_with_retry` but re-raises the final error."""
-    outcome = run_with_retry(fn, policy=policy, site=site, sleep=sleep, clock=clock)
-    if outcome.error is not None:
-        raise outcome.error
-    return outcome.value

@@ -77,12 +77,6 @@ class MultiRangeScaling:
                     % (below.lower, below.upper, above.lower, above.upper)
                 )
 
-    def coverage_upper_bound(self) -> float:
-        """Largest input covered (inf when the last sub-range is unbounded)."""
-        if not self.sub_ranges:
-            return self.breakpoint_interval[1]
-        return self.sub_ranges[-1].upper
-
 
 # Table 2: DIV covers I_R=(0.5, 4) plus [4, 32)/2^-3, [32, 256)/2^-6,
 # [256, inf)/2^-6; RSQRT covers I_R=(0.25, 4) plus [4, 64)/2^-4,

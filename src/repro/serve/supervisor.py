@@ -94,7 +94,6 @@ from repro.reliability.retry import RetryPolicy
 from repro.serve.engine import BatchingServer, _Request
 from repro.serve.worker import (
     MSG_BATCH,
-    MSG_ERROR,
     MSG_HB,
     MSG_READY,
     MSG_RESULT,

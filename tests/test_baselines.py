@@ -6,13 +6,8 @@ import pytest
 from repro.baselines import (
     NNLUT,
     NNLUTTrainingConfig,
-    IBertSoftmax,
     chebyshev_nodes,
     chebyshev_pwl,
-    i_exp,
-    i_gelu,
-    i_rsqrt,
-    i_sqrt,
     uniform_pwl,
 )
 from repro.functions.registry import get_function
@@ -114,76 +109,18 @@ class TestNNLUT:
             NNLUT(get_function("gelu"), num_entries=1)
 
 
-class TestIBert:
-    def test_i_gelu_close_to_gelu(self):
-        x = np.linspace(-4, 4, 101)
-        reference = get_function("gelu")(x)
-        assert np.max(np.abs(i_gelu(x) - reference)) < 0.03
-
-    def test_i_exp_close_to_exp_on_softmax_domain(self):
-        x = np.linspace(-8, 0, 101)
-        assert np.max(np.abs(i_exp(x) - np.exp(x))) < 0.02
-
-    def test_i_exp_clamps_positive_inputs(self):
-        assert i_exp(3.0) == pytest.approx(i_exp(0.0))
-
-    def test_i_sqrt_accuracy(self):
-        x = np.linspace(0.01, 100, 200)
-        np.testing.assert_allclose(i_sqrt(x, iterations=6), np.sqrt(x), rtol=1e-3)
-
-    def test_i_sqrt_zero(self):
-        assert i_sqrt(0.0) == pytest.approx(0.0)
-
-    def test_i_sqrt_rejects_negative(self):
-        with pytest.raises(ValueError):
-            i_sqrt(-1.0)
-
-    def test_i_rsqrt_accuracy(self):
-        x = np.linspace(0.25, 64, 100)
-        np.testing.assert_allclose(i_rsqrt(x, iterations=6), 1 / np.sqrt(x), rtol=1e-3)
-
-    def test_ibert_softmax_rows_sum_to_one(self):
-        rng = np.random.default_rng(0)
-        logits = rng.normal(size=(4, 10))
-        probs = IBertSoftmax()(logits)
-        np.testing.assert_allclose(probs.sum(axis=-1), 1.0, atol=1e-9)
-        assert np.all(probs >= 0)
-
-    def test_ibert_softmax_close_to_exact(self):
-        rng = np.random.default_rng(1)
-        logits = rng.normal(size=(3, 7)) * 3
-        exact = np.exp(logits - logits.max(-1, keepdims=True))
-        exact = exact / exact.sum(-1, keepdims=True)
-        approx = IBertSoftmax()(logits)
-        assert np.max(np.abs(approx - exact)) < 0.02
-
-
 class TestNNLUTDeployment:
     """NN-LUT deployed as the dense table of its Fig. 1b unit."""
 
-    def test_deploy_engines_bit_identical_over_all_codes(self, trained_gelu_nnlut):
-        import numpy as np
-
+    def test_dense_table_bit_identical_over_all_codes(self, trained_gelu_nnlut):
         from repro.core.lut import DenseLUT, QuantizedLUT
 
         scale = 2.0 ** -4
-        dense = trained_gelu_nnlut.deploy(scale)
         legacy = QuantizedLUT(pwl=trained_gelu_nnlut.extract_fxp_pwl(), scale=scale)
-        assert isinstance(dense, DenseLUT)
+        dense = DenseLUT.from_quantized(legacy)
         codes = np.arange(legacy.spec.qmin, legacy.spec.qmax + 1, dtype=np.float64)
         np.testing.assert_array_equal(
             dense.lookup_codes(codes), legacy.lookup_dequantized(codes)
         )
         x = np.linspace(-4.0, 4.0, 333)
         np.testing.assert_array_equal(dense(x), legacy(x))
-
-    def test_deploy_trains_untrained_network(self):
-        nn = NNLUT(
-            get_function("gelu"),
-            num_entries=8,
-            config=NNLUTTrainingConfig(num_samples=500, iterations=20, seed=0),
-        )
-        assert not nn._trained
-        dense = nn.deploy(0.25)
-        assert nn._trained
-        assert dense.num_codes == 256

@@ -122,12 +122,6 @@ class TestAllCodesEquivalence:
             dense.slope_codes([-1000, 1000]), dense.slope_codes([-128, 127])
         )
 
-    def test_to_dense_round_trip(self):
-        legacy = QuantizedLUT(pwl=_pwl_for("tanh"), scale=0.5)
-        dense = legacy.to_dense()
-        codes = np.arange(-128, 128, dtype=np.float64)
-        np.testing.assert_array_equal(dense.lookup_codes(codes), legacy.lookup_dequantized(codes))
-
 
 class TestQuantizedLUTMemoization:
     def test_derived_arrays_cached_and_stable(self):

@@ -25,18 +25,14 @@ class TestOperatorValues:
 
     def test_gelu_matches_tanh_variant_loosely(self):
         x = np.linspace(-4, 4, 101)
-        assert np.max(np.abs(nl.gelu(x) - nl.gelu_tanh(x))) < 5e-3
+        tanh_form = 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x ** 3)))
+        assert np.max(np.abs(nl.gelu(x) - tanh_form)) < 5e-3
 
     def test_hswish_piecewise_regions(self):
         assert nl.hswish(-4.0) == pytest.approx(0.0)
         assert nl.hswish(4.0) == pytest.approx(4.0)
         assert nl.hswish(0.0) == pytest.approx(0.0)
         assert nl.hswish(-1.5) == pytest.approx(-1.5 * 1.5 / 6.0)
-
-    def test_hsigmoid_bounds(self):
-        x = np.linspace(-10, 10, 201)
-        y = nl.hsigmoid(x)
-        assert np.all(y >= 0.0) and np.all(y <= 1.0)
 
     def test_exp_matches_numpy(self):
         x = np.linspace(-8, 0, 50)

@@ -11,7 +11,6 @@ from repro.functions.registry import get_function
 from repro.hardware import (
     Precision,
     PWLUnitDesign,
-    TSMC28,
     Technology,
     adder,
     barrel_shifter,
@@ -75,17 +74,6 @@ class TestComponents:
         assert fp32_multiplier().total_area > multiplier(8, 8).total_area
         assert fp32_adder().total_area > adder(16).total_area
         assert fp32_comparator().total_area > comparator(8).total_area
-
-    def test_clock_scaling_affects_power_only(self):
-        slower = TSMC28.scaled_to_clock(250.0)
-        assert slower.power_per_register_bit == pytest.approx(
-            TSMC28.power_per_register_bit / 2
-        )
-        assert slower.area_per_register_bit == TSMC28.area_per_register_bit
-
-    def test_clock_scaling_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            TSMC28.scaled_to_clock(0.0)
 
 
 class TestPrecision:

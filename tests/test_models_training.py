@@ -47,17 +47,14 @@ class TestSyntheticData:
         _, label = generate_scene(rng, config)
         assert len(np.unique(label)) >= 3
 
-    def test_class_frequencies_sum_to_one(self):
+    def test_training_split_covers_every_class(self):
+        # Classes past 4 cycle through the bars, so each one still shows up.
         ds = SyntheticSegmentationDataset(
-            SyntheticSegmentationConfig(image_size=16, num_train=4, num_val=2)
+            SyntheticSegmentationConfig(image_size=16, num_classes=7, num_train=8, num_val=1)
         )
-        assert sum(ds.class_frequencies().values()) == pytest.approx(1.0)
-
-    def test_summary_mentions_classes(self):
-        ds = SyntheticSegmentationDataset(
-            SyntheticSegmentationConfig(image_size=16, num_train=2, num_val=1)
-        )
-        assert "classes" in ds.summary()
+        counts = np.bincount(ds.train_labels.reshape(-1), minlength=ds.num_classes)
+        assert counts.size == ds.num_classes
+        assert np.all(counts > 0)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

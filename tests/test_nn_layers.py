@@ -120,10 +120,6 @@ class TestModuleSystem:
         layer.zero_grad()
         assert layer.weight.grad is None
 
-    def test_num_parameters(self):
-        layer = Linear(3, 4)
-        assert layer.num_parameters() == 3 * 4 + 4
-
     def test_sequential_applies_in_order(self):
         seq = Sequential(ReLU(), GELU())
         assert len(seq) == 2
@@ -373,7 +369,6 @@ class TestQuantizationLayers:
         x = Tensor(np.random.default_rng(0).standard_normal((16, 16)) * 0.7)
         quant(x)
         assert is_power_of_two(quant.current_scale())
-        assert isinstance(quant.current_exponent(), int)
 
     @pytest.mark.parametrize("exponent", range(-12, 9))
     def test_power_of_two_quantizer_deploys_exact_powers(self, exponent):
@@ -383,7 +378,6 @@ class TestQuantizationLayers:
         for alpha in (2.0 ** exponent, 2.0 ** exponent * 1.3, 2.0 ** exponent * 0.8):
             quant.scale.data = np.asarray([alpha])
             assert quant.current_scale() == 2.0 ** exponent
-            assert quant.current_exponent() == exponent
 
     def test_quant_linear_from_float_preserves_weights(self):
         linear = Linear(4, 3, rng=np.random.default_rng(0))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.lut import LUT, LUTEntry, QuantizedLUT
+from repro.core.lut import QuantizedLUT
 from repro.core.pwl import PiecewiseLinear, fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
 from repro.quant.quantizer import QuantSpec
@@ -49,11 +49,10 @@ class TestPiecewiseLinear:
         np.testing.assert_allclose(fxp.breakpoints, gelu_uniform_pwl.breakpoints)
 
     def test_interpolated_fit_is_continuous(self, gelu_uniform_pwl):
-        assert gelu_uniform_pwl.is_continuous(tol=1e-9)
-
-    def test_max_segment_width(self):
-        pwl = PiecewiseLinear(breakpoints=[0.0, 3.0], slopes=[0.0] * 3, intercepts=[0.0] * 3)
-        assert pwl.max_segment_width() == pytest.approx(3.0)
+        pwl = gelu_uniform_pwl
+        left = pwl.slopes[:-1] * pwl.breakpoints + pwl.intercepts[:-1]
+        right = pwl.slopes[1:] * pwl.breakpoints + pwl.intercepts[1:]
+        np.testing.assert_allclose(left, right, rtol=0, atol=1e-9)
 
 
 class TestUniformBreakpoints:
@@ -134,25 +133,6 @@ class TestFitPWL:
         assert np.all(np.isfinite(pwl(grid)))
 
 
-class TestLUT:
-    def test_entries_match_pwl(self, gelu_uniform_pwl):
-        lut = LUT(gelu_uniform_pwl)
-        assert lut.num_entries == 8
-        assert len(lut.entries) == 8
-        entry = lut.entries[0]
-        assert isinstance(entry, LUTEntry)
-        assert entry.slope == pytest.approx(gelu_uniform_pwl.slopes[0])
-
-    def test_lookup_equals_pwl_call(self, gelu_uniform_pwl):
-        lut = LUT(gelu_uniform_pwl)
-        x = np.linspace(-4, 4, 33)
-        np.testing.assert_allclose(lut.lookup(x), gelu_uniform_pwl(x))
-
-    def test_storage_bits(self, gelu_uniform_pwl):
-        lut = LUT(gelu_uniform_pwl)
-        assert lut.storage_bits(32) == (3 * 8 - 1) * 32
-
-
 class TestQuantizedLUT:
     def make(self, pwl, scale=0.25, bits=8, frac_bits=5):
         return QuantizedLUT(pwl=pwl.to_fixed_point(frac_bits), scale=scale,
@@ -194,16 +174,6 @@ class TestQuantizedLUT:
         lut = self.make(gelu_uniform_pwl, scale=0.25)
         x = np.array([-1.0, 0.0, 1.0])
         np.testing.assert_allclose(lut(x), lut.lookup_dequantized(x / 0.25))
-
-    def test_with_scale_retargets(self, gelu_uniform_pwl):
-        lut = self.make(gelu_uniform_pwl, scale=0.25)
-        retargeted = lut.with_scale(0.5)
-        assert retargeted.scale == 0.5
-        assert retargeted.pwl is lut.pwl
-
-    def test_storage_bits_uses_input_width(self, gelu_uniform_pwl):
-        lut = self.make(gelu_uniform_pwl, bits=8)
-        assert lut.storage_bits() == (3 * 8 - 1) * 8
 
     def test_larger_scale_gives_larger_breakpoint_deviation(self):
         """The breakpoint-deviation phenomenon of Section 3.3."""

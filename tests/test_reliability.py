@@ -18,7 +18,6 @@ from repro.reliability import (
     FaultSpec,
     InjectedFault,
     RetryPolicy,
-    call_with_retry,
     corrupt_file,
     fault_point,
     inject,
@@ -171,14 +170,6 @@ class TestRunWithRetry:
         outcome = run_with_retry(fatal, policy, sleep=lambda _: None)
         assert outcome.attempts == 1
         assert len(calls) == 1
-
-    def test_call_with_retry_raises_final_error(self):
-        with pytest.raises(RuntimeError, match="poison"):
-            call_with_retry(
-                lambda: (_ for _ in ()).throw(RuntimeError("poison")),
-                RetryPolicy(max_attempts=2, base_delay=0.0),
-                sleep=lambda _: None,
-            )
 
 
 class TestFaultPlan:

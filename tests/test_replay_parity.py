@@ -21,12 +21,18 @@ Each program is traced once and replayed under ``optimize``'s passes:
   a memory regression.
 
 A few hand-built graphs pin the ``cse`` equality rules and the
-``layout_operands`` guards directly.
+``layout_operands`` guards directly.  The last tests hold INT8 models to
+the same byte parity under parameter writes: a :class:`CompiledModel`
+makes the parameters it captured read-only, so an in-place write raises,
+and after a rebind (by hand or by an eager optimizer step) the re-traced
+plan equals eager again; a compiled train step keeps its parameters and
+optimizer buffers read-only too.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gc
 import sys
 import types
@@ -37,8 +43,12 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import uniform_pwl
+from repro.functions import get_function
 from repro.graph import (
     CompiledGraph,
+    CompiledModel,
+    CompiledTrainStep,
     Tracer,
     optimize,
     trace,
@@ -51,7 +61,11 @@ from repro.graph.passes import (
     layout_operands,
 )
 from repro.nn import functional as F
+from repro.nn.approx import PWLSuite
+from repro.nn.models import MiniEfficientViT, MiniSegformer, ModelConfig
+from repro.nn.optim import SGD, Adam
 from repro.nn.tensor import Tensor, no_grad, tracing
+from repro.nn.training import prepare_quantized_model
 
 UNARY = ("neg", "exp", "tanh", "abs", "relu", "sqrt", "log", "round_ste")
 BINARY = ("add", "sub", "mul", "div")
@@ -622,3 +636,106 @@ def test_compiled_graph_drops_the_avals():
     assert not hasattr(compiled, "graph") and not hasattr(compiled, "plan")
     assert compiled.ops == {"mul": 1, "sum": 1}
     assert (compiled.num_steps, compiled.peak_live) == (2, 2)
+
+
+# -- in-place parameter writes ---------------------------------------------------
+
+
+def build_int8(model_cls):
+    """A small INT8 model on uniform 8-entry pwls."""
+    operators = model_cls.REPLACEABLE_OPERATORS
+    suite = PWLSuite(
+        {op: uniform_pwl(get_function(op), 8).to_fixed_point(5) for op in operators},
+        replace=set(operators),
+    )
+    model = model_cls(ModelConfig(image_size=16, embed_dim=16, depth=1), suite=suite)
+    prepare_quantized_model(model)
+    return model
+
+
+@functools.lru_cache(maxsize=None)
+def int8_model(model_cls):
+    """:func:`build_int8` in eval mode with its compiled wrapper, built once."""
+    model = build_int8(model_cls)
+    model.eval()
+    return model, CompiledModel(model)
+
+
+# Each form writes into the parameter's array without rebinding ``.data``.
+IN_PLACE_WRITES = {
+    "slice": lambda data, value: data.__setitem__(Ellipsis, value),
+    "element": lambda data, value: data.__setitem__((0,) * data.ndim, value.flat[0]),
+    "augmented": lambda data, value: data.__iadd__(value),
+    "copyto": lambda data, value: np.copyto(data, value),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    model_cls=st.sampled_from((MiniSegformer, MiniEfficientViT)),
+    picks=st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3),
+    write=st.sampled_from(sorted(IN_PLACE_WRITES)),
+    gain=st.floats(0.5, 1.5),
+    offset=st.floats(-0.1, 0.1),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_in_place_parameter_write_raises_and_rebind_replays_eager(
+        model_cls, picks, write, gain, offset, seed):
+    model, compiled = int8_model(model_cls)
+    images = np.random.default_rng(seed).normal(size=(2, 16, 16, 3))
+    compiled(images)
+    params = list(model.parameters())
+    written = [params[i] for i in sorted({pick % len(params) for pick in picks})]
+    for param in written:
+        before = param.data.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            IN_PLACE_WRITES[write](param.data, param.data * gain + offset)
+        assert param.data.tobytes() == before
+    for param in written:
+        param.data = param.data * gain + offset
+    with no_grad():
+        eager = model(Tensor(images)).data
+    assert_bitwise_equal(compiled(images), eager)
+
+
+def test_compiled_train_step_keeps_its_state_read_only():
+    """The traced step and every replay rebind parameters and optimizer
+    buffers; each time the new arrays are frozen like a captured plan's."""
+    model = build_int8(MiniEfficientViT)
+    model.train()
+    optimizer = Adam(model.parameters(), lr=1e-3)
+    step = CompiledTrainStep(model, optimizer)
+    rng = np.random.default_rng(0)
+    images = rng.normal(size=(2, 16, 16, 3))
+    labels = rng.integers(0, 5, size=(2, 16, 16))
+    for _ in range(3):  # the traced step, then two replays
+        step.step(images, labels)
+        for array in [param.data for param in model.parameters()] + optimizer._m + optimizer._v:
+            with pytest.raises(ValueError, match="read-only"):
+                np.add(array, 0.0, out=array)
+    assert (step.compile_count, step.replay_count) == (1, 2)
+
+
+@pytest.mark.parametrize("make_optimizer", [
+    lambda params: SGD(params, lr=1e-2, momentum=0.9),
+    lambda params: Adam(params, lr=1e-3),
+], ids=["sgd_momentum", "adam"])
+def test_compiled_model_follows_eager_optimizer_steps(make_optimizer):
+    """Eager steps rebind the parameters a plan captured (no in-place write
+    trips the read-only guard), so the compiled output follows them."""
+    model = build_int8(MiniSegformer)
+    model.eval()
+    compiled = CompiledModel(model)
+    optimizer = make_optimizer(model.parameters())
+    rng = np.random.default_rng(0)
+    images = rng.normal(size=(2, 16, 16, 3))
+    labels = rng.integers(0, 5, size=(2, 16, 16))
+    before = compiled(images)
+    for _ in range(2):
+        optimizer.zero_grad()
+        F.cross_entropy(model(Tensor(images)), labels).backward()
+        optimizer.step()
+        with no_grad():
+            eager = model(Tensor(images)).data
+        assert_bitwise_equal(compiled(images), eager)
+    assert not np.array_equal(eager, before)

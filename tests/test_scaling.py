@@ -130,9 +130,6 @@ class TestMultiRangeScaling:
                 rescale_power=1.0,
             )
 
-    def test_coverage_upper_bound(self):
-        assert DIV_MULTI_RANGE.coverage_upper_bound() == float("inf")
-
 
 class TestMultiRangePWL:
     @pytest.fixture(scope="class")

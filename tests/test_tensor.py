@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.nn import functional as F
 from repro.nn import ops
-from repro.nn.tensor import Tensor, concatenate, no_grad, ones, randn, tensor, zeros
+from repro.nn.tensor import Tensor, concatenate, no_grad, ones, tensor, zeros
 
 
 class TestBasicOps:
@@ -197,7 +197,6 @@ class TestGraphControl:
     def test_constructors(self):
         assert zeros((2, 2)).data.sum() == 0
         assert ones((2, 2)).data.sum() == 4
-        assert randn((3, 3), rng=np.random.default_rng(0)).shape == (3, 3)
         assert tensor([1, 2]).shape == (2,)
 
     def test_unknown_op_rejected(self):
