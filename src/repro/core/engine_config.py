@@ -1,4 +1,10 @@
-"""One table for every engine knob, resolved kwarg > context > env > default.
+"""One table for the run-wide knobs, resolved kwarg > context > env > default.
+
+A setting belongs here when experiment code selects it for a whole run:
+the inference, training and decode engines, the sweep's workers, and the
+artifact and run directories.  A setting of one component (a server's
+queue bound, a replica heartbeat, a lease, a retry budget) is a plain
+constructor argument of that component instead.
 
 Each knob is one row of :data:`KNOBS`: field name, type, default,
 environment variable, validator and a short description.
@@ -53,16 +59,11 @@ def _one_of(*choices: str) -> Callable[[str, Any], None]:
     return check
 
 
-def _at_least(limit: float) -> Callable[[str, Any], None]:
+def _at_least(limit: int) -> Callable[[str, Any], None]:
     def check(name: str, value: Any) -> None:
         if value < limit:
             raise ValueError("%s must be >= %r, got %r" % (name, limit, value))
     return check
-
-
-def _positive(name: str, value: Any) -> None:
-    if value <= 0:
-        raise ValueError("%s must be > 0, got %r" % (name, value))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,7 +71,7 @@ class Knob:
     """One engine knob: how it is named, parsed, defaulted and validated."""
 
     name: str
-    type: type  # parses the env var; coerces int/float overrides
+    type: type  # parses the env var; coerces int overrides
     default: Any
     env: str
     check: Optional[Callable[[str, Any], None]]
@@ -97,22 +98,6 @@ KNOBS: Dict[str, Knob] = {knob.name: knob for knob in (
          "autoregressive-decode step engine"),
     Knob("sweep_run_dir", str, None, "REPRO_SWEEP_RUN_DIR", None,
          "durable sweep journal directory (none: in-memory journal)"),
-    Knob("sweep_lease_s", float, 30.0, "REPRO_SWEEP_LEASE_S", _positive,
-         "work-queue lease timeout in seconds"),
-    Knob("retry_attempts", int, 3, "REPRO_RETRY_ATTEMPTS", _at_least(1),
-         "total attempt count (1 means no retry)"),
-    Knob("retry_base_delay", float, 0.05, "REPRO_RETRY_BASE_DELAY", _at_least(0),
-         "retry backoff base in seconds"),
-    Knob("serve_queue_limit", int, 0, "REPRO_SERVE_QUEUE_LIMIT", _at_least(0),
-         "admission-queue bound (0 means unbounded)"),
-    Knob("serve_deadline_ms", float, 0.0, "REPRO_SERVE_DEADLINE_MS", _at_least(0),
-         "default request deadline in ms (0 means none)"),
-    Knob("serve_replicas", int, 2, "REPRO_SERVE_REPLICAS", _at_least(1),
-         "replicated-serving fleet size"),
-    Knob("serve_heartbeat_ms", float, 100.0, "REPRO_SERVE_HEARTBEAT_MS", _positive,
-         "replica heartbeat interval in ms (5x silence is a hang)"),
-    Knob("serve_crash_loop_threshold", int, 3, "REPRO_SERVE_CRASH_LOOP_THRESHOLD",
-         _at_least(1), "deaths inside the crash-loop window that trip the breaker"),
 )}
 
 
@@ -157,13 +142,12 @@ def _coerce(knob: Knob, value: Any, source: str) -> Any:
     """
     if value is None and knob.default is None:
         return None
-    if knob.type is not str:
+    if knob.type is int:
         try:
-            value = knob.type(value.strip() if isinstance(value, str) else value)
+            value = int(value.strip() if isinstance(value, str) else value)
         except (TypeError, ValueError):
-            kind = "an integer" if knob.type is int else "a float"
             raise ValueError(
-                "%s must be %s %s, got %r" % (source, kind, knob.doc, value)
+                "%s must be an integer %s, got %r" % (source, knob.doc, value)
             ) from None
     if knob.check is not None:
         knob.check(knob.name, value)

@@ -233,10 +233,10 @@ class SweepEngine:
         (context > ``REPRO_SWEEP_WORKERS`` > ``0``) on every :meth:`run`.
     retry:
         The :class:`~repro.reliability.retry.RetryPolicy` for failing
-        cells.  ``None`` resolves through the engine config
-        (``REPRO_RETRY_ATTEMPTS`` / ``REPRO_RETRY_BASE_DELAY``).  Retries
-        never change results — every cell is seeded and side-effect free,
-        so attempt N is bit-identical to attempt 1.
+        cells; ``None`` runs under ``RetryPolicy()`` (three attempts,
+        0.05 s base delay).  Retries never change results — every cell
+        is seeded and side-effect free, so attempt N is bit-identical to
+        attempt 1.
     straggler_timeout:
         Seconds the pool path waits without *any* completion before
         re-dispatching every unresolved cell to another worker (first
@@ -412,7 +412,7 @@ class SweepEngine:
         """
         if workers is None:
             workers = engine_config.resolve("sweep_workers", self.workers)
-        policy = RetryPolicy.resolve(self.retry)
+        policy = self.retry or RetryPolicy()
         resolved_dir = engine_config.resolve(
             "sweep_run_dir", str(run_dir) if run_dir is not None else self.run_dir
         )

@@ -76,7 +76,6 @@ import time
 from pathlib import Path
 from typing import IO, Any, Callable, Dict, Optional, Union
 
-from repro.core import engine_config
 from repro.reliability.errors import JournalCorruptError
 from repro.reliability.faults import fault_point
 
@@ -122,8 +121,7 @@ class DurableQueue:
         the same :meth:`_apply`, but nothing is written, fsync'd or
         replayed, so the state lives as long as the object.
     lease_s:
-        Visibility timeout for leased cells; ``None`` resolves through
-        :mod:`repro.core.engine_config` (``REPRO_SWEEP_LEASE_S`` > 30).
+        Visibility timeout for leased cells, in seconds (> 0).
     clock:
         Wall-clock source (injectable for lease-expiry tests).  Must be
         wall time, not monotonic — expiry is compared across processes.
@@ -132,10 +130,12 @@ class DurableQueue:
     def __init__(
         self,
         run_dir: Optional[Union[str, Path]] = None,
-        lease_s: Optional[float] = None,
+        lease_s: float = 30.0,
         clock: Callable[[], float] = time.time,
     ) -> None:
-        self.lease_s = engine_config.resolve("sweep_lease_s", lease_s)
+        if lease_s <= 0:
+            raise ValueError("lease_s must be > 0, got %r" % (lease_s,))
+        self.lease_s = lease_s
         self.clock = clock
         self.cells: Dict[str, CellRecord] = {}
         # Set when replay dropped an undecodable final record (a crash

@@ -131,11 +131,6 @@ def vjp_op_name(name: str, argnum: int) -> str:
     return "vjp[%s][%d]" % (name, argnum)
 
 
-def is_vjp_op(name: str) -> bool:
-    """Whether ``name`` is a traced-VJP wrapper (graph-only, no gradients)."""
-    return name.startswith("vjp[")
-
-
 def _non_differentiable(name: str):
     def vjp_all(grad, ans, saved, *arrays, **params):
         raise RuntimeError(

@@ -26,10 +26,9 @@ Design points:
   the final error plus the attempt count, which is exactly the shape the
   sweep manifest records.
 
-Defaults resolve through :mod:`repro.core.engine_config`
-(kwarg > context > ``REPRO_RETRY_ATTEMPTS`` / ``REPRO_RETRY_BASE_DELAY``
-> defaults), so experiment scripts tune retry behaviour the same way
-they pick engines.
+``RetryPolicy()`` is the default everywhere a policy is optional: three
+attempts, a 0.05 s base delay doubling up to 2 s.  A caller that wants
+another budget passes its own policy.
 """
 
 from __future__ import annotations
@@ -109,18 +108,6 @@ class RetryPolicy:
         fraction = int.from_bytes(digest[:8], "big") / 2.0 ** 64
         return base * (1.0 + self.jitter * fraction)
 
-    @staticmethod
-    def resolve(policy: Optional["RetryPolicy"] = None) -> "RetryPolicy":
-        """kwarg > engine-config context/env > the dataclass defaults."""
-        if policy is not None:
-            return policy
-        from repro.core import engine_config
-
-        config = engine_config.current()
-        return RetryPolicy(
-            max_attempts=config.retry_attempts, base_delay=config.retry_base_delay
-        )
-
 
 @dataclasses.dataclass
 class RetryResult:
@@ -151,8 +138,9 @@ def run_with_retry(
 
     ``sleep`` and ``clock`` are injectable so tests assert the backoff
     schedule (and the ``max_elapsed`` budget) without actually waiting.
+    ``None`` runs under ``RetryPolicy()``.
     """
-    policy = RetryPolicy.resolve(policy)
+    policy = policy or RetryPolicy()
     started = clock()
     attempts = 0
     while True:

@@ -57,9 +57,9 @@ Reliability tier (PR 6) — admission control, deadlines, degradation:
   dict: queue depth, shed/expired counters, fallback count, and
   p50/p95/p99 latency overall and per padding bucket.
 
-Knob defaults resolve through :mod:`repro.core.engine_config`
-(kwarg > context > ``REPRO_SERVE_QUEUE_LIMIT`` /
-``REPRO_SERVE_DEADLINE_MS`` > unbounded / no deadline).
+``max_queue`` and ``deadline_ms`` are plain constructor arguments
+(defaults: unbounded queue, no deadline).  Only the engines resolve
+through :mod:`repro.core.engine_config`: they are selected per run.
 
 Autoregressive decode tier (PR 10) — sequence-bucketed KV-cached serving:
 
@@ -275,11 +275,9 @@ class BatchingServer:
     max_queue:
         Admission bound: queued (not yet batch-assembled) requests beyond
         this are shed with :class:`QueueFullError`.  ``0`` = unbounded.
-        Resolves through the engine config (``REPRO_SERVE_QUEUE_LIMIT``).
     deadline_ms:
         Default per-request deadline; ``0`` disables.  Per-call
-        ``submit(..., deadline_ms=...)`` overrides.  Resolves through the
-        engine config (``REPRO_SERVE_DEADLINE_MS``).
+        ``submit(..., deadline_ms=...)`` overrides.
     fallback:
         Wrap the compiled executor with eager degradation (default on —
         this is the production path; pass ``False`` to make compiled
@@ -297,8 +295,8 @@ class BatchingServer:
         max_batch: int = 8,
         max_wait_ms: float = 2.0,
         engine: Optional[str] = None,
-        max_queue: Optional[int] = None,
-        deadline_ms: Optional[float] = None,
+        max_queue: int = 0,
+        deadline_ms: float = 0.0,
         fallback: bool = True,
         decode_engine: Optional[str] = None,
     ) -> None:
@@ -306,15 +304,17 @@ class BatchingServer:
             raise ValueError("max_batch must be >= 1, got %d" % max_batch)
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0, got %r" % (max_wait_ms,))
+        if max_queue < 0:
+            raise ValueError("max_queue must be >= 0, got %r" % (max_queue,))
+        if deadline_ms < 0:
+            raise ValueError("deadline_ms must be >= 0, got %r" % (deadline_ms,))
         self.model = model
         self.max_batch = max_batch
         self.max_wait = max_wait_ms / 1000.0
         self.engine = engine_config.resolve("infer_engine", engine)
         self.decode_engine = engine_config.resolve("decode_engine", decode_engine)
-        self.max_queue = engine_config.resolve("serve_queue_limit", max_queue)
-        self.default_deadline = (
-            engine_config.resolve("serve_deadline_ms", deadline_ms) / 1000.0
-        )
+        self.max_queue = max_queue
+        self.default_deadline = deadline_ms / 1000.0
         self._queue: "queue.Queue" = queue.Queue()
         self._closed = False
         self._lock = threading.Lock()  # guards _closed + _depth (admission)
@@ -358,34 +358,10 @@ class BatchingServer:
         long the request may wait for batch assembly; an expired request
         fails with :class:`DeadlineExceededError` instead of running.
         """
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ValueError("deadline_ms must be > 0, got %r" % (deadline_ms,))
         # Convert outside the lock: for non-float64 inputs asarray copies,
         # and serialising that across client threads would bottleneck
         # submission on single-threaded preprocessing.
-        array = np.asarray(image, dtype=np.float64)
-        deadline_s = (
-            deadline_ms / 1000.0 if deadline_ms is not None else self.default_deadline
-        )
-        deadline = time.monotonic() + deadline_s if deadline_s > 0 else None
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("server is closed")
-            if self.max_queue and self._depth >= self.max_queue:
-                shed = True
-            else:
-                shed = False
-                self._depth += 1
-                future: Future = Future()
-                self._queue.put(_Request(array, future, deadline))
-        if shed:
-            self._count(shed=1)
-            raise QueueFullError(
-                "admission queue full (%d queued, limit %d)"
-                % (self.max_queue, self.max_queue)
-            )
-        self._count(requests=1)
-        return future
+        return self._admit(np.asarray(image, dtype=np.float64), None, deadline_ms)
 
     def predict(
         self,
@@ -464,13 +440,29 @@ class BatchingServer:
         Shares the prefill path's admission control: ``QueueFullError``
         on a full queue, deadline expiry before batch assembly.
         """
-        if deadline_ms is not None and deadline_ms <= 0:
-            raise ValueError("deadline_ms must be > 0, got %r" % (deadline_ms,))
         if session.position + 1 >= self.model.config.max_seq:
             raise ValueError(
                 "session %d is at max_seq %d; cannot decode further"
                 % (session.session_id, self.model.config.max_seq)
             )
+        return self._admit(None, session, deadline_ms)
+
+    def _admit(
+        self,
+        array: Any,
+        session: Optional[DecodeSession],
+        deadline_ms: Optional[float],
+    ) -> "Future":
+        """The admission step ``submit`` and ``submit_decode`` share.
+
+        Checks and stamps the deadline, then under ``_lock`` refuses a
+        closed server (and a session with a step already in flight), sheds
+        with :class:`QueueFullError` at ``max_queue``, or enqueues
+        ``array``'s prefill request — ``session``'s decode step when one is
+        given, latching it in flight under the same lock acquisition.
+        """
+        if deadline_ms is not None and deadline_ms <= 0:
+            raise ValueError("deadline_ms must be > 0, got %r" % (deadline_ms,))
         deadline_s = (
             deadline_ms / 1000.0 if deadline_ms is not None else self.default_deadline
         )
@@ -478,18 +470,19 @@ class BatchingServer:
         with self._lock:
             if self._closed:
                 raise RuntimeError("server is closed")
-            if session._inflight:
+            if session is not None and session._inflight:
                 raise RuntimeError(
                     "session %d already has a step in flight" % session.session_id
                 )
-            if self.max_queue and self._depth >= self.max_queue:
-                shed = True
-            else:
-                shed = False
-                session._inflight = True
+            shed = bool(self.max_queue) and self._depth >= self.max_queue
+            if not shed:
                 self._depth += 1
                 future: Future = Future()
-                self._queue.put(_DecodeRequest(session, future, deadline))
+                if session is None:
+                    self._queue.put(_Request(array, future, deadline))
+                else:
+                    session._inflight = True
+                    self._queue.put(_DecodeRequest(session, future, deadline))
         if shed:
             self._count(shed=1)
             raise QueueFullError(

@@ -59,13 +59,12 @@ lock)::
   promoted to HEALTHY — the supervisor retires and respawns it from the
   promoted reference instead, so a stale fork never takes traffic.
 
-Knobs resolve through :mod:`repro.core.engine_config`
-(``REPRO_SERVE_REPLICAS`` / ``REPRO_SERVE_HEARTBEAT_MS`` /
-``REPRO_SERVE_CRASH_LOOP_THRESHOLD``).  Workers are forked, so build and
-warm the model (one eager predict initialises the LSQ quantizer scales)
-*before* constructing the server — every replica then shares identical
-frozen scales and answers are bit-identical regardless of which replica
-serves them (pinned by the chaos tests).
+Fleet size, heartbeat and breaker threshold are plain constructor
+arguments (defaults: 2 replicas, 100 ms, 3 deaths).  Workers are forked,
+so build and warm the model (one eager predict initialises the LSQ
+quantizer scales) *before* constructing the server — every replica then
+shares identical frozen scales and answers are bit-identical regardless
+of which replica serves them (pinned by the chaos tests).
 """
 
 from __future__ import annotations
@@ -80,7 +79,6 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.core import engine_config
 from repro.nn.approx import swap_lut_tables
 from repro.nn.module import Module
 from repro.reliability.errors import (
@@ -105,6 +103,12 @@ from repro.serve.worker import (
 
 # Heartbeats older than this many intervals mean the replica is wedged.
 _HEARTBEAT_STALE_FACTOR = 5.0
+# A replica not ready this long after its fork is killed and restarted.
+_START_TIMEOUT_S = 60.0
+# How long close() lets the work queue drain before failing what is left.
+_DRAIN_TIMEOUT_S = 30.0
+# Default whole-fleet bound for one swap_state call.
+_SWAP_TIMEOUT_S = 30.0
 
 STARTING = "starting"
 HEALTHY = "healthy"
@@ -191,20 +195,19 @@ class ReplicatedServer(BatchingServer):
     Parameters (beyond :class:`BatchingServer`'s)
     ----------
     replicas:
-        Fleet size; resolves through the engine config
-        (``REPRO_SERVE_REPLICAS`` > ``2``).
+        Fleet size (>= 1).
     heartbeat_ms:
-        Worker heartbeat interval; staleness past 5x this is a hang and
-        the replica is killed (``REPRO_SERVE_HEARTBEAT_MS`` > ``100``).
+        Worker heartbeat interval (> 0); staleness past 5x this is a hang
+        and the replica is killed.
     crash_loop_threshold / crash_loop_window_s:
-        The circuit breaker: this many deaths inside the window marks
-        the replica FAILED instead of restarting it
-        (``REPRO_SERVE_CRASH_LOOP_THRESHOLD`` > ``3``; window default 5s).
+        The circuit breaker: this many deaths (>= 1) inside the window
+        marks the replica FAILED instead of restarting it.
     restart_policy:
         :class:`RetryPolicy` supplying restart backoff (attempt = deaths
         in window) and, via ``max_elapsed``, an optional total restart
-        budget per crash burst.  ``max_attempts`` is not consulted — the
-        breaker owns give-up semantics.
+        budget per crash burst; ``None`` is ``RetryPolicy()``.
+        ``max_attempts`` is not consulted — the breaker owns give-up
+        semantics.
     canary:
         Default canary image for :meth:`swap_state` (a single ``(H,W,C)``
         array); per-call ``canary=`` overrides.
@@ -222,24 +225,29 @@ class ReplicatedServer(BatchingServer):
     def __init__(
         self,
         model: Module,
-        replicas: Optional[int] = None,
+        replicas: int = 2,
         max_batch: int = 8,
         max_wait_ms: float = 2.0,
         engine: Optional[str] = None,
-        max_queue: Optional[int] = None,
-        deadline_ms: Optional[float] = None,
+        max_queue: int = 0,
+        deadline_ms: float = 0.0,
         fallback: bool = True,
-        heartbeat_ms: Optional[float] = None,
-        crash_loop_threshold: Optional[int] = None,
+        heartbeat_ms: float = 100.0,
+        crash_loop_threshold: int = 3,
         crash_loop_window_s: float = 5.0,
         restart_policy: Optional[RetryPolicy] = None,
         canary: Optional[Any] = None,
         max_redispatch: int = 3,
-        swap_timeout_s: float = 30.0,
-        start_timeout_s: float = 60.0,
-        drain_timeout_s: float = 30.0,
         batch_timeout_s: float = 60.0,
     ) -> None:
+        if replicas < 1:
+            raise ValueError("replicas must be >= 1, got %r" % (replicas,))
+        if heartbeat_ms <= 0:
+            raise ValueError("heartbeat_ms must be > 0, got %r" % (heartbeat_ms,))
+        if crash_loop_threshold < 1:
+            raise ValueError(
+                "crash_loop_threshold must be >= 1, got %r" % (crash_loop_threshold,)
+            )
         if crash_loop_window_s <= 0:
             raise ValueError(
                 "crash_loop_window_s must be > 0, got %r" % (crash_loop_window_s,)
@@ -250,25 +258,14 @@ class ReplicatedServer(BatchingServer):
             raise ValueError(
                 "batch_timeout_s must be > 0, got %r" % (batch_timeout_s,)
             )
-        self._replica_count = engine_config.resolve("serve_replicas", replicas)
-        self._heartbeat_s = (
-            engine_config.resolve("serve_heartbeat_ms", heartbeat_ms) / 1000.0
-        )
+        self._replica_count = replicas
+        self._heartbeat_s = heartbeat_ms / 1000.0
         self._heartbeat_stale_s = _HEARTBEAT_STALE_FACTOR * self._heartbeat_s
-        self._crash_loop_threshold = engine_config.resolve(
-            "serve_crash_loop_threshold", crash_loop_threshold
-        )
+        self._crash_loop_threshold = crash_loop_threshold
         self._crash_loop_window_s = crash_loop_window_s
-        self._restart_policy = (
-            restart_policy
-            if restart_policy is not None
-            else RetryPolicy(base_delay=0.05, multiplier=2.0, max_delay=2.0)
-        )
+        self._restart_policy = restart_policy or RetryPolicy()
         self.max_redispatch = max_redispatch
         self._batch_timeout_s = batch_timeout_s
-        self._swap_timeout_s = swap_timeout_s
-        self._start_timeout_s = start_timeout_s
-        self._drain_timeout_s = drain_timeout_s
         self._canary = (
             np.asarray(canary, dtype=np.float64) if canary is not None else None
         )
@@ -303,9 +300,9 @@ class ReplicatedServer(BatchingServer):
         )
         self._ctx = multiprocessing.get_context(method)
 
-        # Base init resolves engine/queue/deadline knobs and starts the
-        # serve loop (idle until the first submit, which cannot happen
-        # before this constructor returns).
+        # Base init checks the queue/deadline bounds, resolves the engine
+        # and starts the serve loop (idle until the first submit, which
+        # cannot happen before this constructor returns).
         super().__init__(
             model,
             max_batch=max_batch,
@@ -396,7 +393,7 @@ class ReplicatedServer(BatchingServer):
         super().close()  # flushes the admission queue into the work queue
         if already and self._replicas_stopped:
             return
-        drained = self.drain(timeout=self._drain_timeout_s)
+        drained = self.drain(timeout=_DRAIN_TIMEOUT_S)
         self._dispatch_stop.set()
         for thread in self._dispatchers:
             thread.join(timeout=5.0)
@@ -414,7 +411,7 @@ class ReplicatedServer(BatchingServer):
         state_dict: Dict[str, Any],
         lut_tables: Optional[Dict[str, Any]] = None,
         canary: Optional[Any] = None,
-        timeout: Optional[float] = None,
+        timeout: float = _SWAP_TIMEOUT_S,
     ) -> Dict[str, Any]:
         """Rolling hot-swap: drain, reload, canary-verify, promote — per replica.
 
@@ -430,7 +427,6 @@ class ReplicatedServer(BatchingServer):
                 "swap_state needs a canary input (constructor canary= or argument)"
             )
         canary_image = np.asarray(canary_image, dtype=np.float64)
-        timeout = timeout if timeout is not None else self._swap_timeout_s
         with self._lock:
             if self._closed:
                 raise RuntimeError("server is closed")
@@ -845,7 +841,7 @@ class ReplicatedServer(BatchingServer):
                         self._count_sup(heartbeat_kills=1)
                         self._kill_slot(slot, "heartbeat stalled; killed")
                         continue
-                    if state == STARTING and now - slot.started_at > self._start_timeout_s:
+                    if state == STARTING and now - slot.started_at > _START_TIMEOUT_S:
                         self._kill_slot(slot, "start timeout; killed")
                         continue
                     if (

@@ -414,11 +414,10 @@ class TestServingChaos:
                 with pytest.raises(FutureTimeoutError):
                     server.predict(make_images(1, seed=25)[0], timeout=0.05)
 
-    def test_server_default_deadline_from_config(self, served_model):
-        from repro.core import engine_config
-
-        with engine_config.use(serve_deadline_ms=40.0, serve_queue_limit=128):
-            server = BatchingServer(served_model, engine="eager")
+    def test_server_default_deadline_and_queue_limit(self, served_model):
+        server = BatchingServer(
+            served_model, engine="eager", deadline_ms=40.0, max_queue=128
+        )
         try:
             assert server.default_deadline == pytest.approx(0.04)
             assert server.max_queue == 128

@@ -34,7 +34,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.pwl import fit_pwl, uniform_breakpoints
+from repro.baselines import uniform_pwl
 from repro.functions.registry import get_function
 from repro.nn.approx import PWLSuite
 from repro.nn.models import MiniSegformer, ModelConfig
@@ -61,12 +61,7 @@ FAST = dict(
 def build_model():
     suite = PWLSuite(
         approximations={
-            op: fit_pwl(
-                get_function(op).fn,
-                uniform_breakpoints(*get_function(op).search_range, 8),
-                get_function(op).search_range,
-            ).to_fixed_point(5)
-            for op in OPERATORS
+            op: uniform_pwl(get_function(op)).to_fixed_point(5) for op in OPERATORS
         },
         replace=set(OPERATORS),
     )

@@ -34,7 +34,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from repro.core.pwl import fit_pwl, uniform_breakpoints
+from repro.baselines import uniform_pwl
 from repro.functions.registry import get_function
 from repro.graph import CompiledGraph, CompiledTrainStep, optimize, trace
 from repro.graph.ir import Graph, Node
@@ -269,11 +269,9 @@ def test_reductions_keep_numpy_below_the_cutoffs():
 
 
 def _pwl_suite(operators):
-    approximations = {}
-    for name in operators:
-        fn = get_function(name)
-        pwl = fit_pwl(fn.fn, uniform_breakpoints(*fn.search_range, 8), fn.search_range)
-        approximations[name] = pwl.to_fixed_point(5)
+    approximations = {
+        name: uniform_pwl(get_function(name)).to_fixed_point(5) for name in operators
+    }
     return PWLSuite(approximations=approximations, replace=set(operators))
 
 

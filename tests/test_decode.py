@@ -21,8 +21,8 @@ import threading
 import numpy as np
 import pytest
 
+from repro.baselines import uniform_pwl
 from repro.core import engine_config
-from repro.core.pwl import PiecewiseLinear, fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
 from repro.graph import (
     CompiledGraph,
@@ -50,18 +50,12 @@ from repro.serve import BatchingServer
 from oracles import ReferencePWLSuite
 
 
-def build_approximation(operator: str, num_entries: int = 8) -> PiecewiseLinear:
-    fn = get_function(operator)
-    pwl = fit_pwl(fn.fn, uniform_breakpoints(*fn.search_range, num_entries), fn.search_range)
-    return pwl.to_fixed_point(5)
-
-
 def build_suite(kind: str):
     """A fresh operator suite: ``float``, ``dense`` pwl or the ``legacy``
     reference pwl pipeline."""
     if kind == "float":
         return FloatSuite()
-    approximations = {op: build_approximation(op)
+    approximations = {op: uniform_pwl(get_function(op)).to_fixed_point(5)
                       for op in ("exp", "gelu", "div", "rsqrt")}
     suite_cls = {"dense": PWLSuite, "legacy": ReferencePWLSuite}[kind]
     return suite_cls(approximations, replace={"exp", "gelu", "div", "rsqrt"})

@@ -6,6 +6,7 @@ its values exactly as ``resolve`` parses an override, and the consumers
 actually route through it.
 """
 
+import inspect
 import threading
 
 import pytest
@@ -23,14 +24,6 @@ class TestTable:
             "train_engine": ("eager", "REPRO_TRAIN_ENGINE"),
             "decode_engine": ("eager", "REPRO_DECODE_ENGINE"),
             "sweep_run_dir": (None, "REPRO_SWEEP_RUN_DIR"),
-            "sweep_lease_s": (30.0, "REPRO_SWEEP_LEASE_S"),
-            "retry_attempts": (3, "REPRO_RETRY_ATTEMPTS"),
-            "retry_base_delay": (0.05, "REPRO_RETRY_BASE_DELAY"),
-            "serve_queue_limit": (0, "REPRO_SERVE_QUEUE_LIMIT"),
-            "serve_deadline_ms": (0.0, "REPRO_SERVE_DEADLINE_MS"),
-            "serve_replicas": (2, "REPRO_SERVE_REPLICAS"),
-            "serve_heartbeat_ms": (100.0, "REPRO_SERVE_HEARTBEAT_MS"),
-            "serve_crash_loop_threshold": (3, "REPRO_SERVE_CRASH_LOOP_THRESHOLD"),
         }
         assert list(EngineConfig.__dataclass_fields__) == list(KNOBS)
         assert current() == EngineConfig()
@@ -42,10 +35,10 @@ class TestTable:
         assert resolve("sweep_workers") == 0
 
     def test_overrides_coerce_numbers_and_validate(self):
-        assert resolve("sweep_lease_s", 2) == 2.0
-        assert isinstance(resolve("sweep_lease_s", 2), float)
-        with pytest.raises(ValueError, match="sweep_lease_s must be > 0"):
-            resolve("sweep_lease_s", 0)
+        assert resolve("sweep_workers", 2.0) == 2
+        assert isinstance(resolve("sweep_workers", 2.0), int)
+        with pytest.raises(ValueError, match="sweep_workers must be >= 0"):
+            resolve("sweep_workers", -1)
         with pytest.raises(ValueError, match="unknown engine"):
             resolve("infer_engine", "turbo")
 
@@ -184,10 +177,6 @@ class TestUseParsesLikeResolve:
         ("sweep_workers", 4),
         ("sweep_workers", 2.7),
         ("sweep_workers", "3"),
-        ("sweep_lease_s", 2),
-        ("sweep_lease_s", 0.5),
-        ("sweep_lease_s", " 1.5 "),
-        ("retry_attempts", "2"),
         ("infer_engine", "compiled"),
         ("artifact_dir", "/tmp/ctx"),
     ])
@@ -202,8 +191,6 @@ class TestUseParsesLikeResolve:
         ("sweep_workers", "many"),
         ("sweep_workers", -1),
         ("sweep_workers", "-1"),
-        ("sweep_lease_s", 0),
-        ("sweep_lease_s", "slow"),
         ("infer_engine", "jit"),
     ])
     def test_bad_value_fails_at_the_with_line(self, name, value):
@@ -233,3 +220,29 @@ class TestConsumers:
             assert resolve("sweep_workers", engine.workers) == 2
         assert resolve("sweep_workers", engine.workers) == 0
         assert resolve("sweep_workers", 4) == 4
+
+
+class TestComponentDefaults:
+    """Settings of one component are constructor defaults, not knobs."""
+
+    @pytest.mark.parametrize("owner,name,default", [
+        ("BatchingServer", "max_queue", 0),
+        ("BatchingServer", "deadline_ms", 0.0),
+        ("ReplicatedServer", "max_queue", 0),
+        ("ReplicatedServer", "deadline_ms", 0.0),
+        ("ReplicatedServer", "replicas", 2),
+        ("ReplicatedServer", "heartbeat_ms", 100.0),
+        ("ReplicatedServer", "crash_loop_threshold", 3),
+        ("DurableQueue", "lease_s", 30.0),
+        ("RetryPolicy", "max_attempts", 3),
+        ("RetryPolicy", "base_delay", 0.05),
+    ])
+    def test_constructor_default(self, owner, name, default):
+        from repro.experiments.queue import DurableQueue
+        from repro.reliability.retry import RetryPolicy
+        from repro.serve import BatchingServer, ReplicatedServer
+
+        owners = {cls.__name__: cls for cls in (
+            BatchingServer, ReplicatedServer, DurableQueue, RetryPolicy
+        )}
+        assert inspect.signature(owners[owner]).parameters[name].default == default

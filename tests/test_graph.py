@@ -10,9 +10,9 @@ plan) and execute (CompiledGraph / CompiledModel) layers.
 import numpy as np
 import pytest
 
+from repro.baselines import uniform_pwl
 from repro.core import engine_config
 from repro.core.lut import DenseLUT
-from repro.core.pwl import PiecewiseLinear, fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
 from repro.graph import (
     CompiledGraph,
@@ -38,12 +38,6 @@ from repro.nn.training import Trainer, TrainingConfig, prepare_quantized_model
 from oracles import ReferencePWLActivation, ReferencePWLSuite
 
 
-def build_approximation(operator: str, num_entries: int = 8) -> PiecewiseLinear:
-    fn = get_function(operator)
-    pwl = fit_pwl(fn.fn, uniform_breakpoints(*fn.search_range, num_entries), fn.search_range)
-    return pwl.to_fixed_point(5)
-
-
 def small_config() -> ModelConfig:
     return ModelConfig(image_size=16, embed_dim=16, depth=1)
 
@@ -52,7 +46,9 @@ def pwl_suite(operators, engine: str) -> PWLSuite:
     """The dense suite, or (``engine="legacy"``) the reference oracle suite."""
     suite_cls = {"dense": PWLSuite, "legacy": ReferencePWLSuite}[engine]
     return suite_cls(
-        approximations={op: build_approximation(op) for op in operators},
+        approximations={
+            op: uniform_pwl(get_function(op)).to_fixed_point(5) for op in operators
+        },
         replace=set(operators),
     )
 
@@ -175,7 +171,9 @@ class TestPasses:
     def test_legacy_engine_is_not_fused(self):
         """The reference module's trace holds its own element-wise kernel,
         not a ``lookup`` of a deployed table."""
-        module = ReferencePWLActivation("gelu", build_approximation("gelu"))
+        module = ReferencePWLActivation(
+            "gelu", uniform_pwl(get_function("gelu")).to_fixed_point(5)
+        )
         x = np.random.default_rng(6).normal(size=(3, 3))
         with no_grad():
             module(Tensor(x))
@@ -189,7 +187,9 @@ class TestLookupNodes:
     input needs a gradient."""
 
     def test_activation_records_its_dense_table(self):
-        module = PWLActivation("gelu", build_approximation("gelu"))
+        module = PWLActivation(
+            "gelu", uniform_pwl(get_function("gelu")).to_fixed_point(5)
+        )
         x = np.random.default_rng(4).normal(size=(5, 7))
         with no_grad():
             eager = module(Tensor(x)).data
@@ -202,7 +202,9 @@ class TestLookupNodes:
         np.testing.assert_array_equal(CompiledGraph(optimize(graph)).run(x)[0], eager)
 
     def test_wide_range_records_its_slot_lookup(self):
-        module = PWLWideRange("rsqrt", build_approximation("rsqrt"))
+        module = PWLWideRange(
+            "rsqrt", uniform_pwl(get_function("rsqrt")).to_fixed_point(5)
+        )
         x = np.abs(np.random.default_rng(5).normal(size=(4, 4))) * 200 + 0.5
         with no_grad():
             eager = module(Tensor(x)).data
@@ -235,7 +237,9 @@ class TestLookupNodes:
         assert all(s.saved >= 0 for s in fused)
 
     def test_lookup_has_no_gradient(self):
-        module = PWLActivation("gelu", build_approximation("gelu"))
+        module = PWLActivation(
+            "gelu", uniform_pwl(get_function("gelu")).to_fixed_point(5)
+        )
         x = Tensor(np.linspace(-2.0, 2.0, 6), requires_grad=True)
         module(x)  # initialises the quantizer
         y = apply_op("lookup", x, fn=module._dense().__call__)

@@ -10,7 +10,8 @@ fails the test unless :data:`TEST_ONLY` names it with a reason, and each
 
 A second scan flags imports that the importing module never reads, in the
 same directories; a package ``__init__`` re-exports by importing, so it is
-skipped.
+skipped.  A third keeps code and docs from naming a ``REPRO_*`` environment
+variable the program does not read.
 
 The scan matches names, not bindings: a method shares its name with every
 attribute of that name, so it can miss dead code but never flags live
@@ -23,10 +24,14 @@ from __future__ import annotations
 
 import ast
 import functools
+import re
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Tuple
 
 import pytest
+
+from repro.core.engine_config import KNOBS
+from repro.reliability.faults import FAULT_PLAN_ENV
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLER_DIRS = ("src", "benchmarks", "examples", "perfbench")
@@ -47,7 +52,6 @@ TEST_ONLY = {
     "gc": "store maintenance; the chaos tests pin which orphans it reaps",
     "set_default_engine": "resets the process-wide sweep engine between tests",
     "stored_intercepts": "the float view of the stored intercept codes, beside the other Fig. 1b views",
-    "is_vjp_op": "the VJP-name test the gradcheck suite uses to enumerate forward ops",
     "clip_ste": "the method form of the clip_ste registry op the gradcheck and replay programs draw",
     "softmax": "the exact softmax the autograd tests differentiate",
     "numpy": "the shared-array accessor whose tracing refusal a graph test pins",
@@ -150,3 +154,26 @@ def test_no_unused_imports_outside_tests():
         for site in unused_imports(path)
     ]
     assert not unused, "imported but never read (delete the import):\n  %s" % "\n  ".join(unused)
+
+
+#: The ``REPRO_*`` environment variables the program and its harnesses read.
+READ_ENV = frozenset(
+    [knob.env for knob in KNOBS.values()]
+    + [FAULT_PLAN_ENV, "REPRO_SLOW_CHAOS", "REPRO_BENCH_BUDGET"]
+)
+
+
+def test_no_unread_environment_variable_is_named():
+    paths = [
+        path
+        for directory in ("src", "benchmarks", "examples")
+        for path in sorted((ROOT / directory).rglob("*.py"))
+    ] + [ROOT / "DESIGN.md", ROOT / ".github" / "workflows" / "ci.yml"]
+    unread = [
+        "%s:%d %s" % (path.relative_to(ROOT), number, name)
+        for path in paths
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        for name in re.findall(r"REPRO_[A-Z][A-Z_]*", line)
+        if name not in READ_ENV
+    ]
+    assert not unread, "names an environment variable nothing reads:\n  %s" % "\n  ".join(unread)

@@ -105,6 +105,10 @@ class TestLifecycle:
 
 
 class TestLeases:
+    def test_non_positive_lease_rejected(self, make_queue):
+        with pytest.raises(ValueError, match="lease_s must be > 0"):
+            make_queue(lease_s=0)
+
     def test_expired_lease_reports_pending(self, make_queue):
         clock = FakeClock()
         with make_queue(lease_s=10.0, clock=clock) as queue:

@@ -12,7 +12,6 @@ import os
 import numpy as np
 import pytest
 
-from repro.core import engine_config
 from repro.reliability import (
     FaultPlan,
     FaultSpec,
@@ -120,14 +119,6 @@ class TestRetryPolicy:
             policy, site="budget", sleep=sleep, clock=lambda: now[0],
         )
         assert outcome.attempts == 4  # all attempts spent despite 30s "elapsed"
-
-    def test_resolve_reads_engine_config(self):
-        with engine_config.use(retry_attempts=5, retry_base_delay=0.25):
-            policy = RetryPolicy.resolve()
-        assert policy.max_attempts == 5
-        assert policy.base_delay == 0.25
-        explicit = RetryPolicy(max_attempts=2)
-        assert RetryPolicy.resolve(explicit) is explicit
 
 
 class TestRunWithRetry:
@@ -243,33 +234,3 @@ class TestFaultPlan:
             corrupt_file("store", path)
             assert path.read_bytes() == first
 
-
-class TestEngineConfigKnobs:
-    def test_env_layer_parses_reliability_knobs(self, monkeypatch):
-        monkeypatch.setenv("REPRO_RETRY_ATTEMPTS", "4")
-        monkeypatch.setenv("REPRO_RETRY_BASE_DELAY", "0.5")
-        monkeypatch.setenv("REPRO_SERVE_QUEUE_LIMIT", "64")
-        monkeypatch.setenv("REPRO_SERVE_DEADLINE_MS", "250")
-        config = engine_config.current()
-        assert config.retry_attempts == 4
-        assert config.retry_base_delay == 0.5
-        assert config.serve_queue_limit == 64
-        assert config.serve_deadline_ms == 250.0
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValueError):
-            engine_config.EngineConfig(retry_attempts=0)
-        with pytest.raises(ValueError):
-            engine_config.EngineConfig(serve_queue_limit=-1)
-        with pytest.raises(ValueError):
-            engine_config.EngineConfig(serve_deadline_ms=-0.5)
-        with pytest.raises(ValueError):
-            engine_config.resolve("retry_attempts", 0)
-
-    def test_resolvers_follow_precedence(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SERVE_QUEUE_LIMIT", "8")
-        assert engine_config.resolve("serve_queue_limit") == 8
-        with engine_config.use(serve_queue_limit=16):
-            assert engine_config.resolve("serve_queue_limit") == 16
-            assert engine_config.resolve("serve_queue_limit", 32) == 32
-        assert engine_config.resolve("serve_deadline_ms", 125.0) == 125.0

@@ -222,6 +222,10 @@ class TestBatchingServer:
             BatchingServer(served_model, max_batch=0)
         with pytest.raises(ValueError):
             BatchingServer(served_model, max_wait_ms=-1.0)
+        with pytest.raises(ValueError, match="max_queue"):
+            BatchingServer(served_model, max_queue=-1)
+        with pytest.raises(ValueError, match="deadline_ms"):
+            BatchingServer(served_model, deadline_ms=-0.5)
 
 
 def timed(call, *args):

@@ -14,7 +14,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import engine_config
 from repro.core.pwl import fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
 from repro.nn.approx import PWLActivation, PWLSuite, swap_lut_tables
@@ -153,11 +152,10 @@ class TestReplicatedServer:
         with pytest.raises(RuntimeError):
             server.submit(make_images(1)[0])
 
-    def test_replica_count_resolves_through_engine_config(self, served_model):
-        with engine_config.use(serve_replicas=1):
-            with ReplicatedServer(served_model, max_wait_ms=1.0) as server:
-                assert server.health()["replica_count"] == 1
-                server.predict(make_images(1)[0], timeout=120)
+    def test_single_replica_fleet_serves(self, served_model):
+        with ReplicatedServer(served_model, replicas=1, max_wait_ms=1.0) as server:
+            assert server.health()["replica_count"] == 1
+            server.predict(make_images(1)[0], timeout=120)
 
     def test_invalid_knobs_rejected(self, served_model):
         with pytest.raises(ValueError):
@@ -168,6 +166,10 @@ class TestReplicatedServer:
             ReplicatedServer(served_model, max_redispatch=0)
         with pytest.raises(ValueError):
             ReplicatedServer(served_model, batch_timeout_s=0.0)
+        with pytest.raises(ValueError, match="heartbeat_ms"):
+            ReplicatedServer(served_model, heartbeat_ms=0)
+        with pytest.raises(ValueError, match="crash_loop_threshold"):
+            ReplicatedServer(served_model, crash_loop_threshold=0)
 
 
 class TestHotSwap:
