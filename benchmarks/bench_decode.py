@@ -15,9 +15,10 @@ replaceable operator on its 8-entry pwl, INT8-quantized Linears):
    ``--min-decode-speedup``.  The report's ``breakdown`` section splits
    the last step's batch-1 plan per op (``CompiledGraph.profile``: node
    count and microseconds per op), taken in the same run.
-2. **Bucket-grouped serving** — concurrent sessions decoding through
+2. **Batched serving** — concurrent sessions decoding through
    :meth:`repro.serve.BatchingServer.submit_decode` (one batched compiled
-   step per cache bucket per drain) asserted token-identical to direct
+   step per drain, at the largest cache bucket among its sessions, the
+   smaller caches zero-padded) asserted token-identical to direct
    decode, with evidence the sessions actually shared steps.
 
 The report carries a SHA-256 of the reference token stream;
@@ -181,7 +182,7 @@ def profile_decode_step(model, tokens, repeats: int) -> dict:
 
 def bench_serving_decode(config: DecoderConfig, num_sessions: int,
                          num_new: int, max_batch: int) -> dict:
-    """Concurrent bucket-grouped serving vs direct per-session decode."""
+    """Concurrent batched serving vs direct per-session decode."""
     rng = np.random.default_rng(11)
     prompts = [
         [int(t) for t in rng.integers(0, config.vocab_size, size=length)]

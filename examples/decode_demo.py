@@ -11,9 +11,9 @@ The 60-second tour of the PR 10 decode stack:
    specializations (a long decode needs ~log2(T) plans, not T),
 4. pick the decode engine through the central config
    (``REPRO_DECODE_ENGINE=compiled`` does the same globally),
-5. serve concurrent decode sessions through ``BatchingServer`` —
-   grouped by cache bucket, one batched compiled step per group — and
-   verify the served streams match direct decode.
+5. serve concurrent decode sessions through ``BatchingServer`` — one
+   batched compiled step per drain, across cache buckets — and verify
+   the served streams match direct decode.
 
 Run with::
 
@@ -76,9 +76,9 @@ def main() -> None:
         contextual = greedy_generate(model, prompt, num_new, cache=True)
     print("config-driven decode :", contextual == reference)
 
-    # 4. Served decode: each session owns a KV cache; every drain groups
-    #    live sessions by cache bucket and runs ONE batched compiled step
-    #    per group, so concurrent streams share plans and batches.
+    # 4. Served decode: each session owns a KV cache; every drain runs
+    #    its live sessions as ONE batched compiled step at their largest
+    #    cache bucket, so concurrent streams share plans and batches.
     prompts = [prompt, [3, 3, 9], [11, 0, 5, 8, 2], [6, 1]]
     direct = [greedy_generate(model, p, num_new, cache=True, engine="eager")
               for p in prompts]

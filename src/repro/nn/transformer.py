@@ -159,24 +159,26 @@ class KVCache:
         return out
 
 
-def stack_caches(caches: Sequence[KVCache]) -> KVCache:
-    """Concatenate same-capacity caches along the batch axis (serving).
+def stack_caches(caches: Sequence[KVCache], capacity: int) -> KVCache:
+    """Stack caches along the batch axis at one ``capacity`` (serving).
 
-    Lengths may differ per row — the per-row position/mask inputs carry
-    that — but capacities must already agree (the caller groups sessions
-    by bucket).  ``length`` on the stacked cache is advisory (the max).
+    Each cache is written into the front of a zeroed
+    ``(batch, heads, capacity, head_dim)`` array, so a cache from a
+    smaller bucket gets the longer zero tail :meth:`KVCache.ensure` would
+    give it.  Lengths and capacities may differ per row (the per-row
+    position/mask inputs carry the lengths); ``capacity`` must hold every
+    cache.  ``length`` on the stacked cache is advisory (the max).
     """
     first = caches[0]
-    for cache in caches[1:]:
-        if cache.capacity != first.capacity or cache.num_layers != first.num_layers:
-            raise ValueError("stack_caches requires one capacity bucket per group")
     out = KVCache(first.num_layers, sum(c.batch for c in caches),
                   first.num_heads, first.head_dim, first.max_seq,
-                  capacity=first.capacity)
-    out.keys = [np.concatenate([c.keys[i] for c in caches], axis=0)
-                for i in range(first.num_layers)]
-    out.values = [np.concatenate([c.values[i] for c in caches], axis=0)
-                  for i in range(first.num_layers)]
+                  capacity=capacity)
+    stacked = out.arrays()
+    row = 0
+    for cache in caches:
+        for target, array in zip(stacked, cache.arrays()):
+            target[row:row + cache.batch, :, :array.shape[2]] = array
+        row += cache.batch
     out.length = max(c.length for c in caches)
     return out
 
@@ -409,8 +411,11 @@ class MiniDecoder(Module):
         with ``logits`` ``(B, vocab)``.
 
         Rows are independent — sessions at different lengths batch into
-        one step as long as they share a capacity bucket, which is exactly
-        how the serving tier drains decode groups.
+        one step, and a row whose cache comes from a smaller bucket joins
+        with its cache zero-padded to ``capacity`` (:func:`stack_caches`):
+        the slots past its position are masked out of its attention.  That
+        is how the serving tier drains decode requests (DESIGN.md,
+        "Sequence-bucketed decode serving", has what padding keeps exact).
         """
         if len(caches) != 2 * len(self.blocks):
             raise ValueError(

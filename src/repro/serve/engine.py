@@ -68,16 +68,19 @@ Autoregressive decode tier (PR 10) — sequence-bucketed KV-cached serving:
   (:class:`repro.nn.transformer.MiniDecoder`); :meth:`submit_decode`
   enqueues *one token step* for a session through the same admission
   queue (bounds, deadlines, close ordering all shared with prefill).
-* **Cache-bucket grouping.**  Each drain, live decode requests are
-  grouped by their session's cache capacity bucket (powers of two, see
-  :func:`repro.nn.transformer.bucket_capacity`) and each group runs as
-  **one** batched step — rows are independent, so sessions at different
-  lengths share a step as long as they share a bucket.  Group sizes pad
-  to the next power of two (ghost rows repeat the last session, outputs
-  discarded), so the compiled decode executor sees a handful of
-  (batch, capacity) signatures under arbitrary traffic.
+* **One step per drain.**  Each drain's live decode requests run as
+  **one** batched step at the largest cache capacity bucket among their
+  sessions (powers of two, see
+  :func:`repro.nn.transformer.bucket_capacity`).  Rows are independent
+  and a smaller session's cache joins zero-padded: the slots past its
+  position are masked out of its attention, so sessions in different
+  buckets share the step, and each keeps only its own capacity of the
+  result.  Group sizes pad to the next power of two (ghost rows repeat
+  the last session, outputs discarded), so the compiled decode executor
+  sees a handful of (batch, capacity) signatures under arbitrary
+  traffic.
 * **Engine knob.**  ``decode_engine`` (kwarg > context >
-  ``REPRO_DECODE_ENGINE`` > ``"eager"``) picks the per-group step:
+  ``REPRO_DECODE_ENGINE`` > ``"eager"``) picks the batched step:
   :class:`repro.graph.executor.CompiledDecodeStep` replay or the eager
   step.  Greedy token streams are identical either way.
 
@@ -127,7 +130,7 @@ class ServerStats:
     are *not* part of ``requests``/``failed``.  ``fallbacks`` counts
     batches answered by the eager path after a compiled failure.
     ``decode_steps``/``decode_batches`` count answered single-token
-    decode requests and the bucket-grouped batched steps that served
+    decode requests and the batched steps (one per drain) that served
     them — ``decode_steps > decode_batches`` is the direct evidence that
     concurrent sessions shared steps.
     """
@@ -283,7 +286,7 @@ class BatchingServer:
         this is the production path; pass ``False`` to make compiled
         failures fail requests loudly instead).
     decode_engine:
-        Engine for the bucket-grouped decode steps (only consulted when
+        Engine for the batched decode steps (only consulted when
         the served model is a cache-carrying decoder), resolved through
         :mod:`repro.core.engine_config` (kwarg > context >
         ``REPRO_DECODE_ENGINE`` > default).
@@ -501,7 +504,7 @@ class BatchingServer:
         """Greedy-decode ``num_new`` tokens after ``prompt``; returns them.
 
         Sequential per session — the batching win comes from *concurrent*
-        sessions whose steps share bucket groups, so run ``generate``
+        sessions whose steps share a drain, so run ``generate``
         from several threads to exercise it (the decode benchmark does).
         """
         session = self.open_session(prompt)
@@ -783,27 +786,30 @@ class BatchingServer:
     # -- decode drain ----------------------------------------------------------
 
     def _run_decode(self, requests: List["_DecodeRequest"]) -> None:
-        """Serve this drain's decode requests, one batched step per bucket.
+        """Serve this drain's decode requests as one batched step.
 
         Each session's cache is first grown to the bucket holding its next
-        position, then requests sharing a capacity bucket run as a single
-        batched step — the sequence-bucketed group drain.  A failing group
-        fails only its own sessions' steps.
+        position; then every request of the drain runs in a single step at
+        the largest of their capacities (:meth:`_decode_group`).  A failing
+        step fails every decode request of the drain.
         """
         if not requests:
             return
-        groups: Dict[int, List[_DecodeRequest]] = {}
         for request in requests:
-            capacity = request.session.cache.ensure(request.session.position + 1)
-            groups.setdefault(capacity, []).append(request)
-        for _, group in sorted(groups.items()):
-            try:
-                self._decode_group(group)
-            except BaseException as error:
-                self._fail_group(group, error)
+            request.session.cache.ensure(request.session.position + 1)
+        try:
+            self._decode_group(requests)
+        except BaseException as error:
+            self._fail_group(requests, error)
 
     def _decode_group(self, group: List["_DecodeRequest"]) -> None:
-        """One batched compiled/eager step over a same-bucket group."""
+        """One batched compiled/eager step over a drain's decode requests.
+
+        The step runs at the largest cache capacity in the group; smaller
+        caches join zero-padded (:func:`~repro.nn.transformer.stack_caches`)
+        and each session keeps only its own capacity of the step's new
+        caches, so session memory does not grow with the group's.
+        """
         from repro.nn.transformer import stack_caches, step_inputs
 
         sessions = [request.session for request in group]
@@ -813,14 +819,14 @@ class BatchingServer:
         # real count are discarded.  Reading one cache twice is safe — the
         # step is functional in the cache arrays.
         rows = sessions + [sessions[-1]] * (padded_to - count)
-        capacity = rows[0].cache.capacity
+        capacity = max(session.cache.capacity for session in sessions)
         positions = [session.position for session in rows]
         tokens = [session.tokens[position]
                   for session, position in zip(rows, positions)]
         token_onehot, pos_onehot, mask = step_inputs(
             self.model, tokens, positions, capacity
         )
-        stacked = stack_caches([session.cache for session in rows])
+        stacked = stack_caches([session.cache for session in rows], capacity)
         logits, new_caches = self._decode_predict(
             token_onehot, pos_onehot, mask, stacked.arrays()
         )
@@ -830,8 +836,9 @@ class BatchingServer:
         bucket_key = "decode/batch%d/cap%d" % (padded_to, capacity)
         for index, request in enumerate(group):
             session = request.session
+            own = session.cache.capacity
             session.cache.update(
-                [array[index:index + 1].copy() for array in new_caches]
+                [array[index:index + 1, :, :own].copy() for array in new_caches]
             )
             predicted = int(np.argmax(logits[index]))
             if session.cache.length == len(session.tokens):

@@ -9,9 +9,16 @@ import threading
 import numpy as np
 import pytest
 
+from repro.baselines import uniform_pwl
 from repro.core.config import default_config
 from repro.core.pwl import fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
+from repro.nn.approx import PWLSuite
+from repro.nn.models import MiniSegformer, ModelConfig
+from repro.nn.training import prepare_quantized_model
+
+#: The operators the served models replace with their pwl tables.
+SERVED_OPERATORS = ("exp", "gelu", "div", "rsqrt")
 
 
 def pytest_configure(config):
@@ -112,3 +119,36 @@ def quick_gelu_outcome():
     return GQALUT.for_operator("gelu", num_entries=8, use_rm=True).search(
         generations=15, population_size=12, seed=0
     )
+
+
+def _fxp_pwl(op: str, entries: int = 8):
+    """``op``'s uniform-breakpoint pwl with 5-bit fixed-point coefficients."""
+    return uniform_pwl(get_function(op), entries).to_fixed_point(5)
+
+
+@pytest.fixture(scope="session")
+def fxp_pwl():
+    """``fxp_pwl(op, entries=8)``: see :func:`_fxp_pwl`."""
+    return _fxp_pwl
+
+
+@pytest.fixture(scope="module")
+def served_model():
+    """The serving tests' model: a 16x16 MiniSegformer whose four
+    operators run on 8-entry uniform FXP tables, prepared, in eval mode
+    and warmed by one eager predict.
+
+    The warm-up initialises the LSQ quantizers before any server (or
+    forked replica) sees the model, so every path shares identical frozen
+    scales — what makes served responses bit-identical to direct ones.
+    Module-scoped: a test that loads new weights restores the old ones.
+    """
+    suite = PWLSuite(
+        approximations={op: _fxp_pwl(op) for op in SERVED_OPERATORS},
+        replace=set(SERVED_OPERATORS),
+    )
+    model = MiniSegformer(ModelConfig(image_size=16, embed_dim=16, depth=1), suite=suite)
+    prepare_quantized_model(model)
+    model.eval()
+    model.predict(np.random.default_rng(0).normal(size=(1, 16, 16, 3)), engine="eager")
+    return model

@@ -22,7 +22,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 import numpy as np
 import pytest
 
-from repro.core.pwl import PiecewiseLinear, fit_pwl, uniform_breakpoints
+from repro.core.pwl import PiecewiseLinear
 from repro.experiments import (
     ApproximationBudget,
     ApproximationJob,
@@ -31,11 +31,7 @@ from repro.experiments import (
     SweepEngine,
     compute_approximation,
 )
-from repro.functions.registry import get_function
 from repro.graph.executor import CompiledModel
-from repro.nn.approx import PWLSuite
-from repro.nn.models import MiniSegformer, ModelConfig
-from repro.nn.training import prepare_quantized_model
 from repro.reliability import (
     DeadlineExceededError,
     FaultPlan,
@@ -51,35 +47,6 @@ from repro.serve import BatchingServer
 QUICK = ApproximationBudget.quick()
 # Zero-delay policy so chaos runs stay fast; jitter is irrelevant at 0.
 FAST_RETRY = RetryPolicy(max_attempts=2, base_delay=0.0)
-
-OPERATORS = ("exp", "gelu", "div", "rsqrt")
-
-
-def build_model():
-    suite = PWLSuite(
-        approximations={
-            op: fit_pwl(
-                get_function(op).fn,
-                uniform_breakpoints(*get_function(op).search_range, 8),
-                get_function(op).search_range,
-            ).to_fixed_point(5)
-            for op in OPERATORS
-        },
-        replace=set(OPERATORS),
-    )
-    model = MiniSegformer(ModelConfig(image_size=16, embed_dim=16, depth=1), suite=suite)
-    prepare_quantized_model(model)
-    model.eval()
-    return model
-
-
-@pytest.fixture(scope="module")
-def served_model():
-    model = build_model()
-    # Initialise the LSQ quantizers once so every subsequent path (eager
-    # reference and compiled serving) sees identical frozen scales.
-    model.predict(np.random.default_rng(0).normal(size=(1, 16, 16, 3)), engine="eager")
-    return model
 
 
 def make_images(count, seed=1):

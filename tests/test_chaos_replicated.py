@@ -34,11 +34,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.baselines import uniform_pwl
-from repro.functions.registry import get_function
-from repro.nn.approx import PWLSuite
-from repro.nn.models import MiniSegformer, ModelConfig
-from repro.nn.training import prepare_quantized_model
 from repro.reliability import FaultPlan, FaultSpec, RetryPolicy, inject
 from repro.serve import (
     NoHealthyReplicaError,
@@ -47,8 +42,6 @@ from repro.serve import (
     SwapFailedError,
 )
 
-OPERATORS = ("exp", "gelu", "div", "rsqrt")
-
 # Fast-recovery knobs shared by the chaos servers: quick heartbeats and
 # near-immediate restarts keep every scenario inside a couple of seconds.
 FAST = dict(
@@ -56,26 +49,6 @@ FAST = dict(
     heartbeat_ms=40.0,
     restart_policy=RetryPolicy(base_delay=0.01, multiplier=1.0, jitter=0.0),
 )
-
-
-def build_model():
-    suite = PWLSuite(
-        approximations={
-            op: uniform_pwl(get_function(op)).to_fixed_point(5) for op in OPERATORS
-        },
-        replace=set(OPERATORS),
-    )
-    model = MiniSegformer(ModelConfig(image_size=16, embed_dim=16, depth=1), suite=suite)
-    prepare_quantized_model(model)
-    model.eval()
-    return model
-
-
-@pytest.fixture(scope="module")
-def served_model():
-    model = build_model()
-    model.predict(np.random.default_rng(0).normal(size=(1, 16, 16, 3)), engine="eager")
-    return model
 
 
 def make_images(count, seed=1):

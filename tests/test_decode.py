@@ -11,15 +11,20 @@ The decode stack's contract, pinned here:
 * cache capacity grows in power-of-two buckets, crossings preserve the
   written prefix bit-exactly, and the compiled step specialises once per
   (batch, capacity) — logarithmic in sequence length;
-* the serving tier's bucket-grouped decode answers concurrent sessions
-  with the same streams direct decode produces, actually batches them,
-  and reports decode latency under non-aliasing bucket keys.
+* a step at a larger capacity, with the cache zero-padded, gives the
+  step at the session's own bucket (byte for byte on the INT8 pwl suite);
+* the serving tier runs each drain's decode requests as one step across
+  cache buckets, answers concurrent sessions (under random schedules
+  with session churn) with the same streams direct decode produces, and
+  reports decode latency under non-aliasing bucket keys.
 """
 
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import uniform_pwl
 from repro.core import engine_config
@@ -43,6 +48,7 @@ from repro.nn.transformer import (
     MiniDecoder,
     bucket_capacity,
     greedy_generate,
+    stack_caches,
     step_inputs,
 )
 from repro.serve import BatchingServer
@@ -220,6 +226,69 @@ class TestBucketBoundary:
         # it doubles exactly when length crosses 2^k.
         assert seen == [bucket_capacity(p + 1, SMALL.max_seq) for p in range(17)]
         assert seen[:2] == [1, 2] and seen[4] == 8 and seen[8] == 16
+
+
+#: Every capacity bucket of the SMALL config, smallest first.
+CAPACITIES = sorted({bucket_capacity(n, SMALL.max_seq)
+                     for n in range(1, SMALL.max_seq + 1)})
+
+
+@pytest.fixture(scope="module")
+def padding_models():
+    """One decoder per suite, shared by the hypothesis examples so compiled
+    plans stay warm (calibrated by the first example's tokens)."""
+    return {kind: make_model(kind) for kind in ("dense", "float")}
+
+
+class TestZeroPaddedStep:
+    """The property one step per serving drain rests on: a decode step at a
+    larger capacity, with the session's cache zero-padded by
+    ``stack_caches``, gives the step at the session's own bucket — the same
+    logits and the same new caches, whose padded tail stays zero.
+
+    On the INT8 pwl suite this holds byte for byte: the pwl exp's outputs
+    are power-of-two-scaled integers, so the softmax denominator sums
+    exactly in any order.  On ``FloatSuite`` it holds to rounding only:
+    numpy sums a 4-slot row and BLAS multiplies a 1- or 2-column score
+    matrix in a different order than at a larger capacity.
+    """
+
+    @pytest.mark.parametrize("engine", ["eager", "compiled"])
+    @pytest.mark.parametrize("kind", ["dense", "float"])
+    @settings(max_examples=20, deadline=None)
+    @given(tokens=st.lists(st.integers(0, SMALL.vocab_size - 1),
+                           min_size=1, max_size=SMALL.max_seq - 1))
+    def test_padded_step_matches_own_bucket(self, padding_models, kind, engine,
+                                            tokens):
+        model = padding_models[kind]
+        model.calibrate(tokens)
+        step = model.compiled_step().step if engine == "compiled" else model.eager_step
+        kv = model.new_cache(batch=1)
+        for position, token in enumerate(tokens[:-1]):
+            inputs = step_inputs(model, [token], [position], kv.ensure(position + 1))
+            kv.update(step(*inputs, kv.arrays())[1])
+        position = len(tokens) - 1
+        own = kv.ensure(position + 1)
+        logits, new = step(*step_inputs(model, [tokens[-1]], [position], own),
+                           kv.arrays())
+        for capacity in [c for c in CAPACITIES if c > own]:
+            padded = stack_caches([kv], capacity)
+            got_logits, got_new = step(
+                *step_inputs(model, [tokens[-1]], [position], capacity),
+                padded.arrays(),
+            )
+            assert len(got_new) == len(new)
+            for got, want in zip(got_new, new):
+                assert got.shape == want.shape[:2] + (capacity, want.shape[3])
+                assert not got[:, :, own:].any(), "padded tail changed"
+            if kind == "dense":
+                assert got_logits.tobytes() == logits.tobytes()
+                for got, want in zip(got_new, new):
+                    assert got[:, :, :own].tobytes() == want.tobytes()
+            else:
+                np.testing.assert_allclose(got_logits, logits, rtol=0, atol=1e-12)
+                for got, want in zip(got_new, new):
+                    np.testing.assert_allclose(got[:, :, :own], want, rtol=0, atol=1e-12)
 
 
 class TestCompiledDecodeStep:
@@ -473,3 +542,87 @@ class TestServedDecode:
         assert "1" in keys
         assert any(key.startswith("decode/") for key in keys)
         assert len(keys) == len(set(keys))
+
+
+class _SteppedServer(BatchingServer):
+    """A server whose worker drains only when the test releases it, so
+    every request submitted before a release lands in one drain."""
+
+    def __init__(self, *args, **kwargs):
+        self.gate = threading.Semaphore(0)
+        super().__init__(*args, **kwargs)
+
+    def _collect(self):
+        self.gate.acquire()
+        return super()._collect()
+
+    def close(self):
+        self.gate.release()  # let the worker reach the stop sentinel
+        super().close()
+
+
+@pytest.fixture(scope="module")
+def stepped_servers():
+    """One INT8 pwl decoder and a stepped server per decode engine."""
+    model = make_model("dense")
+    servers = {engine: _SteppedServer(model, max_batch=4, max_wait_ms=0.0,
+                                      decode_engine=engine)
+               for engine in ("eager", "compiled")}
+    yield model, servers
+    for server in servers.values():
+        server.close()
+
+
+class TestServedDecodeSchedules:
+    """Random decode schedules through ``BatchingServer``: sessions open one
+    per round until ``live`` are running, finish at their own lengths and
+    are replaced (churn), so each round mixes positions from several cache
+    buckets.  Each round is submitted as one drain."""
+
+    @pytest.mark.parametrize("engine", ["eager", "compiled"])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        sessions=st.lists(
+            st.tuples(st.lists(st.integers(0, SMALL.vocab_size - 1),
+                               min_size=1, max_size=16),
+                      st.integers(2, 10)),
+            min_size=2, max_size=6,
+        ),
+        live=st.integers(2, 4),
+    )
+    def test_random_schedules_match_direct_decode(self, stepped_servers, engine,
+                                                  sessions, live):
+        model, servers = stepped_servers
+        server = servers[engine]
+        waiting = list(sessions)
+        running = []  # (session, num_new)
+        served = []
+        spanning = 0
+        while waiting or running:
+            if waiting and len(running) < live:
+                prompt, num_new = waiting.pop(0)
+                running.append((server.open_session(prompt), num_new))
+            buckets = {bucket_capacity(session.position + 1, SMALL.max_seq)
+                       for session, _ in running}
+            before = server.stats()
+            futures = [server.submit_decode(session) for session, _ in running]
+            server.gate.release()
+            for future in futures:
+                future.result(60)
+            after = server.stats()
+            assert after.decode_batches - before.decode_batches == 1, buckets
+            assert after.decode_steps - before.decode_steps == len(running)
+            spanning += len(buckets) > 1
+            still = []
+            for session, num_new in running:
+                if len(session.generated) == num_new:
+                    served.append((session.tokens[:session.prompt_len], session.generated))
+                else:
+                    still.append((session, num_new))
+            running = still
+        # The second session opens beside the first one's second step.
+        assert spanning > 0
+        assert len(served) == len(sessions)
+        for prompt, stream in served:
+            assert stream == greedy_generate(model, prompt, len(stream), cache=True,
+                                             engine=engine)

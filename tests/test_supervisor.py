@@ -14,42 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from repro.core.pwl import fit_pwl, uniform_breakpoints
-from repro.functions.registry import get_function
-from repro.nn.approx import PWLActivation, PWLSuite, swap_lut_tables
-from repro.nn.models import MiniSegformer, ModelConfig
-from repro.nn.training import prepare_quantized_model
+from repro.nn.approx import PWLActivation, swap_lut_tables
 from repro.serve import ReplicatedServer
-
-OPERATORS = ("exp", "gelu", "div", "rsqrt")
-
-
-def build_model():
-    suite = PWLSuite(
-        approximations={
-            op: fit_pwl(
-                get_function(op).fn,
-                uniform_breakpoints(*get_function(op).search_range, 8),
-                get_function(op).search_range,
-            ).to_fixed_point(5)
-            for op in OPERATORS
-        },
-        replace=set(OPERATORS),
-    )
-    model = MiniSegformer(ModelConfig(image_size=16, embed_dim=16, depth=1), suite=suite)
-    prepare_quantized_model(model)
-    model.eval()
-    return model
-
-
-@pytest.fixture(scope="module")
-def served_model():
-    model = build_model()
-    # Initialise the LSQ quantizers before any fork: every replica then
-    # shares identical frozen scales, which is what makes responses
-    # bit-identical regardless of the serving replica.
-    model.predict(np.random.default_rng(0).normal(size=(1, 16, 16, 3)), engine="eager")
-    return model
 
 
 def make_images(count, seed=1):
@@ -318,11 +284,8 @@ class TestHotSwap:
 
 
 class TestSwapLutTables:
-    def _named_pwl_module(self, entries=8):
-        fn = get_function("gelu")
-        pwl = fit_pwl(
-            fn.fn, uniform_breakpoints(*fn.search_range, entries), fn.search_range
-        ).to_fixed_point(5)
+    def _named_pwl_module(self, fxp_pwl, entries=8):
+        pwl = fxp_pwl("gelu", entries)
         return PWLActivation("gelu", pwl), pwl
 
     def _forward(self, module, x):
@@ -331,9 +294,9 @@ class TestSwapLutTables:
         with no_grad():
             return module(Tensor(x)).data
 
-    def test_swap_replaces_tables_and_returns_previous(self):
-        module, old_pwl = self._named_pwl_module(entries=8)
-        _, new_pwl = self._named_pwl_module(entries=16)
+    def test_swap_replaces_tables_and_returns_previous(self, fxp_pwl):
+        module, old_pwl = self._named_pwl_module(fxp_pwl, entries=8)
+        _, new_pwl = self._named_pwl_module(fxp_pwl, entries=16)
         x = np.linspace(-3.0, 3.0, 64)
         before = self._forward(module, x)
         previous = swap_lut_tables(module, {"gelu": new_pwl})
@@ -345,17 +308,17 @@ class TestSwapLutTables:
         swap_lut_tables(module, previous)
         np.testing.assert_array_equal(self._forward(module, x), before)
 
-    def test_unknown_operator_name_is_rejected(self):
-        module, pwl = self._named_pwl_module()
+    def test_unknown_operator_name_is_rejected(self, fxp_pwl):
+        module, pwl = self._named_pwl_module(fxp_pwl)
         with pytest.raises(KeyError, match="softmax"):
             swap_lut_tables(module, {"softmax": pwl})
 
-    def test_rejected_swap_touches_nothing(self):
+    def test_rejected_swap_touches_nothing(self, fxp_pwl):
         """One known and one unknown name: the whole swap is refused
         atomically — the known module keeps its old table, so a rejected
         rolling swap never needs a table rollback."""
-        module, _ = self._named_pwl_module(entries=8)
-        _, new_pwl = self._named_pwl_module(entries=16)
+        module, _ = self._named_pwl_module(fxp_pwl, entries=8)
+        _, new_pwl = self._named_pwl_module(fxp_pwl, entries=16)
         x = np.linspace(-3.0, 3.0, 64)
         before = self._forward(module, x)
         with pytest.raises(KeyError, match="softmax"):
