@@ -3,7 +3,7 @@
 A setting belongs here when experiment code selects it for a whole run:
 the inference, training and decode engines, the sweep's workers, and the
 artifact and run directories.  A setting of one component (a server's
-queue bound, a replica heartbeat, a lease, a retry budget) is a plain
+queue bound, a replica heartbeat, a retry budget) is a plain
 constructor argument of that component instead.
 
 Each knob is one row of :data:`KNOBS`: field name, type, default,

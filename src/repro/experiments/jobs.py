@@ -18,19 +18,20 @@ Because each cell is seeded and side-effect free, the parallel and serial
 paths are bit-identical by construction — the tests assert it, the
 benchmarks gate on it.
 
-Every batch is also a **journaled** sweep (PR 8): each per-cell
-transition goes through a :class:`~repro.experiments.queue.DurableQueue`
-— pending → leased (with expiry + heartbeat renewal) → done/quarantined.
+Every batch is also a **journaled** sweep: each per-cell transition
+goes through a :class:`~repro.experiments.queue.DurableQueue` — pending →
+leased → done/quarantined.
 Give :meth:`SweepEngine.run_manifest` a ``run_dir`` (kwarg, engine
 attribute or ``REPRO_SWEEP_RUN_DIR``) and that journal is an fsync'd file
 while artifacts land in a store under ``run_dir/artifacts``; without one
 the journal lives in memory and the code path is the same.  SIGKILL a
 durable coordinator or any worker at any instant and
 :meth:`SweepEngine.resume` replays the journal, answers completed cells
-from the content-addressed store (zero rebuilds), re-leases expired
-cells, and finishes bit-identical to an uninterrupted run.  A quarantine
-is a verdict about a run, so it lives in that run's journal: poisoned
-cells of a durable run fail fast across process restarts until
+from the content-addressed store (zero rebuilds), rebuilds every other
+cell that is not quarantined (those the dead coordinator had leased
+included), and finishes bit-identical to an uninterrupted run.  A
+quarantine is a verdict about a run, so it lives in that run's journal:
+poisoned cells of a durable run fail fast across process restarts until
 :meth:`SweepEngine.clear_quarantine` lifts the embargo, while an engine
 without a ``run_dir`` keeps its quarantine for its own lifetime.
 
@@ -241,7 +242,8 @@ class SweepEngine:
         Seconds the pool path waits without *any* completion before
         re-dispatching every unresolved cell to another worker (first
         copy to finish wins; copies are bit-identical).  ``None``
-        disables straggler handling.
+        disables straggler handling: the pool path then blocks until a
+        completion.
     run_dir:
         Default durable-run directory for :meth:`run_manifest` /
         :meth:`resume`.  ``None`` re-resolves through the engine config
@@ -365,10 +367,11 @@ class SweepEngine:
 
         Replays ``run_dir``'s journal (torn tail tolerated), rebuilds the
         job list from the journaled payloads, answers completed cells from
-        the content-addressed artifact store (zero rebuilds), re-leases
-        cells whose coordinator died mid-build, and fails persisted
-        quarantine fast.  Because every cell is seeded, the resumed result
-        set is bit-identical to an uninterrupted run's.  A directory with
+        the content-addressed artifact store (zero rebuilds), rebuilds
+        every other cell — a dead coordinator's leased ones included, its
+        lease state is never read — and fails persisted quarantine fast.
+        Because every cell is seeded, the resumed result set is
+        bit-identical to an uninterrupted run's.  A directory with
         no journal raises :class:`FileNotFoundError` and is left untouched.
         """
         resolved = engine_config.resolve(
@@ -404,11 +407,11 @@ class SweepEngine:
         batch.
 
         Cells are journaled through a
-        :class:`~repro.experiments.queue.DurableQueue` (leased with expiry
-        + heartbeat while building, marked done once the artifact is
-        persisted).  With a ``run_dir`` (kwarg > engine attribute > engine
-        config) that journal is on disk, so a SIGKILL at any instant is
-        recoverable via :meth:`resume`; without one it is in memory.
+        :class:`~repro.experiments.queue.DurableQueue` (leased while
+        building, marked done once the artifact is persisted).  With a
+        ``run_dir`` (kwarg > engine attribute > engine config) that
+        journal is on disk, so a SIGKILL at any instant is recoverable
+        via :meth:`resume`; without one it is in memory.
         """
         if workers is None:
             workers = engine_config.resolve("sweep_workers", self.workers)
@@ -523,7 +526,7 @@ class SweepEngine:
     ) -> List[Tuple[str, PiecewiseLinear]]:
         built: List[Tuple[str, PiecewiseLinear]] = []
         for key, job in missing.items():
-            queue.lease(key, worker="serial")
+            queue.lease(key)
             outcome = run_with_retry(
                 lambda item=(key, job): _execute_job(item)[1],
                 policy=policy,
@@ -562,11 +565,9 @@ class SweepEngine:
         down without waiting so a wedged worker cannot hang the sweep.
 
         The coordinator journals on the workers' behalf (the journal is
-        single-writer): a ``lease`` record per dispatch, a heartbeat
-        ``renew`` for every in-flight cell at most every ``lease_s / 3``,
-        ``done`` once the artifact is persisted.  The
-        heartbeat bounds the wait window, so long builds never let a live
-        coordinator's leases lapse — only a dead coordinator's do.
+        single-writer): a ``lease`` record per dispatch, ``done`` once the
+        artifact is persisted.  A failed attempt journals nothing; the
+        retry is one more ``lease``.
         """
         built: List[Tuple[str, PiecewiseLinear]] = []
         unresolved = dict(missing)
@@ -578,30 +579,19 @@ class SweepEngine:
         pool = ProcessPoolExecutor(max_workers=workers)
 
         def dispatch(key: str, job: ApproximationJob) -> None:
-            queue.lease(key, worker="pool")
+            queue.lease(key)
             inflight[pool.submit(_execute_job, (key, job))] = key
             dispatched[key] = dispatched.get(key, 0) + 1
 
         try:
             for key, job in missing.items():
                 dispatch(key, job)
-            window_start = time.monotonic()
             while unresolved and inflight:
-                timeout = queue.lease_s / 3.0
-                if straggler_timeout is not None:
-                    elapsed = time.monotonic() - window_start
-                    timeout = min(timeout, max(0.0, straggler_timeout - elapsed))
-                done, _ = wait(set(inflight), timeout=timeout, return_when=FIRST_COMPLETED)
+                done, _ = wait(
+                    set(inflight), timeout=straggler_timeout,
+                    return_when=FIRST_COMPLETED,
+                )
                 if not done:
-                    for key in set(inflight.values()):
-                        queue.renew(key)
-                    straggled = (
-                        straggler_timeout is not None
-                        and time.monotonic() - window_start >= straggler_timeout
-                    )
-                    if not straggled:
-                        continue  # just a heartbeat wake-up, no verdict yet
-                    window_start = time.monotonic()
                     # Straggler window expired with zero progress: duplicate
                     # what budget allows, strike out what has none left.
                     for key in list(unresolved):
@@ -615,7 +605,7 @@ class SweepEngine:
                                 error: BaseException = TimeoutError(
                                     "cell %s:%s straggled past %d dispatch(es) x %.3gs"
                                     % (job.operator, job.method, dispatched[key],
-                                       straggler_timeout or 0.0)
+                                       straggler_timeout)
                                 )
                                 self._quarantine(
                                     failures, run_stats, key, job, error,
@@ -624,7 +614,6 @@ class SweepEngine:
                                 del unresolved[key]
                                 abandoned = True
                     continue
-                window_start = time.monotonic()
                 for future in done:
                     key = inflight.pop(future)
                     if key not in unresolved:
@@ -641,7 +630,6 @@ class SweepEngine:
                         dispatched[key] < policy.max_attempts
                         and policy.is_retryable(error)
                     ):
-                        queue.record_failure(key, error, dispatched[key])
                         time.sleep(policy.backoff(dispatched[key], site=_job_site(job)))
                         dispatch(key, job)
                         run_stats.retries += 1

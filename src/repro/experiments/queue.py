@@ -20,46 +20,46 @@ Journal format
 One JSON object per line, appended with ``flush`` + ``os.fsync`` so a
 record either fully reaches the disk or is a *torn tail* — a final line
 cut short mid-append.  Replay tolerates exactly that: an undecodable
-**final** record is dropped (losing at most the last transition, which the
-lease machinery recovers); an undecodable record **before** the tail means
-real corruption and raises
+**final** record is dropped (losing at most the last transition, which
+resume recovers by rebuilding every cell without an artifact); an
+undecodable record **before** the tail means real corruption and raises
 :class:`~repro.reliability.errors.JournalCorruptError` rather than
 silently resuming from a hole.
 
 Record types (all carry ``"key"`` except ``meta`` / ``clear_quarantine``):
 
-========== ==================================================================
-``meta``              journal header: format version, lease timeout
+==================== ========================================================
+``meta``              journal header: format version
 ``enqueue``           cell registered (carries the full job payload)
-``lease``             cell handed to a worker until ``expires`` (wall clock)
-``renew``             heartbeat: lease extended to ``expires``
+``lease``             cell handed to a builder
 ``done``              cell completed and its artifact persisted
-``fail``              one attempt failed; cell back to pending
 ``quarantine``        attempts exhausted; cell embargoed (survives restarts)
 ``clear_quarantine``  every embargo lifted
 ``reopen``            a done cell's artifact vanished; back to pending
-========== ==================================================================
+==================== ========================================================
 
-Lease state machine
--------------------
+Journals written before leases lost their expiry also hold ``renew`` and
+``fail`` records and ``worker`` / ``expires`` fields on ``lease``; replay
+ignores them, so such a journal still resumes.
+
+State machine
+-------------
 
 ::
 
     pending --lease--> leased --done--> done
-       ^                 |  |
-       |                 |  +--fail--> pending   (attempts += 1)
-       |                 +--(expiry)-> pending   (implicit: no record needed)
+       ^                 |
        |                 +--quarantine--> quarantined
        +--clear_quarantine / reopen------+
 
-Lease expiry is *derived*, never journaled: a leased cell whose ``expires``
-timestamp (wall clock — it must survive process restarts) has passed is
-reported by :meth:`state` as pending and is re-leasable, which is
-precisely how a dead coordinator's in-flight cells are recovered on
-resume.  Completion is idempotent by construction — cells are addressed
-by their SHA-256 content key and artifacts live in the content-addressed
-store — so the races a visibility timeout allows (two workers finishing
-the same cell) converge on bit-identical bytes.
+Nothing reads whether a cell is pending or leased: resume rebuilds every
+journaled cell that is not quarantined and has no artifact in the store,
+which is how a dead coordinator's in-flight cells are recovered.  A
+``done`` is only written after its artifact is persisted, and completion
+is idempotent by construction — cells are addressed by their SHA-256
+content key and artifacts live in the content-addressed store — so two
+builders finishing the same cell (a straggler re-dispatch) converge on
+bit-identical bytes.
 
 The journal has a **single writer**: the coordinator process.  Pool
 workers never append — their lifecycle is recorded by the coordinator on
@@ -72,9 +72,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import time
 from pathlib import Path
-from typing import IO, Any, Callable, Dict, Optional, Union
+from typing import IO, Any, Dict, Optional, Union
 
 from repro.reliability.errors import JournalCorruptError
 from repro.reliability.faults import fault_point
@@ -99,13 +98,8 @@ class CellRecord:
     payload: Dict[str, Any]
     state: str = PENDING
     attempts: int = 0
-    lease_worker: str = ""
-    lease_expires: float = 0.0
     error: str = ""
     error_type: str = ""
-
-    def lease_expired(self, now: float) -> bool:
-        return self.state == LEASED and now >= self.lease_expires
 
 
 class DurableQueue:
@@ -120,23 +114,9 @@ class DurableQueue:
         keeps the journal in memory: every transition still goes through
         the same :meth:`_apply`, but nothing is written, fsync'd or
         replayed, so the state lives as long as the object.
-    lease_s:
-        Visibility timeout for leased cells, in seconds (> 0).
-    clock:
-        Wall-clock source (injectable for lease-expiry tests).  Must be
-        wall time, not monotonic — expiry is compared across processes.
     """
 
-    def __init__(
-        self,
-        run_dir: Optional[Union[str, Path]] = None,
-        lease_s: float = 30.0,
-        clock: Callable[[], float] = time.time,
-    ) -> None:
-        if lease_s <= 0:
-            raise ValueError("lease_s must be > 0, got %r" % (lease_s,))
-        self.lease_s = lease_s
-        self.clock = clock
+    def __init__(self, run_dir: Optional[Union[str, Path]] = None) -> None:
         self.cells: Dict[str, CellRecord] = {}
         # Set when replay dropped an undecodable final record (a crash
         # mid-append); exposed for tests and health reporting.
@@ -154,11 +134,7 @@ class DurableQueue:
             self._replay()
         self._handle = open(self.journal_path, "a", encoding="utf-8")
         if fresh:
-            self._append({
-                "type": "meta",
-                "format": JOURNAL_FORMAT_VERSION,
-                "lease_s": self.lease_s,
-            })
+            self._append({"type": "meta", "format": JOURNAL_FORMAT_VERSION})
 
     # -- journal I/O -----------------------------------------------------
 
@@ -177,12 +153,12 @@ class DurableQueue:
             except (ValueError, UnicodeDecodeError):
                 if index == len(chunks) - 1:
                     # Torn tail: the append was cut by a crash.  The lost
-                    # transition is recovered by lease expiry / idempotent
-                    # completion, never by guessing at partial bytes.  The
-                    # torn bytes are truncated away so later appends start
-                    # a fresh line instead of merging into the fragment
-                    # (which would turn a recoverable tear into mid-journal
-                    # corruption on the next replay).
+                    # transition is recovered by resume rebuilding every
+                    # cell without an artifact, never by guessing at
+                    # partial bytes.  The torn bytes are truncated away so
+                    # later appends start a fresh line instead of merging
+                    # into the fragment (which would turn a recoverable
+                    # tear into mid-journal corruption on the next replay).
                     self.torn_tail = True
                     with open(self.journal_path, "r+b") as handle:
                         handle.truncate(offset)
@@ -229,6 +205,8 @@ class DurableQueue:
         key = record.get("key")
         if not key:
             return  # unknown / extension record: ignore for forward compat
+        # ``renew`` and ``fail`` records of older journals fall through
+        # every branch below as no-ops.
         if kind == "enqueue":
             if key not in self.cells:
                 self.cells[key] = CellRecord(key=key, payload=record.get("job", {}))
@@ -238,19 +216,9 @@ class DurableQueue:
             return  # transition for a cell whose enqueue we never saw
         if kind == "lease":
             cell.state = LEASED
-            cell.lease_worker = record.get("worker", "")
-            cell.lease_expires = float(record.get("expires", 0.0))
-        elif kind == "renew":
-            if cell.state == LEASED:
-                cell.lease_expires = float(record.get("expires", 0.0))
         elif kind == "done":
             cell.state = DONE
             cell.error = cell.error_type = ""
-        elif kind == "fail":
-            cell.state = PENDING
-            cell.attempts = int(record.get("attempts", cell.attempts + 1))
-            cell.error = record.get("error", "")
-            cell.error_type = record.get("error_type", "")
         elif kind == "quarantine":
             cell.state = QUARANTINED
             cell.attempts = int(record.get("attempts", cell.attempts))
@@ -268,31 +236,17 @@ class DurableQueue:
         self._append({"type": "enqueue", "key": key, "job": payload})
         return True
 
-    def lease(self, key: str, worker: str = "") -> float:
-        """Lease ``key`` until ``now + lease_s``; returns the expiry time.
+    def lease(self, key: str) -> None:
+        """Hand ``key`` to a builder.
 
-        Leasing an already-leased cell is a takeover (straggler
-        re-dispatch or an expired lease being reclaimed) — the new record
-        supersedes the old lease on replay.
+        Leasing an already-leased cell is accepted: a straggler
+        re-dispatch or a resumed run builds the cell again.
         """
         fault_point("queue.lease")
         cell = self._known(key)
         if cell.state == QUARANTINED:
             raise ValueError("cannot lease quarantined cell %s" % key[:16])
-        expires = self.clock() + self.lease_s
-        self._append({
-            "type": "lease", "key": key, "worker": worker, "expires": expires,
-        })
-        return expires
-
-    def renew(self, key: str) -> None:
-        """Heartbeat: push the lease expiry out another ``lease_s``."""
-        cell = self._known(key)
-        if cell.state != LEASED:
-            return
-        self._append({
-            "type": "renew", "key": key, "expires": self.clock() + self.lease_s,
-        })
+        self._append({"type": "lease", "key": key})
 
     def complete(self, key: str) -> None:
         """Mark ``key`` done (idempotent; valid from any non-quarantined state)."""
@@ -300,14 +254,6 @@ class DurableQueue:
         if cell.state == DONE:
             return
         self._append({"type": "done", "key": key})
-
-    def record_failure(self, key: str, error: BaseException, attempts: int) -> None:
-        """One attempt failed; the cell returns to pending."""
-        self._known(key)
-        self._append({
-            "type": "fail", "key": key, "attempts": int(attempts),
-            "error": str(error), "error_type": type(error).__name__,
-        })
 
     def quarantine(self, key: str, error: BaseException, attempts: int) -> None:
         """Embargo ``key``: later runs fail it fast until cleared."""
@@ -337,11 +283,7 @@ class DurableQueue:
 
     def state(self, key: str) -> Optional[str]:
         cell = self.cells.get(key)
-        if cell is None:
-            return None
-        if cell.lease_expired(self.clock()):
-            return PENDING
-        return cell.state
+        return cell.state if cell is not None else None
 
     def quarantined(self) -> Dict[str, CellRecord]:
         return {

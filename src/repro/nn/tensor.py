@@ -190,10 +190,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def numpy(self):
-        """The underlying array (shared, not copied)."""
-        return self.data
-
     def item(self) -> float:
         return float(self.data)
 

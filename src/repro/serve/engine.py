@@ -46,10 +46,11 @@ Reliability tier (PR 6) — admission control, deadlines, degradation:
 * **Caller timeouts.**  ``predict(timeout=...)`` / ``predict_many``
   bound the wait on the response future, so a wedged batch (worker
   stall, injected delay) cannot hang callers forever.
-* **Graceful degradation.**  The compiled executor is wrapped with
-  ``fallback=True``: a trace/replay failure degrades that batch to the
-  eager path (bit-identical results, one warning, counted) instead of
-  failing requests — an un-traceable model still serves.
+* **Graceful degradation.**  The compiled executor is always built as
+  ``CompiledModel(model, fallback=True)``: a trace/replay failure
+  degrades that batch to the eager path (bit-identical results, one
+  warning, counted) instead of failing requests — an un-traceable model
+  still serves.
 * **Observability.**  Counters live in a lock-guarded mutable record;
   :meth:`BatchingServer.stats` returns an immutable snapshot (the
   previous unlocked ``stats`` attribute was a data race with the worker
@@ -281,10 +282,6 @@ class BatchingServer:
     deadline_ms:
         Default per-request deadline; ``0`` disables.  Per-call
         ``submit(..., deadline_ms=...)`` overrides.
-    fallback:
-        Wrap the compiled executor with eager degradation (default on —
-        this is the production path; pass ``False`` to make compiled
-        failures fail requests loudly instead).
     decode_engine:
         Engine for the batched decode steps (only consulted when
         the served model is a cache-carrying decoder), resolved through
@@ -300,7 +297,6 @@ class BatchingServer:
         engine: Optional[str] = None,
         max_queue: int = 0,
         deadline_ms: float = 0.0,
-        fallback: bool = True,
         decode_engine: Optional[str] = None,
     ) -> None:
         if max_batch < 1:
@@ -332,7 +328,6 @@ class BatchingServer:
         self._bucket_latency: Dict[Any, List[float]] = {}
         self._worker_error: Optional[BaseException] = None
         self._window_open = True  # worker-thread state, see _collect
-        self._fallback = fallback
         self._setup_executor()
         self._worker = threading.Thread(
             target=self._serve_loop, name="repro-batching-server", daemon=True
@@ -346,7 +341,7 @@ class BatchingServer:
             from repro.graph.executor import CompiledModel
 
             self._compiled: Optional["CompiledModel"] = CompiledModel(
-                self.model, fallback=self._fallback
+                self.model, fallback=True
             )
         else:
             self._compiled = None

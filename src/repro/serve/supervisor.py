@@ -231,7 +231,6 @@ class ReplicatedServer(BatchingServer):
         engine: Optional[str] = None,
         max_queue: int = 0,
         deadline_ms: float = 0.0,
-        fallback: bool = True,
         heartbeat_ms: float = 100.0,
         crash_loop_threshold: int = 3,
         crash_loop_window_s: float = 5.0,
@@ -310,7 +309,6 @@ class ReplicatedServer(BatchingServer):
             engine=engine,
             max_queue=max_queue,
             deadline_ms=deadline_ms,
-            fallback=fallback,
         )
 
         for slot in self._slots:
@@ -957,7 +955,6 @@ class ReplicatedServer(BatchingServer):
                 slot.index,
                 self._heartbeat_s,
                 self.engine,
-                self._fallback,
             ),
             name="repro-replica-%d" % slot.index,
             daemon=True,

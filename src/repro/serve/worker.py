@@ -71,7 +71,7 @@ BATCH_KILL_EXIT = 17
 class _Worker:
     """Per-process serving state: the executor and its model."""
 
-    def __init__(self, model: Module, index: int, engine: str, fallback: bool) -> None:
+    def __init__(self, model: Module, index: int, engine: str) -> None:
         self.model = model
         self.index = index
         self.engine = engine
@@ -79,7 +79,7 @@ class _Worker:
             from repro.graph.executor import CompiledModel
 
             self.compiled: Optional["CompiledModel"] = CompiledModel(
-                model, fallback=fallback
+                model, fallback=True
             )
         else:
             self.compiled = None
@@ -123,7 +123,6 @@ def worker_main(
     index: int,
     heartbeat_seconds: float,
     engine: str = "compiled",
-    fallback: bool = True,
 ) -> None:
     """Entry point of one replica process (runs until stop/EOF/kill)."""
     # Reinstall fault state: a fresh lock (the forked copy may be held by
@@ -132,7 +131,7 @@ def worker_main(
     if fault_flag("replica.boot.kill:%d" % index):
         os._exit(BOOT_KILL_EXIT)
 
-    worker = _Worker(model, index, engine, fallback)
+    worker = _Worker(model, index, engine)
     stop = threading.Event()
     send_lock = threading.Lock()  # heartbeat thread and serve loop share conn
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.baselines import uniform_pwl
-from repro.core.config import default_config
 from repro.core.pwl import fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
 from repro.nn.approx import PWLSuite

@@ -15,7 +15,6 @@ harness of :mod:`repro.reliability.faults`:
   batch cannot hang a caller that passed ``timeout=``.
 """
 
-import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 
@@ -168,6 +167,19 @@ class TestSweepChaos:
                 manifest.results[job.key],
                 compute_approximation(job.operator, job.method, 8, QUICK),
             )
+
+
+    def test_without_straggler_timeout_the_pool_waits_for_a_slow_cell(self):
+        plan = FaultPlan(specs=(
+            FaultSpec(site="sweep.build:exp:*", delay_always=True, delay_seconds=0.3),
+        ))
+        engine = SweepEngine(retry=RetryPolicy(max_attempts=5, base_delay=0.0))
+        jobs = [self.JOBS[1], self.JOBS[2]]  # div (healthy), exp (slow)
+        with inject(plan, propagate=True):
+            manifest = engine.run_manifest(jobs, workers=2)
+        assert manifest.ok
+        assert manifest.stats.redispatches == 0
+        assert manifest.stats.builds == 2
 
 
 # -- artifact store: torn writes, checksums, concurrent writers ----------------

@@ -7,6 +7,9 @@ The PR 8 crash-safety contract, exercised end to end:
   results (cache parity with an uninterrupted run);
 * a journal whose final record was torn by the crash replays cleanly
   (the tear is truncated, everything before it is kept);
+* resume reads no lease state: a cell leased and never done is rebuilt at
+  once, and a journal with the older lease expiry, ``renew`` and ``fail``
+  records resumes bit-identically without rebuilding a done cell;
 * two concurrent ``gc()`` passes racing a live writer never delete a
   just-committed artifact (the grace window is the invariant);
 * a durable run's quarantine set survives process restarts through its
@@ -37,6 +40,8 @@ from repro.experiments import (
     SweepEngine,
     approximation_jobs,
 )
+from repro.experiments import jobs as jobs_module
+from repro.experiments.queue import DONE, DurableQueue
 from repro.reliability import (
     FaultPlan,
     FaultSpec,
@@ -79,6 +84,19 @@ def assert_pwl_equal(a, b):
     assert np.array_equal(a.breakpoints, b.breakpoints)
     assert np.array_equal(a.slopes, b.slopes)
     assert np.array_equal(a.intercepts, b.intercepts)
+
+
+def record_builds(monkeypatch):
+    """The keys the serial sweep path builds from now on, in order."""
+    built = []
+    execute = jobs_module._execute_job
+
+    def recording(item):
+        built.append(item[0])
+        return execute(item)
+
+    monkeypatch.setattr(jobs_module, "_execute_job", recording)
+    return built
 
 
 def journal_done_count(run_dir: Path) -> int:
@@ -158,6 +176,110 @@ class TestKillResume:
         for key, pwl in first.results.items():
             assert_pwl_equal(resumed.results[key], pwl)
         fresh.close()
+
+
+class TestResumeReadsNoLeaseState:
+    JOBS = approximation_jobs(("gelu", "exp"), ("nn-lut", "gqa-wo-rm"), budget=QUICK)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_leased_cells_without_done_are_rebuilt_at_once(
+        self, tmp_path, monkeypatch, workers,
+    ):
+        run_dir = tmp_path / "run"
+        # Two open cells, so that ``workers=2`` resumes through the pool.
+        done_job, leased_jobs = self.JOBS[0], self.JOBS[1:3]
+        engine = SweepEngine(run_dir=run_dir)
+        assert engine.run_manifest([done_job]).ok
+        engine.close()
+        # A coordinator that leased cells and died before their ``done``.
+        with DurableQueue(run_dir) as queue:
+            for job in leased_jobs:
+                queue.enqueue(job.key, jobs_module._job_payload(job))
+                queue.lease(job.key)
+
+        # The pool pickles the build function, so only the serial path can
+        # record its builds; the stats count them on both paths.
+        built = record_builds(monkeypatch) if workers == 0 else None
+        fresh = SweepEngine()
+        resumed = fresh.resume(run_dir, workers=workers)
+        fresh.close()
+        assert resumed.ok
+        if built is not None:
+            assert sorted(built) == sorted(job.key for job in leased_jobs)
+        assert (resumed.stats.builds, resumed.stats.disk_hits) == (2, 1)
+        assert set(resumed.results) == {job.key for job in self.JOBS[:3]}
+        with DurableQueue(run_dir) as queue:
+            assert all(queue.state(job.key) == DONE for job in leased_jobs)
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_journal_with_lease_expiry_records_resumes_bit_identically(
+        self, tmp_path, monkeypatch, workers,
+    ):
+        run_dir = tmp_path / "run"
+        done_jobs, open_jobs = self.JOBS[:2], self.JOBS[2:]
+        # The done cells' artifacts, in the store resume attaches.
+        SweepEngine(
+            cache=ArtifactCache(store=ArtifactStore(run_dir / "artifacts"))
+        ).run(done_jobs, workers=0)
+        live = time.time() + 3600.0
+        records = [{"type": "meta", "format": 1, "lease_s": 30.0}]
+        records += [
+            {"type": "enqueue", "key": job.key, "job": jobs_module._job_payload(job)}
+            for job in self.JOBS
+        ]
+        for job in done_jobs:
+            records += [
+                {"type": "lease", "key": job.key, "worker": "pool", "expires": live},
+                {"type": "renew", "key": job.key, "expires": live + 10.0},
+                {"type": "done", "key": job.key},
+            ]
+        failed, leased = open_jobs
+        records += [
+            {"type": "lease", "key": failed.key, "worker": "pool", "expires": live},
+            {"type": "fail", "key": failed.key, "attempts": 1,
+             "error": "boom", "error_type": "ValueError"},
+            {"type": "lease", "key": failed.key, "worker": "pool", "expires": live},
+            {"type": "lease", "key": leased.key, "worker": "pool", "expires": live},
+        ]
+        (run_dir / "journal.jsonl").write_text(
+            "".join(json.dumps(record, sort_keys=True) + "\n" for record in records)
+        )
+
+        built = record_builds(monkeypatch) if workers == 0 else None
+        fresh = SweepEngine()
+        resumed = fresh.resume(run_dir, workers=workers)
+        fresh.close()
+        assert resumed.ok
+        if built is not None:
+            assert sorted(built) == sorted(job.key for job in open_jobs)
+        assert (resumed.stats.builds, resumed.stats.disk_hits) == (
+            len(open_jobs), len(done_jobs)
+        )
+
+        clean = SweepEngine().run(self.JOBS, workers=0)
+        assert set(resumed.results) == set(clean)
+        for key, pwl in clean.items():
+            assert_pwl_equal(resumed.results[key], pwl)
+
+    def test_torn_done_record_is_answered_from_the_store(self, tmp_path, monkeypatch):
+        # The crash hit between the artifact landing and its ``done``.
+        run_dir = tmp_path / "run"
+        engine = SweepEngine(run_dir=run_dir)
+        first = engine.run_manifest(self.JOBS[:2], workers=0)
+        engine.close()
+        journal = run_dir / "journal.jsonl"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        assert json.loads(lines[-1])["type"] == "done"
+        journal.write_bytes(b"".join(lines[:-1]) + lines[-1][:12])
+
+        built = record_builds(monkeypatch)
+        fresh = SweepEngine()
+        resumed = fresh.resume(run_dir, workers=0)
+        fresh.close()
+        assert built == []
+        assert resumed.stats.disk_hits == 2
+        for key, pwl in first.results.items():
+            assert_pwl_equal(resumed.results[key], pwl)
 
 
 class TestGCRaces:

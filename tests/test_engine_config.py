@@ -11,7 +11,6 @@ import threading
 
 import pytest
 
-from repro.core import engine_config
 from repro.core.engine_config import KNOBS, EngineConfig, current, resolve, use
 
 
@@ -233,16 +232,14 @@ class TestComponentDefaults:
         ("ReplicatedServer", "replicas", 2),
         ("ReplicatedServer", "heartbeat_ms", 100.0),
         ("ReplicatedServer", "crash_loop_threshold", 3),
-        ("DurableQueue", "lease_s", 30.0),
         ("RetryPolicy", "max_attempts", 3),
         ("RetryPolicy", "base_delay", 0.05),
     ])
     def test_constructor_default(self, owner, name, default):
-        from repro.experiments.queue import DurableQueue
         from repro.reliability.retry import RetryPolicy
         from repro.serve import BatchingServer, ReplicatedServer
 
         owners = {cls.__name__: cls for cls in (
-            BatchingServer, ReplicatedServer, DurableQueue, RetryPolicy
+            BatchingServer, ReplicatedServer, RetryPolicy
         )}
         assert inspect.signature(owners[owner]).parameters[name].default == default

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.evaluation import DEFAULT_SCALES, QuantizedPWLEvaluator
-from repro.core.config import default_config
 from repro.core.pwl import fit_pwl, uniform_breakpoints
 from repro.functions.registry import get_function
 from repro.quant.quantizer import QuantSpec

@@ -27,7 +27,7 @@ from repro.experiments import (
 )
 from repro.experiments.finetune import FinetuneBudget, run_finetune_experiment, format_finetune_table
 from repro.experiments.protocol import average_mse, normalize, scale_sweep_mse, wide_range_mse
-from repro.experiments.table4 import TABLE4_OPERATORS, format_table4, run_table4
+from repro.experiments.table4 import TABLE4_OPERATORS
 from repro.experiments.table5 import TABLE5_OPERATORS, format_table5, run_table5
 from repro.hardware.cost_model import Precision
 from repro.nn.models import MiniEfficientViT

@@ -9,7 +9,6 @@ its per-row scorer.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.core.pwl import fit_pwl, uniform_breakpoints

@@ -120,7 +120,7 @@ class TestTracer:
 
     def test_non_tensor_return_rejected(self):
         with pytest.raises(TypeError):
-            trace(lambda x: x.numpy(), np.zeros(2))
+            trace(lambda x: x.data, np.zeros(2))
 
     def test_validate_rejects_undefined_values(self):
         graph = Graph()

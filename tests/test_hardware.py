@@ -2,7 +2,6 @@
 
 import re
 
-import numpy as np
 import pytest
 
 from repro.core.pwl import fit_pwl, uniform_breakpoints
@@ -11,7 +10,6 @@ from repro.functions.registry import get_function
 from repro.hardware import (
     Precision,
     PWLUnitDesign,
-    Technology,
     adder,
     barrel_shifter,
     comparator,

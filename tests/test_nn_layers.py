@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.nn import functional as F
 from repro.nn.attention import LinearAttention, MultiHeadSelfAttention
 from repro.nn.layers import (
     GELU,

@@ -9,8 +9,8 @@ fails the test unless :data:`TEST_ONLY` names it with a reason, and each
 ``tests/`` and still be loaded by some test (else it is dead, not test-only).
 
 A second scan flags imports that the importing module never reads, in the
-same directories; a package ``__init__`` re-exports by importing, so it is
-skipped.  A third keeps code and docs from naming a ``REPRO_*`` environment
+same directories and in ``tests/``; a package ``__init__`` re-exports by
+importing, so it is skipped.  A third keeps code and docs from naming a ``REPRO_*`` environment
 variable the program does not read.
 
 The scan matches names, not bindings: a method shares its name with every
@@ -54,7 +54,6 @@ TEST_ONLY = {
     "stored_intercepts": "the float view of the stored intercept codes, beside the other Fig. 1b views",
     "clip_ste": "the method form of the clip_ste registry op the gradcheck and replay programs draw",
     "softmax": "the exact softmax the autograd tests differentiate",
-    "numpy": "the shared-array accessor whose tracing refusal a graph test pins",
     "list_functions": "the operator listing exported from repro",
     "Sequential": "the container the in-place quantization surgery is tested through",
     "ReLU": "the layer form of relu that the Sequential tests compose",
@@ -151,6 +150,15 @@ def test_no_unused_imports_outside_tests():
         for directory in CALLER_DIRS
         for path in sorted((ROOT / directory).rglob("*.py"))
         if path.name != "__init__.py"
+        for site in unused_imports(path)
+    ]
+    assert not unused, "imported but never read (delete the import):\n  %s" % "\n  ".join(unused)
+
+
+def test_no_unused_imports_in_tests():
+    unused = [
+        site
+        for path in sorted((ROOT / "tests").rglob("*.py"))
         for site in unused_imports(path)
     ]
     assert not unused, "imported but never read (delete the import):\n  %s" % "\n  ".join(unused)

@@ -1,11 +1,11 @@
 """Unit tests for the durable, journaled sweep work-queue.
 
 :class:`~repro.experiments.queue.DurableQueue` is the crash-safety
-substrate of PR 8: these tests pin the journal format (append-only JSONL,
-fsync'd, torn tail tolerated), the lease state machine (pending → leased
-with expiry + renewal → done/failed/quarantined), replay equivalence
-(a reopened queue reconstructs exactly the state a live one held), and
-the fault seams the chaos suite drives.  The lifecycle, lease and
+substrate of resumable sweeps: these tests pin the journal format
+(append-only JSONL, fsync'd, torn tail tolerated, older records
+ignored), the state machine (pending → leased → done/quarantined),
+replay equivalence (a reopened queue reconstructs exactly the state a
+live one held), and the fault seams the chaos suite drives.  The lifecycle, lease and
 quarantine classes run twice: journaled on disk, and again through an
 ``*InMemory`` subclass with ``DurableQueue(None)``.
 """
@@ -30,27 +30,14 @@ OTHER = "b" * 64
 PAYLOAD = {"operator": "gelu", "method": "nn-lut", "num_entries": 8}
 
 
-class FakeClock:
-    """Deterministic wall clock for lease-expiry tests."""
-
-    def __init__(self, now=1000.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
-
-
 @pytest.fixture
 def make_queue(request, tmp_path):
     """Queue factory: journaled under ``tmp_path/run`` (every call reopens
     the same journal), or in memory in a class that sets ``run_dir = None``."""
     run_dir = getattr(request.cls, "run_dir", tmp_path / "run")
 
-    def make(lease_s=30.0, clock=None):
-        return DurableQueue(run_dir, lease_s=lease_s, clock=clock or FakeClock())
+    def make():
+        return DurableQueue(run_dir)
 
     return make
 
@@ -70,9 +57,8 @@ class TestLifecycle:
         with make_queue() as queue:
             assert queue.enqueue(KEY, PAYLOAD) is True
             assert queue.state(KEY) == PENDING
-            expires = queue.lease(KEY, worker="w0")
+            queue.lease(KEY)
             assert queue.state(KEY) == LEASED
-            assert expires == queue.clock() + queue.lease_s
             queue.complete(KEY)
             assert queue.state(KEY) == DONE
 
@@ -105,56 +91,22 @@ class TestLifecycle:
 
 
 class TestLeases:
-    def test_non_positive_lease_rejected(self, make_queue):
-        with pytest.raises(ValueError, match="lease_s must be > 0"):
-            make_queue(lease_s=0)
-
-    def test_expired_lease_reports_pending(self, make_queue):
-        clock = FakeClock()
-        with make_queue(lease_s=10.0, clock=clock) as queue:
-            queue.enqueue(KEY, PAYLOAD)
-            queue.lease(KEY, worker="w0")
-            assert queue.state(KEY) == LEASED
-            clock.advance(9.0)
-            assert queue.state(KEY) == LEASED
-            clock.advance(1.0)
-            assert queue.state(KEY) == PENDING
-
-    def test_renew_extends_the_lease(self, make_queue):
-        clock = FakeClock()
-        with make_queue(lease_s=10.0, clock=clock) as queue:
+    def test_re_leasing_a_leased_cell_is_accepted(self, make_queue):
+        # A straggler re-dispatch or a resumed run leases the cell again.
+        with make_queue() as queue:
             queue.enqueue(KEY, PAYLOAD)
             queue.lease(KEY)
-            clock.advance(8.0)
-            queue.renew(KEY)
-            clock.advance(8.0)  # 16s after lease, 8s after renew
+            queue.lease(KEY)
             assert queue.state(KEY) == LEASED
+            queue.complete(KEY)
+            assert queue.state(KEY) == DONE
 
-    def test_renew_of_unleased_cell_is_a_noop(self, make_queue, monkeypatch):
+    def test_lease_record_names_only_the_cell(self, make_queue, monkeypatch):
         with make_queue() as queue:
             queue.enqueue(KEY, PAYLOAD)
             appended = record_appends(queue, monkeypatch)
-            queue.renew(KEY)
-            assert appended == []
-
-    def test_lease_takeover_supersedes(self, make_queue):
-        clock = FakeClock()
-        with make_queue(lease_s=10.0, clock=clock) as queue:
-            queue.enqueue(KEY, PAYLOAD)
-            queue.lease(KEY, worker="w0")
-            clock.advance(10.0)  # w0's lease lapses
-            queue.lease(KEY, worker="w1")
-            assert queue.state(KEY) == LEASED
-            assert queue.cells[KEY].lease_worker == "w1"
-
-    def test_failure_returns_cell_to_pending(self, make_queue):
-        with make_queue() as queue:
-            queue.enqueue(KEY, PAYLOAD)
             queue.lease(KEY)
-            queue.record_failure(KEY, ValueError("boom"), attempts=1)
-            assert queue.state(KEY) == PENDING
-            assert queue.cells[KEY].attempts == 1
-            assert queue.cells[KEY].error_type == "ValueError"
+            assert appended == [{"type": "lease", "key": KEY}]
 
 
 class TestQuarantine:
@@ -213,21 +165,54 @@ class TestQuarantineInMemory(TestQuarantine):
 
 class TestReplay:
     def test_reopened_queue_reconstructs_exact_state(self, make_queue):
-        clock = FakeClock()
-        with make_queue(lease_s=10.0, clock=clock) as queue:
-            queue.enqueue(KEY, PAYLOAD)
-            queue.enqueue(OTHER, PAYLOAD)
-            queue.lease(KEY, worker="w0")
+        third = "c" * 64
+        with make_queue() as queue:
+            for key in (KEY, OTHER, third):
+                queue.enqueue(key, PAYLOAD)
+            queue.lease(KEY)
             queue.complete(KEY)
-            queue.lease(OTHER, worker="w1")
-            live = {k: (c.state, c.attempts, c.lease_expires)
+            queue.lease(OTHER)
+            queue.quarantine(third, RuntimeError("poison"), attempts=3)
+            live = {k: (c.state, c.attempts, c.error)
                     for k, c in queue.cells.items()}
-        with make_queue(lease_s=10.0, clock=clock) as reopened:
-            replayed = {k: (c.state, c.attempts, c.lease_expires)
+        with make_queue() as reopened:
+            replayed = {k: (c.state, c.attempts, c.error)
                         for k, c in reopened.cells.items()}
             assert replayed == live
-            assert reopened.jobs() == {KEY: PAYLOAD, OTHER: PAYLOAD}
+            assert reopened.jobs() == {KEY: PAYLOAD, OTHER: PAYLOAD, third: PAYLOAD}
             assert not reopened.torn_tail
+
+    def test_journal_header_carries_only_the_format(self, make_queue, tmp_path):
+        make_queue().close()
+        journal = tmp_path / "run" / "journal.jsonl"
+        header = json.loads(journal.read_text().splitlines()[0])
+        assert header == {"type": "meta", "format": JOURNAL_FORMAT_VERSION}
+
+    def test_older_lease_fields_and_records_replay_as_no_ops(self, tmp_path):
+        # Journals written while leases expired carry a lease timeout in
+        # the header, a worker and an expiry on each lease, and ``renew``
+        # / ``fail`` records; replay reads none of them.
+        run = tmp_path / "run"
+        run.mkdir()
+        records = [
+            {"type": "meta", "format": 1, "lease_s": 30.0},
+            {"type": "enqueue", "key": KEY, "job": PAYLOAD},
+            {"type": "enqueue", "key": OTHER, "job": PAYLOAD},
+            {"type": "lease", "key": KEY, "worker": "pool", "expires": 1.0},
+            {"type": "renew", "key": KEY, "expires": 2.0},
+            {"type": "done", "key": KEY},
+            {"type": "lease", "key": OTHER, "worker": "pool", "expires": 1.0},
+            {"type": "fail", "key": OTHER, "attempts": 1,
+             "error": "boom", "error_type": "ValueError"},
+        ]
+        (run / "journal.jsonl").write_text(
+            "".join(json.dumps(record) + "\n" for record in records)
+        )
+        with DurableQueue(run) as queue:
+            assert queue.state(KEY) == DONE
+            assert queue.state(OTHER) == LEASED
+            assert (queue.cells[OTHER].attempts, queue.cells[OTHER].error) == (0, "")
+            assert not queue.torn_tail
 
     def test_torn_tail_is_tolerated(self, make_queue, tmp_path):
         with make_queue() as queue:

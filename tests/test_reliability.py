@@ -9,7 +9,6 @@ is applied deterministically.
 
 import os
 
-import numpy as np
 import pytest
 
 from repro.reliability import (

@@ -29,6 +29,7 @@ from repro.experiments import (
     run_table3,
 )
 from repro.experiments.protocol import average_mse, scale_sweep_mse
+from repro.reliability import FaultPlan, FaultSpec, inject
 from repro.reliability.retry import RetryPolicy
 
 QUICK = ApproximationBudget.quick()
@@ -410,6 +411,46 @@ class TestDurableRunDir:
         # Artifacts landed in the auto-attached store next to the journal.
         store = ArtifactStore(run_dir / "artifacts")
         assert set(store.keys()) == {job.key for job in jobs}
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_journal_writes_one_lease_per_dispatch_and_no_fail_record(
+        self, tmp_path, workers,
+    ):
+        import json as json_module
+
+        run_dir = tmp_path / "run"
+        poisoned = ApproximationJob("gelu", "nn-lut", 8, QUICK)
+        healthy = [
+            ApproximationJob("exp", "nn-lut", 8, QUICK),
+            ApproximationJob("div", "nn-lut", 8, QUICK),
+        ]
+        plan = FaultPlan(specs=(
+            FaultSpec(site="sweep.build:gelu:*", fail_always=True, exception="runtime"),
+        ))
+        engine = SweepEngine(
+            run_dir=run_dir, retry=RetryPolicy(max_attempts=2, base_delay=0.0)
+        )
+        with inject(plan, propagate=True):
+            manifest = engine.run_manifest([poisoned] + healthy, workers=workers)
+        engine.close()
+        assert set(manifest.failures) == {poisoned.key}
+
+        records = [
+            json_module.loads(line)
+            for line in (run_dir / "journal.jsonl").read_text().splitlines()
+        ]
+        assert {record["type"] for record in records} == {
+            "meta", "enqueue", "lease", "done", "quarantine",
+        }
+        leases = [record for record in records if record["type"] == "lease"]
+        assert all(set(record) == {"type", "key"} for record in leases)
+        # The serial path retries inside one lease; the pool path leases
+        # each dispatch, its retry included.
+        assert sum(record["key"] == poisoned.key for record in leases) == (
+            1 if workers == 0 else 2
+        )
+        for job in healthy:
+            assert sum(record["key"] == job.key for record in leases) == 1
 
     def test_second_run_over_same_run_dir_rebuilds_nothing(self, tmp_path):
         run_dir = tmp_path / "run"
