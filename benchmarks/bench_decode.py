@@ -19,7 +19,10 @@ replaceable operator on its 8-entry pwl, INT8-quantized Linears):
    :meth:`repro.serve.BatchingServer.submit_decode` (one batched compiled
    step per drain, at the largest cache bucket among its sessions, the
    smaller caches zero-padded) asserted token-identical to direct
-   decode, with evidence the sessions actually shared steps.
+   decode, with evidence the sessions actually shared steps.  Session
+   ``i`` starts once session ``i - 1`` has taken ``STAGGER_STEPS`` steps,
+   so the sessions sit at different positions and drains mix cache
+   buckets; ``cross_bucket_drains`` counts the drains that did.
 
 The report carries a SHA-256 of the reference token stream;
 ``check_bench_parity.py`` compares it exactly against the recorded
@@ -63,6 +66,9 @@ from oracles import ReferencePWLSuite  # noqa: E402
 DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_decode.json"
 
 OPERATORS = ("exp", "gelu", "div", "rsqrt")
+
+#: Steps a served session takes before the next one opens.
+STAGGER_STEPS = 3
 
 
 def build_model(config: DecoderConfig, suite_cls=PWLSuite) -> MiniDecoder:
@@ -180,9 +186,21 @@ def profile_decode_step(model, tokens, repeats: int) -> dict:
     }
 
 
+class _DrainCountingServer(BatchingServer):
+    """Counts the decode drains whose sessions sit in more than one cache
+    bucket (each such step zero-pads the smaller caches)."""
+
+    cross_bucket_drains = 0
+
+    def _decode_group(self, group) -> None:
+        if len({request.session.cache.capacity for request in group}) > 1:
+            self.cross_bucket_drains += 1
+        super()._decode_group(group)
+
+
 def bench_serving_decode(config: DecoderConfig, num_sessions: int,
                          num_new: int, max_batch: int) -> dict:
-    """Concurrent batched serving vs direct per-session decode."""
+    """Staggered concurrent batched serving vs direct per-session decode."""
     rng = np.random.default_rng(11)
     prompts = [
         [int(t) for t in rng.integers(0, config.vocab_size, size=length)]
@@ -198,12 +216,23 @@ def bench_serving_decode(config: DecoderConfig, num_sessions: int,
 
     served_model = build_model(config)
     served_model.calibrate(prompts[0])
-    with BatchingServer(served_model, max_batch=max_batch, max_wait_ms=2.0,
-                        decode_engine="compiled") as server:
+    with _DrainCountingServer(served_model, max_batch=max_batch, max_wait_ms=2.0,
+                              decode_engine="compiled") as server:
         results = [None] * num_sessions
+        opened = [threading.Event() for _ in range(num_sessions + 1)]
+        opened[0].set()
 
         def run(index: int) -> None:
-            results[index] = server.generate(prompts[index], num_new, timeout=600)
+            opened[index].wait()
+            try:
+                session = server.open_session(prompts[index])
+                for step in range(len(prompts[index]) + num_new - 1):
+                    if step == STAGGER_STEPS:
+                        opened[index + 1].set()
+                    server.submit_decode(session).result(600)
+                results[index] = session.generated
+            finally:
+                opened[index + 1].set()
 
         start = time.perf_counter()
         threads = [threading.Thread(target=run, args=(i,)) for i in range(num_sessions)]
@@ -230,6 +259,7 @@ def bench_serving_decode(config: DecoderConfig, num_sessions: int,
         "decode_steps": stats.decode_steps,
         "decode_batches": stats.decode_batches,
         "mean_group_size": stats.decode_steps / stats.decode_batches,
+        "cross_bucket_drains": server.cross_bucket_drains,
         "served_seconds": served_seconds,
         "tokens_per_second": num_sessions * num_new / served_seconds,
         "identical_results": True,
@@ -325,7 +355,7 @@ def main(argv=None) -> int:
     report["serving_decode"] = serving
     print(
         "serving (%d sessions x %d tokens)  %6.1f tok/s   "
-        "%d steps in %d batches (mean group %.1f)"
+        "%d steps in %d batches (mean group %.1f, %d across buckets)"
         % (
             serving["sessions"],
             serving["new_tokens_per_session"],
@@ -333,6 +363,7 @@ def main(argv=None) -> int:
             serving["decode_steps"],
             serving["decode_batches"],
             serving["mean_group_size"],
+            serving["cross_bucket_drains"],
         )
     )
 

@@ -15,7 +15,6 @@ from repro.nn.layers import (
     LayerNorm,
     GELU,
     HSwish,
-    ReLU,
     PatchEmbed,
     DepthwiseConv2d,
     Upsample,
@@ -74,7 +73,6 @@ __all__ = [
     "LayerNorm",
     "GELU",
     "HSwish",
-    "ReLU",
     "PatchEmbed",
     "DepthwiseConv2d",
     "Upsample",

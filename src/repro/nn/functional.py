@@ -17,11 +17,6 @@ from repro.nn.tensor import Tensor
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
-def relu(x: Tensor) -> Tensor:
-    """Rectified linear unit."""
-    return x.relu()
-
-
 def gelu(x: Tensor) -> Tensor:
     """GELU (tanh approximation, differentiable through the graph)."""
     inner = (x + x * x * x * 0.044715) * _SQRT_2_OVER_PI

@@ -78,13 +78,6 @@ class HSwish(Module):
         return F.hswish(x)
 
 
-class ReLU(Module):
-    """ReLU activation module."""
-
-    def forward(self, x: Tensor) -> Tensor:
-        return F.relu(x)
-
-
 class PatchEmbed(Module):
     """Non-overlapping patch embedding for channels-last images.
 

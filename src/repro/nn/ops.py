@@ -450,6 +450,54 @@ register_op(
 )
 
 
+def _cache_slots(cache: Array, pos_onehot: Array) -> Tuple[Array, Array]:
+    """Each row's ``(row, slot)`` index pair for a ``cache_write``: the slot
+    is the argmax of the row's position one-hot, inside the cache window."""
+    slots = pos_onehot.argmax(axis=1)
+    last = int(slots.max())
+    if last >= cache.shape[2]:
+        raise ValueError(
+            "cache_write: position %d lies outside the cache window of %d slots"
+            % (last, cache.shape[2])
+        )
+    return np.arange(cache.shape[0]), slots
+
+
+def _cache_write_forward(cache: Array, token: Array, pos_onehot: Array) -> Array:
+    rows, slots = _cache_slots(cache, pos_onehot)
+    out = cache.copy()
+    out[rows, :, slots] = token[:, :, 0]
+    return out
+
+
+def _cache_write_cache_vjp(g, ans, s, cache, token, pos_onehot):
+    rows, slots = _cache_slots(cache, pos_onehot)
+    grad = np.array(g, dtype=np.float64)
+    grad[rows, :, slots] = 0.0
+    return grad
+
+
+def _cache_write_token_vjp(g, ans, s, cache, token, pos_onehot):
+    rows, slots = _cache_slots(cache, pos_onehot)
+    return g[rows, :, slots][:, :, None]
+
+
+def _cache_write_position_vjp(g, ans, s, cache, token, pos_onehot):
+    raise RuntimeError("cache_write: the position one-hot has no gradient")
+
+
+# One decode token's K or V written into its KV-cache slot: ``cache`` is
+# ``(B, H, capacity, d)``, ``token`` ``(B, H, 1, d)`` and ``pos_onehot``
+# ``(B, max_seq)``, one-hot at each row's position.  The forward copies the
+# cache and puts each row's token at its slot, so every other slot keeps its
+# bits (``-0.0`` included) and the written slot holds the token's bits.
+register_op(
+    "cache_write",
+    forward=_cache_write_forward,
+    vjps=(_cache_write_cache_vjp, _cache_write_token_vjp, _cache_write_position_vjp),
+)
+
+
 # -- reductions -----------------------------------------------------------------
 
 #: A float64 reduction over a last axis of 2 to ``SHORT_AXIS - 1``

@@ -21,8 +21,9 @@ the repo can serve:
   :meth:`~MiniDecoder.forward` and single-token :meth:`~MiniDecoder.step`
   are both traceable: token/position selection is one-hot matmul against
   the embedding tables (fancy indexing would burn the indices into a trace
-  as constants), the cache write is a one-hot outer-product add (unwritten
-  slots see exactly ``+0.0``, preserving their bits), and the causal /
+  as constants), the cache write is one ``cache_write`` op per K and V
+  that copies the cache and puts the token at the slot its position
+  one-hot selects (every other slot keeps its bits), and the causal /
   validity masks enter as dense float inputs.
 
 Decode parity contract: for a fixed model state, **greedy token streams
@@ -54,7 +55,7 @@ from repro.nn import functional as F
 from repro.nn.approx import FloatSuite, OperatorSuite
 from repro.nn.layers import Linear, MLP
 from repro.nn.module import Module, Parameter
-from repro.nn.tensor import Tensor, no_grad
+from repro.nn.tensor import Tensor, apply_op, no_grad
 
 OperatorHook = Any  # Tensor -> Tensor, element-wise (see nn.attention)
 
@@ -239,28 +240,28 @@ class CausalSelfAttention(Module):
         x: Tensor,
         k_cache: Tensor,
         v_cache: Tensor,
-        write: Tensor,
+        pos_onehot: Tensor,
         mask: Tensor,
     ) -> Tuple[Tensor, Tensor, Tensor]:
         """One-token attention against the cached prefix.
 
         ``x`` is the new token's hidden state ``(B, 1, D)``; ``k_cache`` /
-        ``v_cache`` are ``(B, H, capacity, d)``; ``write`` is the one-hot
-        ``(B, capacity)`` slot selector for this token's position and
-        ``mask`` the ``(B, capacity)`` validity mask covering it.  Returns
+        ``v_cache`` are ``(B, H, capacity, d)``; ``pos_onehot`` is the
+        ``(B, max_seq)`` one-hot of each row's position and ``mask`` the
+        ``(B, capacity)`` validity mask covering it.  Returns
         ``(context, new_k_cache, new_v_cache)``.
 
-        The cache write is ``cache + write ⊗ token``: slots where the
-        one-hot is 0.0 receive exactly ``+0.0``, so every previously
-        written entry keeps its bit pattern — the carried caches never
-        drift across steps.
+        The token's K and V go into their slot through the ``cache_write``
+        op: it copies the cache and puts the token at the position's slot,
+        so every other entry keeps its bit pattern (the carried caches
+        never drift across steps) and the written slot holds the token's
+        bits.  A position outside the cache window raises.
         """
         batch = x.shape[0]
         capacity = k_cache.shape[2]
         q, k_tok, v_tok = self._split_heads(x, 1)  # (B, H, 1, d) each
-        slot = write.reshape(batch, 1, capacity, 1)
-        new_k = k_cache + slot * k_tok  # (B, H, capacity, d)
-        new_v = v_cache + slot * v_tok
+        new_k = apply_op("cache_write", k_cache, k_tok, pos_onehot)
+        new_v = apply_op("cache_write", v_cache, v_tok, pos_onehot)
         scale = 1.0 / math.sqrt(self.head_dim)
         scores = (q @ new_k.swapaxes(-1, -2)) * scale  # (B, H, 1, capacity)
         attention = F.masked_softmax(
@@ -310,10 +311,10 @@ class DecoderBlock(Module):
 
     def decode(
         self, x: Tensor, k_cache: Tensor, v_cache: Tensor,
-        write: Tensor, mask: Tensor,
+        pos_onehot: Tensor, mask: Tensor,
     ) -> Tuple[Tensor, Tensor, Tensor]:
         attended, new_k, new_v = self.attention.decode(
-            self.norm1(x), k_cache, v_cache, write, mask
+            self.norm1(x), k_cache, v_cache, pos_onehot, mask
         )
         x = x + attended
         x = x + self.mlp(self.norm2(x))
@@ -410,6 +411,11 @@ class MiniDecoder(Module):
         :meth:`KVCache.arrays` order.  Returns ``(logits, *new_caches)``
         with ``logits`` ``(B, vocab)``.
 
+        Each layer writes the token's K and V into the slot ``pos_onehot``
+        selects (one ``cache_write`` op each, handed the full position
+        one-hot): every other slot of a new cache keeps the bits of the
+        old one, and a position at or past ``capacity`` raises.
+
         Rows are independent — sessions at different lengths batch into
         one step, and a row whose cache comes from a smaller bucket joins
         with its cache zero-padded to ``capacity`` (:func:`stack_caches`):
@@ -423,17 +429,13 @@ class MiniDecoder(Module):
                 % (2 * len(self.blocks), len(caches))
             )
         batch = token_onehot.shape[0]
-        capacity = caches[0].shape[2]
         dim = self.config.embed_dim
         x = (token_onehot @ self.embed).reshape(batch, 1, dim)
         x = x + (pos_onehot @ self.pos_embed).reshape(batch, 1, dim)
-        # The write selector is the position one-hot restricted to the
-        # cache window — a static slice, so it traces cleanly.
-        write = pos_onehot[:, :capacity]
         outputs: List[Tensor] = []
         for index, block in enumerate(self.blocks):
             x, new_k, new_v = block.decode(
-                x, caches[2 * index], caches[2 * index + 1], write, mask
+                x, caches[2 * index], caches[2 * index + 1], pos_onehot, mask
             )
             outputs.append(new_k)
             outputs.append(new_v)

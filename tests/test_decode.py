@@ -13,6 +13,9 @@ The decode stack's contract, pinned here:
   (batch, capacity) — logarithmic in sequence length;
 * a step at a larger capacity, with the cache zero-padded, gives the
   step at the session's own bucket (byte for byte on the INT8 pwl suite);
+* the step's ``cache_write`` puts each token's K/V at its slot and keeps
+  every other slot's bits, eager and compiled alike, and a position
+  outside the cache window raises;
 * the serving tier runs each drain's decode requests as one step across
   cache buckets, answers concurrent sessions (under random schedules
   with session churn) with the same streams direct decode produces, and
@@ -40,7 +43,7 @@ from repro.graph import (
 from repro.graph.executor import CompiledDecodeStep
 from repro.nn import functional as F
 from repro.nn.approx import FloatSuite, PWLSuite
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, apply_op, no_grad
 from repro.nn.training import prepare_quantized_model
 from repro.nn.transformer import (
     DecoderConfig,
@@ -289,6 +292,117 @@ class TestZeroPaddedStep:
                 np.testing.assert_allclose(got_logits, logits, rtol=0, atol=1e-12)
                 for got, want in zip(got_new, new):
                     np.testing.assert_allclose(got[:, :, :own], want, rtol=0, atol=1e-12)
+
+
+@st.composite
+def cache_writes(draw):
+    """A step's row positions (each inside the drawn capacity bucket), its
+    tokens and a seed for caches with random prefixes."""
+    capacity = draw(st.sampled_from([c for c in CAPACITIES if c <= 16]))
+    positions = draw(st.lists(st.integers(0, capacity - 1), min_size=1, max_size=3))
+    tokens = draw(st.lists(st.integers(0, SMALL.vocab_size - 1),
+                           min_size=len(positions), max_size=len(positions)))
+    return capacity, positions, tokens, draw(st.integers(0, 2 ** 16))
+
+
+def write_step_arrays(model, capacity, positions, tokens, seed):
+    """``(step inputs, caches)``: every slot before a row's position holds a
+    random value or ``-0.0``; the slot at it and the tail hold ``+0.0``."""
+    rng = np.random.default_rng(seed)
+    config = model.config
+    shape = (len(positions), config.num_heads, capacity,
+             config.embed_dim // config.num_heads)
+    caches = []
+    for _ in range(2 * config.depth):
+        cache = np.where(rng.random(shape) < 0.25, -0.0, rng.normal(size=shape))
+        for row, position in enumerate(positions):
+            cache[row, :, position:] = 0.0
+        caches.append(cache)
+    return step_inputs(model, tokens, positions, capacity), caches
+
+
+class TestCacheWriteContract:
+    """The decode step writes each token's K and V with ``cache_write``: the
+    eager and compiled steps agree byte for byte, every slot but the
+    written one keeps its bits (``-0.0`` included, the zero tail ``+0.0``),
+    the written slot holds the token's K/V, and a position outside the
+    cache window raises."""
+
+    @staticmethod
+    def _stepper(model, engine):
+        model.calibrate([1, 5, 3])
+        return model.compiled_step().step if engine == "compiled" else model.eager_step
+
+    @pytest.mark.parametrize("kind", ["dense", "float"])
+    @settings(max_examples=15, deadline=None)
+    @given(draw=cache_writes())
+    def test_eager_and_compiled_steps_are_byte_identical(self, padding_models, kind, draw):
+        model = padding_models[kind]
+        inputs, caches = write_step_arrays(model, *draw)
+        logits_e, new_e = self._stepper(model, "eager")(*inputs, caches)
+        logits_c, new_c = self._stepper(model, "compiled")(*inputs, caches)
+        assert logits_e.tobytes() == logits_c.tobytes()
+        for eager, compiled in zip(new_e, new_c):
+            assert eager.tobytes() == compiled.tobytes()
+
+    @pytest.mark.parametrize("engine", ["eager", "compiled"])
+    @pytest.mark.parametrize("kind", ["dense", "float"])
+    @settings(max_examples=15, deadline=None)
+    @given(draw=cache_writes())
+    def test_only_the_written_slot_changes(self, padding_models, kind, engine, draw):
+        model = padding_models[kind]
+        capacity, positions, tokens, seed = draw
+        inputs, caches = write_step_arrays(model, *draw)
+        _, new = self._stepper(model, engine)(*inputs, caches)
+        for old, written in zip(caches, new):
+            assert written.shape == old.shape
+            for row, position in enumerate(positions):
+                kept = [slot for slot in range(capacity) if slot != position]
+                assert (written[row, :, kept].tobytes()
+                        == old[row, :, kept].tobytes())
+                tail = written[row, :, position + 1:]
+                assert tail.tobytes() == np.zeros(tail.shape).tobytes()
+
+    @pytest.mark.parametrize("engine", ["eager", "compiled"])
+    @pytest.mark.parametrize("kind", ["dense", "float"])
+    def test_written_slot_holds_the_token(self, padding_models, kind, engine):
+        model = padding_models[kind]
+        capacity, positions = 8, [5, 0, 7]
+        inputs, caches = write_step_arrays(model, capacity, positions, [3, 1, 4], 0)
+        _, new = self._stepper(model, engine)(*inputs, caches)
+        token_onehot, pos_onehot, mask = (Tensor(array) for array in inputs)
+        rows = np.arange(len(positions))
+        dim = model.config.embed_dim
+        with no_grad():
+            x = ((token_onehot @ model.embed).reshape(3, 1, dim)
+                 + (pos_onehot @ model.pos_embed).reshape(3, 1, dim))
+            for index, block in enumerate(model.blocks):
+                _, k_tok, v_tok = block.attention._split_heads(block.norm1(x), 1)
+                for cache, token in ((new[2 * index], k_tok), (new[2 * index + 1], v_tok)):
+                    assert (cache[rows, :, positions].tobytes()
+                            == np.ascontiguousarray(token.data[:, :, 0]).tobytes())
+                x = block.decode(x, Tensor(caches[2 * index]),
+                                 Tensor(caches[2 * index + 1]), pos_onehot, mask)[0]
+
+    def test_non_finite_token_changes_only_its_slot(self):
+        cache = np.where(np.arange(24).reshape(2, 1, 4, 3) % 5 == 0, -0.0, 1.5)
+        token = np.array([np.inf, np.nan, -np.inf] * 2).reshape(2, 1, 1, 3)
+        positions = F.one_hot(np.array([1, 3]), 6)
+        written = apply_op("cache_write", Tensor(cache), Tensor(token),
+                           Tensor(positions)).data
+        expected = cache.copy()
+        expected[[0, 1], :, [1, 3]] = token[:, :, 0]
+        assert written.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("engine", ["eager", "compiled"])
+    def test_position_outside_the_window_raises(self, padding_models, engine):
+        model = padding_models["dense"]
+        step = self._stepper(model, engine)
+        inputs, caches = write_step_arrays(model, 4, [3], [2], 0)
+        step(*inputs, caches)  # traces the (1, 4) plan the compiled raise replays
+        for position in (4, 9):
+            with pytest.raises(ValueError, match="outside the cache window"):
+                step(*step_inputs(model, [2], [position], 4), caches)
 
 
 class TestCompiledDecodeStep:

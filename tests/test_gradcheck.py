@@ -43,6 +43,9 @@ class Case:
     # (STE ops): an array-level function with the op forward's signature.
     surrogate: Optional[Callable] = None
     atol: float = ATOL
+    # Positions of inputs the op has no gradient for (``cache_write``'s
+    # position one-hot): fed as constants, not differentiated.
+    fixed: Tuple[int, ...] = ()
 
 
 def _rng(seed: int = 0) -> np.random.Generator:
@@ -76,6 +79,11 @@ def _smooth_table_slope(x: np.ndarray) -> np.ndarray:
 
 def _fused_table(x: np.ndarray):
     return np.tanh(x), 1.0 - np.tanh(x) ** 2
+
+
+def _positions(slots, width: int) -> np.ndarray:
+    """``(len(slots), width)`` one-hot rows at ``slots``."""
+    return np.eye(width)[list(slots)]
 
 
 # Every registered op must appear here; see test_every_registered_op_has_cases.
@@ -124,6 +132,14 @@ CASES: Dict[str, List[Case]] = {
              {"index": (np.array([0, 2, 2, 1]),)}),
         Case("mixed", (_normal((4, 5)),),
              {"index": (slice(None), np.array([1, 3]))}),
+    ],
+    "cache_write": [
+        Case("batch1", (_normal((1, 2, 4, 3)), _normal((1, 2, 1, 3), 1),
+                        _positions([2], 6)), fixed=(2,)),
+        Case("rows-at-own-slots", (_normal((3, 2, 4, 2)), _normal((3, 2, 1, 2), 1),
+                                   _positions([0, 3, 1], 4)), fixed=(2,)),
+        Case("shared-slot", (_normal((2, 1, 2, 3)), _normal((2, 1, 1, 3), 1),
+                             _positions([1, 1], 5)), fixed=(2,)),
     ],
     "concatenate": [
         Case("axis0", (_normal((2, 3)), _normal((4, 3), 1)), {"axis": 0}),
@@ -224,9 +240,13 @@ def _forward_array(name: str, case: Case, arrays) -> np.ndarray:
 
 
 def numerical_grads(name: str, case: Case, weight: np.ndarray):
-    """Central-difference gradient of ``sum(forward * weight)`` per input."""
+    """Central-difference gradient of ``sum(forward * weight)`` per input
+    (``None`` for a fixed input)."""
     grads = []
     for position, base in enumerate(case.inputs):
+        if position in case.fixed:
+            grads.append(None)
+            continue
         grad = np.zeros_like(base, dtype=np.float64)
         flat = grad.reshape(-1)
         for i in range(base.size):
@@ -242,7 +262,8 @@ def numerical_grads(name: str, case: Case, weight: np.ndarray):
 
 def autograd_grads(name: str, case: Case, weight: np.ndarray):
     """Registered-VJP gradients through apply_op + backward, per input."""
-    tensors = [Tensor(a.copy(), requires_grad=True) for a in case.inputs]
+    tensors = [Tensor(a.copy(), requires_grad=position not in case.fixed)
+               for position, a in enumerate(case.inputs)]
     out = apply_op(name, *tensors, **case.params)
     out.backward(weight)
     return [t.grad for t in tensors]
@@ -289,12 +310,21 @@ class TestRegistryGradcheck:
         expected = numerical_grads(name, case, weight)
         assert len(actual) == len(expected)
         for position, (got, want) in enumerate(zip(actual, expected)):
+            if position in case.fixed:
+                assert got is None, "fixed input %d received a gradient" % position
+                continue
             assert got is not None, "input %d received no gradient" % position
             assert got.shape == case.inputs[position].shape
             np.testing.assert_allclose(
                 got, want, atol=case.atol,
                 err_msg="%s[%s] input %d" % (name, case.label, position),
             )
+
+    def test_cache_write_position_has_no_gradient(self):
+        case = CASES["cache_write"][0]
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in case.inputs]
+        with pytest.raises(RuntimeError, match="no gradient"):
+            apply_op("cache_write", *tensors).sum().backward()
 
 
 class TestCompositionGradcheck:

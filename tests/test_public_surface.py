@@ -56,7 +56,6 @@ TEST_ONLY = {
     "softmax": "the exact softmax the autograd tests differentiate",
     "list_functions": "the operator listing exported from repro",
     "Sequential": "the container the in-place quantization surgery is tested through",
-    "ReLU": "the layer form of relu that the Sequential tests compose",
 }
 
 

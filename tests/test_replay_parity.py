@@ -1,13 +1,17 @@
 """Generative parity of compiled replay: eager ≡ compiled, bit for bit.
 
 Hypothesis draws straight-line programs over broadcasting input shapes
-from the element-wise registry ops, ``sub``, ``sum``/``max`` reductions
-and ``reshape``, with 0-d literals on either side of a binary op and
-repeated instructions, so :func:`~repro.graph.passes.cse` merges both
-nodes and 0-d constants.  Constant arrays of shape ``(1,)``, ``(n,)`` and
-``(1, ..., 1, n)``, some shared between consumers of different shapes,
-meet the binary ops on either side, and ``clip`` bounds may be Python
-ints, so :func:`~repro.graph.passes.layout_operands` relays operands.
+from the element-wise registry ops, ``sub``, ``sum``/``max`` reductions,
+``reshape`` and the decode step's other ops: ``matmul``, ``transpose``,
+basic and fancy ``getitem``, a wide-range pwl table (a ``lookup`` node in
+an inference trace, ``elementwise_fused`` with its saved slope under
+gradient capture) and ``cache_write`` into a 4-D view of a value.  0-d
+literals sit on either side of a binary op and instructions repeat, so
+:func:`~repro.graph.passes.cse` merges both nodes and 0-d constants.
+Constant arrays of shape ``(1,)``, ``(n,)`` and ``(1, ..., 1, n)``, some
+shared between consumers of different shapes, meet the binary ops on
+either side, and ``clip`` bounds may be Python ints, so
+:func:`~repro.graph.passes.layout_operands` relays operands.
 Each program is traced once and replayed under ``optimize``'s passes:
 
 * forward outputs equal the eager forward on fresh inputs of the traced
@@ -61,10 +65,10 @@ from repro.graph.passes import (
     layout_operands,
 )
 from repro.nn import functional as F
-from repro.nn.approx import PWLSuite
+from repro.nn.approx import PWLSuite, PWLWideRange
 from repro.nn.models import MiniEfficientViT, MiniSegformer, ModelConfig
 from repro.nn.optim import SGD, Adam
-from repro.nn.tensor import Tensor, no_grad, tracing
+from repro.nn.tensor import Tensor, apply_op, no_grad, tracing
 from repro.nn.training import prepare_quantized_model
 
 UNARY = ("neg", "exp", "tanh", "abs", "relu", "sqrt", "log", "round_ste")
@@ -73,10 +77,12 @@ BINARY = ("add", "sub", "mul", "div")
 # 0-d constants merge) but -0.0 and 0.0 must stay apart.
 LITERALS = (0.5, 2.0, -1.0, 0.0, -0.0)
 # ``repeat`` re-emits an earlier instruction and ``constant`` meets a
-# constant array; each is listed twice to make it common.  ``folded``
+# constant array; each is listed twice to make it common, as is ``matmul``,
+# which only values of two or more axes take.  ``folded``
 # combines two literals, a 0-d value constant folding computes.
 KINDS = ("unary", "binary", "literal", "constant", "constant", "folded",
-         "reduce", "reshape", "clip", "pow", "repeat", "repeat")
+         "reduce", "reshape", "clip", "pow", "repeat", "repeat",
+         "matmul", "matmul", "transpose", "getitem", "lookup", "cache_write")
 # Clip bounds: Python ints and floats, so int bounds meet float64 inputs.
 CLIP_LOWS = (-1, 0, -1.0, -0.5, 0.0)
 CLIP_WIDTHS = (1, 2, 0.5, 1.0)
@@ -136,7 +142,33 @@ def _apply(instruction: tuple, values: Sequence[Tensor],
     if kind == "pow":
         _, a, exponent = instruction
         return values[a] ** exponent
+    if kind == "matmul":
+        _, a, b, swap = instruction
+        return values[a] @ (values[b].swapaxes(-1, -2) if swap else values[b])
+    if kind == "transpose":
+        _, a, axes = instruction
+        return values[a].transpose(axes)
+    if kind == "getitem":
+        _, a, index = instruction
+        # A fancy axis is held as a tuple so instructions compare by value.
+        return values[a][tuple(np.array(item) if type(item) is tuple else item
+                               for item in index)]
+    if kind == "lookup":
+        _, a = instruction
+        return wide_range_table()(values[a])
+    if kind == "cache_write":
+        _, a, b, cache_shape, slot, position = instruction
+        token = values[b].reshape(cache_shape)[:, :, slot:slot + 1]
+        return apply_op("cache_write", values[a].reshape(cache_shape), token,
+                        Tensor(constants[position]))
     raise AssertionError(kind)
+
+
+@functools.lru_cache(maxsize=None)
+def wide_range_table() -> PWLWideRange:
+    """The DIV multi-range pwl: it records a ``lookup`` node when traced for
+    inference and ``elementwise_fused`` when its input needs a gradient."""
+    return PWLWideRange("div", uniform_pwl(get_function("div"), 8).to_fixed_point(5))
 
 
 def _binary(name: str, a, b):
@@ -165,6 +197,45 @@ def broadcastable(draw, base: Tuple[int, ...]) -> Tuple[int, ...]:
     return tuple(
         1 if draw(st.booleans()) else size for size in shape
     )
+
+
+def _matmul_shape(a: Tuple[int, ...], b: Tuple[int, ...], swap: bool):
+    """The shape of ``a @ b`` (``b`` with its last two axes swapped if
+    ``swap``) for operands of two or more axes, else ``None``."""
+    if len(a) < 2 or len(b) < 2:
+        return None
+    if swap:
+        b = b[:-2] + b[-1:] + b[-2:-1]
+    try:
+        return np.matmul(np.zeros(a), np.zeros(b)).shape
+    except ValueError:
+        return None
+
+
+@st.composite
+def basic_or_fancy_index(draw, shape: Tuple[int, ...]) -> tuple:
+    """A non-empty ``getitem`` index over ``shape``: per axis a full or
+    strided slice or an int, at most one fancy axis (repeats allowed, held
+    as a tuple), and maybe a new axis."""
+    index: List[object] = []
+    fancy = False
+    for size in shape:
+        pick = draw(st.sampled_from(("all", "int", "slice", "fancy")))
+        if pick == "int":
+            index.append(draw(st.integers(-size, size - 1)))
+        elif pick == "slice":
+            start = draw(st.integers(0, size - 1))
+            step = draw(st.sampled_from((1, 2, -1)))
+            index.append(slice(start, None, step))
+        elif pick == "fancy" and not fancy:
+            fancy = True
+            index.append(tuple(draw(st.lists(st.integers(0, size - 1),
+                                             min_size=1, max_size=3))))
+        else:
+            index.append(slice(None))
+    if draw(st.booleans()):
+        index.insert(draw(st.integers(0, len(index))), None)
+    return tuple(index)
 
 
 @st.composite
@@ -262,9 +333,55 @@ def programs(draw) -> Program:
             instruction = ("clip", draw(st.sampled_from(("clip", "clip_ste"))),
                            a, lo, lo + draw(st.sampled_from(CLIP_WIDTHS)))
             out = shape
-        else:
+        elif kind == "pow":
             instruction = ("pow", a, draw(st.sampled_from((2, 3.0, 0.5))))
             out = shape
+        elif kind == "matmul":
+            # Against any value whose shape fits, as it is or with its last
+            # two axes swapped; ``a`` with itself swapped always fits.
+            fits = {
+                (j, swap): _matmul_shape(shape, other, swap)
+                for j, other in enumerate(value_shapes) for swap in (False, True)
+            }
+            partners = [pair for pair, out in fits.items() if out is not None]
+            if not partners:
+                continue
+            b, swap = draw(st.sampled_from(partners))
+            out = fits[b, swap]
+            instruction = ("matmul", a, b, swap)
+        elif kind == "transpose":
+            axes = tuple(draw(st.permutations(range(len(shape)))))
+            instruction = ("transpose", a, axes)
+            out = tuple(shape[axis] for axis in axes)
+        elif kind == "getitem":
+            index = draw(basic_or_fancy_index(shape))
+            instruction = ("getitem", a, index)
+            out = _apply(instruction, [Tensor(np.zeros(shape))] * (a + 1), ()).shape
+        elif kind == "lookup":
+            instruction = ("lookup", a)
+            out = shape
+        else:
+            # The cache is ``a`` viewed as (B, H, capacity, d), with B or H
+            # a unit axis when ``a`` has three axes; the token is one slot
+            # of a same-shaped value, written at a drawn slot per row.
+            if len(shape) > 4:
+                continue
+            padded = (1,) * (3 - len(shape)) + shape
+            cache_shape = padded if len(padded) == 4 else draw(st.sampled_from(
+                ((1,) + padded, padded[:1] + (1,) + padded[1:])
+            ))
+            batch, _, capacity, _ = cache_shape
+            twins = [j for j, other in enumerate(value_shapes)
+                     if other == shape and dynamic[j]]
+            b = draw(st.sampled_from(twins))
+            slots = draw(st.lists(st.integers(0, capacity - 1),
+                                  min_size=batch, max_size=batch))
+            width = capacity + draw(st.integers(0, 2))
+            position = len(constants)
+            constants.append(np.eye(width)[slots])
+            instruction = ("cache_write", a, b, cache_shape,
+                           draw(st.integers(0, capacity - 1)), position)
+            out = cache_shape
         instructions.append(instruction)
         value_shapes.append(tuple(out))
         dynamic.append(depends)
